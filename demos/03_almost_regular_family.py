@@ -17,7 +17,7 @@ phi = UnicornPhi(b0, k, q, c=1.0)
 s_grid = np.linspace(-0.9, 0.9, 7)
 print(" s        Q(s)       k*s + q*sqrt(b0^2-s^2)   ODE residual")
 for s in s_grid:
-    Q = float(_q_series(phi, s, 0).c[0])
+    Q = _q_series(phi, s, 0).value
     closed = k * s + q * np.sqrt(b0 * b0 - s * s)
     print(f"{s:+.2f}   {Q:+.6f}   {closed:+.6f}              {ode_residual(phi, b0, s):+.1e}")
 

@@ -194,7 +194,7 @@ def criterion_6():
         f = UnicornPhi(b0, k, q, 1.0)
         qerr = oderr = 0.0
         for s in np.linspace(-0.9 * b0, 0.9 * b0, 20):
-            Q = float(_q_series(f, s, 0).c[0])
+            Q = _q_series(f, s, 0).value
             qerr = max(qerr, abs(Q - (k * s + q * math.sqrt(b0 * b0 - s * s))))
             oderr = max(oderr, abs(ode_residual(f, b0, s)))
         out.lt(f"Q identity ({b0},{k},{q})", qerr, 1e-8)

@@ -196,7 +196,7 @@ def unicorn_fit(f_or_samples, b, delta=0.05, n_samples=20) -> UnicornFit:
     if isinstance(f_or_samples, PhiFamily):
         half = 0.999 * min(b, f_or_samples.b0) * (1.0 - max(delta, f_or_samples.delta))
         s = np.linspace(-half, half, n_samples)
-        q = np.array([float(_q_series(f_or_samples, v, 0).c[0]) for v in s])
+        q = np.array([_q_series(f_or_samples, v, 0).value for v in s])
     else:
         s, q = (np.asarray(v, dtype=float) for v in f_or_samples)
     if len(s) < 2:

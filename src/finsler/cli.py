@@ -249,7 +249,7 @@ def _header_and_row(name, m, bc, x, y, f):
     if name == "Q":
         alpha = math.sqrt(float(np.asarray(y) @ bc.a @ np.asarray(y)))
         s_val = float(bc.b_i @ np.asarray(y)) / alpha
-        return (["Q"], [float(_q_series(f, s_val, 0).c[0])])
+        return (["Q"], [_q_series(f, s_val, 0).value])
     if name == "G":
         return ([f"G^{i+1}" for i in range(n)], list(spray_ab(m, f, x, y)))
     if name in ("B", "E", "L", "D"):

@@ -5,16 +5,15 @@ carry an exact byte offset.  Precedence, tightest first::
 
     ^ (right-assoc)  >  unary -  >  * /  >  + -
 
-The same AST evaluates over plain floats, JetScalars or Taylor1D series, so
+The same AST evaluates over plain floats or jets (multivariate fiber jets and
+univariate series alike): every operation goes through ``jet_apply``, so
 user-supplied metrics plug straight into the differentiation machinery.
 """
 
-import math
 from dataclasses import dataclass
 
-from .errors import DomainError, ExprSyntaxError, UnboundVariable, UnknownIdentifier
-from .jets import JetScalar, jet_abs
-from .taylor1d import Taylor1D
+from .errors import ExprSyntaxError, UnboundVariable, UnknownIdentifier
+from .jets import jet_apply
 
 FUNCTIONS = ("exp", "log", "sin", "cos", "sqrt", "atan", "abs")
 
@@ -202,24 +201,8 @@ def to_string(ast):
 
 # -- evaluation --------------------------------------------------------------
 
-def _call(fn, u):
-    if isinstance(u, JetScalar):
-        if fn == "abs":
-            return jet_abs(u)
-        return u._compose(fn)
-    if isinstance(u, Taylor1D):
-        if fn == "abs":
-            return u if u.value >= 0 else -u
-        return u.compose(fn)
-    if fn == "abs":
-        return abs(u)
-    if fn in ("log", "sqrt") and u <= 0.0:
-        raise DomainError(f"{fn} of non-positive value {u}")
-    return getattr(math, fn)(float(u))
-
-
 def eval_expr(ast, bindings):
-    """Evaluate over whatever algebra the bindings carry (floats, jets, series)."""
+    """Evaluate over whatever algebra the bindings carry (floats or jets)."""
     if isinstance(ast, Const):
         return ast.value
     if isinstance(ast, Var):
@@ -228,32 +211,10 @@ def eval_expr(ast, bindings):
         except KeyError:
             raise UnboundVariable(f"no binding for variable {ast.name!r}") from None
     if isinstance(ast, Unary):
-        return -eval_expr(ast.child, bindings)
+        return jet_apply(ast.op, (eval_expr(ast.child, bindings),))
     if isinstance(ast, Binary):
-        left = eval_expr(ast.left, bindings)
-        right = eval_expr(ast.right, bindings)
-        if ast.op == "add":
-            return left + right
-        if ast.op == "sub":
-            return left - right
-        if ast.op == "mul":
-            return left * right
-        if ast.op == "div":
-            if not isinstance(right, (JetScalar, Taylor1D)) and abs(right) < 1e-300:
-                raise DomainError("division by ~0")
-            return left / right
-        # power: keep integer exponents exact via repeated multiplication
-        if isinstance(right, (JetScalar, Taylor1D)):
-            exponent = right.value
-        else:
-            exponent = float(right)
-        if float(exponent).is_integer():
-            return left ** int(exponent)
-        if isinstance(left, (JetScalar, Taylor1D)):
-            return left ** float(exponent)
-        if left <= 0.0:
-            raise DomainError(f"real power of non-positive base {left}")
-        return left ** float(exponent)
+        return jet_apply(ast.op, (eval_expr(ast.left, bindings),
+                                  eval_expr(ast.right, bindings)))
     if isinstance(ast, Call):
-        return _call(ast.fn, eval_expr(ast.arg, bindings))
+        return jet_apply(ast.fn, (eval_expr(ast.arg, bindings),))
     raise TypeError(f"not an AST node: {ast!r}")

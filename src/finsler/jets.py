@@ -1,9 +1,17 @@
-"""Truncated multivariate Taylor-jet arithmetic in the fiber variables.
+"""Truncated Taylor-jet arithmetic: the package's one Taylor algebra.
 
 A :class:`JetScalar` stores the Taylor coefficients of a scalar in ``n_vars``
-direction variables up to total degree ``max_order`` (at most 4).  Arithmetic
-and the elementary functions propagate coefficients exactly, so derivatives of
-any composed expression up to ``max_order`` are exact up to roundoff.
+variables up to total degree ``max_order``.  Arithmetic and the elementary
+functions propagate coefficients exactly, so derivatives of any composed
+expression up to ``max_order`` are exact up to roundoff.
+
+Two uses share the class.  Fiber jets in the direction variables (``n_vars``
+equal to the dimension) are capped at ``MAX_ORDER``, enough for the Douglas
+tensor.  Univariate jets (``n_vars = 1``) are the series in the ratio
+s = beta/alpha that the phi families expand in; they take any order, because
+a quotient like Q = phi'/(phi - s phi') eats orders.  Every product goes
+through one kernel over the truncated product table, and every elementary
+function, on floats and jets alike, goes through :func:`jet_apply`.
 
 Base-point (x-)derivatives are a different regime: metric evaluators may hide
 quadratures that are cheap to re-evaluate but awkward to jet through, so those
@@ -12,7 +20,8 @@ central difference.
 """
 
 import math
-from functools import lru_cache
+import operator
+from functools import lru_cache, partial
 from itertools import product
 
 import numpy as np
@@ -20,7 +29,9 @@ import numpy as np
 from .errors import ArityError, DomainError, EvaluationError
 from .series import TINY, pow_coeffs, taylor_coeffs
 
+#: order cap of multivariate jets; univariate jets are uncapped
 MAX_ORDER = 4
+_NUMBER = (int, float, np.floating, np.integer)
 
 
 @lru_cache(maxsize=None)
@@ -43,13 +54,14 @@ def _tables(n_vars, max_order):
 
 
 class JetScalar:
-    """Dense truncated Taylor expansion of a scalar in the direction variables."""
+    """Dense truncated Taylor expansion of a scalar in ``n_vars`` variables."""
 
     __slots__ = ("coeffs", "n_vars", "max_order")
 
     def __init__(self, coeffs, n_vars, max_order):
-        if not 0 <= max_order <= MAX_ORDER:
-            raise ValueError(f"max_order must lie in [0, {MAX_ORDER}]")
+        if max_order < 0 or (n_vars > 1 and max_order > MAX_ORDER):
+            raise ValueError(f"max_order must be >= 0, and <= {MAX_ORDER} "
+                             "when n_vars > 1")
         self.coeffs = np.asarray(coeffs, dtype=float)
         self.n_vars = n_vars
         self.max_order = max_order
@@ -106,7 +118,7 @@ class JetScalar:
             if other.n_vars != self.n_vars or other.max_order != self.max_order:
                 raise DomainError("jet arithmetic requires equal n_vars and max_order")
             return other
-        if isinstance(other, (int, float, np.floating, np.integer)):
+        if isinstance(other, _NUMBER):
             return JetScalar.constant(float(other), self.n_vars, self.max_order)
         return NotImplemented
 
@@ -131,20 +143,22 @@ class JetScalar:
         return JetScalar(o.coeffs - self.coeffs, self.n_vars, self.max_order)
 
     def __mul__(self, other):
-        if isinstance(other, (int, float, np.floating, np.integer)):
+        if isinstance(other, _NUMBER):
             return JetScalar(self.coeffs * float(other), self.n_vars, self.max_order)
         o = self._coerce(other)
         if o is NotImplemented:
             return o
+        # the one product kernel: each output coefficient sums its table
+        # entries in table order
         ii, jj, kk = _tables(self.n_vars, self.max_order)[2]
-        out = np.zeros_like(self.coeffs)
-        np.add.at(out, kk, self.coeffs[ii] * o.coeffs[jj])
+        out = np.bincount(kk, weights=self.coeffs[ii] * o.coeffs[jj],
+                          minlength=len(self.coeffs))
         return JetScalar(out, self.n_vars, self.max_order)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, float, np.floating, np.integer)):
+        if isinstance(other, _NUMBER):
             if abs(other) < TINY:
                 raise DomainError("division by ~0")
             return JetScalar(self.coeffs / float(other), self.n_vars, self.max_order)
@@ -210,80 +224,66 @@ def jet_variable(index, point_value, n_vars, max_order):
     return j
 
 
-_UNARY = {"neg", "sqrt", "exp", "log", "sin", "cos", "atan"}
-_BINARY = {"add", "sub", "mul", "div", "pow"}
+def _elementary(tag, u):
+    # a float is treated as an order-0 jet, so it meets the same domain checks
+    if isinstance(u, JetScalar):
+        return u._compose(tag)
+    return float(taylor_coeffs(tag, float(u), 0)[0])
+
+
+def _abs(u):
+    if not isinstance(u, JetScalar):
+        return abs(u)
+    if u.max_order >= 1 and abs(u.value) < TINY:
+        raise DomainError("abs is not differentiable at 0")
+    return -u if u.value < 0.0 else u
+
+
+def _div(u, v):
+    if isinstance(v, _NUMBER) and abs(v) < TINY:
+        raise DomainError("division by ~0")
+    return u / v
+
+
+def _pow(u, p):
+    if isinstance(p, JetScalar):
+        if np.any(p.coeffs[1:] != 0.0):
+            # the exponent varies: u^p = exp(p log u)
+            return _elementary("exp", _elementary("log", u) * p)
+        p = p.value
+    p = float(p)
+    if isinstance(u, JetScalar):
+        return u ** p
+    if p.is_integer():
+        if p < 0.0 and abs(u) < TINY:
+            raise DomainError("negative power of ~0")
+        return u ** int(p)
+    if u <= 0.0:
+        raise DomainError(f"real power of non-positive base {u}")
+    return u ** p
+
+
+_UNARY = {"neg": operator.neg, "abs": _abs,
+          **{tag: partial(_elementary, tag)
+             for tag in ("sqrt", "exp", "log", "sin", "cos", "atan")}}
+_BINARY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+           "div": _div, "pow": _pow}
 
 
 def jet_apply(fn, args):
-    """Apply an elementary-function tag to jets (or to a jet and a scalar)."""
-    want = 1 if fn in _UNARY else 2 if fn in _BINARY else None
-    if want is None:
+    """Apply an elementary-function tag to floats or jets.
+
+    The one entry point for elementary functions: the expression evaluator and
+    the phi families call it.  Outside its domain it raises
+    :class:`DomainError`, on floats as on jets.
+    """
+    table = _UNARY if fn in _UNARY else _BINARY if fn in _BINARY else None
+    if table is None:
         raise ArityError(f"unknown elementary-function tag {fn!r}")
+    want = 1 if table is _UNARY else 2
     if len(args) != want:
         raise ArityError(f"{fn} expects {want} argument(s), got {len(args)}")
-    if fn == "add":
-        return args[0] + args[1]
-    if fn == "sub":
-        return args[0] - args[1]
-    if fn == "mul":
-        return args[0] * args[1]
-    if fn == "div":
-        return args[0] / args[1]
-    if fn == "pow":
-        p = args[1]
-        if isinstance(p, JetScalar):
-            if np.any(p.coeffs[1:] != 0.0):
-                return jet_exp(jet_log(args[0]) * p)
-            p = p.value
-        return args[0] ** p
-    if fn == "neg":
-        return -args[0]
-    u = args[0]
-    if isinstance(u, JetScalar):
-        return u._compose(fn)
-    return getattr(math, fn)(u)
-
-
-# Generic elementary functions usable on floats and jets alike.
-
-def _lift(tag, u):
-    if isinstance(u, JetScalar):
-        return u._compose(tag)
-    if tag in ("sqrt", "log") and u <= 0.0:
-        raise DomainError(f"{tag} of non-positive value {u}")
-    return getattr(math, tag)(float(u))
-
-
-def jet_sqrt(u):
-    return _lift("sqrt", u)
-
-
-def jet_exp(u):
-    return _lift("exp", u)
-
-
-def jet_log(u):
-    return _lift("log", u)
-
-
-def jet_sin(u):
-    return _lift("sin", u)
-
-
-def jet_cos(u):
-    return _lift("cos", u)
-
-
-def jet_atan(u):
-    return _lift("atan", u)
-
-
-def jet_abs(u):
-    if isinstance(u, JetScalar):
-        if abs(u.value) < TINY:
-            raise DomainError("abs is not differentiable at 0")
-        return u if u.value > 0 else -u
-    return abs(u)
+    return table[fn](*args)
 
 
 def base_derivative(field, x, axis, order, h0=None):

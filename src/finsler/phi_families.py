@@ -2,10 +2,10 @@
 
 Each family exposes its local Taylor expansion ``taylor(s0, order)``; every
 downstream quantity (Q, Delta, Theta, Phi, Psi, spray scalars) is assembled
-from those coefficients by univariate series arithmetic, so all s-derivatives
-are exact.  The almost-regular family integrates its defining logarithmic
-derivative with adaptive quadrature and recovers derivatives from the
-first-order recurrence phi' = g * phi.
+from those coefficients as univariate jets (``JetScalar`` with ``n_vars = 1``),
+so all s-derivatives are exact.  The almost-regular family integrates its
+defining logarithmic derivative with adaptive quadrature and recovers
+derivatives from the first-order recurrence phi' = g * phi.
 """
 
 import math
@@ -16,8 +16,8 @@ import numpy as np
 from .errors import (DegenerateDenominator, DomainError, NonPositivePhi,
                      ParamOutOfRange)
 from .exprparse import eval_expr, parse
+from .jets import JetScalar, jet_apply, jet_variable
 from .quadrature import adaptive_simpson
-from .taylor1d import Taylor1D, sqrt1
 
 
 class PhiFamily:
@@ -59,10 +59,11 @@ class PhiFamily:
 
 
 class RandersPhi(PhiFamily):
-    """phi(s) = 1 + s."""
+    """phi(s) = 1 + s, regular on the whole cone |s| < 1."""
 
     variant = "randers"
     b0 = 1.0
+    delta = 0.0
 
     def taylor(self, s0, order):
         c = np.zeros(order + 1)
@@ -85,8 +86,8 @@ class RiemannSqrtPhi(PhiFamily):
         self.b0 = math.inf if self.k >= 0 else 1.0 / math.sqrt(-self.k)
 
     def taylor(self, s0, order):
-        t = Taylor1D.variable(s0, order)
-        return sqrt1(1.0 + self.k * t * t).c
+        t = jet_variable(0, s0, 1, order)
+        return jet_apply("sqrt", (1.0 + self.k * t * t,)).coeffs
 
     def value_many(self, s):
         return np.sqrt(1.0 + self.k * np.asarray(s, dtype=float) ** 2)
@@ -117,8 +118,8 @@ class UnicornPhi(PhiFamily):
         return num / den
 
     def _g_series(self, s0, order):
-        t = Taylor1D.variable(s0, order)
-        root = sqrt1(self.b0**2 - t * t)
+        t = jet_variable(0, s0, 1, order)
+        root = jet_apply("sqrt", (self.b0**2 - t * t,))
         return (self.k * t + self.q * root) / (1.0 + self.k * t * t + self.q * t * root)
 
     def value(self, s):
@@ -133,7 +134,7 @@ class UnicornPhi(PhiFamily):
         phi0 = self.value(s0)
         if order == 0:
             return np.array([phi0])
-        g = self._g_series(s0, order - 1).c
+        g = self._g_series(s0, order - 1).coeffs
         c = np.zeros(order + 1)
         c[0] = phi0
         # phi' = g * phi, order by order
@@ -157,10 +158,10 @@ class CustomExprPhi(PhiFamily):
 
     def taylor(self, s0, order):
         bindings = dict(self.params)
-        bindings["s"] = Taylor1D.variable(s0, order)
+        bindings["s"] = jet_variable(0, s0, 1, order)
         out = eval_expr(self.ast, bindings)
-        if isinstance(out, Taylor1D):
-            return out.c
+        if isinstance(out, JetScalar):
+            return out.coeffs
         c = np.zeros(order + 1)
         c[0] = float(out)
         return c
@@ -184,14 +185,17 @@ class AlphaBetaScalars:
     Psi: float
 
 
+def _series(f: PhiFamily, s, order):
+    """phi at s as a univariate jet of the given order."""
+    return JetScalar(f.taylor(s, order), 1, order)
+
+
 def _q_series(f: PhiFamily, s, order):
     """Taylor series of Q = phi'/(phi - s phi') at s, to the given order."""
-    c = f.taylor(s, order + 1)
-    phi = Taylor1D(c[: order + 1])
-    k = np.arange(1, order + 2)
-    phip = Taylor1D((c[1:] * k)[: order + 1])
-    sv = Taylor1D.variable(s, order)
-    den = phi - sv * phip
+    phi = _series(f, s, order + 1)
+    phip = phi.derivative(0)
+    sv = jet_variable(0, s, 1, order)
+    den = phi.truncate(order) - sv * phip
     if den.value <= 1e-12:
         raise DegenerateDenominator(f"phi - s*phi' = {den.value} at s={s}")
     return phip / den
@@ -202,7 +206,7 @@ def ab_scalars(f: PhiFamily, b, s, n) -> AlphaBetaScalars:
     if abs(s) > b + 1e-12:
         raise DomainError(f"|s|={abs(s)} exceeds b={b}")
     qs = _q_series(f, s, 3)
-    q, qp, qpp = qs.derivs(2)
+    q, qp, qpp = (qs.partial((k,)) for k in range(3))
     delta = 1.0 + s * q + (b * b - s * s) * qp
     if delta <= 1e-12:
         raise DegenerateDenominator(f"Delta = {delta} at (b={b}, s={s})")
@@ -224,7 +228,7 @@ def ode_residual(f: PhiFamily, b, s):
     if abs(s) >= b:
         raise DomainError(f"|s|={abs(s)} must be < b={b}")
     qs = _q_series(f, s, 2)
-    q, qp, qpp = qs.derivs(2)
+    q, qp, qpp = (qs.partial((k,)) for k in range(3))
     w = b * b - s * s
     return qpp - s * qp / w + q / w
 
@@ -232,19 +236,16 @@ def ode_residual(f: PhiFamily, b, s):
 def spray_scalar_series(f: PhiFamily, b, s0, order):
     """Taylor series (in s at s0) of Q, Theta and Psi, used by the spray assembly."""
     q_big = _q_series(f, s0, order + 1)
-    qp = q_big.deriv()  # order
-    q = Taylor1D(q_big.c[: order + 1])
-    sv = Taylor1D.variable(s0, order)
+    qp = q_big.derivative(0)
+    q = q_big.truncate(order)
+    sv = jet_variable(0, s0, 1, order)
     delta = 1.0 + sv * q + (b * b - sv * sv) * qp
     if delta.value <= 1e-12:
         raise DegenerateDenominator(f"Delta = {delta.value} at (b={b}, s={s0})")
     theta = (q - sv * qp) / (2.0 * delta)
-    c = f.taylor(s0, order + 2)
-    k = np.arange(1, len(c))
-    dc = c[1:] * k
-    ddc = dc[1:] * np.arange(1, len(dc))
-    phi = Taylor1D(c[: order + 1])
-    phip = Taylor1D(dc[: order + 1])
-    phipp = Taylor1D(ddc[: order + 1])
-    psi = phipp / ((phi - sv * phip + (b * b - sv * sv) * phipp) * 2.0)
+    phi = _series(f, s0, order + 2)
+    phip = phi.derivative(0)
+    phipp = phip.derivative(0)
+    psi = phipp / ((phi.truncate(order) - sv * phip.truncate(order)
+                    + (b * b - sv * sv) * phipp) * 2.0)
     return q, theta, psi

@@ -1,4 +1,4 @@
-"""Simpson quadrature: adaptive for smooth 1-D integrands, composite for grids."""
+"""Simpson quadrature: adaptive for smooth 1-D integrands, weights for grids."""
 
 import numpy as np
 
@@ -40,9 +40,3 @@ def simpson_weights(n_intervals):
     w[2:-1:2] = 2.0
     return w / 3.0
 
-
-def composite_simpson(values, a, b):
-    """Integrate equispaced samples (len odd) over [a, b]."""
-    n = len(values) - 1
-    h = (b - a) / n
-    return h * float(np.dot(simpson_weights(n), values))

@@ -1,9 +1,9 @@
 """Univariate Taylor-coefficient tables for the elementary functions.
 
 ``taylor_coeffs(tag, u0, order)`` returns the coefficients c_k = f^(k)(u0)/k!
-of the elementary function ``tag`` expanded at ``u0``.  Both the multivariate
-jet algebra and the univariate series algebra compose through these tables, so
-the two differentiation paths share one source of truth.
+of the elementary function ``tag`` expanded at ``u0``.  Every jet, fiber jet
+or univariate series alike, composes through these tables, and a float is
+evaluated as their order-0 entry, so the domain checks live here alone.
 """
 
 import math

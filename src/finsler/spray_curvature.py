@@ -45,9 +45,9 @@ def _spray_jets(bc, f: PhiFamily, y, order):
     s = beta / alpha
     f.require_admissible(s.value)
     q_t, theta_t, psi_t = spray_scalar_series(f, bc.b, s.value, order)
-    Q = s.compose_series(q_t.c)
-    Theta = s.compose_series(theta_t.c)
-    Psi = s.compose_series(psi_t.c)
+    Q = s.compose_series(q_t.coeffs)
+    Theta = s.compose_series(theta_t.coeffs)
+    Psi = s.compose_series(psi_t.coeffs)
 
     r00 = JetScalar.constant(0.0, n, order)
     s0 = JetScalar.constant(0.0, n, order)

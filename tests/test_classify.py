@@ -187,6 +187,9 @@ class TestEndToEnd:
         ("sphere_randers", {"eps": 0.5}, "NotGeneralizedBerwald"),
         ("euclid_randers", {"eps": 0.5}, "LocallyMinkowskiLike"),
         ("euclid", {}, "RiemannianIsotropic"),
+        # Randers is regular on all of |s| < 1, right up to the cone edge
+        ("euclid_randers", {"eps": 0.96}, "LocallyMinkowskiLike"),
+        ("euclid_randers", {"eps": 0.99}, "LocallyMinkowskiLike"),
     ])
     def test_catalog_verdicts(self, name, kw, expected):
         e = get_metric(name, **kw)

@@ -4,12 +4,15 @@ import csv
 import io
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from finsler.cli import build_parser, cmd_classify, cmd_report, cmd_table, main
 from finsler.cli import RunConfig
 from finsler.errors import ConfigError, UnknownQuantity
+
+EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected"
 
 
 def _cfg(name, per_axis=3, directions=8, **params):
@@ -147,3 +150,11 @@ class TestMain:
         p = build_parser()
         for cmd in ("report", "table", "classify", "check"):
             assert cmd in p.format_help()
+
+    def test_report_bytes_match_benchmark_expectation(self, capsys):
+        # the byte-stable stdout contract, checked on every test run
+        rc = main(["report", "--metric", "lie_group", "--per-axis", "2",
+                   "--directions", "8"])
+        assert rc == 0
+        want = (EXPECTED / "report_surface.any.out").read_text()
+        assert capsys.readouterr().out == want

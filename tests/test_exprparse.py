@@ -7,7 +7,7 @@ import pytest
 from finsler.errors import ExprSyntaxError, UnboundVariable, UnknownIdentifier
 from finsler.exprparse import eval_expr, parse, to_string
 from finsler.jets import jet_variable
-from finsler.taylor1d import Taylor1D
+from finsler.phi_families import CustomExprPhi
 
 
 class TestParsing:
@@ -66,9 +66,9 @@ class TestEvaluation:
 
     def test_eval_over_series(self):
         ast = parse("exp(2 * t)", {"t"})
-        t = Taylor1D.variable(0.1, 3)
+        t = jet_variable(0, 0.1, 1, 3)
         out = eval_expr(ast, {"t": t})
-        d = out.derivs(2)
+        d = [out.partial((k,)) for k in range(3)]
         assert d[0] == pytest.approx(math.exp(0.2))
         assert d[1] == pytest.approx(2 * math.exp(0.2))
         assert d[2] == pytest.approx(4 * math.exp(0.2))
@@ -76,3 +76,16 @@ class TestEvaluation:
     def test_integer_power_of_negative_base(self):
         ast = parse("x^3", {"x"})
         assert eval_expr(ast, {"x": -2.0}) == pytest.approx(-8.0)
+
+    def test_variable_exponent_keeps_its_derivative(self):
+        # d/ds 2^s = ln2 2^s
+        c = CustomExprPhi("2^s").taylor(0.3, 2)
+        ln2, v = math.log(2.0), 2.0**0.3
+        assert c == pytest.approx([v, ln2 * v, 0.5 * ln2**2 * v], rel=1e-14)
+
+    def test_variable_base_and_exponent(self):
+        # d/ds s^(1+s) = s^(1+s) (log s + (1+s)/s)
+        c = CustomExprPhi("1 + s^(1+s)", b0=1.0).taylor(0.5, 1)
+        v = 0.5**1.5
+        assert c[0] == pytest.approx(1.0 + v, rel=1e-14)
+        assert c[1] == pytest.approx(v * (math.log(0.5) + 3.0), rel=1e-14)

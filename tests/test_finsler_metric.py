@@ -100,6 +100,13 @@ class TestSigma:
         assert sigma_bh(e.metric, e.phi, [0, 0]) == pytest.approx(
             (1 - eps * eps) ** 1.5, abs=1e-9)
 
+    @pytest.mark.parametrize("eps", [0.96, 0.99])
+    def test_randers_closed_form_near_the_cone_edge(self, eps):
+        # Randers is regular on all of |s| < 1: no margin cuts these nodes
+        e = get_metric("euclid_randers", eps=eps)
+        assert sigma_bh(e.metric, e.phi, [0, 0]) == pytest.approx(
+            (1 - eps * eps) ** 1.5, rel=1e-9)
+
     def test_riemannian_density_is_sqrt_det(self):
         m = MetricSpec(n=2, a=lambda x: np.diag([4.0, 9.0]),
                        b_form=lambda x: np.zeros(2),

@@ -1,15 +1,13 @@
-"""Truncated multivariate jets, univariate series and base-point derivatives."""
+"""Truncated jets (multivariate and univariate) and base-point derivatives."""
 
 import math
 
 import numpy as np
 import pytest
 
-from finsler.errors import EvaluationError
-from finsler.jets import (JetScalar, base_derivative, jet_abs, jet_atan,
-                          jet_cos, jet_exp, jet_log, jet_sin, jet_sqrt,
-                          jet_variable)
-from finsler.taylor1d import Taylor1D, exp1, sqrt1
+from finsler.errors import DomainError, EvaluationError
+from finsler.jets import (MAX_ORDER, JetScalar, _tables, base_derivative,
+                          jet_apply, jet_variable)
 
 
 def _num_partial(fn, point, multi, h=1e-4):
@@ -47,15 +45,16 @@ class TestJetArithmetic:
         point = (0.8, -0.4)
         x = jet_variable(0, point[0], 2, 3)
         y = jet_variable(1, point[1], 2, 3)
-        jet = jet_sqrt(x * x + y * y) * jet_exp(0.3 * x * y) \
-            + jet_sin(x) * jet_cos(y) + jet_atan(x - y)
+        jet = jet_apply("sqrt", (x * x + y * y,)) * jet_apply("exp", (0.3 * x * y,)) \
+            + jet_apply("sin", (x,)) * jet_apply("cos", (y,)) \
+            + jet_apply("atan", (x - y,))
         expected = _num_partial(fn, point, multi)
         tol = 5e-4 * max(1.0, abs(expected)) if sum(multi) >= 3 else 1e-6
         assert jet.partial(multi) == pytest.approx(expected, abs=tol)
 
     def test_log_and_power(self):
         x = jet_variable(0, 1.5, 1, 4)
-        j = jet_log(x) + x ** 3 + x ** (-0.5)
+        j = jet_apply("log", (x,)) + x ** 3 + x ** (-0.5)
         val = math.log(1.5) + 1.5**3 + 1.5**-0.5
         d1 = 1 / 1.5 + 3 * 1.5**2 - 0.5 * 1.5**-1.5
         assert j.value == pytest.approx(val)
@@ -72,38 +71,88 @@ class TestJetArithmetic:
 
     def test_abs_on_negative_branch(self):
         x = jet_variable(0, -2.0, 1, 2)
-        j = jet_abs(x)
+        j = jet_apply("abs", (x,))
         assert j.value == pytest.approx(2.0)
         assert j.partial((1,)) == pytest.approx(-1.0)
 
     def test_scalar_fallback(self):
-        assert jet_sqrt(4.0) == pytest.approx(2.0)
-        assert jet_exp(0.0) == pytest.approx(1.0)
-        assert jet_atan(1.0) == pytest.approx(math.pi / 4)
+        assert jet_apply("sqrt", (4.0,)) == pytest.approx(2.0)
+        assert jet_apply("exp", (0.0,)) == pytest.approx(1.0)
+        assert jet_apply("atan", (1.0,)) == pytest.approx(math.pi / 4)
+
+    def test_product_kernel_matches_scattered_sum(self):
+        # the table-order bincount kernel gives the same bits as np.add.at
+        rng = np.random.default_rng(7)
+        for n_vars, order in [(2, 4), (3, 4), (1, 6)]:
+            ii, jj, kk = _tables(n_vars, order)[2]
+            size = len(_tables(n_vars, order)[0])
+            for _ in range(20):
+                a, b = rng.normal(size=size), rng.normal(size=size)
+                want = np.zeros(size)
+                np.add.at(want, kk, a[ii] * b[jj])
+                got = (JetScalar(a, n_vars, order) * JetScalar(b, n_vars, order)).coeffs
+                assert np.array_equal(got, want)
+
+    def test_order_cap_only_for_multivariate_jets(self):
+        with pytest.raises(ValueError):
+            jet_variable(0, 0.1, 2, MAX_ORDER + 1)
+        t = jet_variable(0, 0.1, 1, MAX_ORDER + 3)
+        assert (t * t).coeffs.shape == (MAX_ORDER + 4,)
 
 
-class TestTaylor1D:
+class TestUnivariateJets:
     def test_variable_composition(self):
-        t = Taylor1D.variable(0.5, 5)
-        f = exp1(t * t) * sqrt1(1.0 + t)
+        t = jet_variable(0, 0.5, 1, 5)
+        f = jet_apply("exp", (t * t,)) * jet_apply("sqrt", (1.0 + t,))
         # derivative values against small finite differences
         h = 1e-5
 
         def g(s):
             return math.exp(s * s) * math.sqrt(1.0 + s)
 
-        d = f.derivs(2)
+        d = [f.partial((k,)) for k in range(3)]
         assert d[0] == pytest.approx(g(0.5))
         assert d[1] == pytest.approx((g(0.5 + h) - g(0.5 - h)) / (2 * h), abs=1e-7)
         assert d[2] == pytest.approx(
             (g(0.5 + h) - 2 * g(0.5) + g(0.5 - h)) / h**2, abs=1e-4)
 
     def test_deriv_shifts_coefficients(self):
-        t = Taylor1D.variable(0.0, 4)
+        t = jet_variable(0, 0.0, 1, 4)
         p = 1.0 + 2.0 * t + 3.0 * t * t
-        dp = p.deriv()
+        dp = p.derivative(0)
         assert dp.value == pytest.approx(2.0)
-        assert dp.derivs(1)[1] == pytest.approx(6.0)
+        assert dp.partial((1,)) == pytest.approx(6.0)
+
+
+def _jet(order):
+    return jet_variable(0, 0.0, 1, order)
+
+
+@pytest.mark.parametrize("fn, args, want", [
+    ("sqrt", (-1.0,), DomainError),
+    ("log", (0.0,), DomainError),
+    ("div", (1.0, 0.0), DomainError),
+    ("pow", (-2.0, 0.5), DomainError),
+    ("pow", (0.0, -1.0), DomainError),
+    ("sqrt", (_jet(2) - 1.0,), DomainError),
+    ("log", (_jet(2),), DomainError),
+    ("div", (1.0, _jet(2)), DomainError),
+    ("pow", (_jet(2) - 2.0, 0.5), DomainError),
+    ("abs", (_jet(1),), DomainError),
+    ("abs", (jet_variable(1, 0.0, 2, 3),), DomainError),
+    ("abs", (_jet(0),), 0.0),
+    ("abs", (_jet(0) - 2.0,), 2.0),
+    ("abs", (-0.0,), 0.0),
+])
+def test_domain_rule(fn, args, want):
+    """One rule for floats and jets: DomainError outside the domain; abs at 0
+    is an error only where a derivative is asked for."""
+    if want is DomainError:
+        with pytest.raises(DomainError):
+            jet_apply(fn, args)
+    else:
+        out = jet_apply(fn, args)
+        assert getattr(out, "value", out) == want
 
 
 class TestBaseDerivative:
