@@ -78,16 +78,11 @@ def christoffels(m: MetricSpec, x):
     a = m.a_at(x)
     a_inv = _inverse_spd(a)
     n = m.n
-    # da[k, i, j] = d a_ij / d x^k  (differenced componentwise)
-    da = np.zeros((n, n, n))
-    for i in range(n):
-        for j in range(i, n):
-            def comp(xp, i=i, j=j):
-                return m.a_at(xp)[i, j]
-            for k in range(n):
-                d = base_derivative(comp, x, k, 1)
-                da[k, i, j] = d
-                da[k, j, i] = d
+    # da[k, i, j] = d a_ij / d x^k, one stencil per axis; the upper triangle
+    # is mirrored so an a(x) symmetric only to roundoff gives a symmetric da
+    da = np.array([base_derivative(m.a_at, x, k, 1) for k in range(n)])
+    lower = np.tril_indices(n, -1)
+    da[:, lower[0], lower[1]] = da[:, lower[1], lower[0]]
     gamma = np.zeros((n, n, n))
     for i in range(n):
         for j in range(n):
@@ -128,12 +123,8 @@ def beta_derivatives(m: MetricSpec, x) -> BetaCalculus:
     gamma = christoffels(m, x)
     b_i = m.b_at(x)
     n = m.n
-    db = np.zeros((n, n))  # db[i, j] = d b_i / d x^j
-    for i in range(n):
-        def comp(xp, i=i):
-            return m.b_at(xp)[i]
-        for j in range(n):
-            db[i, j] = base_derivative(comp, x, j, 1)
+    # db[i, j] = d b_i / d x^j
+    db = np.array([base_derivative(m.b_at, x, j, 1) for j in range(n)]).T
     bij = db - np.einsum("k,kij->ij", b_i, gamma)
     r = 0.5 * (bij + bij.T)
     s = 0.5 * (bij - bij.T)

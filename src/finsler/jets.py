@@ -16,7 +16,8 @@ function, on floats and jets alike, goes through :func:`jet_apply`.
 Base-point (x-)derivatives are a different regime: metric evaluators may hide
 quadratures that are cheap to re-evaluate but awkward to jet through, so those
 derivatives go through :func:`base_derivative`, a Richardson-extrapolated
-central difference.
+central difference.  Its field may be scalar or array valued, so a tensor is
+differenced with one stencil per axis rather than one per component.
 """
 
 import math
@@ -257,10 +258,12 @@ def _pow(u, p):
     if p.is_integer():
         if p < 0.0 and abs(u) < TINY:
             raise DomainError("negative power of ~0")
-        return u ** int(p)
-    if u <= 0.0:
+    elif u <= 0.0:
         raise DomainError(f"real power of non-positive base {u}")
-    return u ** p
+    try:
+        return u ** int(p) if p.is_integer() else u ** p
+    except OverflowError as exc:
+        raise DomainError(f"{u}^{p} overflows a float") from exc
 
 
 _UNARY = {"neg": operator.neg, "abs": _abs,
@@ -287,10 +290,12 @@ def jet_apply(fn, args):
 
 
 def base_derivative(field, x, axis, order, h0=None):
-    """Derivative of a scalar field along a chart axis by extrapolated differences.
+    """Derivative of a scalar or array field along a chart axis by extrapolated differences.
 
     One Richardson step over the classic central stencils: fourth-order
     accurate for ``order`` 1, and correspondingly extrapolated for ``order`` 2.
+    A scalar field gives a float; an array field gives an array of the same
+    shape, each entry with the bits of differencing that component alone.
     """
     x = np.asarray(x, dtype=float)
     if h0 is None:
@@ -300,7 +305,8 @@ def base_derivative(field, x, axis, order, h0=None):
         xp = x.copy()
         xp[axis] += offset
         try:
-            return float(field(xp))
+            v = field(xp)
+            return float(v) if np.ndim(v) == 0 else np.asarray(v, dtype=float)
         except Exception as exc:  # noqa: BLE001 - surface stencil failures uniformly
             raise EvaluationError(
                 f"field evaluation failed at offset {offset:+g} along axis {axis}: {exc}"

@@ -30,7 +30,18 @@ def _recip_series(poly, order):
 
 
 def taylor_coeffs(tag, u0, order):
-    """Taylor coefficients of the elementary function ``tag`` at ``u0``."""
+    """Taylor coefficients of the elementary function ``tag`` at ``u0``.
+
+    A coefficient that overflows, or a power of ``u0`` that underflows to a
+    zero divisor, is a :class:`DomainError` like any other domain fault.
+    """
+    try:
+        return _coeffs(tag, u0, order)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise DomainError(f"{tag} at {u0} leaves the float range: {exc}") from exc
+
+
+def _coeffs(tag, u0, order):
     c = np.zeros(order + 1)
     if tag == "exp":
         e = math.exp(u0)
@@ -92,9 +103,12 @@ def pow_coeffs(u0, p, order):
     if u0 <= 0.0:
         raise DomainError(f"real power of non-positive base {u0}")
     c = np.zeros(order + 1)
-    c[0] = u0**p
-    binom = 1.0
-    for k in range(1, order + 1):
-        binom *= (p - (k - 1)) / k
-        c[k] = binom * u0 ** (p - k)
+    try:
+        c[0] = u0**p
+        binom = 1.0
+        for k in range(1, order + 1):
+            binom *= (p - (k - 1)) / k
+            c[k] = binom * u0 ** (p - k)
+    except OverflowError as exc:
+        raise DomainError(f"{u0}^{p} overflows a float") from exc
     return c

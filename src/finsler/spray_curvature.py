@@ -90,19 +90,14 @@ def spray_generic(m: MetricSpec, f: PhiFamily, x, y):
     n = m.n
     fd = fundamental(m, f, x, y)
 
-    def dfsq_dy(xp, l):
-        return fsq_jet(m, f, xp, y, 1).partial(tuple(np.eye(n, dtype=int)[l]))
+    def fsq_and_grad(xp):  # [F^2, dF^2/dy^l]
+        jet = fsq_jet(m, f, xp, y, 1)
+        return [jet.value] + [jet.partial(tuple(r)) for r in np.eye(n, dtype=int)]
 
-    def fsq(xp):
-        return fsq_jet(m, f, xp, y, 0).value
-
-    bracket = np.zeros(n)
-    for l in range(n):
-        mixed = sum(
-            y[k] * base_derivative(lambda xp, l=l: dfsq_dy(xp, l), x, k, 1)
-            for k in range(n))
-        bracket[l] = mixed - base_derivative(fsq, x, l, 1)
-    return 0.25 * (fd.g_inv @ bracket)
+    # d[k, 0] = dF^2/dx^k, d[k, 1 + l] = d^2 F^2 / dx^k dy^l: one stencil per axis
+    d = np.array([base_derivative(fsq_and_grad, x, k, 1) for k in range(n)])
+    mixed = sum(y[k] * d[k, 1:] for k in range(n))
+    return 0.25 * (fd.g_inv @ (mixed - d[:, 0]))
 
 
 def berwald(m: MetricSpec, f: PhiFamily, x, y):
@@ -198,29 +193,34 @@ def berwald_2d_identity(fd: FundamentalData, B, E, L):
     return B - rhs
 
 
-def _spray_partials(m: MetricSpec, f: PhiFamily, x, y):
-    """G^i, N^i_j, second fiber derivatives and x-derivatives used by Riemann."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+def _spray_fiber(m: MetricSpec, f: PhiFamily, x, y, order):
+    """G^i, N^i_j = dG^i/dy^j and, at ``order`` 2, d^2 G^i / dy^j dy^k."""
     n = m.n
-    jets = spray_ab(m, f, x, y, order=2)
+    jets = spray_ab(m, f, x, y, order=order)
     e = np.eye(n, dtype=int)
     G = np.array([j.value for j in jets])
     N = np.array([[jets[i].partial(tuple(e[j])) for j in range(n)]
                   for i in range(n)])
+    if order == 1:
+        return G, N
     Gyy = np.array([[[jets[i].partial(tuple(e[j] + e[k])) for k in range(n)]
                      for j in range(n)] for i in range(n)])
-    Gx = np.array([[base_derivative(
-        lambda xp, i=i: spray_ab(m, f, xp, y)[i], x, k, 1)
-        for k in range(n)] for i in range(n)])
+    return G, N, Gyy
 
-    def n_field(xp, i, k):
-        js = spray_ab(m, f, xp, y, order=1)
-        return js[i].partial(tuple(e[k]))
 
-    Gxy = np.array([[[base_derivative(
-        lambda xp, i=i, k=k: n_field(xp, i, k), x, j, 1)
-        for k in range(n)] for j in range(n)] for i in range(n)])
+def _spray_partials(m: MetricSpec, f: PhiFamily, x, y):
+    """G^i, N^i_j, second fiber derivatives and x-derivatives used by Riemann."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    G, N, Gyy = _spray_fiber(m, f, x, y, 2)
+
+    def g_and_n(xp):  # [G^i, N^i_k] as an (n, 1 + n) array
+        return np.column_stack(_spray_fiber(m, f, xp, y, 1))
+
+    # d[j][i, 0] = dG^i/dx^j, d[j][i, 1 + k] = dN^i_k/dx^j: one stencil per axis
+    d = np.array([base_derivative(g_and_n, x, j, 1) for j in range(m.n)])
+    Gx = d[:, :, 0].T
+    Gxy = d[:, :, 1:].transpose(1, 0, 2)
     return G, N, Gyy, Gx, Gxy
 
 
@@ -320,21 +320,10 @@ def h_curvature(m: MetricSpec, f: PhiFamily, x, y):
         return berwald(m, f, xp, yp)[1]
 
     E = e_field(x, y)
-    jets = spray_ab(m, f, x, y, order=1)
-    e = np.eye(n, dtype=int)
-    G = np.array([j.value for j in jets])
-    N = np.array([[jets[i].partial(tuple(e[j])) for j in range(n)]
-                  for i in range(n)])
-    Ex = np.zeros((n, n, n))  # d E_ij / d x^m
-    for mm in range(n):
-        def comp(xp, mm=mm):
-            return e_field(xp, y)
-        # vector-valued Richardson step done componentwise
-        for i in range(n):
-            for j in range(i, n):
-                d = base_derivative(lambda xp: comp(xp)[i, j], x, mm, 1)
-                Ex[i, j, mm] = d
-                Ex[j, i, mm] = d
+    G, N = _spray_fiber(m, f, x, y, 1)
+    # d E_ij / d x^m, one stencil per axis
+    Ex = np.stack([base_derivative(lambda xp: e_field(xp, y), x, mm, 1)
+                   for mm in range(n)], axis=-1)
     hy = 1e-3 * max(1.0, float(np.linalg.norm(y)))
     Ey = np.zeros((n, n, n))  # d E_ij / d y^k
     for k in range(n):
@@ -378,14 +367,7 @@ class CurvatureBundle:
 
 
 def spray_data(m: MetricSpec, f: PhiFamily, x, y) -> SprayData:
-    n = m.n
-    jets = spray_ab(m, f, x, y, order=2)
-    e = np.eye(n, dtype=int)
-    G = np.array([j.value for j in jets])
-    N = np.array([[jets[i].partial(tuple(e[j])) for j in range(n)]
-                  for i in range(n)])
-    Gyy = np.array([[[jets[i].partial(tuple(e[j] + e[k])) for k in range(n)]
-                     for j in range(n)] for i in range(n)])
+    G, N, Gyy = _spray_fiber(m, f, x, y, 2)
     return SprayData(G=G, G_alpha=spray_alpha(m, x, y), N=N, G_jk=Gyy)
 
 

@@ -158,3 +158,11 @@ class TestMain:
         assert rc == 0
         want = (EXPECTED / "report_surface.any.out").read_text()
         assert capsys.readouterr().out == want
+
+    def test_report_solid_bytes_match_benchmark_expectation(self, capsys):
+        # the same contract in 3-D: n = 3 jets, Riemann without K, 3-D stencils
+        rc = main(["report", "--metric", "bao_shen", "--per-axis", "2",
+                   "--directions", "4", "--seed", "0"])
+        assert rc == 0
+        want = (EXPECTED / "report_solid.seed0.out").read_text()
+        assert capsys.readouterr().out == want

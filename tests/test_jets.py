@@ -143,10 +143,16 @@ def _jet(order):
     ("abs", (_jet(0),), 0.0),
     ("abs", (_jet(0) - 2.0,), 2.0),
     ("abs", (-0.0,), 0.0),
+    ("exp", (1000.0,), DomainError),
+    ("pow", (2.0, 2000.0), DomainError),
+    ("exp", (_jet(2) + 1000.0,), DomainError),
+    ("pow", (_jet(2) + 2.0, 2000.5), DomainError),
+    ("div", (1.0, _jet(2) + 1e-200), DomainError),
 ])
 def test_domain_rule(fn, args, want):
-    """One rule for floats and jets: DomainError outside the domain; abs at 0
-    is an error only where a derivative is asked for."""
+    """One rule for floats and jets: DomainError outside the domain, which
+    includes results that overflow a float; abs at 0 is an error only where a
+    derivative is asked for."""
     if want is DomainError:
         with pytest.raises(DomainError):
             jet_apply(fn, args)
@@ -172,3 +178,32 @@ class TestBaseDerivative:
 
         with pytest.raises(EvaluationError):
             base_derivative(bad, np.zeros(2), 0, 1)
+
+    @staticmethod
+    def _components(p):
+        return [math.sin(p[0]) * math.exp(2.0 * p[1]), p[0] ** 3 * p[1],
+                math.cos(p[0] - p[1])]
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_array_field_is_stacked_scalar_calls(self, order):
+        x = np.array([0.3, -0.2])
+        for axis in range(2):
+            got = base_derivative(self._components, x, axis, order)
+            want = [base_derivative(lambda p, c=c: self._components(p)[c],
+                                    x, axis, order) for c in range(3)]
+            assert isinstance(got, np.ndarray) and got.shape == (3,)
+            assert np.array_equal(got, want)
+
+    def test_array_field_failure_is_wrapped(self):
+        def bad(p):
+            if p[0] > 0.0:
+                raise ValueError("boom")
+            return np.zeros(3)
+
+        with pytest.raises(EvaluationError):
+            base_derivative(bad, np.zeros(2), 0, 1)
+
+    def test_scalar_field_gives_float(self):
+        fn = lambda p: np.float64(p[0] * p[1])
+        for order in (1, 2):
+            assert type(base_derivative(fn, np.array([0.3, -0.2]), 0, order)) is float
