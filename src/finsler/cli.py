@@ -200,9 +200,8 @@ def cmd_report(cfg):
                 rec["E_norm"] = _fmt(np.abs(E).max())
                 rec["L_norm"] = _fmt(np.abs(landsberg(fd, B)).max())
                 rec["D_norm"] = _fmt(np.abs(douglas(m, f, x, y)).max())
-                _, K = riemann_flag(m, f, x, y)
-                if K is not None:
-                    rec["K"] = _fmt(K)
+                if m.n == 2:  # K is the only part kept, and exists for n = 2 only
+                    rec["K"] = _fmt(riemann_flag(m, f, x, y)[1])
                 rec["S_formula"] = _fmt(s_curvature_formula(m, f, x, y))
                 if grad is not None:
                     rec["S_def"] = _fmt(s_curvature_def(m, f, x, y, grad))
@@ -222,7 +221,7 @@ def cmd_report(cfg):
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def _header_and_row(name, m, bc, x, y, f):
+def _header_and_row(name, m, bc, x, y, f, grad_ln_sigma=None):
     n = m.n
     idx2 = [(i, j) for i in range(n) for j in range(n)]
     if name == "a":
@@ -279,7 +278,8 @@ def _header_and_row(name, m, bc, x, y, f):
         return (["K"], [K if K is not None else ""])
     if name == "S":
         return (["S_formula", "S_def"],
-                [s_curvature_formula(m, f, x, y), s_curvature_def(m, f, x, y)])
+                [s_curvature_formula(m, f, x, y),
+                 s_curvature_def(m, f, x, y, grad_ln_sigma)])
     if name == "H":
         H = h_curvature(m, f, x, y)
         return ([f"H_{i+1}{j+1}" for i, j in idx2], [H[i, j] for i, j in idx2])
@@ -301,8 +301,9 @@ def cmd_table(cfg, quantity):
     header_written = False
     for x in grid:
         bc = beta_at(m, x)
+        grad = ln_sigma_gradient(m, f, x) if quantity == "S" else None
         for y in dirs:
-            cols, vals = _header_and_row(quantity, m, bc, x, y, f)
+            cols, vals = _header_and_row(quantity, m, bc, x, y, f, grad)
             if not header_written:
                 pre = [f"x{i+1}" for i in range(m.n)]
                 if directional:

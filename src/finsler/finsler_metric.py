@@ -8,6 +8,7 @@ noise-critical Landsberg and flag computations.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -39,7 +40,13 @@ def finsler_eval_many(m: MetricSpec, f: PhiFamily, x, Y):
     Y = np.asarray(Y, dtype=float)
     a = m.a_at(x)
     b = m.b_at(x)
-    alpha = np.sqrt(np.einsum("ki,ij,kj->k", Y, a, Y))
+    # term by term in this order: the bits of einsum("ki,ij,kj->k") at less
+    # than half its cost (Y @ a, faster still, sums in another order)
+    alpha2 = 0.0
+    for i in range(m.n):
+        for j in range(m.n):
+            alpha2 = alpha2 + Y[:, i] * a[i, j] * Y[:, j]
+    alpha = np.sqrt(alpha2)
     s = (Y @ b) / alpha
     return alpha * f.value_many(s), s
 
@@ -124,39 +131,59 @@ def _radii(m, f, x, dirs, step_shift):
     return 1.0 / F, shifted
 
 
-def sigma_bh(m: MetricSpec, f: PhiFamily, x, with_flag=False):
-    """Busemann-Hausdorff volume density sigma_F(x).
+@lru_cache(maxsize=None)
+def _polar_nodes(n):
+    """sigma_bh's grid for n = 2 or 3: (azimuthal step, read-only arrays).
 
-    Unit-ball volume by polar quadrature: composite Simpson with 2048 intervals
-    on the circle (n=2) or a 128 x 256 spherical grid (n=3).  Singular nodes of
-    almost-regular metrics are shifted by a half step; ``with_flag`` also
-    returns whether any shift occurred.
+    The arrays are the unit directions and the Simpson weights, plus sin(theta)
+    on the grid for n = 3.  Built once per dimension, on first use.
     """
-    n = m.n
     if n == 2:
         n_int = 2048
         theta = np.linspace(0.0, 2.0 * math.pi, n_int + 1)
         h = theta[1] - theta[0]
-        dirs = np.column_stack([np.cos(theta), np.sin(theta)])
-
-        def shift(sub):
-            ang = np.arctan2(sub[:, 1], sub[:, 0]) + 0.5 * h
-            return np.column_stack([np.cos(ang), np.sin(ang)])
-
-        r, shifted = _radii(m, f, x, dirs, shift)
-        area = 0.5 * h * float(np.dot(simpson_weights(n_int), r * r))
-        sigma = _UNIT_BALL_VOLUME[2] / area
-    elif n == 3:
+        arrays = (np.column_stack([np.cos(theta), np.sin(theta)]),
+                  simpson_weights(n_int))
+    else:
         nt, np_ = 128, 256
         theta = np.linspace(0.0, math.pi, nt + 1)
         phi = np.linspace(0.0, 2.0 * math.pi, np_ + 1)
-        ht, hp = theta[1] - theta[0], phi[1] - phi[0]
+        ht, h = theta[1] - theta[0], phi[1] - phi[0]
         T, P = np.meshgrid(theta, phi, indexing="ij")
         dirs = np.column_stack([
             (np.sin(T) * np.cos(P)).ravel(),
             (np.sin(T) * np.sin(P)).ravel(),
             np.cos(T).ravel(),
         ])
+        arrays = (dirs, simpson_weights(nt) * ht, simpson_weights(np_) * h,
+                  np.sin(T))
+    for arr in arrays:
+        arr.flags.writeable = False
+    return h, arrays
+
+
+def sigma_bh(m: MetricSpec, f: PhiFamily, x, with_flag=False):
+    """Busemann-Hausdorff volume density sigma_F(x).
+
+    Unit-ball volume by polar quadrature: composite Simpson with 2048 intervals
+    on the circle (n=2) or a 128 x 256 spherical grid (n=3).  The nodes and
+    weights are built once per dimension, on first use, and shared read-only
+    by later calls.  Singular nodes of almost-regular metrics are shifted by a
+    half step; ``with_flag`` also returns whether any shift occurred.
+    """
+    n = m.n
+    if n == 2:
+        h, (dirs, w) = _polar_nodes(2)
+
+        def shift(sub):
+            ang = np.arctan2(sub[:, 1], sub[:, 0]) + 0.5 * h
+            return np.column_stack([np.cos(ang), np.sin(ang)])
+
+        r, shifted = _radii(m, f, x, dirs, shift)
+        area = 0.5 * h * float(np.dot(w, r * r))
+        sigma = _UNIT_BALL_VOLUME[2] / area
+    elif n == 3:
+        hp, (dirs, wt, wp, sin_t) = _polar_nodes(3)
 
         def shift(sub):
             # nudge azimuthally by half a step
@@ -165,9 +192,7 @@ def sigma_bh(m: MetricSpec, f: PhiFamily, x, with_flag=False):
             return sub @ rot.T
 
         r, shifted = _radii(m, f, x, dirs, shift)
-        integrand = (r.reshape(nt + 1, np_ + 1) ** 3) * np.sin(T) / 3.0
-        wt = simpson_weights(nt) * ht
-        wp = simpson_weights(np_) * hp
+        integrand = (r.reshape(sin_t.shape) ** 3) * sin_t / 3.0
         vol = float(wt @ integrand @ wp)
         sigma = _UNIT_BALL_VOLUME[3] / vol
     else:

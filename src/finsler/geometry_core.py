@@ -189,15 +189,14 @@ _POINT_CACHE_SIZE = 4096
 
 
 @lru_cache(maxsize=_POINT_CACHE_SIZE)
-def _cached_beta(m_id, x_key):
-    m, x = _cached_beta.registry[m_id], np.array(x_key)
-    return beta_derivatives(m, x)
-
-
-_cached_beta.registry = {}
+def _cached_beta(m, x_key):
+    return beta_derivatives(m, np.array(x_key))
 
 
 def beta_at(m: MetricSpec, x) -> BetaCalculus:
-    """Memoized ``beta_derivatives``; heavy callers hit the same points repeatedly."""
-    _cached_beta.registry[id(m)] = m
-    return _cached_beta(id(m), tuple(np.asarray(x, dtype=float)))
+    """Memoized ``beta_derivatives``; heavy callers hit the same points repeatedly.
+
+    Keyed on (m, x): a ``MetricSpec`` hashes by identity, and the least
+    recently used of the 4096 entries is dropped with its reference to ``m``.
+    """
+    return _cached_beta(m, tuple(np.asarray(x, dtype=float)))

@@ -10,6 +10,7 @@ oracle.  Base-point derivatives of spray-level fields always go through
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -273,8 +274,14 @@ def s_curvature_def(m: MetricSpec, f: PhiFamily, x, y, grad_ln_sigma=None):
     return div - float(y @ grad_ln_sigma)
 
 
+@lru_cache(maxsize=256)
 def _angular_density(f: PhiFamily, b, n):
-    """f(b): sin-weighted average of T(b cos t) over [0, pi]."""
+    """f(b): sin-weighted average of T(b cos t) over [0, pi].
+
+    Memoised on (f, b, n), the 256 most recent keys.  A ``PhiFamily`` hashes by
+    identity and is never mutated after construction; the cache holds a strong
+    reference to it, so its id cannot be reused while the entry lives.
+    """
 
     def T(s):
         c = f.taylor(s, 2)

@@ -10,9 +10,32 @@ import pytest
 
 from finsler.cli import build_parser, cmd_classify, cmd_report, cmd_table, main
 from finsler.cli import RunConfig
-from finsler.errors import ConfigError, UnknownQuantity
+from finsler.errors import ConfigError, EvaluationError, UnknownQuantity
 
 EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected"
+
+
+#: ``table --metric lie_group --quantity S --per-axis 2 --directions 4``,
+#: as printed when every direction recomputed the ln sigma gradient
+S_TABLE_ROWS = [
+    "x1,x2,y1,y2,S_formula,S_def",
+    "-2.76,0.44,0.995004165278,0.0998334166468,-1.40990952073,-1.40990952059",
+    "-2.76,0.44,-0.0998334166468,0.995004165278,1.18861772503,1.18861772638",
+    "-2.76,0.44,-0.995004165278,-0.0998334166468,-1.59172674391,-1.59172674405",
+    "-2.76,0.44,0.0998334166468,-0.995004165278,-1.52202086016,-1.52202086151",
+    "-2.76,4.76,0.995004165278,0.0998334166468,-0.13032777085,-0.130327770849",
+    "-2.76,4.76,-0.0998334166468,0.995004165278,0.109872226729,0.109872226734",
+    "-2.76,4.76,-0.995004165278,-0.0998334166468,-0.147134405,-0.147134405001",
+    "-2.76,4.76,0.0998334166468,-0.995004165278,-0.140691003723,-0.140691003728",
+    "2.76,0.44,0.995004165278,0.0998334166468,-1.40990952073,-1.40990952059",
+    "2.76,0.44,-0.0998334166468,0.995004165278,1.18861772503,1.18861772638",
+    "2.76,0.44,-0.995004165278,-0.0998334166468,-1.59172674391,-1.59172674405",
+    "2.76,0.44,0.0998334166468,-0.995004165278,-1.52202086016,-1.52202086151",
+    "2.76,4.76,0.995004165278,0.0998334166468,-0.13032777085,-0.130327770849",
+    "2.76,4.76,-0.0998334166468,0.995004165278,0.109872226729,0.109872226734",
+    "2.76,4.76,-0.995004165278,-0.0998334166468,-0.147134405,-0.147134405001",
+    "2.76,4.76,0.0998334166468,-0.995004165278,-0.140691003723,-0.140691003728",
+]
 
 
 def _cfg(name, per_axis=3, directions=8, **params):
@@ -103,6 +126,13 @@ class TestTable:
         out = cmd_table(_cfg("euclid", per_axis=2), "bnorm")
         assert "\r\n" in out
 
+    def test_s_table_bytes(self, capsys):
+        # one ln sigma gradient per point gives the bytes of one per direction
+        rc = main(["table", "--metric", "lie_group", "--quantity", "S",
+                   "--per-axis", "2", "--directions", "4"])
+        assert rc == 0
+        assert capsys.readouterr().out == "\r\n".join(S_TABLE_ROWS) + "\r\n"
+
 
 class TestReport:
     def test_lie_group_report(self):
@@ -128,6 +158,34 @@ class TestReport:
         cfg = _cfg("euclid_randers", per_axis=2, directions=4, eps=0.5)
         assert cmd_report(cfg) == cmd_report(
             _cfg("euclid_randers", per_axis=2, directions=4, eps=0.5))
+
+
+class TestRiemannSkip:
+    """``report`` calls ``riemann_flag`` only where it keeps K, i.e. n = 2."""
+
+    def test_not_called_for_n3(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise EvaluationError("Riemann stencil failed")
+
+        monkeypatch.setattr("finsler.cli.riemann_flag", broken)
+        doc = json.loads(cmd_report(_cfg("bao_shen", per_axis=2,
+                                         directions=4)))
+        assert doc["records"]
+        assert not any("error" in r or "K" in r for r in doc["records"])
+
+    def test_called_for_n2(self, monkeypatch):
+        import finsler.cli
+        real, calls = finsler.cli.riemann_flag, []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr("finsler.cli.riemann_flag", counting)
+        doc = json.loads(cmd_report(_cfg("lie_group", per_axis=2,
+                                         directions=4)))
+        assert len(calls) == len(doc["records"]) == 16
+        assert all("K" in r for r in doc["records"])
 
 
 class TestMain:

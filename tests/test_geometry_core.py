@@ -1,14 +1,16 @@
 """One-form calculus: Christoffels, covariant derivative, r/s split."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from finsler.catalog import get_metric
 from finsler.errors import DimensionMismatch, SingularMetric, ZeroNorm
-from finsler.geometry_core import (ChartDomain, MetricSpec, _inverse_spd,
-                                   beta_at, beta_contractions,
+from finsler.geometry_core import (ChartDomain, MetricSpec, _cached_beta,
+                                   _inverse_spd, beta_at, beta_contractions,
                                    beta_derivatives, beta_norm_gradient_check,
                                    christoffels)
 
@@ -115,3 +117,28 @@ class TestChartDomain:
         pts = dom.grid([5, 5], margin=0.1)
         assert all(0.1 <= p[0] <= 0.9 for p in pts)
         assert all(p[0] < 0.5 for p in pts)
+
+
+class TestBetaCache:
+    """``beta_at`` memoises per (spec, point) and lets go of evicted specs."""
+
+    def _cached_spec_ref(self):
+        spec = _euclid_spec(b=lambda x: np.array([0.3, 0.1]))
+        assert beta_at(spec, [0.1, 0.2]) is beta_at(spec, [0.1, 0.2])
+        return weakref.ref(spec)
+
+    def test_spec_released_by_cache_clear(self):
+        ref = self._cached_spec_ref()
+        gc.collect()
+        assert ref() is not None  # the cache entry holds it
+        _cached_beta.cache_clear()
+        gc.collect()
+        assert ref() is None
+
+    def test_spec_released_by_eviction(self):
+        ref = self._cached_spec_ref()
+        other = _euclid_spec()
+        for k in range(_cached_beta.cache_info().maxsize):
+            beta_at(other, [k * 1e-4, 0.0])
+        gc.collect()
+        assert ref() is None
