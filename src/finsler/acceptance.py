@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .catalog import ZermeloData, get_metric, zermelo_to_randers
-from .classify import (default_directions, is_generalized_berwald,
-                       randers_s0_shortcut, unicorn_fit)
+from .classify import (default_directions, default_grid,
+                       is_generalized_berwald, randers_s0_shortcut,
+                       unicorn_fit)
 from .finsler_metric import finsler_eval, fsq_jet, fundamental
 from .geometry_core import beta_at, beta_norm_gradient_check
 from .phi_families import UnicornPhi, _q_series, ode_residual
@@ -64,11 +65,8 @@ class CriterionResult:
         return max(pool, key=lambda c: c.residual / c.threshold) if pool else None
 
 
-def _grid2(m, per_axis=3):
-    lo = np.asarray(m.chart_domain.lo, dtype=float)
-    hi = np.asarray(m.chart_domain.hi, dtype=float)
-    margin = float(np.min(hi - lo)) * 0.1
-    return m.chart_domain.grid([per_axis] * m.n, margin=margin)
+#: the suite samples 3 points per axis, 10 % of the box in from each side
+_MARGIN = 0.1
 
 
 def criterion_1():
@@ -90,7 +88,7 @@ def criterion_2():
     out = CriterionResult(2, "lie_group verdicts: gb, S != 0, B/L/D != 0")
     e = get_metric("lie_group")
     m, f = e.metric, e.phi
-    grid = _grid2(m)
+    grid = default_grid(m, margin=_MARGIN)
     gb = is_generalized_berwald(m, grid)
     out.lt("gb residual", gb.residual, gb.threshold)
     S = s_curvature_def(m, f, [0.0, 1.0], [1.0, 0.0])
@@ -158,7 +156,7 @@ def criterion_4():
         worst["s1"] = max(worst["s1"], abs(bc.s_i[0] - eps * eps * r / (d1 * d2)))
     for k, v in worst.items():
         out.lt(f"|{k} - closed form|", v, 1e-8)
-    grid = _grid2(m)
+    grid = default_grid(m, margin=_MARGIN)
     sc = randers_s0_shortcut(m, f, grid, tol=1e-10)
     out.lt("max|r_ij + b_i s_j + b_j s_i|", sc.residual, 1e-10)
     worst_s = 0.0
@@ -177,7 +175,7 @@ def criterion_5():
     out = CriterionResult(5, "mw: s = 0 and r = b^2 a - b b")
     m = get_metric("mw").metric
     worst_s = worst_r = 0.0
-    for x in _grid2(m):
+    for x in default_grid(m, margin=_MARGIN):
         bc = beta_at(m, x)
         worst_s = max(worst_s, float(np.abs(bc.s).max()))
         target = bc.b2 * bc.a - np.outer(bc.b_i, bc.b_i)
@@ -214,7 +212,7 @@ def criterion_7():
         e = get_metric(name, **kw)
         m, f = e.metric, e.phi
         worst = 0.0
-        for x in _grid2(m):
+        for x in default_grid(m, margin=_MARGIN):
             for y in dirs:
                 ga = spray_ab(m, f, x, y)
                 gg = spray_generic(m, f, x, y)
@@ -225,7 +223,7 @@ def criterion_7():
         e = get_metric(name, **kw)
         m, f = e.metric, e.phi
         worst = 0.0
-        for x in _grid2(m)[:3]:
+        for x in default_grid(m, margin=_MARGIN)[:3]:
             grad = ln_sigma_gradient(m, f, x)
             for y in dirs[:4]:
                 sd = s_curvature_def(m, f, x, y, grad)
@@ -242,7 +240,7 @@ def criterion_8():
         e = get_metric(name, **kw)
         m, f = e.metric, e.phi
         worst_d = worst_b = 0.0
-        for x in _grid2(m)[:4]:
+        for x in default_grid(m, margin=_MARGIN)[:4]:
             for y in ([1.0, 0.4], [-0.6, 1.0]):
                 worst_d = max(worst_d, float(np.abs(douglas_2d_identity(m, f, x, y)).max()))
                 fd = fundamental(m, f, x, y)
@@ -300,7 +298,7 @@ def criterion_11():
     for name, kw in [("sphere_randers", {"eps": 0.5}), ("fish_tank", {})]:
         m = get_metric(name, **kw).metric
         worst = 0.0
-        for x in _grid2(m):
+        for x in default_grid(m, margin=_MARGIN):
             if beta_at(m, x).b > 0.1:
                 worst = max(worst, float(np.abs(beta_norm_gradient_check(m, x)).max()))
         out.lt(f"gradient identity ({name})", worst, 1e-5)
@@ -369,9 +367,7 @@ def criterion_13(seed=42):
             yp[k] += h
             ym[k] -= h
             fdk = (finsler_eval(m, f, x, yp) ** 2 - finsler_eval(m, f, x, ym) ** 2) / (2 * h)
-            ek = [0, 0]
-            ek[k] = 1
-            jetfd = max(jetfd, abs(jet.partial(tuple(ek)) - fdk))
+            jetfd = max(jetfd, abs(jet.tensor(1)[k] - fdk))
     out.lt("homogeneity (F and G)", hom, 1e-8)
     out.lt("Cartan y-annihilation", cart, 1e-8)
     out.lt("B symmetry in jkl", bsym, 1e-10)

@@ -18,8 +18,8 @@ from .errors import (AllSamplesSingular, DomainError, EmptyGrid,
 from .finsler_metric import fundamental
 from .geometry_core import MetricSpec, beta_at
 from .phi_families import PhiFamily, _q_series
-from .spray_curvature import (berwald, douglas, landsberg, ln_sigma_gradient,
-                              riemann_flag, s_curvature_def)
+from .spray_curvature import (landsberg, ln_sigma_gradient, riemann_flag,
+                              s_curvature_def, spray_data)
 
 #: default thresholds per predicate family
 TOL_TENSOR = 1e-6
@@ -38,6 +38,12 @@ class Verdict:
     residual: float
     threshold: float
     n_samples: int
+
+    def __post_init__(self):
+        # a numpy comparison yields numpy.bool, which __bool__ may not return
+        object.__setattr__(self, "value", bool(self.value))
+        object.__setattr__(self, "residual", float(self.residual))
+        object.__setattr__(self, "threshold", float(self.threshold))
 
     def __bool__(self):
         return self.value
@@ -79,12 +85,18 @@ class ClassificationReport:
         return json.dumps(doc, indent=indent, sort_keys=True)
 
 
-def default_grid(m: MetricSpec, per_axis=3):
-    """Interior sampling grid of the chart domain."""
+def default_grid(m: MetricSpec, per_axis=3, margin=None):
+    """Interior sampling grid of the chart domain, ``per_axis`` points per axis.
+
+    The box shrinks on every side by ``margin`` times its shortest side;
+    ``None`` means the metric's ``regularity_margin``.
+    """
+    if margin is None:
+        margin = m.regularity_margin
     lo = np.asarray(m.chart_domain.lo, dtype=float)
     hi = np.asarray(m.chart_domain.hi, dtype=float)
-    margin = float(np.min(hi - lo)) * m.regularity_margin
-    grid = m.chart_domain.grid([per_axis] * m.n, margin=margin)
+    grid = m.chart_domain.grid([per_axis] * m.n,
+                               margin=float(np.min(hi - lo)) * margin)
     if not grid:
         raise EmptyGrid("no sample points inside the chart domain")
     return grid
@@ -168,13 +180,12 @@ def curvature_flags(m: MetricSpec, f: PhiFamily, grid, dirs=None,
         for y in usable:
             y = y / fundamental(m, f, x, y).F
             fd = fundamental(m, f, x, y)
-            B, E = berwald(m, f, x, y)
-            D = douglas(m, f, x, y)
-            L = landsberg(fd, B)
-            S = s_curvature_def(m, f, x, y, grad_ln_sigma=grad)
-            res["berwald"] = max(res["berwald"], float(np.max(np.abs(B))))
+            sd = spray_data(m, f, x, y)
+            L = landsberg(fd, sd.B)
+            S = s_curvature_def(m, f, x, y, grad_ln_sigma=grad, spray=sd)
+            res["berwald"] = max(res["berwald"], float(np.max(np.abs(sd.B))))
             res["landsberg"] = max(res["landsberg"], float(np.max(np.abs(L))))
-            res["douglas"] = max(res["douglas"], float(np.max(np.abs(D))))
+            res["douglas"] = max(res["douglas"], float(np.max(np.abs(sd.D))))
             res["s_zero"] = max(res["s_zero"], abs(S))
             res["riemannian"] = max(res["riemannian"], float(np.max(np.abs(fd.C))))
             n_used += 1

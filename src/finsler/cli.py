@@ -13,12 +13,13 @@ import io
 import json
 import math
 import sys
+from itertools import product
 
 import numpy as np
 
 from . import acceptance
 from .catalog import catalog_names, get_metric
-from .classify import classify_metric, default_directions
+from .classify import classify_metric, default_directions, default_grid
 from .errors import ConfigError, FinslerError, UnknownQuantity
 from .exprparse import parse
 from .exprparse import eval_expr
@@ -28,7 +29,7 @@ from .phi_families import (CustomExprPhi, RandersPhi, RiemannSqrtPhi,
                            UnicornPhi, _q_series)
 from .spray_curvature import (berwald, douglas, h_curvature, landsberg,
                               ln_sigma_gradient, riemann_flag, s_curvature_def,
-                              s_curvature_formula, spray_ab)
+                              s_curvature_formula, spray_ab, spray_data)
 
 QUANTITIES = ("a", "b_form", "gamma", "r", "s", "r_i", "s_i", "bnorm", "Q",
               "G", "B", "E", "L", "D", "R", "K", "S", "H", "sigma")
@@ -36,8 +37,7 @@ QUANTITIES = ("a", "b_form", "gamma", "r", "s", "r_i", "s_i", "bnorm", "Q",
 #: quantities that need a direction as well as a point
 _DIRECTIONAL = {"Q", "G", "B", "E", "L", "D", "R", "K", "S", "H"}
 
-_CONFIG_KEYS = {"schema", "metric", "grid", "directions", "tolerances",
-                "seed", "out"}
+_CONFIG_KEYS = {"schema", "metric", "grid", "directions", "seed", "out"}
 _METRIC_KEYS = {"name", "params", "custom"}
 _CUSTOM_KEYS = {"n", "a", "b", "phi", "lo", "hi"}
 _PHI_KEYS = {"variant", "k", "b0", "q", "c", "delta", "expr", "params"}
@@ -104,6 +104,16 @@ def _custom_metric(doc):
     return m, phi
 
 
+def _count(value, what, minimum):
+    try:
+        count = int(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{what} must be an integer, got {value!r}") from exc
+    if count < minimum:
+        raise ConfigError(f"{what} must be >= {minimum}")
+    return count
+
+
 class RunConfig:
     """Validated run configuration (catalog or inline metric, grid, seed)."""
 
@@ -129,12 +139,9 @@ class RunConfig:
             raise ConfigError("metric needs either 'name' or 'custom'")
         grid = doc.get("grid", {})
         _reject_unknown(grid, _GRID_KEYS, "grid")
-        self.per_axis = int(grid.get("per_axis", 5))
-        self.n_directions = int(doc.get("directions", 16))
-        if self.n_directions < 4:
-            raise ConfigError("direction count must be >= 4")
-        self.tolerances = doc.get("tolerances", {})
-        self.seed = int(doc.get("seed", 42))
+        self.per_axis = _count(grid.get("per_axis", 5), "grid.per_axis", 1)
+        self.n_directions = _count(doc.get("directions", 16), "direction count", 4)
+        self.seed = _count(doc.get("seed", 42), "seed", 0)
         self.out = doc.get("out")
 
 
@@ -155,9 +162,9 @@ def _config_from_args(args):
         key, _, val = item.partition("=")
         params[key] = json.loads(val)
     doc = {"schema": 1, "metric": {"name": args.metric, "params": params}}
-    if getattr(args, "per_axis", None):
+    if getattr(args, "per_axis", None) is not None:
         doc["grid"] = {"per_axis": args.per_axis}
-    if getattr(args, "directions", None):
+    if getattr(args, "directions", None) is not None:
         doc["directions"] = args.directions
     if getattr(args, "seed", None) is not None:
         doc["seed"] = args.seed
@@ -165,11 +172,7 @@ def _config_from_args(args):
 
 
 def _sample_grid(cfg):
-    lo = np.asarray(cfg.metric.chart_domain.lo, dtype=float)
-    hi = np.asarray(cfg.metric.chart_domain.hi, dtype=float)
-    margin = float(np.min(hi - lo)) * cfg.metric.regularity_margin
-    return cfg.metric.chart_domain.grid([cfg.per_axis] * cfg.metric.n,
-                                        margin=margin)
+    return default_grid(cfg.metric, cfg.per_axis)
 
 
 def _fmt(v):
@@ -194,17 +197,17 @@ def cmd_report(cfg):
                 rec["F"] = _fmt(fd.F)
                 rec["g"] = [[_fmt(v) for v in row] for row in fd.g]
                 rec["C_norm"] = _fmt(np.abs(fd.C).max())
-                rec["G"] = [_fmt(v) for v in spray_ab(m, f, x, y)]
-                B, E = berwald(m, f, x, y)
-                rec["B_norm"] = _fmt(np.abs(B).max())
-                rec["E_norm"] = _fmt(np.abs(E).max())
-                rec["L_norm"] = _fmt(np.abs(landsberg(fd, B)).max())
-                rec["D_norm"] = _fmt(np.abs(douglas(m, f, x, y)).max())
+                sd = spray_data(m, f, x, y)
+                rec["G"] = [_fmt(v) for v in sd.G]
+                rec["B_norm"] = _fmt(np.abs(sd.B).max())
+                rec["E_norm"] = _fmt(np.abs(sd.E).max())
+                rec["L_norm"] = _fmt(np.abs(landsberg(fd, sd.B)).max())
+                rec["D_norm"] = _fmt(np.abs(sd.D).max())
                 if m.n == 2:  # K is the only part kept, and exists for n = 2 only
                     rec["K"] = _fmt(riemann_flag(m, f, x, y)[1])
                 rec["S_formula"] = _fmt(s_curvature_formula(m, f, x, y))
                 if grad is not None:
-                    rec["S_def"] = _fmt(s_curvature_def(m, f, x, y, grad))
+                    rec["S_def"] = _fmt(s_curvature_def(m, f, x, y, grad, sd))
             except FinslerError as exc:
                 rec["error"] = f"{type(exc).__name__}: {exc}"
             records.append(rec)
@@ -221,26 +224,31 @@ def cmd_report(cfg):
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
+def _cells(label, T, upper=False):
+    """Column names and values of an ``(n,) * r`` tensor, in row-major order.
+
+    Names read ``label_12``, or ``label^1_2`` when ``upper`` marks the first
+    index as contravariant.
+    """
+    T = np.asarray(T)
+    names = []
+    for idx in product(range(1, len(T) + 1), repeat=T.ndim):
+        digits = "".join(map(str, idx))
+        # a lone upper index leaves a trailing "_" to strip: G^1_ -> G^1
+        names.append(f"{label}^{digits[0]}_{digits[1:]}".rstrip("_") if upper
+                     else f"{label}_{digits}")
+    return names, list(T.ravel())
+
+
 def _header_and_row(name, m, bc, x, y, f, grad_ln_sigma=None):
-    n = m.n
-    idx2 = [(i, j) for i in range(n) for j in range(n)]
-    if name == "a":
-        return ([f"a_{i+1}{j+1}" for i, j in idx2],
-                [bc.a[i, j] for i, j in idx2])
-    if name == "b_form":
-        return ([f"b_{i+1}" for i in range(n)], list(bc.b_i))
+    if name in ("a", "r", "s"):
+        return _cells(name, getattr(bc, name))
+    if name in ("r_i", "s_i"):
+        return _cells(name[0], getattr(bc, name))
     if name == "gamma":
-        idx3 = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)]
-        return ([f"gamma^{i+1}_{j+1}{k+1}" for i, j, k in idx3],
-                [bc.gamma[i, j, k] for i, j, k in idx3])
-    if name == "r":
-        return ([f"r_{i+1}{j+1}" for i, j in idx2], [bc.r[i, j] for i, j in idx2])
-    if name == "s":
-        return ([f"s_{i+1}{j+1}" for i, j in idx2], [bc.s[i, j] for i, j in idx2])
-    if name == "r_i":
-        return ([f"r_{i+1}" for i in range(n)], list(bc.r_i))
-    if name == "s_i":
-        return ([f"s_{i+1}" for i in range(n)], list(bc.s_i))
+        return _cells("gamma", bc.gamma, upper=True)
+    if name == "b_form":
+        return _cells("b", bc.b_i)
     if name == "bnorm":
         return (["bnorm"], [bc.b])
     if name == "sigma":
@@ -250,39 +258,27 @@ def _header_and_row(name, m, bc, x, y, f, grad_ln_sigma=None):
         s_val = float(bc.b_i @ np.asarray(y)) / alpha
         return (["Q"], [_q_series(f, s_val, 0).value])
     if name == "G":
-        return ([f"G^{i+1}" for i in range(n)], list(spray_ab(m, f, x, y)))
-    if name in ("B", "E", "L", "D"):
+        return _cells("G", spray_ab(m, f, x, y), upper=True)
+    if name in ("B", "E", "L"):
         B, E = berwald(m, f, x, y)
         if name == "B":
-            idx4 = [(i, j, k, l) for i in range(n) for j in range(n)
-                    for k in range(n) for l in range(n)]
-            return ([f"B^{i+1}_{j+1}{k+1}{l+1}" for i, j, k, l in idx4],
-                    [B[i, j, k, l] for i, j, k, l in idx4])
+            return _cells("B", B, upper=True)
         if name == "E":
-            return ([f"E_{i+1}{j+1}" for i, j in idx2], [E[i, j] for i, j in idx2])
-        if name == "L":
-            L = landsberg(fundamental(m, f, x, y), B)
-            idx3 = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)]
-            return ([f"L_{i+1}{j+1}{k+1}" for i, j, k in idx3],
-                    [L[i, j, k] for i, j, k in idx3])
-        D = douglas(m, f, x, y)
-        idx4 = [(i, j, k, l) for i in range(n) for j in range(n)
-                for k in range(n) for l in range(n)]
-        return ([f"D^{i+1}_{j+1}{k+1}{l+1}" for i, j, k, l in idx4],
-                [D[i, j, k, l] for i, j, k, l in idx4])
+            return _cells("E", E)
+        return _cells("L", landsberg(fundamental(m, f, x, y), B))
+    if name == "D":
+        return _cells("D", douglas(m, f, x, y), upper=True)
     if name in ("R", "K"):
         R, K = riemann_flag(m, f, x, y)
         if name == "R":
-            return ([f"R^{i+1}_{j+1}" for i, j in idx2],
-                    [R[i, j] for i, j in idx2])
+            return _cells("R", R, upper=True)
         return (["K"], [K if K is not None else ""])
     if name == "S":
         return (["S_formula", "S_def"],
                 [s_curvature_formula(m, f, x, y),
                  s_curvature_def(m, f, x, y, grad_ln_sigma)])
     if name == "H":
-        H = h_curvature(m, f, x, y)
-        return ([f"H_{i+1}{j+1}" for i, j in idx2], [H[i, j] for i, j in idx2])
+        return _cells("H", h_curvature(m, f, x, y))
     raise UnknownQuantity(f"unknown quantity {name!r}; choose from {QUANTITIES}")
 
 

@@ -91,17 +91,10 @@ class FundamentalData:
 def fundamental(m: MetricSpec, f: PhiFamily, x, y) -> FundamentalData:
     """All fundamental-tensor data from an order-3 fiber jet of F^2."""
     y = np.asarray(y, dtype=float)
-    n = m.n
     jet = fsq_jet(m, f, x, y, 3)
     F = math.sqrt(jet.value)
-    g = np.zeros((n, n))
-    C = np.zeros((n, n, n))
-    e = np.eye(n, dtype=int)
-    for i in range(n):
-        for j in range(n):
-            g[i, j] = 0.5 * jet.partial(tuple(e[i] + e[j]))
-            for k in range(n):
-                C[i, j, k] = 0.25 * jet.partial(tuple(e[i] + e[j] + e[k]))
+    g = 0.5 * jet.tensor(2)
+    C = 0.25 * jet.tensor(3)
     try:
         g_inv = _inverse_spd(g, what="g_ij")
     except Exception as exc:

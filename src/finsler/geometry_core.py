@@ -11,8 +11,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (DimensionMismatch, EvaluationError, SingularMetric,
-                     ZeroNorm)
+from .errors import DimensionMismatch, SingularMetric, ZeroNorm
 from .jets import base_derivative
 
 

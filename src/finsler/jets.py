@@ -54,6 +54,16 @@ def _tables(n_vars, max_order):
     return idx, pos, (np.array(ii), np.array(jj), np.array(kk))
 
 
+@lru_cache(maxsize=None)
+def _tensor_index(n_vars, max_order, k):
+    """Positions and factorial weights of the k-th partials, row-major."""
+    pos = _tables(n_vars, max_order)[1]
+    multis = [tuple(map(axes.count, range(n_vars)))
+              for axes in product(range(n_vars), repeat=k)]
+    return (np.array([pos[m] for m in multis], dtype=int),
+            np.array([math.prod(map(math.factorial, m)) for m in multis], dtype=float))
+
+
 class JetScalar:
     """Dense truncated Taylor expansion of a scalar in ``n_vars`` variables."""
 
@@ -92,6 +102,17 @@ class JetScalar:
         for m in multi_index:
             fac *= math.factorial(m)
         return self.coeff(multi_index) * fac
+
+    def tensor(self, k):
+        """All k-th partial derivatives as a symmetric ``(n_vars,) * k`` array.
+
+        One gather over a cached index table; each entry has the bits of the
+        matching :meth:`partial`.
+        """
+        if not 0 <= k <= self.max_order:
+            raise DomainError(f"k = {k} is outside 0..{self.max_order}")
+        positions, weights = _tensor_index(self.n_vars, self.max_order, k)
+        return (self.coeffs[positions] * weights).reshape((self.n_vars,) * k)
 
     def derivative(self, axis):
         """Jet of the partial derivative along ``axis``; order drops by one."""

@@ -10,6 +10,7 @@ derivatives from the first-order recurrence phi' = g * phi.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -109,7 +110,6 @@ class UnicornPhi(PhiFamily):
         self.q = float(q)
         self.c = float(c)
         self.delta = float(delta)
-        self._value_cache = {}
 
     def _g(self, t):
         root = math.sqrt(max(self.b0**2 - t * t, 0.0))
@@ -124,11 +124,7 @@ class UnicornPhi(PhiFamily):
 
     def value(self, s):
         self.require_admissible(s)
-        cached = self._value_cache.get(s)
-        if cached is None:
-            cached = self.c * math.exp(adaptive_simpson(self._g, 0.0, s, tol=1e-12))
-            self._value_cache[s] = cached
-        return cached
+        return _unicorn_value(self, s)
 
     def taylor(self, s0, order):
         phi0 = self.value(s0)
@@ -141,6 +137,16 @@ class UnicornPhi(PhiFamily):
         for m in range(order):
             c[m + 1] = float(np.dot(g[: m + 1], c[m::-1])) / (m + 1)
         return c
+
+
+@lru_cache(maxsize=1024)
+def _unicorn_value(f: UnicornPhi, s):
+    """phi(s) = c exp(int_0^s g), memoised on the 1024 most recent (f, s).
+
+    A ``UnicornPhi`` hashes by identity and is never mutated after
+    construction; an entry's strong reference keeps its id from being reused.
+    """
+    return f.c * math.exp(adaptive_simpson(f._g, 0.0, s, tol=1e-12))
 
 
 class CustomExprPhi(PhiFamily):

@@ -93,7 +93,7 @@ def spray_generic(m: MetricSpec, f: PhiFamily, x, y):
 
     def fsq_and_grad(xp):  # [F^2, dF^2/dy^l]
         jet = fsq_jet(m, f, xp, y, 1)
-        return [jet.value] + [jet.partial(tuple(r)) for r in np.eye(n, dtype=int)]
+        return np.concatenate(([jet.value], jet.tensor(1)))
 
     # d[k, 0] = dF^2/dx^k, d[k, 1 + l] = d^2 F^2 / dx^k dy^l: one stencil per axis
     d = np.array([base_derivative(fsq_and_grad, x, k, 1) for k in range(n)])
@@ -101,41 +101,19 @@ def spray_generic(m: MetricSpec, f: PhiFamily, x, y):
     return 0.25 * (fd.g_inv @ (mixed - d[:, 0]))
 
 
+def _fiber(jets, k):
+    """k-th fiber derivatives of every G^i, stacked: shape ``(n,) * (k + 1)``."""
+    return np.array([j.tensor(k) for j in jets])
+
+
+def _berwald(jets):
+    B = _fiber(jets, 3)
+    return B, 0.5 * np.einsum("mmij->ij", B)
+
+
 def berwald(m: MetricSpec, f: PhiFamily, x, y):
     """Berwald curvature B^i_jkl and its mean E_ij, from order-3 spray jets."""
-    n = m.n
-    jets = spray_ab(m, f, x, y, order=3)
-    e = np.eye(n, dtype=int)
-    B = np.zeros((n, n, n, n))
-    for i in range(n):
-        for j in range(n):
-            for k in range(j, n):
-                for l in range(k, n):
-                    v = jets[i].partial(tuple(e[j] + e[k] + e[l]))
-                    for p in {(j, k, l), (j, l, k), (k, j, l),
-                              (k, l, j), (l, j, k), (l, k, j)}:
-                        B[(i, *p)] = v
-    E = 0.5 * np.einsum("mmij->ij", B)
-    return B, E
-
-
-def berwald_full(m: MetricSpec, f: PhiFamily, x, y):
-    """B, E and the vertical derivative E_{jk,l}, from order-4 spray jets."""
-    n = m.n
-    jets = spray_ab(m, f, x, y, order=4)
-    e = np.eye(n, dtype=int)
-    B = np.zeros((n, n, n, n))
-    E_vert = np.zeros((n, n, n))
-    for j in range(n):
-        for k in range(n):
-            for l in range(n):
-                for i in range(n):
-                    B[i, j, k, l] = jets[i].partial(tuple(e[j] + e[k] + e[l]))
-                E_vert[j, k, l] = 0.5 * sum(
-                    jets[mm].partial(tuple(e[mm] + e[j] + e[k] + e[l]))
-                    for mm in range(n))
-    E = 0.5 * np.einsum("mmij->ij", B)
-    return B, E, E_vert
+    return _berwald(spray_ab(m, f, x, y, order=3))
 
 
 def landsberg(fd: FundamentalData, B):
@@ -143,24 +121,23 @@ def landsberg(fd: FundamentalData, B):
     return -0.5 * np.einsum("i,ijkl->jkl", fd.y_low, B)
 
 
-def douglas(m: MetricSpec, f: PhiFamily, x, y):
-    """Douglas curvature: third fiber derivatives of the projective spray."""
-    n = m.n
-    jets = spray_ab(m, f, x, y, order=4)
+def _douglas(jets, y):
+    """Third fiber derivatives of the projective spray G^i - (d_m G^m) y^i / (n + 1).
+
+    Built by jet products from order-4 spray jets, independently of B and E.
+    """
+    n = len(jets)
     trace = jets[0].derivative(0)
     for i in range(1, n):
         trace = trace + jets[i].derivative(i)
-    yj3 = [jet_variable(i, float(np.asarray(y, dtype=float)[i]), n, 3)
-           for i in range(n)]
-    e = np.eye(n, dtype=int)
-    D = np.zeros((n, n, n, n))
-    for i in range(n):
-        proj = jets[i].truncate(3) - (1.0 / (n + 1)) * trace * yj3[i]
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    D[i, j, k, l] = proj.partial(tuple(e[j] + e[k] + e[l]))
-    return D
+    yj3 = [jet_variable(i, float(y[i]), n, 3) for i in range(n)]
+    return np.array([(jets[i].truncate(3) - (1.0 / (n + 1)) * trace * yj3[i]).tensor(3)
+                     for i in range(n)])
+
+
+def douglas(m: MetricSpec, f: PhiFamily, x, y):
+    """Douglas curvature: third fiber derivatives of the projective spray."""
+    return _douglas(spray_ab(m, f, x, y, order=4), np.asarray(y, dtype=float))
 
 
 def douglas_2d_identity(m: MetricSpec, f: PhiFamily, x, y):
@@ -169,15 +146,14 @@ def douglas_2d_identity(m: MetricSpec, f: PhiFamily, x, y):
     if n != 2:
         raise DimensionError("surface identity requires n = 2")
     y = np.asarray(y, dtype=float)
-    D = douglas(m, f, x, y)
-    B, E, E_vert = berwald_full(m, f, x, y)
+    sd = spray_data(m, f, x, y)
     delta = np.eye(n)
-    rhs = B - (2.0 / 3.0) * (
-        np.einsum("jk,il->ijkl", E, delta)
-        + np.einsum("kl,ij->ijkl", E, delta)
-        + np.einsum("lj,ik->ijkl", E, delta)
-        + np.einsum("jkl,i->ijkl", E_vert, y))
-    return D - rhs
+    rhs = sd.B - (2.0 / 3.0) * (
+        np.einsum("jk,il->ijkl", sd.E, delta)
+        + np.einsum("kl,ij->ijkl", sd.E, delta)
+        + np.einsum("lj,ik->ijkl", sd.E, delta)
+        + np.einsum("jkl,i->ijkl", sd.E_vert, y))
+    return sd.D - rhs
 
 
 def berwald_2d_identity(fd: FundamentalData, B, E, L):
@@ -194,29 +170,16 @@ def berwald_2d_identity(fd: FundamentalData, B, E, L):
     return B - rhs
 
 
-def _spray_fiber(m: MetricSpec, f: PhiFamily, x, y, order):
-    """G^i, N^i_j = dG^i/dy^j and, at ``order`` 2, d^2 G^i / dy^j dy^k."""
-    n = m.n
-    jets = spray_ab(m, f, x, y, order=order)
-    e = np.eye(n, dtype=int)
-    G = np.array([j.value for j in jets])
-    N = np.array([[jets[i].partial(tuple(e[j])) for j in range(n)]
-                  for i in range(n)])
-    if order == 1:
-        return G, N
-    Gyy = np.array([[[jets[i].partial(tuple(e[j] + e[k])) for k in range(n)]
-                     for j in range(n)] for i in range(n)])
-    return G, N, Gyy
-
-
 def _spray_partials(m: MetricSpec, f: PhiFamily, x, y):
     """G^i, N^i_j, second fiber derivatives and x-derivatives used by Riemann."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    G, N, Gyy = _spray_fiber(m, f, x, y, 2)
+    jets = spray_ab(m, f, x, y, order=2)
+    G, N, Gyy = (_fiber(jets, k) for k in range(3))
 
     def g_and_n(xp):  # [G^i, N^i_k] as an (n, 1 + n) array
-        return np.column_stack(_spray_fiber(m, f, xp, y, 1))
+        jets = spray_ab(m, f, xp, y, order=1)
+        return np.column_stack((_fiber(jets, 0), _fiber(jets, 1)))
 
     # d[j][i, 0] = dG^i/dx^j, d[j][i, 1 + k] = dN^i_k/dx^j: one stencil per axis
     d = np.array([base_derivative(g_and_n, x, j, 1) for j in range(m.n)])
@@ -258,20 +221,20 @@ def ln_sigma_gradient(m: MetricSpec, f: PhiFamily, x):
     return np.array([base_derivative(ln_sigma, x, i, 1) for i in range(m.n)])
 
 
-def s_curvature_def(m: MetricSpec, f: PhiFamily, x, y, grad_ln_sigma=None):
+def s_curvature_def(m: MetricSpec, f: PhiFamily, x, y, grad_ln_sigma=None,
+                    spray=None):
     """S-curvature from its definition: spray divergence minus the drift of ln sigma.
 
-    Pass a precomputed ``grad_ln_sigma`` when sweeping directions at one point.
+    Pass a precomputed ``grad_ln_sigma`` when sweeping directions at one point,
+    and the ``spray_data`` of (x, y) when the caller already has it.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    n = m.n
-    jets = spray_ab(m, f, x, y, order=1)
-    e = np.eye(n, dtype=int)
-    div = sum(jets[i].partial(tuple(e[i])) for i in range(n))
+    N = spray.N if spray is not None else _fiber(spray_ab(m, f, x, y, order=1), 1)
+    div = sum(N[i, i] for i in range(m.n))
     if grad_ln_sigma is None:
         grad_ln_sigma = ln_sigma_gradient(m, f, x)
-    return div - float(y @ grad_ln_sigma)
+    return float(div - float(y @ grad_ln_sigma))
 
 
 @lru_cache(maxsize=256)
@@ -327,7 +290,8 @@ def h_curvature(m: MetricSpec, f: PhiFamily, x, y):
         return berwald(m, f, xp, yp)[1]
 
     E = e_field(x, y)
-    G, N = _spray_fiber(m, f, x, y, 1)
+    jets = spray_ab(m, f, x, y, order=1)
+    G, N = _fiber(jets, 0), _fiber(jets, 1)
     # d E_ij / d x^m, one stencil per axis
     Ex = np.stack([base_derivative(lambda xp: e_field(xp, y), x, mm, 1)
                    for mm in range(n)], axis=-1)
@@ -352,10 +316,16 @@ def h_curvature(m: MetricSpec, f: PhiFamily, x, y):
 
 @dataclass
 class SprayData:
+    """The spray's fiber tensors at one (x, y), from one order-4 jet per G^i."""
+
     G: np.ndarray
     G_alpha: np.ndarray
     N: np.ndarray
     G_jk: np.ndarray  # connection coefficients d^2 G^i / dy^j dy^k
+    B: np.ndarray  # Berwald curvature d^3 G^i / dy^j dy^k dy^l
+    E: np.ndarray  # mean Berwald curvature
+    E_vert: np.ndarray  # E_{jk,l} = d E_jk / dy^l
+    D: np.ndarray  # Douglas curvature, from the projective spray
 
 
 @dataclass
@@ -374,20 +344,25 @@ class CurvatureBundle:
 
 
 def spray_data(m: MetricSpec, f: PhiFamily, x, y) -> SprayData:
-    G, N, Gyy = _spray_fiber(m, f, x, y, 2)
-    return SprayData(G=G, G_alpha=spray_alpha(m, x, y), N=N, G_jk=Gyy)
+    """Every fiber tensor of the spray at (x, y), read off one order-4 jet."""
+    y = np.asarray(y, dtype=float)
+    jets = spray_ab(m, f, x, y, order=4)
+    B, E = _berwald(jets)
+    d4 = _fiber(jets, 4)
+    return SprayData(G=_fiber(jets, 0), G_alpha=spray_alpha(m, x, y),
+                     N=_fiber(jets, 1), G_jk=_fiber(jets, 2), B=B, E=E,
+                     E_vert=0.5 * sum(d4[mm, mm] for mm in range(m.n)),
+                     D=_douglas(jets, y))
 
 
 def curvature_bundle(m: MetricSpec, f: PhiFamily, x, y,
                      with_s_def=True, with_h=False) -> CurvatureBundle:
     """Convenience: every curvature tensor at one (x, y)."""
     fd = fundamental(m, f, x, y)
-    B, E = berwald(m, f, x, y)
-    L = landsberg(fd, B)
-    D = douglas(m, f, x, y)
+    sd = spray_data(m, f, x, y)
     R, K = riemann_flag(m, f, x, y)
     s_form = s_curvature_formula(m, f, x, y)
-    s_def = s_curvature_def(m, f, x, y) if with_s_def else None
+    s_def = s_curvature_def(m, f, x, y, spray=sd) if with_s_def else None
     H = h_curvature(m, f, x, y) if with_h else None
-    return CurvatureBundle(B=B, E=E, L=L, D=D, R=R, K=K,
-                           S_def=s_def, S_formula=s_form, H=H)
+    return CurvatureBundle(B=sd.B, E=sd.E, L=landsberg(fd, sd.B), D=sd.D, R=R,
+                           K=K, S_def=s_def, S_formula=s_form, H=H)

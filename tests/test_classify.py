@@ -37,6 +37,23 @@ class TestGeneralizedBerwald:
             is_generalized_berwald(m, [])
 
 
+class TestDefaultGrid:
+    def test_margin_defaults_to_the_regularity_margin(self):
+        m = get_metric("lie_group").metric
+        got = default_grid(m, 3)
+        want = default_grid(m, 3, margin=m.regularity_margin)
+        assert np.array_equal(got, want)
+
+    def test_explicit_margin(self):
+        m = get_metric("euclid").metric
+        lo = np.asarray(m.chart_domain.lo, dtype=float)
+        hi = np.asarray(m.chart_domain.hi, dtype=float)
+        inset = float(np.min(hi - lo)) * 0.1
+        grid = default_grid(m, 2, margin=0.1)
+        assert np.array_equal(grid[0], lo + inset)
+        assert np.array_equal(grid[-1], hi - inset)
+
+
 class TestKillingConstantLength:
     def test_parallel_form_true(self):
         m = get_metric("euclid_randers", eps=0.5).metric
@@ -167,6 +184,23 @@ class TestVerdict:
     def test_missing_reports(self):
         with pytest.raises(MissingReports):
             theorem11_verdict({"gb": self._v(True)})
+
+    def test_numpy_scalars_are_stored_as_python_types(self):
+        v = Verdict(np.float64(0.5) < np.float64(1.0), np.float64(0.5),
+                    np.float64(1.0), 3)
+        assert type(v.value) is bool and type(v.residual) is float
+        assert type(v.threshold) is float
+        assert bool(v) is True
+
+    def test_one_form_longer_than_one(self):
+        # |b| = 2 makes the threshold a numpy float and the comparison a
+        # numpy bool, which Verdict.__bool__ must not hand back
+        from finsler.geometry_core import ChartDomain, MetricSpec
+        m = MetricSpec(n=2, a=lambda x: np.eye(2),
+                       b_form=lambda x: np.array([2.0, 0.0]),
+                       chart_domain=ChartDomain((-1.0, -1.0), (1.0, 1.0)))
+        v = is_generalized_berwald(m, default_grid(m))
+        assert v and type(v.value) is bool
 
     def test_tol_monotonicity(self):
         # loosening tol never flips a true verdict to false

@@ -81,6 +81,57 @@ class TestConfig:
                 "n": 2, "a": [["1", "0"], ["0", "1 +"]], "b": ["0", "0"],
                 "lo": [-1, -1], "hi": [1, 1]}}})
 
+    def test_tolerances_field_is_rejected(self):
+        with pytest.raises(ConfigError, match="tolerances"):
+            RunConfig({"schema": 1, "metric": {"name": "euclid"},
+                       "tolerances": {}})
+
+
+@pytest.mark.parametrize("source", [
+    {"grid": {"per_axis": -1}},
+    {"grid": {"per_axis": 0}},
+    {"grid": {"per_axis": "three"}},
+    {"directions": 0},
+    ["--per-axis", "0"],
+    ["--per-axis", "-2"],
+    ["--directions", "0"],
+    ["--seed", "-1"],
+])
+@pytest.mark.parametrize("command", ["report", "table"])
+def test_bad_counts_exit_2(source, command, tmp_path, capsys):
+    argv = [command]
+    if isinstance(source, dict):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"schema": 1, "metric": {"name": "euclid"},
+                                    **source}))
+        argv += ["--config", str(path)]
+    else:
+        argv += ["--metric", "euclid", *source]
+    if command == "table":
+        argv += ["--quantity", "a"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be" in err
+
+
+#: |b| = 2 > 1: the generalized-Berwald threshold is a numpy float
+LONG_FORM_CONFIG = {"schema": 1, "grid": {"per_axis": 2}, "directions": 4,
+                    "metric": {"custom": {
+                        "n": 2, "a": [["1", "0"], ["0", "1"]], "b": ["2", "0"],
+                        "phi": {"variant": "riemann_sqrt", "k": 1},
+                        "lo": [-1, -1], "hi": [1, 1]}}}
+
+
+@pytest.mark.parametrize("command", ["classify", "report"])
+def test_one_form_longer_than_one_runs(command, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(LONG_FORM_CONFIG))
+    assert main([command, "--config", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    cls = doc if command == "classify" else doc["classification"]
+    assert cls["predicates"]["gb"]["verdict"] is True
+    assert cls["verdict"] == "RiemannianIsotropic"
+
 
 class TestTable:
     def test_s_table_on_lie_group(self):

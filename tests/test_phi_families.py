@@ -96,6 +96,21 @@ class TestUnicorn:
             f.value(0.95)
 
 
+    def test_value_cache_is_bounded_and_exact(self):
+        from finsler.phi_families import _unicorn_value
+        from finsler.quadrature import adaptive_simpson
+        f = UnicornPhi(1.0, 0.3, 0.7, 1.2)
+        bound = _unicorn_value.cache_info().maxsize
+        assert bound is not None
+        _unicorn_value.cache_clear()
+        s_values = np.linspace(-0.9, 0.9, bound + 16)
+        for s in s_values:
+            want = 1.2 * math.exp(adaptive_simpson(f._g, 0.0, s, tol=1e-12))
+            assert f.value(s) == want
+            assert f.value(s) == want  # the cached value, too
+        assert _unicorn_value.cache_info().currsize == bound
+
+
 class TestCustomExpr:
     def test_matches_randers(self):
         f = CustomExprPhi("1 + s", b0=1.0)

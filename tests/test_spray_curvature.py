@@ -8,7 +8,7 @@ import pytest
 from finsler.catalog import get_metric
 from finsler.errors import DimensionError
 from finsler.finsler_metric import fundamental
-from finsler.spray_curvature import (berwald, berwald_2d_identity, berwald_full,
+from finsler.spray_curvature import (berwald, berwald_2d_identity,
                                      curvature_bundle, douglas,
                                      douglas_2d_identity, h_curvature,
                                      landsberg, riemann_flag, s_curvature_def,
@@ -74,11 +74,12 @@ class TestBerwaldFamily:
         assert np.abs(np.einsum("ijkl,l->ijk", B, y)).max() < 1e-9
         assert np.allclose(E, E.T)
 
-    def test_berwald_full_consistent(self):
+    def test_spray_data_berwald_consistent(self):
         e = get_metric("lie_group")
         x, y = [0.1, 1.0], [0.9, -0.2]
         B1, E1 = berwald(e.metric, e.phi, x, y)
-        B2, E2, E_vert = berwald_full(e.metric, e.phi, x, y)
+        sd = spray_data(e.metric, e.phi, x, y)
+        B2, E2, E_vert = sd.B, sd.E, sd.E_vert
         assert np.allclose(B1, B2, atol=1e-12)
         assert np.allclose(E1, E2, atol=1e-12)
         # E_{jk,l} is totally symmetric and annihilated twice by y (E is
