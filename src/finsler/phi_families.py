@@ -139,12 +139,15 @@ class UnicornPhi(PhiFamily):
         return c
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=2 * 129 * 257)
 def _unicorn_value(f: UnicornPhi, s):
-    """phi(s) = c exp(int_0^s g), memoised on the 1024 most recent (f, s).
+    """phi(s) = c exp(int_0^s g), one quadrature per (f, s) key.
 
-    A ``UnicornPhi`` hashes by identity and is never mutated after
-    construction; an entry's strong reference keeps its id from being reused.
+    sigma_bh asks for phi at its 2049 (n = 2) or 129 x 257 (n = 3) nodes in
+    the same order each call, and at constant a and b the s repeat.  An LRU
+    smaller than a sweep evicts every key before its reuse, so this one holds
+    two n = 3 sweeps.  A ``UnicornPhi`` hashes by identity and is never
+    mutated after construction; an entry keeps its id from being reused.
     """
     return f.c * math.exp(adaptive_simpson(f._g, 0.0, s, tol=1e-12))
 

@@ -319,7 +319,6 @@ class SprayData:
     """The spray's fiber tensors at one (x, y), from one order-4 jet per G^i."""
 
     G: np.ndarray
-    G_alpha: np.ndarray
     N: np.ndarray
     G_jk: np.ndarray  # connection coefficients d^2 G^i / dy^j dy^k
     B: np.ndarray  # Berwald curvature d^3 G^i / dy^j dy^k dy^l
@@ -349,8 +348,8 @@ def spray_data(m: MetricSpec, f: PhiFamily, x, y) -> SprayData:
     jets = spray_ab(m, f, x, y, order=4)
     B, E = _berwald(jets)
     d4 = _fiber(jets, 4)
-    return SprayData(G=_fiber(jets, 0), G_alpha=spray_alpha(m, x, y),
-                     N=_fiber(jets, 1), G_jk=_fiber(jets, 2), B=B, E=E,
+    return SprayData(G=_fiber(jets, 0), N=_fiber(jets, 1),
+                     G_jk=_fiber(jets, 2), B=B, E=E,
                      E_vert=0.5 * sum(d4[mm, mm] for mm in range(m.n)),
                      D=_douglas(jets, y))
 

@@ -96,19 +96,26 @@ class TestUnicorn:
             f.value(0.95)
 
 
-    def test_value_cache_is_bounded_and_exact(self):
+    def test_value_cache_answers_a_repeated_sigma_sweep(self):
+        # sigma_bh at constant a = I and b asks for phi at s = b . y on every
+        # unit node y, in the same order each call: the second sweep must be
+        # served from the cache, with the bits of the direct quadrature.
+        from finsler.finsler_metric import _polar_nodes
         from finsler.phi_families import _unicorn_value
         from finsler.quadrature import adaptive_simpson
         f = UnicornPhi(1.0, 0.3, 0.7, 1.2)
-        bound = _unicorn_value.cache_info().maxsize
-        assert bound is not None
+        s = _polar_nodes(2)[1][0] @ np.array([0.3, 0.1])
         _unicorn_value.cache_clear()
-        s_values = np.linspace(-0.9, 0.9, bound + 16)
-        for s in s_values:
-            want = 1.2 * math.exp(adaptive_simpson(f._g, 0.0, s, tol=1e-12))
-            assert f.value(s) == want
-            assert f.value(s) == want  # the cached value, too
-        assert _unicorn_value.cache_info().currsize == bound
+        first = f.value_many(s)
+        misses = _unicorn_value.cache_info().misses
+        assert np.array_equal(f.value_many(s), first)
+        assert _unicorn_value.cache_info().misses == misses
+        for v in s[::128]:
+            want = 1.2 * math.exp(adaptive_simpson(f._g, 0.0, v, tol=1e-12))
+            assert f.value(v) == want
+        info = _unicorn_value.cache_info()
+        assert info.maxsize >= 2 * len(_polar_nodes(3)[1][0])
+        assert info.currsize <= info.maxsize
 
 
 class TestCustomExpr:
