@@ -13,9 +13,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (AllSamplesSingular, DomainError, EmptyGrid,
-                     MissingReports, RankDeficient, WrongPhiVariant)
-from .finsler_metric import fundamental
+from .errors import (AllSamplesSingular, DegenerateFlag, DomainError,
+                     EmptyGrid, EvaluationError, FinslerError, MissingReports,
+                     RankDeficient, WrongPhiVariant)
+from .finsler_metric import fsq_jet, fundamental
 from .geometry_core import MetricSpec, beta_at
 from .phi_families import PhiFamily, _q_series
 from .spray_curvature import (landsberg, ln_sigma_gradient, riemann_flag,
@@ -159,13 +160,28 @@ def randers_s0_shortcut(m: MetricSpec, f: PhiFamily, grid,
     return Verdict(residual < tol, residual, tol, len(grid))
 
 
+def _sample_norms(m, f, x, Y, grad):
+    """Max-norms of B, L, D, S and C per direction of Y, each scaled to F = 1."""
+    Y = Y / np.sqrt(fsq_jet(m, f, x, Y, 0).value)[..., None]
+    fd = fundamental(m, f, x, Y)
+    sd = spray_data(m, f, x, Y)
+    S = np.reshape(s_curvature_def(m, f, x, Y, grad_ln_sigma=grad, spray=sd), -1)
+
+    def norm(T):
+        return np.abs(np.reshape(T, (len(S), -1))).max(axis=1)
+
+    return np.column_stack([norm(sd.B), norm(landsberg(fd, sd.B)), norm(sd.D),
+                            np.abs(S), norm(fd.C)])
+
+
 def curvature_flags(m: MetricSpec, f: PhiFamily, grid, dirs=None,
                     tol=TOL_TENSOR, tol_s=TOL_S) -> dict:
     """Berwald / Landsberg / Douglas / S-zero / Riemannian verdicts.
 
     Directions are normalized to F = 1 before evaluation so the max-norms are
     scale-invariant; directions outside the regular cone of almost-regular
-    families are dropped.
+    families are dropped.  Each point's directions go through as one batch,
+    redone one at a time if it raises, so an error is the one raised alone.
     """
     if dirs is None:
         dirs = default_directions(m.n)
@@ -177,17 +193,13 @@ def curvature_flags(m: MetricSpec, f: PhiFamily, grid, dirs=None,
         if not len(usable):
             continue
         grad = ln_sigma_gradient(m, f, x)
-        for y in usable:
-            y = y / fundamental(m, f, x, y).F
-            fd = fundamental(m, f, x, y)
-            sd = spray_data(m, f, x, y)
-            L = landsberg(fd, sd.B)
-            S = s_curvature_def(m, f, x, y, grad_ln_sigma=grad, spray=sd)
-            res["berwald"] = max(res["berwald"], float(np.max(np.abs(sd.B))))
-            res["landsberg"] = max(res["landsberg"], float(np.max(np.abs(L))))
-            res["douglas"] = max(res["douglas"], float(np.max(np.abs(sd.D))))
-            res["s_zero"] = max(res["s_zero"], abs(S))
-            res["riemannian"] = max(res["riemannian"], float(np.max(np.abs(fd.C))))
+        try:
+            rows = _sample_norms(m, f, x, usable, grad)
+        except FinslerError:
+            rows = np.concatenate([_sample_norms(m, f, x, y, grad) for y in usable])
+        for row in rows.tolist():
+            for name, r in zip(res, row):
+                res[name] = max(res[name], r)
             n_used += 1
     if n_used == 0:
         raise AllSamplesSingular("every grid x direction sample was inadmissible")
@@ -257,17 +269,16 @@ def classify_metric(m: MetricSpec, f: PhiFamily, per_axis=3, dirs=None,
     unicorn = None
     flag_zero = None
     if preds["gb"] and preds["s_zero"]:
-        if preds["berwald"]:
+        if preds["berwald"] and m.n == 2:  # a flag curvature needs n = 2
             kmax, n_flag = 0.0, 0
             for x in grid[: min(3, len(grid))]:
                 for y in _admissible_dirs(m, f, x, np.asarray(dirs))[:4]:
                     try:
                         _, K = riemann_flag(m, f, x, y)
-                    except DomainError:
-                        continue
-                    if K is not None:
-                        kmax = max(kmax, abs(K))
-                        n_flag += 1
+                    except (DomainError, DegenerateFlag, EvaluationError):
+                        continue  # this sample has no usable flag
+                    kmax = max(kmax, abs(K))
+                    n_flag += 1
             if n_flag:
                 flag_zero = Verdict(kmax < tol_s * 10, kmax, tol_s * 10, n_flag)
         if preds["killing_cl"]:

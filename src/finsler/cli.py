@@ -28,8 +28,9 @@ from .geometry_core import ChartDomain, MetricSpec, beta_at
 from .phi_families import (CustomExprPhi, RandersPhi, RiemannSqrtPhi,
                            UnicornPhi, _q_series)
 from .spray_curvature import (berwald, douglas, h_curvature, landsberg,
-                              ln_sigma_gradient, riemann_flag, s_curvature_def,
-                              s_curvature_formula, spray_ab, spray_data)
+                              ln_sigma_gradient, riemann, riemann_flag,
+                              s_curvature_def, s_curvature_formula, spray_ab,
+                              spray_data)
 
 QUANTITIES = ("a", "b_form", "gamma", "r", "s", "r_i", "s_i", "bnorm", "Q",
               "G", "B", "E", "L", "D", "R", "K", "S", "H", "sigma")
@@ -179,6 +180,48 @@ def _fmt(v):
     return float(f"{float(v):.12g}")
 
 
+def _records(m, f, x, Y, grad):
+    """Curvature records at x for one direction or a ``(B, n)`` stack of them.
+
+    A stack goes through every layer as one batch.  If any layer raises, its
+    directions are redone one at a time, so every record, a partial one and
+    its error text included, is the record of its direction alone.
+    """
+    dirs = np.reshape(Y, (-1, m.n))
+    recs = [{"x": [_fmt(v) for v in x], "y": [_fmt(v) for v in y]} for y in dirs]
+
+    def fill(key, T, fmt=lambda row: _fmt(row[0])):  # from one flat row per direction
+        for rec, row in zip(recs, np.reshape(T, (len(recs), -1))):
+            rec[key] = fmt(row)
+
+    def norm(row):
+        return _fmt(np.abs(row).max())
+
+    try:
+        fd = fundamental(m, f, x, Y)
+        fill("F", fd.F)
+        fill("g", fd.g, lambda row: [[_fmt(v) for v in r] for r in row.reshape(m.n, -1)])
+        fill("C_norm", fd.C, norm)
+        sd = spray_data(m, f, x, Y)
+        fill("G", sd.G, lambda row: [_fmt(v) for v in row])
+        for key, T in (("B_norm", sd.B), ("E_norm", sd.E),
+                       ("L_norm", landsberg(fd, sd.B)), ("D_norm", sd.D)):
+            fill(key, T, norm)
+        if m.n == 2:  # K is the only part kept, and exists for n = 2 only
+            R = riemann(m, f, x, Y, spray=sd)  # one stencil pass, then K per direction
+            each = [(fd[b], R[b]) for b in range(len(recs))] if Y.ndim == 2 else [(fd, R)]
+            fill("K", [riemann_flag(m, f, x, y, fd=fd_b, R=R_b)[1]
+                       for y, (fd_b, R_b) in zip(dirs, each)])
+        fill("S_formula", [s_curvature_formula(m, f, x, y) for y in dirs])
+        if grad is not None:
+            fill("S_def", s_curvature_def(m, f, x, Y, grad, sd))
+    except FinslerError as exc:
+        if Y.ndim == 2:
+            return [rec for y in Y for rec in _records(m, f, x, y, grad)]
+        recs[0]["error"] = f"{type(exc).__name__}: {exc}"
+    return recs
+
+
 def cmd_report(cfg):
     """Per-sample curvature records plus the aggregate classification."""
     m, f = cfg.metric, cfg.phi
@@ -190,27 +233,7 @@ def cmd_report(cfg):
             grad = ln_sigma_gradient(m, f, x)
         except FinslerError:
             grad = None
-        for y in dirs:
-            rec = {"x": [_fmt(v) for v in x], "y": [_fmt(v) for v in y]}
-            try:
-                fd = fundamental(m, f, x, y)
-                rec["F"] = _fmt(fd.F)
-                rec["g"] = [[_fmt(v) for v in row] for row in fd.g]
-                rec["C_norm"] = _fmt(np.abs(fd.C).max())
-                sd = spray_data(m, f, x, y)
-                rec["G"] = [_fmt(v) for v in sd.G]
-                rec["B_norm"] = _fmt(np.abs(sd.B).max())
-                rec["E_norm"] = _fmt(np.abs(sd.E).max())
-                rec["L_norm"] = _fmt(np.abs(landsberg(fd, sd.B)).max())
-                rec["D_norm"] = _fmt(np.abs(sd.D).max())
-                if m.n == 2:  # K is the only part kept, and exists for n = 2 only
-                    rec["K"] = _fmt(riemann_flag(m, f, x, y)[1])
-                rec["S_formula"] = _fmt(s_curvature_formula(m, f, x, y))
-                if grad is not None:
-                    rec["S_def"] = _fmt(s_curvature_def(m, f, x, y, grad, sd))
-            except FinslerError as exc:
-                rec["error"] = f"{type(exc).__name__}: {exc}"
-            records.append(rec)
+        records += _records(m, f, x, dirs, grad)
     try:
         # classification always samples 3 points per axis: a coarser grid can
         # be radius-symmetric and mask a non-constant one-form length

@@ -7,7 +7,7 @@ noise-critical Landsberg and flag computations.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -15,7 +15,7 @@ import numpy as np
 from .errors import (DomainError, SingularDirectionInQuadrature, SingularG,
                      ZeroVector)
 from .geometry_core import MetricSpec, _inverse_spd
-from .jets import JetScalar, jet_variable
+from .jets import jet_form, jet_variable, per_column
 from .phi_families import PhiFamily
 from .quadrature import simpson_weights
 
@@ -51,26 +51,24 @@ def finsler_eval_many(m: MetricSpec, f: PhiFamily, x, Y):
     return alpha * f.value_many(s), s
 
 
-def fsq_jet(m: MetricSpec, f: PhiFamily, x, y, order):
-    """Jet of F^2 in the fiber variables, exact to ``order``."""
+def alpha_beta_jets(a, b_i, f: PhiFamily, y, order):
+    """Fiber jets of y^i, alpha^2, alpha and an admissible s = beta/alpha at y."""
     y = np.asarray(y, dtype=float)
-    n = m.n
-    a = m.a_at(x)
-    b = m.b_at(x)
-    yj = [jet_variable(i, y[i], n, order) for i in range(n)]
-    A = JetScalar.constant(0.0, n, order)
-    for i in range(n):
-        for j in range(n):
-            A = A + a[i, j] * yj[i] * yj[j]
-    if A.value <= 0.0:
+    yj = [jet_variable(i, y[..., i], len(b_i), order) for i in range(len(b_i))]
+    A = jet_form(a, yj)
+    if (A.coeffs[0] <= 0.0).any():
         raise ZeroVector("alpha(x, y) must be positive")
     alpha = A ** 0.5
-    beta = JetScalar.constant(0.0, n, order)
-    for i in range(n):
-        beta = beta + b[i] * yj[i]
-    s = beta / alpha
-    f.require_admissible(s.value)
-    phi = s.compose_series(f.taylor(s.value, order))
+    s = jet_form(b_i, yj) / alpha
+    for s0 in s.coeffs[:1].ravel().tolist():
+        f.require_admissible(s0)
+    return yj, A, alpha, s
+
+
+def fsq_jet(m: MetricSpec, f: PhiFamily, x, y, order):
+    """Jet of F^2 in the fiber variables, exact to ``order``; batched for a stack of y."""
+    _, A, _, s = alpha_beta_jets(m.a_at(x), m.b_at(x), f, y, order)
+    phi = s.compose_series(per_column(lambda s0: f.taylor(s0, order), s.value))
     return A * phi * phi
 
 
@@ -87,23 +85,28 @@ class FundamentalData:
     ell: np.ndarray  # y^i / F
     h: np.ndarray  # angular metric h_ij
 
+    def __getitem__(self, b):
+        """The data of direction b of a batch."""
+        return FundamentalData(*(getattr(self, fl.name)[b] for fl in fields(self)))
+
 
 def fundamental(m: MetricSpec, f: PhiFamily, x, y) -> FundamentalData:
-    """All fundamental-tensor data from an order-3 fiber jet of F^2."""
+    """All fundamental-tensor data from an order-3 fiber jet of F^2, batched for a stack of y."""
     y = np.asarray(y, dtype=float)
     jet = fsq_jet(m, f, x, y, 3)
-    F = math.sqrt(jet.value)
+    F = np.sqrt(jet.value)
     g = 0.5 * jet.tensor(2)
     C = 0.25 * jet.tensor(3)
     try:
         g_inv = _inverse_spd(g, what="g_ij")
     except Exception as exc:
         raise SingularG(str(exc)) from exc
-    I = np.einsum("jk,ijk->i", g_inv, C)
-    y_low = g @ y
-    h = g - np.outer(y_low, y_low) / (F * F)
+    I = np.einsum("...jk,...ijk->...i", g_inv, C)
+    y_low = (g @ y[..., None])[..., 0]
+    F_col = F[..., None]
+    h = g - y_low[..., :, None] * y_low[..., None, :] / (F_col * F_col)[..., None]
     return FundamentalData(F=F, g=g, g_inv=g_inv, C=C, I=I, y_low=y_low,
-                           ell=y / F, h=h)
+                           ell=y / F_col, h=h)
 
 
 def _radii(m, f, x, dirs, step_shift):

@@ -13,6 +13,10 @@ a quotient like Q = phi'/(phi - s phi') eats orders.  Every product goes
 through one kernel over the truncated product table, and every elementary
 function, on floats and jets alike, goes through :func:`jet_apply`.
 
+A jet may carry a trailing batch axis: ``coeffs`` of shape ``(K, B)`` holds B
+jets, one per column, each with the bits it has alone, so one Python
+operation serves B samples.  Univariate tables are still built per column.
+
 Base-point (x-)derivatives are a different regime: metric evaluators may hide
 quadratures that are cheap to re-evaluate but awkward to jet through, so those
 derivatives go through :func:`base_derivative`, a Richardson-extrapolated
@@ -64,6 +68,20 @@ def _tensor_index(n_vars, max_order, k):
             np.array([math.prod(map(math.factorial, m)) for m in multis], dtype=float))
 
 
+@lru_cache(maxsize=None)
+def _batch_bins(n_vars, max_order, width):
+    """Bin of each (table entry, column) pair of a ``width``-column product."""
+    kk = _tables(n_vars, max_order)[2][2]
+    return (kk[:, None] * width + np.arange(width)).ravel()
+
+
+def per_column(table, values):
+    """``table(v)`` at a float, or its ``(L, B)`` column stack over a ``(B,)`` array."""
+    if getattr(values, "ndim", 0) == 0:
+        return table(float(values))
+    return np.column_stack([table(v) for v in np.asarray(values).tolist()])
+
+
 class JetScalar:
     """Dense truncated Taylor expansion of a scalar in ``n_vars`` variables."""
 
@@ -81,8 +99,9 @@ class JetScalar:
 
     @staticmethod
     def constant(value, n_vars, max_order):
+        """Constant jet; a ``(B,)`` array of values gives a batch."""
         idx, _, _ = _tables(n_vars, max_order)
-        c = np.zeros(len(idx))
+        c = np.zeros((len(idx),) + getattr(value, "shape", ()))
         c[0] = value
         return JetScalar(c, n_vars, max_order)
 
@@ -90,29 +109,25 @@ class JetScalar:
 
     @property
     def value(self):
-        return float(self.coeffs[0])
-
-    def coeff(self, multi_index):
-        _, pos, _ = _tables(self.n_vars, self.max_order)
-        return float(self.coeffs[pos[tuple(multi_index)]])
+        """The constant term: a float, or a ``(B,)`` array for a batch."""
+        return float(self.coeffs[0]) if self.coeffs.ndim == 1 else self.coeffs[0]
 
     def partial(self, multi_index):
         """Partial derivative for the given multi-index (coefficient times factorials)."""
-        fac = 1.0
-        for m in multi_index:
-            fac *= math.factorial(m)
-        return self.coeff(multi_index) * fac
+        pos = _tables(self.n_vars, self.max_order)[1][tuple(multi_index)]
+        return float(self.coeffs[pos]) * math.prod(map(math.factorial, multi_index))
 
     def tensor(self, k):
         """All k-th partial derivatives as a symmetric ``(n_vars,) * k`` array.
 
         One gather over a cached index table; each entry has the bits of the
-        matching :meth:`partial`.
+        matching :meth:`partial`.  A batch gives a leading B axis.
         """
         if not 0 <= k <= self.max_order:
             raise DomainError(f"k = {k} is outside 0..{self.max_order}")
         positions, weights = _tensor_index(self.n_vars, self.max_order, k)
-        return (self.coeffs[positions] * weights).reshape((self.n_vars,) * k)
+        c = np.ascontiguousarray(self.coeffs[positions].T * weights)
+        return c.reshape(self.coeffs.shape[1:] + (self.n_vars,) * k)
 
     def derivative(self, axis):
         """Jet of the partial derivative along ``axis``; order drops by one."""
@@ -120,7 +135,7 @@ class JetScalar:
             raise DomainError("cannot differentiate an order-0 jet")
         idx_out, pos_out, _ = _tables(self.n_vars, self.max_order - 1)
         _, pos_in, _ = _tables(self.n_vars, self.max_order)
-        out = np.zeros(len(idx_out))
+        out = np.zeros((len(idx_out),) + self.coeffs.shape[1:])
         for i, m in enumerate(idx_out):
             shifted = list(m)
             shifted[axis] += 1
@@ -135,47 +150,49 @@ class JetScalar:
 
     # -- arithmetic ---------------------------------------------------------
 
+    def _like(self, coeffs):
+        return JetScalar(coeffs, self.n_vars, self.max_order)
+
     def _coerce(self, other):
         if isinstance(other, JetScalar):
             if other.n_vars != self.n_vars or other.max_order != self.max_order:
                 raise DomainError("jet arithmetic requires equal n_vars and max_order")
             return other
-        if isinstance(other, _NUMBER):
-            return JetScalar.constant(float(other), self.n_vars, self.max_order)
+        if isinstance(other, _NUMBER):  # a constant of this jet's batch shape
+            c = np.zeros(self.coeffs.shape)
+            c[0] = other
+            return self._like(c)
         return NotImplemented
 
     def __add__(self, other):
         o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return JetScalar(self.coeffs + o.coeffs, self.n_vars, self.max_order)
+        return o if o is NotImplemented else self._like(self.coeffs + o.coeffs)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return JetScalar(self.coeffs - o.coeffs, self.n_vars, self.max_order)
+        return o if o is NotImplemented else self._like(self.coeffs - o.coeffs)
 
     def __rsub__(self, other):
         o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return JetScalar(o.coeffs - self.coeffs, self.n_vars, self.max_order)
+        return o if o is NotImplemented else self._like(o.coeffs - self.coeffs)
 
     def __mul__(self, other):
         if isinstance(other, _NUMBER):
-            return JetScalar(self.coeffs * float(other), self.n_vars, self.max_order)
+            return self._like(self.coeffs * float(other))
         o = self._coerce(other)
         if o is NotImplemented:
             return o
         # the one product kernel: each output coefficient sums its table
-        # entries in table order
+        # entries in table order; a batch gives each column its own bins
         ii, jj, kk = _tables(self.n_vars, self.max_order)[2]
-        out = np.bincount(kk, weights=self.coeffs[ii] * o.coeffs[jj],
-                          minlength=len(self.coeffs))
-        return JetScalar(out, self.n_vars, self.max_order)
+        w = self.coeffs[ii] * o.coeffs[jj]
+        if w.ndim == 1:
+            return self._like(np.bincount(kk, weights=w, minlength=len(self.coeffs)))
+        out = np.bincount(_batch_bins(self.n_vars, self.max_order, w.shape[1]),
+                          weights=w.ravel(), minlength=self.coeffs.size)
+        return self._like(out.reshape(self.coeffs.shape))
 
     __rmul__ = __mul__
 
@@ -183,7 +200,7 @@ class JetScalar:
         if isinstance(other, _NUMBER):
             if abs(other) < TINY:
                 raise DomainError("division by ~0")
-            return JetScalar(self.coeffs / float(other), self.n_vars, self.max_order)
+            return self._like(self.coeffs / float(other))
         o = self._coerce(other)
         if o is NotImplemented:
             return o
@@ -193,14 +210,14 @@ class JetScalar:
         return self._compose("recip") * other
 
     def __neg__(self):
-        return JetScalar(-self.coeffs, self.n_vars, self.max_order)
+        return self._like(-self.coeffs)
 
     def __pow__(self, p):
         if isinstance(p, (int, np.integer)) or (isinstance(p, float) and p.is_integer()):
             p = int(p)
             if p < 0:
                 return (self._compose("recip")) ** (-p)
-            out = JetScalar.constant(1.0, self.n_vars, self.max_order)
+            out = self._coerce(1.0)
             base = self
             while p:
                 if p & 1:
@@ -208,26 +225,32 @@ class JetScalar:
                 base = base * base
                 p >>= 1
             return out
-        return self.compose_series(pow_coeffs(self.value, float(p), self.max_order))
+        return self.compose_series(per_column(
+            lambda u0: pow_coeffs(u0, float(p), self.max_order), self.value))
 
     # -- composition --------------------------------------------------------
 
     def compose_series(self, coeffs):
         """Compose with a univariate Taylor series given at this jet's value.
 
-        ``coeffs[k]`` must be f^(k)(value)/k!.  Exact to ``max_order`` because
-        the offset jet has no constant term.
+        ``coeffs[k]`` must be f^(k)(value)/k!; a batch takes an ``(L, B)``
+        table, one series per column.  Exact to ``max_order`` because the
+        offset jet has no constant term.
         """
-        w = JetScalar(self.coeffs.copy(), self.n_vars, self.max_order)
+        w = self._like(self.coeffs.copy())
         w.coeffs[0] = 0.0
         top = min(len(coeffs) - 1, self.max_order)
-        out = JetScalar.constant(float(coeffs[top]), self.n_vars, self.max_order)
+        out = JetScalar.constant(coeffs[top], self.n_vars, self.max_order)
         for k in range(top - 1, -1, -1):
-            out = out * w + float(coeffs[k])
+            out = out * w
+            # a product has no -0.0 coefficient, so this has the bits of
+            # adding a constant jet
+            out.coeffs[0] += coeffs[k]
         return out
 
     def _compose(self, tag):
-        return self.compose_series(taylor_coeffs(tag, self.value, self.max_order))
+        return self.compose_series(per_column(
+            lambda u0: taylor_coeffs(tag, u0, self.max_order), self.value))
 
     def __repr__(self):
         return (f"JetScalar(value={self.value!r}, n_vars={self.n_vars}, "
@@ -235,15 +258,27 @@ class JetScalar:
 
 
 def jet_variable(index, point_value, n_vars, max_order):
-    """Jet of the coordinate function y^index seeded at ``point_value``."""
+    """Jet of the coordinate function y^index at ``point_value``, batched for an array."""
     if not 0 <= index < n_vars:
         raise DomainError(f"variable index {index} out of range for n_vars={n_vars}")
-    j = JetScalar.constant(float(point_value), n_vars, max_order)
+    j = JetScalar.constant(point_value, n_vars, max_order)
     if max_order >= 1:
         _, pos, _ = _tables(n_vars, max_order)
         unit = tuple(1 if i == index else 0 for i in range(n_vars))
         j.coeffs[pos[unit]] = 1.0
     return j
+
+
+def jet_form(c, yj):
+    """Jet of the form c_i y^i or c_ij y^i y^j in the jets ``yj``, summed in index order."""
+    out = yj[0]._coerce(0.0)
+    for i, y_i in enumerate(yj):  # jet first: a numpy scalar first is slow
+        if c.ndim == 1:
+            out = out + y_i * c[i]
+        else:
+            for j, y_j in enumerate(yj):
+                out = out + y_i * c[i, j] * y_j
+    return out
 
 
 def _elementary(tag, u):

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import (DegenerateDenominator, DomainError, NonPositivePhi,
                      ParamOutOfRange)
 from .exprparse import eval_expr, parse
-from .jets import JetScalar, jet_apply, jet_variable
+from .jets import JetScalar, jet_apply, jet_variable, per_column
 from .quadrature import adaptive_simpson
 
 
@@ -195,8 +195,8 @@ class AlphaBetaScalars:
 
 
 def _series(f: PhiFamily, s, order):
-    """phi at s as a univariate jet of the given order."""
-    return JetScalar(f.taylor(s, order), 1, order)
+    """phi at s as a univariate jet of the given order, batched for an array of s."""
+    return JetScalar(per_column(lambda v: f.taylor(v, order), s), 1, order)
 
 
 def _q_series(f: PhiFamily, s, order):
@@ -205,7 +205,7 @@ def _q_series(f: PhiFamily, s, order):
     phip = phi.derivative(0)
     sv = jet_variable(0, s, 1, order)
     den = phi.truncate(order) - sv * phip
-    if den.value <= 1e-12:
+    if (den.coeffs[0] <= 1e-12).any():
         raise DegenerateDenominator(f"phi - s*phi' = {den.value} at s={s}")
     return phip / den
 
@@ -243,13 +243,16 @@ def ode_residual(f: PhiFamily, b, s):
 
 
 def spray_scalar_series(f: PhiFamily, b, s0, order):
-    """Taylor series (in s at s0) of Q, Theta and Psi, used by the spray assembly."""
+    """Taylor series (in s at s0) of Q, Theta and Psi, used by the spray assembly.
+
+    A ``(B,)`` array of s0 gives batched series.
+    """
     q_big = _q_series(f, s0, order + 1)
     qp = q_big.derivative(0)
     q = q_big.truncate(order)
     sv = jet_variable(0, s0, 1, order)
     delta = 1.0 + sv * q + (b * b - sv * sv) * qp
-    if delta.value <= 1e-12:
+    if (delta.coeffs[0] <= 1e-12).any():
         raise DegenerateDenominator(f"Delta = {delta.value} at (b={b}, s={s0})")
     theta = (q - sv * qp) / (2.0 * delta)
     phi = _series(f, s0, order + 2)

@@ -6,6 +6,11 @@ the Douglas order is exact.  The generic route differentiates F^2 directly
 (fiber jets in y, extrapolated differences in x) and serves as an independent
 oracle.  Base-point derivatives of spray-level fields always go through
 ``base_derivative``.
+
+``spray_ab``, ``spray_data``, ``berwald``, ``douglas``, ``riemann``,
+``riemann_flag`` and ``s_curvature_def`` take one direction ``y`` or a
+``(B, n)`` stack at one x, which goes through as one jet batch and gives every
+field a leading B axis, each row with the bits of its direction alone.
 """
 
 import math
@@ -16,9 +21,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateFlag, DimensionError, NonPositiveDensity
-from .finsler_metric import FundamentalData, fsq_jet, fundamental, sigma_bh
+from .finsler_metric import (FundamentalData, alpha_beta_jets, fsq_jet,
+                             fundamental, sigma_bh)
 from .geometry_core import MetricSpec, beta_at, beta_contractions
-from .jets import JetScalar, base_derivative, jet_variable
+from .jets import base_derivative, jet_form, jet_variable
 from .phi_families import PhiFamily, spray_scalar_series
 from .quadrature import adaptive_simpson
 
@@ -32,43 +38,14 @@ def spray_alpha(m: MetricSpec, x, y):
 
 def _spray_jets(bc, f: PhiFamily, y, order):
     """G^i as fiber jets of the requested order, from the one-form calculus."""
-    n = bc.n
-    y = np.asarray(y, dtype=float)
-    yj = [jet_variable(i, y[i], n, order) for i in range(n)]
-    A = JetScalar.constant(0.0, n, order)
-    for i in range(n):
-        for j in range(n):
-            A = A + bc.a[i, j] * yj[i] * yj[j]
-    alpha = A ** 0.5
-    beta = JetScalar.constant(0.0, n, order)
-    for i in range(n):
-        beta = beta + bc.b_i[i] * yj[i]
-    s = beta / alpha
-    f.require_admissible(s.value)
+    yj, _, alpha, s = alpha_beta_jets(bc.a, bc.b_i, f, y, order)
     q_t, theta_t, psi_t = spray_scalar_series(f, bc.b, s.value, order)
     Q = s.compose_series(q_t.coeffs)
     Theta = s.compose_series(theta_t.coeffs)
     Psi = s.compose_series(psi_t.coeffs)
-
-    r00 = JetScalar.constant(0.0, n, order)
-    s0 = JetScalar.constant(0.0, n, order)
-    sup0 = [JetScalar.constant(0.0, n, order) for _ in range(n)]
-    for i in range(n):
-        s0 = s0 + bc.s_i[i] * yj[i]
-        for j in range(n):
-            r00 = r00 + bc.r[i, j] * yj[i] * yj[j]
-            sup0[i] = sup0[i] + bc.s_up[i, j] * yj[j]
-
-    core = (r00 - 2.0 * Q * alpha * s0) / alpha
-    out = []
-    for i in range(n):
-        g_alpha = JetScalar.constant(0.0, n, order)
-        for j in range(n):
-            for k in range(n):
-                g_alpha = g_alpha + 0.5 * bc.gamma[i, j, k] * yj[j] * yj[k]
-        out.append(g_alpha + alpha * Q * sup0[i]
-                   + core * (Theta * yj[i] + alpha * Psi * bc.b_up[i]))
-    return out
+    core = (jet_form(bc.r, yj) - 2.0 * Q * alpha * jet_form(bc.s_i, yj)) / alpha
+    return [jet_form(0.5 * bc.gamma[i], yj) + alpha * Q * jet_form(bc.s_up[i], yj)
+            + core * (Theta * yj[i] + alpha * Psi * bc.b_up[i]) for i in range(bc.n)]
 
 
 def spray_ab(m: MetricSpec, f: PhiFamily, x, y, order=0):
@@ -80,7 +57,7 @@ def spray_ab(m: MetricSpec, f: PhiFamily, x, y, order=0):
     bc = beta_at(m, x)
     jets = _spray_jets(bc, f, y, order)
     if order == 0:
-        return np.array([j.value for j in jets])
+        return _fiber(jets, 0)
     return jets
 
 
@@ -102,13 +79,14 @@ def spray_generic(m: MetricSpec, f: PhiFamily, x, y):
 
 
 def _fiber(jets, k):
-    """k-th fiber derivatives of every G^i, stacked: shape ``(n,) * (k + 1)``."""
-    return np.array([j.tensor(k) for j in jets])
+    """k-th fiber derivatives of every G^i: shape ``(n,) * (k + 1)`` after any B axis."""
+    T = np.array([j.tensor(k) for j in jets])
+    return T if T.ndim == k + 1 else np.ascontiguousarray(T.swapaxes(0, 1))
 
 
 def _berwald(jets):
     B = _fiber(jets, 3)
-    return B, 0.5 * np.einsum("mmij->ij", B)
+    return B, 0.5 * np.einsum("...mmij->...ij", B)
 
 
 def berwald(m: MetricSpec, f: PhiFamily, x, y):
@@ -118,26 +96,12 @@ def berwald(m: MetricSpec, f: PhiFamily, x, y):
 
 def landsberg(fd: FundamentalData, B):
     """Landsberg curvature L_jkl = -(1/2) y_i B^i_jkl."""
-    return -0.5 * np.einsum("i,ijkl->jkl", fd.y_low, B)
-
-
-def _douglas(jets, y):
-    """Third fiber derivatives of the projective spray G^i - (d_m G^m) y^i / (n + 1).
-
-    Built by jet products from order-4 spray jets, independently of B and E.
-    """
-    n = len(jets)
-    trace = jets[0].derivative(0)
-    for i in range(1, n):
-        trace = trace + jets[i].derivative(i)
-    yj3 = [jet_variable(i, float(y[i]), n, 3) for i in range(n)]
-    return np.array([(jets[i].truncate(3) - (1.0 / (n + 1)) * trace * yj3[i]).tensor(3)
-                     for i in range(n)])
+    return -0.5 * np.einsum("...i,...ijkl->...jkl", fd.y_low, B)
 
 
 def douglas(m: MetricSpec, f: PhiFamily, x, y):
     """Douglas curvature: third fiber derivatives of the projective spray."""
-    return _douglas(spray_ab(m, f, x, y, order=4), np.asarray(y, dtype=float))
+    return spray_data(m, f, x, y).D
 
 
 def douglas_2d_identity(m: MetricSpec, f: PhiFamily, x, y):
@@ -170,44 +134,56 @@ def berwald_2d_identity(fd: FundamentalData, B, E, L):
     return B - rhs
 
 
-def _spray_partials(m: MetricSpec, f: PhiFamily, x, y):
-    """G^i, N^i_j, second fiber derivatives and x-derivatives used by Riemann."""
+def _bilinear(u, g, v):
+    """u . g v over the last axes, with the bits of ``u @ g @ v`` per direction."""
+    return (u[..., None, :] @ g @ v[..., :, None])[..., 0, 0]
+
+
+def riemann(m: MetricSpec, f: PhiFamily, x, y, spray=None):
+    """Riemann curvature R^i_k; ``spray`` is the ``spray_data`` of (x, y), if at hand."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    jets = spray_ab(m, f, x, y, order=2)
-    G, N, Gyy = (_fiber(jets, k) for k in range(3))
+    if spray is None:
+        jets = spray_ab(m, f, x, y, order=2)
+        G, N, Gyy = (_fiber(jets, k) for k in range(3))
+    else:
+        G, N, Gyy = spray.G, spray.N, spray.G_jk
 
-    def g_and_n(xp):  # [G^i, N^i_k] as an (n, 1 + n) array
+    def g_and_n(xp):  # [G^i, N^i_k] as an (n, 1 + n) array per direction
         jets = spray_ab(m, f, xp, y, order=1)
-        return np.column_stack((_fiber(jets, 0), _fiber(jets, 1)))
+        return np.concatenate((_fiber(jets, 0)[..., None], _fiber(jets, 1)), axis=-1)
 
-    # d[j][i, 0] = dG^i/dx^j, d[j][i, 1 + k] = dN^i_k/dx^j: one stencil per axis
-    d = np.array([base_derivative(g_and_n, x, j, 1) for j in range(m.n)])
-    Gx = d[:, :, 0].T
-    Gxy = d[:, :, 1:].transpose(1, 0, 2)
-    return G, N, Gyy, Gx, Gxy
+    # d[..., i, j, 0] = dG^i/dx^j, d[..., i, j, 1 + k] = dN^i_k/dx^j: one
+    # stencil per axis
+    d = np.stack([base_derivative(g_and_n, x, j, 1) for j in range(m.n)], axis=-2)
+    Gx, Gxy = d[..., 0], d[..., 1:]
+    return (2.0 * Gx
+            - np.einsum("...j,...ijk->...ik", y, Gxy)
+            + 2.0 * np.einsum("...j,...ijk->...ik", G, Gyy)
+            - N @ N)
 
 
-def riemann_flag(m: MetricSpec, f: PhiFamily, x, y, u=None):
-    """Riemann curvature R^i_k and (given or default transverse u) flag curvature."""
+def riemann_flag(m: MetricSpec, f: PhiFamily, x, y, u=None, spray=None,
+                 fd=None, R=None):
+    """Riemann curvature R^i_k and (given or default transverse u) flag curvature.
+
+    ``spray``, ``fd`` and ``R`` take the caller's spray_data, fundamental, riemann.
+    """
     y = np.asarray(y, dtype=float)
-    n = m.n
-    G, N, Gyy, Gx, Gxy = _spray_partials(m, f, x, y)
-    R = (2.0 * Gx
-         - np.einsum("j,ijk->ik", y, Gxy)
-         + 2.0 * np.einsum("j,ijk->ik", G, Gyy)
-         - N @ N)
+    if R is None:
+        R = riemann(m, f, x, y, spray)
     if u is None:
-        if n != 2:
+        if m.n != 2:
             return R, None
-        u = np.array([-y[1], y[0]])
+        u = np.stack([-y[..., 1], y[..., 0]], axis=-1)
     u = np.asarray(u, dtype=float)
-    fd = fundamental(m, f, x, y)
+    if fd is None:
+        fd = fundamental(m, f, x, y)
     g = fd.g
-    denom = (y @ g @ y) * (u @ g @ u) - (y @ g @ u) ** 2
-    if abs(denom) < 1e-12:
+    denom = _bilinear(y, g, y) * _bilinear(u, g, u) - _bilinear(y, g, u) ** 2
+    if (np.abs(denom) < 1e-12).any():
         raise DegenerateFlag("flag denominator is numerically zero")
-    K = float(u @ g @ (R @ u)) / denom
+    K = _bilinear(u, g, (R @ u[..., None])[..., 0]) / denom
     return R, K
 
 
@@ -226,15 +202,17 @@ def s_curvature_def(m: MetricSpec, f: PhiFamily, x, y, grad_ln_sigma=None,
     """S-curvature from its definition: spray divergence minus the drift of ln sigma.
 
     Pass a precomputed ``grad_ln_sigma`` when sweeping directions at one point,
-    and the ``spray_data`` of (x, y) when the caller already has it.
+    and the ``spray_data`` of (x, y) when the caller already has it.  One
+    direction gives a float, a ``(B, n)`` stack a ``(B,)`` array.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     N = spray.N if spray is not None else _fiber(spray_ab(m, f, x, y, order=1), 1)
-    div = sum(N[i, i] for i in range(m.n))
+    div = sum(N[..., i, i] for i in range(m.n))
     if grad_ln_sigma is None:
         grad_ln_sigma = ln_sigma_gradient(m, f, x)
-    return float(div - float(y @ grad_ln_sigma))
+    S = div - (y[..., None, :] @ grad_ln_sigma)[..., 0]
+    return float(S) if S.ndim == 0 else S
 
 
 @lru_cache(maxsize=256)
@@ -289,24 +267,15 @@ def h_curvature(m: MetricSpec, f: PhiFamily, x, y):
     def e_field(xp, yp):
         return berwald(m, f, xp, yp)[1]
 
-    E = e_field(x, y)
-    jets = spray_ab(m, f, x, y, order=1)
-    G, N = _fiber(jets, 0), _fiber(jets, 1)
+    sd = spray_data(m, f, x, y)
+    E, G, N = sd.E, sd.G, sd.N
     # d E_ij / d x^m, one stencil per axis
     Ex = np.stack([base_derivative(lambda xp: e_field(xp, y), x, mm, 1)
                    for mm in range(n)], axis=-1)
+    # d E_ij / d y^k by the same stencil, with a step scaled to |y|
     hy = 1e-3 * max(1.0, float(np.linalg.norm(y)))
-    Ey = np.zeros((n, n, n))  # d E_ij / d y^k
-    for k in range(n):
-        yp, ym = y.copy(), y.copy()
-        yp[k] += hy
-        ym[k] -= hy
-        yp2, ym2 = y.copy(), y.copy()
-        yp2[k] += 2 * hy
-        ym2[k] -= 2 * hy
-        d1 = (e_field(x, yp) - e_field(x, ym)) / (2 * hy)
-        d2 = (e_field(x, yp2) - e_field(x, ym2)) / (4 * hy)
-        Ey[:, :, k] = (4.0 * d1 - d2) / 3.0
+    Ey = np.stack([base_derivative(lambda yp: e_field(x, yp), y, k, 1, h0=hy)
+                   for k in range(n)], axis=-1)
     H = (np.einsum("m,ijm->ij", y, Ex)
          - 2.0 * np.einsum("k,ijk->ij", G, Ey)
          - np.einsum("kj,ki->ij", E, N)
@@ -343,15 +312,25 @@ class CurvatureBundle:
 
 
 def spray_data(m: MetricSpec, f: PhiFamily, x, y) -> SprayData:
-    """Every fiber tensor of the spray at (x, y), read off one order-4 jet."""
+    """Every fiber tensor of the spray at (x, y), read off one order-4 jet.
+
+    D comes from the projective spray G^i - (d_m G^m) y^i / (n + 1) by jet
+    products, independently of B and E.
+    """
     y = np.asarray(y, dtype=float)
+    n = m.n
     jets = spray_ab(m, f, x, y, order=4)
     B, E = _berwald(jets)
     d4 = _fiber(jets, 4)
+    trace = jets[0].derivative(0)
+    for i in range(1, n):
+        trace = trace + jets[i].derivative(i)
+    projective = [jets[i].truncate(3) - (1.0 / (n + 1)) * trace
+                  * jet_variable(i, y[..., i], n, 3) for i in range(n)]
     return SprayData(G=_fiber(jets, 0), N=_fiber(jets, 1),
                      G_jk=_fiber(jets, 2), B=B, E=E,
-                     E_vert=0.5 * sum(d4[mm, mm] for mm in range(m.n)),
-                     D=_douglas(jets, y))
+                     E_vert=0.5 * sum(d4[..., mm, mm, :, :, :] for mm in range(n)),
+                     D=_fiber(projective, 3))
 
 
 def curvature_bundle(m: MetricSpec, f: PhiFamily, x, y,

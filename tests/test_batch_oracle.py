@@ -1,0 +1,91 @@
+"""A stack of directions gives, row by row, the bits of each direction alone.
+
+``fsq_jet``, ``fundamental``, ``spray_ab``, ``spray_data``, ``berwald``,
+``douglas``, ``riemann``, ``riemann_flag`` and ``s_curvature_def`` take a
+``(B, n)`` stack of directions at one point and run it through batched
+jets.  Row b of every field must equal the field of ``y[b]`` computed alone,
+exactly: the ``report`` stdout is byte-stable, and a batch that raises is
+redone one direction at a time.
+"""
+
+from dataclasses import fields
+
+import numpy as np
+import pytest
+
+from finsler.catalog import catalog_names, get_metric
+from finsler.classify import _admissible_dirs, default_directions
+from finsler.finsler_metric import fsq_jet, fundamental
+from finsler.spray_curvature import (_fiber, berwald, douglas,
+                                     ln_sigma_gradient, riemann, riemann_flag,
+                                     s_curvature_def, spray_ab, spray_data)
+
+
+def _same(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.shape == want.shape and np.array_equal(got, want, equal_nan=True)
+            and np.array_equal(np.signbit(got), np.signbit(want)))
+
+
+def _fields(obj):
+    return {fl.name: getattr(obj, fl.name) for fl in fields(obj)}
+
+
+def _point(entry, t):
+    lo = np.asarray(entry.metric.chart_domain.lo, dtype=float)
+    hi = np.asarray(entry.metric.chart_domain.hi, dtype=float)
+    return lo + t * (hi - lo)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+@pytest.mark.parametrize("count", [1, 3, 8])
+def test_batched_fields_equal_one_direction_at_a_time(name, count):
+    entry = get_metric(name)
+    m, f = entry.metric, entry.phi
+    x = _point(entry, 0.4)
+    Y = _admissible_dirs(m, f, x, default_directions(m.n, count, seed=count))
+    assert len(Y)
+    grad = ln_sigma_gradient(m, f, x)
+    fd, sd = fundamental(m, f, x, Y), spray_data(m, f, x, Y)
+    R = riemann(m, f, x, Y, spray=sd)
+    K = riemann_flag(m, f, x, Y)[1]
+    S = s_curvature_def(m, f, x, Y, grad, sd)
+    fsq = fsq_jet(m, f, x, Y, 2)
+    jets = {k: spray_ab(m, f, x, Y, order=k) for k in range(5)}
+    (B, E), D = berwald(m, f, x, Y), douglas(m, f, x, Y)
+    for b, y in enumerate(Y):
+        for key, want in _fields(fundamental(m, f, x, y)).items():
+            assert _same(getattr(fd, key)[b], want), key
+        sd1 = spray_data(m, f, x, y)
+        for key, want in _fields(sd1).items():
+            assert _same(getattr(sd, key)[b], want), key
+        B1, E1 = berwald(m, f, x, y)
+        assert _same(B[b], B1) and _same(E[b], E1)
+        assert _same(D[b], douglas(m, f, x, y))
+        assert _same(R[b], riemann_flag(m, f, x, y)[0])
+        assert _same(R[b], riemann(m, f, x, y, spray=sd1))
+        if m.n == 2:
+            assert K[b] == riemann_flag(m, f, x, y)[1]
+        else:
+            assert K is None
+        assert S[b] == s_curvature_def(m, f, x, y, grad, sd1)
+        assert _same(fsq.coeffs[:, b], fsq_jet(m, f, x, y, 2).coeffs)
+        assert _same(jets[0][b], spray_ab(m, f, x, y))
+        for k in range(1, 5):
+            alone = spray_ab(m, f, x, y, order=k)
+            for i in range(k + 1):
+                assert _same(_fiber(jets[k], i)[b], _fiber(alone, i))
+
+
+@pytest.mark.parametrize("name", ["lie_group", "sphere_randers", "fish_tank"])
+def test_riemann_flag_reuses_the_spray_and_fundamental_data(name):
+    entry = get_metric(name)
+    m, f = entry.metric, entry.phi
+    x = _point(entry, 0.6)
+    for y in default_directions(m.n, 5, seed=1):
+        sd, fd = spray_data(m, f, x, y), fundamental(m, f, x, y)
+        R, K = riemann_flag(m, f, x, y)
+        R2, K2 = riemann_flag(m, f, x, y, spray=sd, fd=fd)
+        assert np.array_equal(R, R2) and K == K2
+        R3, K3 = riemann_flag(m, f, x, y, fd=fd, R=riemann(m, f, x, y, spray=sd))
+        assert np.array_equal(R, R3) and K == K3

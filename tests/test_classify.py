@@ -11,8 +11,8 @@ from finsler.classify import (ClassificationReport, Verdict, classify_metric,
                               default_grid, is_generalized_berwald,
                               killing_constant_length, randers_s0_shortcut,
                               theorem11_verdict, unicorn_fit)
-from finsler.errors import (EmptyGrid, MissingReports, RankDeficient,
-                            WrongPhiVariant)
+from finsler.errors import (DegenerateFlag, EmptyGrid, EvaluationError,
+                            MissingReports, RankDeficient, WrongPhiVariant)
 from finsler.phi_families import RandersPhi, RiemannSqrtPhi, UnicornPhi
 
 
@@ -239,3 +239,48 @@ class TestEndToEnd:
                      "s_zero", "riemannian"):
             entry = doc["predicates"][pred]
             assert set(entry) == {"verdict", "residual", "threshold", "n_samples"}
+
+
+class TestFlagZeroLoop:
+    @pytest.mark.parametrize("error", [DegenerateFlag, EvaluationError])
+    def test_a_failing_flag_sample_is_skipped(self, monkeypatch, error):
+        # riemann_flag raises DegenerateFlag (denominator ~ 0) or
+        # EvaluationError (a failing stencil point); neither is a DomainError,
+        # and one such sample must not abort the whole classification
+        import finsler.classify as classify
+        e = get_metric("euclid_randers")
+        flag_zero = []
+        verdict = classify.theorem11_verdict
+
+        def recording(reports, **kw):
+            flag_zero.append(kw["flag_zero"])
+            return verdict(reports, **kw)
+
+        monkeypatch.setattr(classify, "theorem11_verdict", recording)
+        base = classify_metric(e.metric, e.phi)
+        calls = []
+        riemann = classify.riemann_flag
+
+        def failing_once(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 1:
+                raise error("first flag sample fails")
+            return riemann(*args, **kwargs)
+
+        monkeypatch.setattr(classify, "riemann_flag", failing_once)
+        rep = classify_metric(e.metric, e.phi)
+        assert rep.verdict == base.verdict == "LocallyMinkowskiLike"
+        assert flag_zero[-1].n_samples == flag_zero[0].n_samples - 1 > 0
+
+
+def test_curvature_flags_scale_by_the_bits_of_fundamental():
+    # the F that scales a sample to F = 1 comes from an order-0 F^2 jet of
+    # the point's batch; it must have the bits of `fundamental(...).F`
+    from finsler.finsler_metric import fsq_jet, fundamental
+    for name in ("lie_group", "bao_shen", "fish_tank"):
+        e = get_metric(name)
+        x = default_grid(e.metric)[1]
+        Y = default_directions(e.metric.n, 9, seed=3)
+        F = np.sqrt(fsq_jet(e.metric, e.phi, x, Y, 0).value)
+        assert np.array_equal(F, fundamental(e.metric, e.phi, x, Y).F)
+        assert np.array_equal(F, [fundamental(e.metric, e.phi, x, y).F for y in Y])

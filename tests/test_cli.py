@@ -13,6 +13,7 @@ from finsler.cli import RunConfig
 from finsler.errors import ConfigError, EvaluationError, UnknownQuantity
 
 EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected"
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 #: ``table --metric lie_group --quantity S --per-axis 2 --directions 4``,
@@ -274,4 +275,15 @@ class TestMain:
                    "--directions", "4", "--seed", "0"])
         assert rc == 0
         want = (EXPECTED / "report_solid.seed0.out").read_text()
+        assert capsys.readouterr().out == want
+
+    def test_report_bytes_of_failing_directions(self, capsys):
+        # a custom unicorn metric with |b| = 0.97 near the edge of its cone:
+        # two records fail at `fundamental`, six at `S_formula`, and the
+        # classification fails in a stencil.  Each point's batch raises and is
+        # redone one direction at a time, which must print the bytes of the
+        # one-direction-at-a-time engine that recorded this file.
+        rc = main(["report", "--config", str(FIXTURES / "unicorn_near_edge.json")])
+        assert rc == 0
+        want = (FIXTURES / "unicorn_near_edge.report.out").read_bytes().decode()
         assert capsys.readouterr().out == want
