@@ -14,13 +14,13 @@ from typing import Optional
 import numpy as np
 
 from .errors import (AllSamplesSingular, DegenerateFlag, DomainError,
-                     EmptyGrid, EvaluationError, FinslerError, MissingReports,
-                     RankDeficient, WrongPhiVariant)
+                     EmptyGrid, EvaluationError, MissingReports, RankDeficient,
+                     WrongPhiVariant)
 from .finsler_metric import fsq_jet, fundamental
 from .geometry_core import MetricSpec, beta_at
 from .phi_families import PhiFamily, _q_series
-from .spray_curvature import (landsberg, ln_sigma_gradient, riemann_flag,
-                              s_curvature_def, spray_data)
+from .spray_curvature import (landsberg, ln_sigma_gradient, per_direction,
+                              riemann_flag, s_curvature_def, spray_data)
 
 #: default thresholds per predicate family
 TOL_TENSOR = 1e-6
@@ -171,7 +171,7 @@ def _sample_norms(m, f, x, Y, grad):
         return np.abs(np.reshape(T, (len(S), -1))).max(axis=1)
 
     return np.column_stack([norm(sd.B), norm(landsberg(fd, sd.B)), norm(sd.D),
-                            np.abs(S), norm(fd.C)])
+                            np.abs(S), norm(fd.C)]).tolist()
 
 
 def curvature_flags(m: MetricSpec, f: PhiFamily, grid, dirs=None,
@@ -193,11 +193,7 @@ def curvature_flags(m: MetricSpec, f: PhiFamily, grid, dirs=None,
         if not len(usable):
             continue
         grad = ln_sigma_gradient(m, f, x)
-        try:
-            rows = _sample_norms(m, f, x, usable, grad)
-        except FinslerError:
-            rows = np.concatenate([_sample_norms(m, f, x, y, grad) for y in usable])
-        for row in rows.tolist():
+        for row in per_direction(lambda Y: _sample_norms(m, f, x, Y, grad), usable):
             for name, r in zip(res, row):
                 res[name] = max(res[name], r)
             n_used += 1

@@ -28,9 +28,9 @@ from .geometry_core import ChartDomain, MetricSpec, beta_at
 from .phi_families import (CustomExprPhi, RandersPhi, RiemannSqrtPhi,
                            UnicornPhi, _q_series)
 from .spray_curvature import (berwald, douglas, h_curvature, landsberg,
-                              ln_sigma_gradient, riemann, riemann_flag,
-                              s_curvature_def, s_curvature_formula, spray_ab,
-                              spray_data)
+                              ln_sigma_gradient, per_direction, riemann,
+                              riemann_flag, s_curvature_def,
+                              s_curvature_formula, spray_ab, spray_data)
 
 QUANTITIES = ("a", "b_form", "gamma", "r", "s", "r_i", "s_i", "bnorm", "Q",
               "G", "B", "E", "L", "D", "R", "K", "S", "H", "sigma")
@@ -183,9 +183,9 @@ def _fmt(v):
 def _records(m, f, x, Y, grad):
     """Curvature records at x for one direction or a ``(B, n)`` stack of them.
 
-    A stack goes through every layer as one batch.  If any layer raises, its
-    directions are redone one at a time, so every record, a partial one and
-    its error text included, is the record of its direction alone.
+    A stack goes through every layer as one batch and raises if any layer
+    does; one direction gives its record, a partial one with the error text
+    if a layer raises.
     """
     dirs = np.reshape(Y, (-1, m.n))
     recs = [{"x": [_fmt(v) for v in x], "y": [_fmt(v) for v in y]} for y in dirs]
@@ -217,7 +217,7 @@ def _records(m, f, x, Y, grad):
             fill("S_def", s_curvature_def(m, f, x, Y, grad, sd))
     except FinslerError as exc:
         if Y.ndim == 2:
-            return [rec for y in Y for rec in _records(m, f, x, y, grad)]
+            raise
         recs[0]["error"] = f"{type(exc).__name__}: {exc}"
     return recs
 
@@ -233,7 +233,7 @@ def cmd_report(cfg):
             grad = ln_sigma_gradient(m, f, x)
         except FinslerError:
             grad = None
-        records += _records(m, f, x, dirs, grad)
+        records += per_direction(lambda Y: _records(m, f, x, Y, grad), dirs)
     try:
         # classification always samples 3 points per axis: a coarser grid can
         # be radius-symmetric and mask a non-constant one-form length

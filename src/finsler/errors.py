@@ -58,7 +58,7 @@ class ZeroNorm(FinslerError):
     """The one-form has (numerically) zero length where a positive length is required."""
 
 
-class ZeroVector(FinslerError):
+class ZeroVector(DomainError):
     """A nonzero tangent vector is required."""
 
 

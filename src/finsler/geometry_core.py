@@ -83,12 +83,15 @@ def christoffels(m: MetricSpec, x):
     da = np.array([base_derivative(m.a_at, x, k, 1) for k in range(n)])
     lower = np.tril_indices(n, -1)
     da[:, lower[0], lower[1]] = da[:, lower[1], lower[0]]
-    # gamma[i, j, k] = 1/2 sum_mm a_inv[i, mm] t[mm, j, k], summed in mm order
-    t = da.transpose(1, 0, 2) + da.transpose(1, 2, 0) - da
-    acc = 0.0
-    for mm in range(n):
-        acc = acc + a_inv[:, mm, None, None] * t[mm]
-    return 0.5 * acc
+    gamma = np.zeros((n, n, n))
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                acc = 0.0
+                for mm in range(n):
+                    acc += a_inv[i, mm] * (da[j, mm, k] + da[k, mm, j] - da[mm, j, k])
+                gamma[i, j, k] = 0.5 * acc
+    return gamma
 
 
 @dataclass

@@ -112,10 +112,16 @@ class JetScalar:
         """The constant term: a float, or a ``(B,)`` array for a batch."""
         return float(self.coeffs[0]) if self.coeffs.ndim == 1 else self.coeffs[0]
 
+    def coeff(self, multi_index):
+        _, pos, _ = _tables(self.n_vars, self.max_order)
+        return float(self.coeffs[pos[tuple(multi_index)]])
+
     def partial(self, multi_index):
         """Partial derivative for the given multi-index (coefficient times factorials)."""
-        pos = _tables(self.n_vars, self.max_order)[1][tuple(multi_index)]
-        return float(self.coeffs[pos]) * math.prod(map(math.factorial, multi_index))
+        fac = 1.0
+        for m in multi_index:
+            fac *= math.factorial(m)
+        return self.coeff(multi_index) * fac
 
     def tensor(self, k):
         """All k-th partial derivatives as a symmetric ``(n_vars,) * k`` array.
@@ -158,7 +164,8 @@ class JetScalar:
             if other.n_vars != self.n_vars or other.max_order != self.max_order:
                 raise DomainError("jet arithmetic requires equal n_vars and max_order")
             return other
-        if isinstance(other, _NUMBER):  # a constant of this jet's batch shape
+        if isinstance(other, _NUMBER + (np.ndarray,)):
+            # a constant of this jet's batch shape: a number, or one per column
             c = np.zeros(self.coeffs.shape)
             c[0] = other
             return self._like(c)
@@ -242,10 +249,7 @@ class JetScalar:
         top = min(len(coeffs) - 1, self.max_order)
         out = JetScalar.constant(coeffs[top], self.n_vars, self.max_order)
         for k in range(top - 1, -1, -1):
-            out = out * w
-            # a product has no -0.0 coefficient, so this has the bits of
-            # adding a constant jet
-            out.coeffs[0] += coeffs[k]
+            out = out * w + coeffs[k]
         return out
 
     def _compose(self, tag):

@@ -11,6 +11,8 @@ oracle.  Base-point derivatives of spray-level fields always go through
 ``riemann_flag`` and ``s_curvature_def`` take one direction ``y`` or a
 ``(B, n)`` stack at one x, which goes through as one jet batch and gives every
 field a leading B axis, each row with the bits of its direction alone.
+:func:`per_direction` runs a caller's batch and, if it raises, redoes it one
+direction at a time.
 """
 
 import math
@@ -20,13 +22,26 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateFlag, DimensionError, NonPositiveDensity
+from .errors import (DegenerateFlag, DimensionError, FinslerError,
+                     NonPositiveDensity)
 from .finsler_metric import (FundamentalData, alpha_beta_jets, fsq_jet,
                              fundamental, sigma_bh)
 from .geometry_core import MetricSpec, beta_at, beta_contractions
 from .jets import base_derivative, jet_form, jet_variable
 from .phi_families import PhiFamily, spray_scalar_series
 from .quadrature import adaptive_simpson
+
+
+def per_direction(fn, Y):
+    """``fn(Y)`` on a ``(B, n)`` stack, or, if it raises, ``fn(y)`` per direction.
+
+    ``fn`` returns one item per direction; the fallback concatenates them, so
+    every error, raised or recorded, is the one its direction raises alone.
+    """
+    try:
+        return fn(Y)
+    except FinslerError:
+        return [item for y in Y for item in fn(y)]
 
 
 def spray_alpha(m: MetricSpec, x, y):
@@ -338,7 +353,7 @@ def curvature_bundle(m: MetricSpec, f: PhiFamily, x, y,
     """Convenience: every curvature tensor at one (x, y)."""
     fd = fundamental(m, f, x, y)
     sd = spray_data(m, f, x, y)
-    R, K = riemann_flag(m, f, x, y)
+    R, K = riemann_flag(m, f, x, y, spray=sd, fd=fd)
     s_form = s_curvature_formula(m, f, x, y)
     s_def = s_curvature_def(m, f, x, y, spray=sd) if with_s_def else None
     H = h_curvature(m, f, x, y) if with_h else None

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from finsler.catalog import get_metric
-from finsler.errors import DimensionError
+from finsler.classify import default_directions, default_grid
+from finsler.errors import (DimensionError, DomainError, EvaluationError,
+                            ZeroVector)
 from finsler.finsler_metric import fundamental
 from finsler.spray_curvature import (berwald, berwald_2d_identity,
                                      curvature_bundle, douglas,
@@ -56,6 +58,13 @@ class TestSpray:
         # G_jk y^j y^k = 2 G^i as well
         assert np.allclose(np.einsum("ijk,j,k->i", sd.G_jk, [1.0, 0.4], [1.0, 0.4]),
                            2.0 * sd.G, atol=1e-10)
+
+
+    def test_zero_direction_is_a_domain_error(self):
+        e = get_metric("lie_group")
+        with pytest.raises(ZeroVector):
+            spray_ab(e.metric, e.phi, [0.0, 1.0], [0.0, 0.0])
+        assert issubclass(ZeroVector, DomainError)
 
 
 class TestBerwaldFamily:
@@ -183,7 +192,38 @@ class TestHCurvature:
         assert np.allclose(H, H.T, atol=1e-6)
 
 
+    def test_failing_y_stencil_point_is_an_evaluation_error(self, monkeypatch):
+        # the y-stencil goes through base_derivative, which wraps a failing
+        # stencil point in EvaluationError as the x-stencil always did
+        import finsler.spray_curvature as sc
+        e = get_metric("lie_group")
+        y0 = np.array([0.6, 0.4])  # |y| < 1: the y-step is 1e-3
+        real = sc.berwald
+
+        def failing_off_centre(m, f, x, y):
+            if not np.array_equal(y, y0):
+                raise DomainError("off-centre direction")
+            return real(m, f, x, y)
+
+        monkeypatch.setattr(sc, "berwald", failing_off_centre)
+        with pytest.raises(EvaluationError) as info:
+            h_curvature(e.metric, e.phi, [0.0, 1.0], y0)
+        assert str(info.value) == ("field evaluation failed at offset +0.001 "
+                                   "along axis 0: off-centre direction")
+        assert isinstance(info.value.__cause__, DomainError)
+
+
 class TestBundle:
+    def test_r_and_k_have_the_bits_of_riemann_flag(self):
+        # the bundle hands its spray and fundamental data to riemann_flag
+        for name in ("lie_group", "sphere_randers", "fish_tank"):
+            e = get_metric(name)
+            x = default_grid(e.metric)[2]
+            for y in default_directions(2, 3, seed=2):
+                cb = curvature_bundle(e.metric, e.phi, x, y, with_s_def=False)
+                R, K = riemann_flag(e.metric, e.phi, x, y)
+                assert np.array_equal(cb.R, R) and cb.K == K
+
     def test_bundle_consistency(self):
         e = get_metric("lie_group")
         cb = curvature_bundle(e.metric, e.phi, [0.0, 1.0], [1.0, 0.3],
