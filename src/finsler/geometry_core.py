@@ -62,13 +62,18 @@ class MetricSpec:
         return v
 
 
-def _inverse_spd(a, what="a_ij"):
-    """Inverse of a symmetric positive-definite matrix, or of a stack of them."""
+def _inverse_cholesky(a, what="a_ij"):
+    """L^-1 for a = L L^T, L lower triangular; a stack of matrices gives a stack."""
     try:
         chol = np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
         raise SingularMetric(f"{what} is not positive definite") from exc
-    inv_chol = np.linalg.inv(chol)
+    return np.linalg.inv(chol)
+
+
+def _inverse_spd(a, what="a_ij"):
+    """Inverse of a symmetric positive-definite matrix, or of a stack of them."""
+    inv_chol = _inverse_cholesky(a, what)
     return inv_chol.swapaxes(-1, -2) @ inv_chol
 
 

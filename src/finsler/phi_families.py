@@ -139,15 +139,17 @@ class UnicornPhi(PhiFamily):
         return c
 
 
-@lru_cache(maxsize=2 * 129 * 257)
+@lru_cache(maxsize=2 * 2048)
 def _unicorn_value(f: UnicornPhi, s):
     """phi(s) = c exp(int_0^s g), one quadrature per (f, s) key.
 
-    sigma_bh asks for phi at its 2049 (n = 2) or 129 x 257 (n = 3) nodes in
-    the same order each call, and at constant a and b the s repeat.  An LRU
-    smaller than a sweep evicts every key before its reuse, so this one holds
-    two n = 3 sweeps.  A ``UnicornPhi`` hashes by identity and is never
-    mutated after construction; an entry keeps its id from being reused.
+    sigma_bh asks for phi at its 256 (n = 2) or 32 x 64 = 2048 (n = 3) nodes
+    in the same order each call, and at constant a and b the s repeat.  An
+    LRU smaller than a sweep evicts every key before its reuse, so this one
+    holds two n = 3 sweeps (not the 16x larger ones of sigma_bh's finer rule,
+    taken only for strongly elongated unit balls).  A ``UnicornPhi`` hashes
+    by identity and is never mutated after construction; an entry keeps its
+    id from being reused.
     """
     return f.c * math.exp(adaptive_simpson(f._g, 0.0, s, tol=1e-12))
 
@@ -199,9 +201,13 @@ def _series(f: PhiFamily, s, order):
     return JetScalar(per_column(lambda v: f.taylor(v, order), s), 1, order)
 
 
-def _q_series(f: PhiFamily, s, order):
-    """Taylor series of Q = phi'/(phi - s phi') at s, to the given order."""
-    phi = _series(f, s, order + 1)
+def _q_series(f: PhiFamily, s, order, phi=None):
+    """Taylor series of Q = phi'/(phi - s phi') at s, to the given order.
+
+    ``phi`` is phi's series at s to order + 1, if the caller has it.
+    """
+    if phi is None:
+        phi = _series(f, s, order + 1)
     phip = phi.derivative(0)
     sv = jet_variable(0, s, 1, order)
     den = phi.truncate(order) - sv * phip
@@ -247,7 +253,8 @@ def spray_scalar_series(f: PhiFamily, b, s0, order):
 
     A ``(B,)`` array of s0 gives batched series.
     """
-    q_big = _q_series(f, s0, order + 1)
+    phi = _series(f, s0, order + 2)
+    q_big = _q_series(f, s0, order + 1, phi)
     qp = q_big.derivative(0)
     q = q_big.truncate(order)
     sv = jet_variable(0, s0, 1, order)
@@ -255,7 +262,6 @@ def spray_scalar_series(f: PhiFamily, b, s0, order):
     if (delta.coeffs[0] <= 1e-12).any():
         raise DegenerateDenominator(f"Delta = {delta.value} at (b={b}, s={s0})")
     theta = (q - sv * qp) / (2.0 * delta)
-    phi = _series(f, s0, order + 2)
     phip = phi.derivative(0)
     phipp = phip.derivative(0)
     psi = phipp / ((phi.truncate(order) - sv * phip.truncate(order)

@@ -1,6 +1,4 @@
-"""Simpson quadrature: adaptive for smooth 1-D integrands, weights for grids."""
-
-import numpy as np
+"""Adaptive Simpson quadrature for smooth 1-D integrands."""
 
 from .errors import EvaluationError
 
@@ -29,14 +27,3 @@ def _simpson_step(f, a, b, fa, fb, fm, whole, tol, depth):
         return left + right + err / 15.0
     return (_simpson_step(f, a, m, fa, fm, flm, left, tol / 2.0, depth - 1)
             + _simpson_step(f, m, b, fm, fb, frm, right, tol / 2.0, depth - 1))
-
-
-def simpson_weights(n_intervals):
-    """Composite Simpson weights on n_intervals+1 equispaced nodes (n even)."""
-    if n_intervals % 2 != 0:
-        raise ValueError("composite Simpson needs an even interval count")
-    w = np.ones(n_intervals + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w / 3.0
-

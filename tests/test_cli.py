@@ -1,6 +1,7 @@
 """CLI subcommands, config validation, CSV/JSON output, exit codes."""
 
 import csv
+import importlib.util
 import io
 import json
 import math
@@ -8,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from finsler.cli import build_parser, cmd_classify, cmd_report, cmd_table, main
+from finsler.cli import (build_parser, cmd_check, cmd_classify, cmd_report,
+                         cmd_table, main)
 from finsler.cli import RunConfig
 from finsler.errors import ConfigError, EvaluationError, UnknownQuantity
 
@@ -16,8 +18,20 @@ EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected"
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
+def _benchmark_check(command, text, expected_name):
+    """perfbench's own output check of ``text`` against its expected stdout."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_outputs", EXPECTED.parent / "outputs.py")
+    outputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(outputs)
+    want = (EXPECTED / expected_name).read_text()
+    return outputs.check_output(command, text, want)
+
+
 #: ``table --metric lie_group --quantity S --per-axis 2 --directions 4``,
-#: as printed when every direction recomputed the ln sigma gradient
+#: as printed when every direction recomputed the ln sigma gradient (two
+#: S_def cells re-recorded for the spectral sigma rule: ...734 -> ...733,
+#: nearer the S_formula cell ...729)
 S_TABLE_ROWS = [
     "x1,x2,y1,y2,S_formula,S_def",
     "-2.76,0.44,0.995004165278,0.0998334166468,-1.40990952073,-1.40990952059",
@@ -25,7 +39,7 @@ S_TABLE_ROWS = [
     "-2.76,0.44,-0.995004165278,-0.0998334166468,-1.59172674391,-1.59172674405",
     "-2.76,0.44,0.0998334166468,-0.995004165278,-1.52202086016,-1.52202086151",
     "-2.76,4.76,0.995004165278,0.0998334166468,-0.13032777085,-0.130327770849",
-    "-2.76,4.76,-0.0998334166468,0.995004165278,0.109872226729,0.109872226734",
+    "-2.76,4.76,-0.0998334166468,0.995004165278,0.109872226729,0.109872226733",
     "-2.76,4.76,-0.995004165278,-0.0998334166468,-0.147134405,-0.147134405001",
     "-2.76,4.76,0.0998334166468,-0.995004165278,-0.140691003723,-0.140691003728",
     "2.76,0.44,0.995004165278,0.0998334166468,-1.40990952073,-1.40990952059",
@@ -33,7 +47,7 @@ S_TABLE_ROWS = [
     "2.76,0.44,-0.995004165278,-0.0998334166468,-1.59172674391,-1.59172674405",
     "2.76,0.44,0.0998334166468,-0.995004165278,-1.52202086016,-1.52202086151",
     "2.76,4.76,0.995004165278,0.0998334166468,-0.13032777085,-0.130327770849",
-    "2.76,4.76,-0.0998334166468,0.995004165278,0.109872226729,0.109872226734",
+    "2.76,4.76,-0.0998334166468,0.995004165278,0.109872226729,0.109872226733",
     "2.76,4.76,-0.995004165278,-0.0998334166468,-0.147134405,-0.147134405001",
     "2.76,4.76,0.0998334166468,-0.995004165278,-0.140691003723,-0.140691003728",
 ]
@@ -261,21 +275,42 @@ class TestMain:
         for cmd in ("report", "table", "classify", "check"):
             assert cmd in p.format_help()
 
+    # The byte-stable stdout contract, checked on every test run against the
+    # bytes recorded in tests/fixtures/, and the benchmark's check of the same
+    # stdout against perfbench/expected/ (recorded with the Simpson sigma
+    # rule, so within the acceptance thresholds rather than byte for byte).
+
     def test_report_bytes_match_benchmark_expectation(self, capsys):
-        # the byte-stable stdout contract, checked on every test run
         rc = main(["report", "--metric", "lie_group", "--per-axis", "2",
                    "--directions", "8"])
         assert rc == 0
-        want = (EXPECTED / "report_surface.any.out").read_text()
-        assert capsys.readouterr().out == want
+        out = capsys.readouterr().out
+        assert out == (FIXTURES / "report_surface.out").read_text()
+        assert _benchmark_check("report", out, "report_surface.any.out")[1:4] == (True, 32, 0)
 
     def test_report_solid_bytes_match_benchmark_expectation(self, capsys):
         # the same contract in 3-D: n = 3 jets, Riemann without K, 3-D stencils
         rc = main(["report", "--metric", "bao_shen", "--per-axis", "2",
                    "--directions", "4", "--seed", "0"])
         assert rc == 0
-        want = (EXPECTED / "report_solid.seed0.out").read_text()
-        assert capsys.readouterr().out == want
+        out = capsys.readouterr().out
+        assert out == (FIXTURES / "report_solid.seed0.out").read_text()
+        assert _benchmark_check("report", out, "report_solid.seed0.out")[1:4] == (True, 32, 0)
+
+    def test_check_bytes_match_benchmark_expectation(self):
+        stream = io.StringIO()
+        assert cmd_check(seed=0, stream=stream) == 0
+        out = stream.getvalue()
+        assert out == (FIXTURES / "check.seed0.out").read_text()
+        assert out.endswith("13/13 criteria passed\n")
+        assert _benchmark_check("check", out, "check_suite.seed0.out")[1:4] == (True, 13, 0)
+
+    def test_mw_classification_fails_typed(self, capsys):
+        # mw has |b| = 1: F = 0 at one sigma node, so the ln sigma stencil fails
+        assert main(["classify", "--metric", "mw", "--per-axis", "2",
+                     "--directions", "4"]) == 1
+        assert ("EvaluationError: field evaluation failed at offset +0.001 "
+                "along axis 0: F <= 0 at 1 quadrature node(s)") in capsys.readouterr().err
 
     def test_report_bytes_of_failing_directions(self, capsys):
         # a custom unicorn metric with |b| = 0.97 near the edge of its cone:

@@ -170,3 +170,15 @@ class TestScalars:
         assert psi_t.value == pytest.approx(sc.Psi)
         # first series coefficient of Q is Q'
         assert q_t.partial((1,)) == pytest.approx(sc.Qp)
+
+    def test_spray_scalar_series_builds_phi_once(self):
+        # Q and Psi share one order + 2 series of phi
+        calls = []
+
+        class Counted(UnicornPhi):
+            def taylor(self, s0, order):
+                calls.append((s0, order))
+                return super().taylor(s0, order)
+
+        spray_scalar_series(Counted(1.0, 0.3, 0.7, 1.0), 0.6, 0.3, 4)
+        assert calls == [(0.3, 6)]

@@ -1,9 +1,12 @@
-"""Cached sigma nodes, the einsum-free alpha^2 and the f(b) memo keep the bits.
+"""sigma_bh's spectral rule against closed forms, a refined rule and Simpson.
 
-The reference functions below are ``sigma_bh`` and ``finsler_eval_many`` as
-they were before the quadrature nodes were cached: the grid is rebuilt on
-every call and alpha^2 comes from a three-operand ``einsum``.  The engine must
-reproduce them exactly, not just closely: the ``report`` stdout is
+``sigma_bh`` integrates the unit-ball volume with the trapezoid rule on the
+circle, and with Gauss-Legendre in cos(theta) x the trapezoid rule in the
+azimuth on the sphere.  It must give the closed-form densities at 1e-13, the
+same rule refined (GL 96 x 192 on the sphere, 4096 nodes on the circle) at
+1e-12, and the composite Simpson rule it replaced within that rule's own
+error.  The cached nodes, the einsum-free alpha^2 and the f(b) memo must keep
+the bits of the uncached computations exactly: the ``report`` stdout is
 byte-stable.
 """
 
@@ -13,14 +16,16 @@ import numpy as np
 import pytest
 
 from finsler.catalog import catalog_names, get_metric
-from finsler.errors import SingularDirectionInQuadrature
-from finsler.finsler_metric import _polar_nodes, finsler_eval_many, sigma_bh
+from finsler.errors import SingularDirectionInQuadrature, SingularMetric
+from finsler.finsler_metric import (_MAX_RADIUS_RATIO, _polar_nodes,
+                                    finsler_eval_many, sigma_bh)
 from finsler.geometry_core import ChartDomain, MetricSpec
 from finsler.phi_families import CustomExprPhi, RandersPhi, UnicornPhi
-from finsler.quadrature import simpson_weights
 from finsler.spray_curvature import _angular_density
 
 _UNIT_BALL_VOLUME = {2: math.pi, 3: 4.0 * math.pi / 3.0}
+#: every catalog metric with a bounded unit ball (mw has |b| = 1)
+BOUNDED = [name for name in catalog_names() if name != "mw"]
 
 
 def ref_finsler_eval_many(m, f, x, Y):
@@ -32,61 +37,51 @@ def ref_finsler_eval_many(m, f, x, Y):
     return alpha * f.value_many(s), s
 
 
-def _ref_radii(m, f, x, dirs, step_shift):
-    F, s = ref_finsler_eval_many(m, f, x, dirs)
-    half = f.b0 * (1.0 - f.delta)
-    bad = (~np.isfinite(F)) | (F <= 0.0) | (np.abs(s) > half)
-    shifted = bool(np.any(bad))
-    if shifted:
-        dirs2 = dirs.copy()
-        dirs2[bad] = step_shift(dirs[bad])
-        F2, s2 = ref_finsler_eval_many(m, f, x, dirs2)
-        still = (~np.isfinite(F2)) | (F2 <= 0.0) | (np.abs(s2) > half)
-        if np.any(still):
-            raise SingularDirectionInQuadrature(
-                f"{int(np.sum(still))} quadrature nodes persistently singular")
-        F = np.where(bad, F2, F)
-    return 1.0 / F, shifted
+def _sphere(n_u, n_az):
+    """Unit directions and weights of int r^3/3: Gauss-Legendre in u x trapezoid."""
+    u, wu = np.polynomial.legendre.leggauss(n_u)
+    phi = np.linspace(0.0, 2.0 * math.pi, n_az, endpoint=False)
+    rho = np.sqrt(1.0 - u * u)[:, None]
+    dirs = np.column_stack([(rho * np.cos(phi)).ravel(),
+                            (rho * np.sin(phi)).ravel(), np.repeat(u, n_az)])
+    return dirs, np.repeat(wu * (2.0 * math.pi / n_az) / 3.0, n_az)
 
 
-def ref_sigma_bh(m, f, x):
-    """(sigma, shifted), with the grid rebuilt on every call."""
-    n = m.n
-    if n == 2:
-        n_int = 2048
-        theta = np.linspace(0.0, 2.0 * math.pi, n_int + 1)
-        h = theta[1] - theta[0]
+def refined_sigma(m, f, x):
+    """The same rule on many more nodes: GL 96 x 192, or 4096 on the circle."""
+    if m.n == 2:
+        phi = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
+        dirs = np.column_stack([np.cos(phi), np.sin(phi)])
+        w = np.full(4096, math.pi / 4096)
+    else:
+        dirs, w = _sphere(96, 192)
+    F = finsler_eval_many(m, f, x, dirs)[0]
+    return _UNIT_BALL_VOLUME[m.n] / float(w @ F ** -float(m.n))
+
+
+def simpson_sigma(m, f, x):
+    """The composite Simpson rule sigma_bh used before: 2048 intervals on the
+    circle, 128 x 256 intervals in (theta, azimuth) on the sphere."""
+    def weights(k):
+        w = np.ones(k + 1)
+        w[1:-1:2], w[2:-1:2] = 4.0, 2.0
+        return w / 3.0
+
+    if m.n == 2:
+        theta = np.linspace(0.0, 2.0 * math.pi, 2049)
         dirs = np.column_stack([np.cos(theta), np.sin(theta)])
-
-        def shift(sub):
-            ang = np.arctan2(sub[:, 1], sub[:, 0]) + 0.5 * h
-            return np.column_stack([np.cos(ang), np.sin(ang)])
-
-        r, shifted = _ref_radii(m, f, x, dirs, shift)
-        area = 0.5 * h * float(np.dot(simpson_weights(n_int), r * r))
-        return _UNIT_BALL_VOLUME[2] / area, shifted
-    nt, np_ = 128, 256
-    theta = np.linspace(0.0, math.pi, nt + 1)
-    phi = np.linspace(0.0, 2.0 * math.pi, np_ + 1)
-    ht, hp = theta[1] - theta[0], phi[1] - phi[0]
+        r = 1.0 / finsler_eval_many(m, f, x, dirs)[0]
+        return math.pi / (0.5 * (theta[1] - theta[0]) * float(weights(2048) @ r ** 2))
+    theta = np.linspace(0.0, math.pi, 129)
+    phi = np.linspace(0.0, 2.0 * math.pi, 257)
     T, P = np.meshgrid(theta, phi, indexing="ij")
-    dirs = np.column_stack([
-        (np.sin(T) * np.cos(P)).ravel(),
-        (np.sin(T) * np.sin(P)).ravel(),
-        np.cos(T).ravel(),
-    ])
-
-    def shift(sub):
-        c, s_ = math.cos(0.5 * hp), math.sin(0.5 * hp)
-        rot = np.array([[c, -s_, 0.0], [s_, c, 0.0], [0.0, 0.0, 1.0]])
-        return sub @ rot.T
-
-    r, shifted = _ref_radii(m, f, x, dirs, shift)
-    integrand = (r.reshape(nt + 1, np_ + 1) ** 3) * np.sin(T) / 3.0
-    wt = simpson_weights(nt) * ht
-    wp = simpson_weights(np_) * hp
-    vol = float(wt @ integrand @ wp)
-    return _UNIT_BALL_VOLUME[3] / vol, shifted
+    dirs = np.column_stack([(np.sin(T) * np.cos(P)).ravel(),
+                            (np.sin(T) * np.sin(P)).ravel(), np.cos(T).ravel()])
+    r = 1.0 / finsler_eval_many(m, f, x, dirs)[0]
+    integrand = r.reshape(T.shape) ** 3 * np.sin(T) / 3.0
+    vol = float((weights(128) * (theta[1] - theta[0])) @ integrand
+                @ (weights(256) * (phi[1] - phi[0])))
+    return _UNIT_BALL_VOLUME[3] / vol
 
 
 def _points(entry):
@@ -98,12 +93,159 @@ def _points(entry):
     return pts
 
 
-@pytest.mark.parametrize("name", catalog_names())
-def test_sigma_bit_equal_on_catalog(name):
+def _constant_metric(a, b):
+    n = len(b)
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return MetricSpec(n=n, a=lambda x: a, b_form=lambda x: b,
+                      chart_domain=ChartDomain((-1.0,) * n, (1.0,) * n))
+
+
+@pytest.mark.parametrize("n, b", [
+    (2, [0.3, 0.0]), (2, [0.48, 0.64]), (2, [0.99, 0.0]),
+    (3, [0.3, 0.0, 0.0]), (3, [0.0, 0.0, 0.8]), (3, [0.48, 0.0, 0.64]),
+    (3, [0.95, 0.0, 0.0]),
+])
+def test_sigma_closed_form_flat_randers(n, b):
+    # F = |y| + b.y: the unit ball is an ellipsoid, sigma = (1 - |b|^2)^((n+1)/2)
+    m = _constant_metric(np.eye(n), b)
+    want = (1.0 - float(np.dot(b, b))) ** ((n + 1) / 2)
+    assert sigma_bh(m, RandersPhi(), np.zeros(n)) == pytest.approx(want, rel=1e-13)
+
+
+def test_sigma_closed_form_of_euclid_randers():
+    e = get_metric("euclid_randers", eps=0.7)
+    got = sigma_bh(e.metric, e.phi, [0.1, -0.2])
+    assert got == pytest.approx((1.0 - 0.49) ** 1.5, rel=1e-13)
+
+
+@pytest.mark.parametrize("a, b", [
+    ([[2.0, 0.3], [0.3, 0.5]], [0.0, 0.0]),
+    ([[1.5, 0.2, 0.1], [0.2, 1.0, -0.1], [0.1, -0.1, 1.2]], [0.0, 0.0, 0.0]),
+    ([[200.0, 1.0], [1.0, 0.5]], [3.0, 0.2]),
+    ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 200.0]], [0.2, -0.3, 5.0]),
+])
+def test_sigma_closed_form_randers(a, b):
+    # F = alpha + beta: sigma = sqrt(det a) (1 - |b|_alpha^2)^((n+1)/2), and
+    # b = 0 leaves the density of alpha, sqrt(det a)
+    n = len(a)
+    m = _constant_metric(a, b)
+    b_alpha2 = float(np.dot(b, np.linalg.solve(a, b)))
+    want = math.sqrt(np.linalg.det(a)) * (1.0 - b_alpha2) ** ((n + 1) / 2)
+    assert sigma_bh(m, RandersPhi(), np.zeros(n)) == pytest.approx(want, rel=1e-13)
+
+
+def test_elongated_unit_ball_takes_the_finer_rule():
+    # |b| = 0.95 stretches the unit ball: its radii vary by 39x, past the
+    # ratio the base sphere rule integrates to 1e-14, and the base rule alone
+    # is off by about 3e-8
+    m = _constant_metric(np.eye(3), [0.95, 0.0, 0.0])
+    x, want = np.zeros(3), (1.0 - 0.95 ** 2) ** 2
+    dirs, w = _polar_nodes(3)[1]
+    r = 1.0 / finsler_eval_many(m, RandersPhi(), x, dirs)[0]
+    assert r.max() > _MAX_RADIUS_RATIO[3] * r.min()
+    base = _UNIT_BALL_VOLUME[3] / float(w @ r ** 3)
+    assert abs(base / want - 1.0) > 1e-9
+    assert sigma_bh(m, RandersPhi(), x) == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("name", BOUNDED)
+def test_sigma_matches_refined_rule(name):
     entry = get_metric(name)
     m, f = entry.metric, entry.phi
     for x in _points(entry):
-        assert sigma_bh(m, f, x, with_flag=True) == ref_sigma_bh(m, f, x)
+        assert sigma_bh(m, f, x) == pytest.approx(refined_sigma(m, f, x), rel=1e-12)
+
+
+@pytest.mark.parametrize("name", BOUNDED)
+def test_sigma_within_simpson_error(name):
+    # the Simpson rule's own error reaches 1.1e-8 (bao_shen) on these points
+    entry = get_metric(name)
+    m, f = entry.metric, entry.phi
+    for x in _points(entry):
+        assert sigma_bh(m, f, x) == pytest.approx(simpson_sigma(m, f, x), rel=1e-7)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_sigma_bit_equal_on_catalog(name):
+    # the cached read-only nodes give the bits of freshly built ones, also
+    # after sweeps that shifted nodes, refined, or failed
+    entry = get_metric(name)
+    m, f = entry.metric, entry.phi
+
+    def sweep(x):
+        try:
+            return sigma_bh(m, f, x, with_flag=True)
+        except SingularDirectionInQuadrature as exc:
+            return str(exc)
+
+    for x in _points(entry):
+        cached = sweep(x)
+        _polar_nodes.cache_clear()
+        assert sweep(x) == cached
+
+
+def _edge_metric(n):
+    """|beta| just past the admissible half-width at the nodes of azimuth 0
+    and pi nearest to +-b (two on the circle, four on the sphere, at
+    u = +-u_min); a half-step turn about the polar axis brings them back."""
+    f = CustomExprPhi("1 + 0.2*s", b0=1.0, delta=0.05)
+    half = f.b0 * (1.0 - f.delta)
+    h, (dirs, _) = _polar_nodes(n)
+    rho = np.hypot(dirs[:, 0], dirs[:, 1]).max()  # 1 on the circle
+    m = _constant_metric(np.eye(n), [half / (rho * math.cos(0.25 * h))]
+                         + [0.0] * (n - 1))
+    return m, f, half, h
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_shifted_nodes_bit_equal(n):
+    m, f, half, h = _edge_metric(n)
+    x = np.zeros(n)
+    dirs, w = _polar_nodes(n)[1]
+    bad = np.abs(dirs @ m.b_at(x)) > half
+    assert int(bad.sum()) == {2: 2, 3: 4}[n]
+    # the sweep with only the bad nodes turned by h/2 about the polar axis
+    rot = np.eye(n)
+    rot[:2, :2] = [[math.cos(0.5 * h), -math.sin(0.5 * h)],
+                   [math.sin(0.5 * h), math.cos(0.5 * h)]]
+    moved = dirs.copy()
+    moved[bad] = dirs[bad] @ rot.T
+    F = finsler_eval_many(m, f, x, moved)[0]
+    want = _UNIT_BALL_VOLUME[n] / float(w @ (1.0 / F) ** n)
+    assert sigma_bh(m, f, x, with_flag=True) == (want, True)
+    # F = alpha + 0.2 beta is Randers; the moved nodes cost 2e-6 on the sphere
+    exact = (1.0 - (0.2 * m.b_at(x)[0]) ** 2) ** ((n + 1) / 2)
+    assert want == pytest.approx(exact, rel=1e-5)
+
+
+@pytest.mark.parametrize("n, b", [
+    (2, lambda half, h: [half / math.cos(2.0 * h), 0.0]),  # an arc of 5 nodes
+    (3, lambda half, h: [0.0, 0.0, 1.0]),  # a ring of 64 about the pole
+])
+def test_persistently_singular_nodes_raise(n, b):
+    f = CustomExprPhi("1 + 0.2*s", b0=1.0, delta=0.05)
+    m = _constant_metric(np.eye(n), b(0.95, _polar_nodes(n)[0]))
+    with pytest.raises(SingularDirectionInQuadrature, match="persistently singular"):
+        sigma_bh(m, f, np.zeros(n))
+
+
+def test_unbounded_unit_ball_raises():
+    # mw is Randers with |b| = 1: F(y) = 0 at y = -b, where the unit ball
+    # reaches to infinity and sigma = 0 is not a density
+    e = get_metric("mw")
+    with pytest.raises(SingularDirectionInQuadrature,
+                       match=r"F <= 0 at 1 quadrature node\(s\)"):
+        sigma_bh(e.metric, e.phi, [0.3, 0.3])
+
+
+def test_undefined_unit_ball_raises():
+    m = _constant_metric(np.eye(2), [math.nan, 0.0])
+    with pytest.raises(SingularDirectionInQuadrature,
+                       match=r"F is not finite at 256 quadrature node\(s\)"):
+        sigma_bh(m, RandersPhi(), np.zeros(2))
+    with pytest.raises(SingularMetric, match="a_ij is not positive definite"):
+        sigma_bh(_constant_metric(np.diag([1.0, -1.0]), [0.0, 0.0]),
+                 RandersPhi(), np.zeros(2))
 
 
 @pytest.mark.parametrize("name", catalog_names())
@@ -117,28 +259,6 @@ def test_alpha_sum_bit_equal_to_einsum(name):
         want = ref_finsler_eval_many(m, f, x, Y)
         assert np.array_equal(got[0], want[0], equal_nan=True)
         assert np.array_equal(got[1], want[1], equal_nan=True)
-
-
-def _edge_metric(n):
-    """|beta| just past the admissible half-width, so only the nodes at
-    azimuth 0 (and 2 pi) are singular and a half-step shift cures them."""
-    f = CustomExprPhi("1 + 0.2*s", b0=1.0, delta=0.05)
-    half = f.b0 * (1.0 - f.delta)
-    step = _polar_nodes(n)[0]
-    bx = half / math.cos(0.25 * step)
-    m = MetricSpec(n=n, a=lambda x: np.eye(n),
-                   b_form=lambda x: np.array([bx] + [0.0] * (n - 1)),
-                   chart_domain=ChartDomain((-1.0,) * n, (1.0,) * n))
-    return m, f
-
-
-@pytest.mark.parametrize("n", [2, 3])
-def test_shifted_nodes_bit_equal(n):
-    m, f = _edge_metric(n)
-    x = np.zeros(n)
-    got = sigma_bh(m, f, x, with_flag=True)
-    assert got[1] is True
-    assert got == ref_sigma_bh(m, f, x)
 
 
 @pytest.mark.parametrize("n", [2, 3])
