@@ -210,9 +210,8 @@ def criterion_7():
         m, f = e.metric, e.phi
         worst = 0.0
         for x in default_grid(m, margin=_MARGIN):
-            for y in dirs:
-                ga = spray_ab(m, f, x, y)
-                gg = spray_generic(m, f, x, y)
+            # one jet batch per route for the point's directions
+            for ga, gg in zip(spray_ab(m, f, x, dirs), spray_generic(m, f, x, dirs)):
                 scale = max(1e-1, float(np.abs(ga).max()))
                 worst = max(worst, max(float(np.abs(ga - gg).max()) / scale, 0.0))
         out.lt(f"spray routes ({name})", max(worst, 1e-12), 1e-6)
@@ -222,8 +221,7 @@ def criterion_7():
         worst = 0.0
         for x in default_grid(m, margin=_MARGIN)[:3]:
             grad = ln_sigma_gradient(m, f, x)
-            for y in dirs[:4]:
-                sd = s_curvature_def(m, f, x, y, grad)
+            for y, sd in zip(dirs[:4], s_curvature_def(m, f, x, dirs[:4], grad)):
                 sf = s_curvature_formula(m, f, x, y)
                 worst = max(worst, abs(sd - sf) / max(1e-7, abs(sf)))
         out.lt(f"S routes ({name})", worst, 1e-4)
@@ -351,9 +349,9 @@ def criterion_13(seed=42):
         bsym = max(bsym, float(np.abs(B - np.transpose(B, (0, 2, 1, 3))).max()),
                    float(np.abs(B - np.transpose(B, (0, 1, 3, 2))).max()))
         bann = max(bann, float(np.abs(np.einsum("ijkl,l->ijk", B, y)).max()))
-        _, K1 = riemann_flag(m, f, x, y, u=np.array([-y[1], y[0]]))
+        R, K1 = riemann_flag(m, f, x, y, u=np.array([-y[1], y[0]]))
         u2 = np.array([-y[1], y[0]]) + 0.7 * y
-        _, K2 = riemann_flag(m, f, x, y, u=u2)
+        _, K2 = riemann_flag(m, f, x, y, u=u2, R=R)
         flag = max(flag, abs(K1 - K2))
         # jet partial of F^2 vs a central difference in y
         jet = fsq_jet(m, f, x, y, 1)

@@ -77,17 +77,26 @@ def _inverse_spd(a, what="a_ij"):
     return inv_chol.swapaxes(-1, -2) @ inv_chol
 
 
-def christoffels(m: MetricSpec, x):
-    """Levi-Civita connection coefficients of alpha at the chart point ``x``."""
+@lru_cache(maxsize=None)
+def _lower_triangle(n):
+    """Row and column indices below the diagonal of an n x n matrix."""
+    return np.tril_indices(n, -1)
+
+
+def christoffels(m: MetricSpec, x, a_inv=None):
+    """Levi-Civita connection coefficients of alpha at the chart point ``x``.
+
+    ``a_inv`` is the inverse of a_ij(x), if the caller already has it.
+    """
     x = np.asarray(x, dtype=float)
-    a = m.a_at(x)
-    a_inv = _inverse_spd(a)
+    if a_inv is None:
+        a_inv = _inverse_spd(m.a_at(x))
     n = m.n
     # da[k, i, j] = d a_ij / d x^k, one stencil per axis; the upper triangle
     # is mirrored so an a(x) symmetric only to roundoff gives a symmetric da
     da = np.array([base_derivative(m.a_at, x, k, 1) for k in range(n)])
-    lower = np.tril_indices(n, -1)
-    da[:, lower[0], lower[1]] = da[:, lower[1], lower[0]]
+    rows, cols = _lower_triangle(n)
+    da[:, rows, cols] = da[:, cols, rows]
     gamma = np.zeros((n, n, n))
     for i in range(n):
         for j in range(n):
@@ -125,7 +134,7 @@ def beta_derivatives(m: MetricSpec, x) -> BetaCalculus:
     x = np.asarray(x, dtype=float)
     a = m.a_at(x)
     a_inv = _inverse_spd(a)
-    gamma = christoffels(m, x)
+    gamma = christoffels(m, x, a_inv)
     b_i = m.b_at(x)
     n = m.n
     # db[i, j] = d b_i / d x^j

@@ -83,14 +83,15 @@ def spray_generic(m: MetricSpec, f: PhiFamily, x, y):
     n = m.n
     fd = fundamental(m, f, x, y)
 
-    def fsq_and_grad(xp):  # [F^2, dF^2/dy^l]
+    def fsq_and_grad(xp):  # [F^2, dF^2/dy^l] per direction
         jet = fsq_jet(m, f, xp, y, 1)
-        return np.concatenate(([jet.value], jet.tensor(1)))
+        return np.concatenate((np.asarray(jet.value)[..., None], jet.tensor(1)), axis=-1)
 
-    # d[k, 0] = dF^2/dx^k, d[k, 1 + l] = d^2 F^2 / dx^k dy^l: one stencil per axis
-    d = np.array([base_derivative(fsq_and_grad, x, k, 1) for k in range(n)])
-    mixed = sum(y[k] * d[k, 1:] for k in range(n))
-    return 0.25 * (fd.g_inv @ (mixed - d[:, 0]))
+    # d[..., k, 0] = dF^2/dx^k, d[..., k, 1 + l] = d^2 F^2 / dx^k dy^l: one
+    # stencil per axis
+    d = np.stack([base_derivative(fsq_and_grad, x, k, 1) for k in range(n)], axis=-2)
+    mixed = sum(y[..., k, None] * d[..., k, 1:] for k in range(n))
+    return 0.25 * (fd.g_inv @ (mixed - d[..., 0])[..., None])[..., 0]
 
 
 def _fiber(jets, k):
