@@ -79,15 +79,12 @@ def _inverse_spd(a, what="a_ij"):
 
 @lru_cache(maxsize=None)
 def _lower_triangle(n):
-    """Row and column indices below the diagonal of an n x n matrix."""
+    """Row and column indices below the diagonal of an n x n matrix, once per n."""
     return np.tril_indices(n, -1)
 
 
 def christoffels(m: MetricSpec, x, a_inv=None):
-    """Levi-Civita connection coefficients of alpha at the chart point ``x``.
-
-    ``a_inv`` is the inverse of a_ij(x), if the caller already has it.
-    """
+    """Levi-Civita connection of alpha at ``x``; ``a_inv`` is a(x)^-1, if at hand."""
     x = np.asarray(x, dtype=float)
     if a_inv is None:
         a_inv = _inverse_spd(m.a_at(x))
@@ -177,25 +174,19 @@ def beta_contractions(bc: BetaCalculus, y) -> BetaContractions:
     )
 
 
-def beta_norm_field(m: MetricSpec):
-    """Scalar field x -> |beta|_alpha(x)."""
-
-    def field(xp):
-        a_inv = _inverse_spd(m.a_at(xp))
-        b_i = m.b_at(xp)
-        return float(np.sqrt(max(b_i @ a_inv @ b_i, 0.0)))
-
-    return field
-
-
 def beta_norm_gradient_check(m: MetricSpec, x):
     """Residual of d|beta|/dx^i = (r_i + s_i)/|beta|, componentwise."""
     x = np.asarray(x, dtype=float)
     bc = beta_derivatives(m, x)
     if bc.b <= 1e-12:
         raise ZeroNorm("one-form has zero length at this point")
-    fld = beta_norm_field(m)
-    grad = np.array([base_derivative(fld, x, i, 1) for i in range(m.n)])
+
+    def norm(xp):  # |beta|_alpha at xp
+        a_inv = _inverse_spd(m.a_at(xp))
+        b_i = m.b_at(xp)
+        return float(np.sqrt(max(b_i @ a_inv @ b_i, 0.0)))
+
+    grad = np.array([base_derivative(norm, x, i, 1) for i in range(m.n)])
     return grad - (bc.r_i + bc.s_i) / bc.b
 
 

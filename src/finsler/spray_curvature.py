@@ -7,10 +7,10 @@ the Douglas order is exact.  The generic route differentiates F^2 directly
 oracle.  Base-point derivatives of spray-level fields always go through
 ``base_derivative``.
 
-``spray_ab``, ``spray_data``, ``berwald``, ``douglas``, ``riemann``,
-``riemann_flag`` and ``s_curvature_def`` take one direction ``y`` or a
-``(B, n)`` stack at one x, which goes through as one jet batch and gives every
-field a leading B axis, each row with the bits of its direction alone.
+``spray_ab``, ``spray_generic``, ``spray_data``, ``berwald``, ``douglas``,
+``riemann``, ``riemann_flag`` and ``s_curvature_def`` take one direction ``y``
+or a ``(B, n)`` stack at one x, which goes through as one jet batch and gives
+every field a leading B axis, each row with the bits of its direction alone.
 :func:`per_direction` runs a caller's batch and, if it raises, redoes it one
 direction at a time.
 """
@@ -24,12 +24,12 @@ import numpy as np
 
 from .errors import (DegenerateFlag, DimensionError, FinslerError,
                      NonPositiveDensity)
-from .finsler_metric import (FundamentalData, alpha_beta_jets, fsq_jet,
-                             fundamental, sigma_bh)
+from .finsler_metric import (_MAX_RADIUS_RATIO, _UNIT_BALL_VOLUME,
+                             FundamentalData, _polar_nodes, alpha_beta_jets,
+                             fsq_jet, fundamental, sigma_bh)
 from .geometry_core import MetricSpec, beta_at, beta_contractions
 from .jets import base_derivative, jet_form, jet_variable
 from .phi_families import PhiFamily, spray_scalar_series
-from .quadrature import adaptive_simpson
 
 
 def per_direction(fn, Y):
@@ -87,8 +87,7 @@ def spray_generic(m: MetricSpec, f: PhiFamily, x, y):
         jet = fsq_jet(m, f, xp, y, 1)
         return np.concatenate((np.asarray(jet.value)[..., None], jet.tensor(1)), axis=-1)
 
-    # d[..., k, 0] = dF^2/dx^k, d[..., k, 1 + l] = d^2 F^2 / dx^k dy^l: one
-    # stencil per axis
+    # d[..., k, 0] = dF^2/dx^k, d[..., k, 1 + l] = d^2F^2/dx^k dy^l: a stencil per axis
     d = np.stack([base_derivative(fsq_and_grad, x, k, 1) for k in range(n)], axis=-2)
     mixed = sum(y[..., k, None] * d[..., k, 1:] for k in range(n))
     return 0.25 * (fd.g_inv @ (mixed - d[..., 0])[..., None])[..., 0]
@@ -233,27 +232,26 @@ def s_curvature_def(m: MetricSpec, f: PhiFamily, x, y, grad_ln_sigma=None,
 
 @lru_cache(maxsize=256)
 def _angular_density(f: PhiFamily, b, n):
-    """f(b): sin-weighted average of T(b cos t) over [0, pi].
+    """Busemann-Hausdorff f(b) = vol(B^n) / vol{y : |y| phi(b y_1 / |y|) < 1}.
 
-    Memoised on (f, b, n), the 256 most recent keys.  A ``PhiFamily`` hashes by
-    identity and is never mutated after construction; the cache holds a strong
-    reference to it, so its id cannot be reused while the entry lives.
+    sigma_BH = f(b) sigma_alpha (Cheng-Shen), here on ``sigma_bh``'s nodes and
+    refine switch with beta off the polar axis of the n = 3 rule, where it is
+    more accurate near b = 1.  Memoised on (f, b, n), the 256 most recent keys;
+    a ``PhiFamily`` hashes by identity and is never mutated, and the cache's
+    strong reference to it keeps its id from reuse while the entry lives.
     """
-
-    def T(s):
-        c = f.taylor(s, 2)
-        phi, phip, phipp = c[0], c[1], 2.0 * c[2]
-        core = phi - s * phip
-        return phi * core ** (n - 2) * (core + (b * b - s * s) * phipp)
-
-    num = adaptive_simpson(lambda t: math.sin(t) ** (n - 2) * T(b * math.cos(t)),
-                           0.0, math.pi, tol=1e-12)
-    den = adaptive_simpson(lambda t: math.sin(t) ** (n - 2), 0.0, math.pi, tol=1e-12)
-    return num / den
+    for refine in (1, 4):
+        _, (dirs, w) = _polar_nodes(n, refine)
+        phi = f.value_many(b * dirs[:, 0])
+        if not np.all(phi > 0.0):  # also false where phi is NaN
+            raise NonPositiveDensity(f"phi <= 0 or not finite on the unit sphere at b = {b}")
+        if phi.max() <= _MAX_RADIUS_RATIO[n] * phi.min():
+            break
+    return _UNIT_BALL_VOLUME[n] / float(w @ (1.0 / phi) ** n)
 
 
 def s_curvature_formula(m: MetricSpec, f: PhiFamily, x, y):
-    """S-curvature from the (alpha, beta) scalar formula with the f(b) density."""
+    """S-curvature from the (alpha, beta) scalar formula with the Busemann-Hausdorff f(b)."""
     from .phi_families import ab_scalars
 
     x = np.asarray(x, dtype=float)
@@ -263,15 +261,15 @@ def s_curvature_formula(m: MetricSpec, f: PhiFamily, x, y):
     alpha = math.sqrt(float(y @ bc.a @ y))
     s = float(bc.b_i @ y) / alpha
     sc = ab_scalars(f, bc.b, s, m.n)
-    fb = _angular_density(f, bc.b, m.n)
-    if fb <= 0.0:
-        raise NonPositiveDensity(f"f(b) = {fb} <= 0")
-    db = 1e-4
-    fpb = (_angular_density(f, bc.b + db, m.n)
-           - _angular_density(f, bc.b - db, m.n)) / (2.0 * db)
-    return ((2.0 * sc.Psi - fpb / (bc.b * fb)) * (con.r_0 + con.s_0)
-            - sc.Phi / (2.0 * alpha * sc.Delta**2)
-            * (con.r_00 - 2.0 * alpha * sc.Q * con.s_0))
+    rs_0 = con.r_0 + con.s_0  # b^i b_{i;0}: exactly 0 where beta vanishes,
+    density = 0.0  # and there f'(b) / b is 0/0, so the term is skipped
+    if rs_0 != 0.0:
+        db = 1e-4
+        fpb = (_angular_density(f, bc.b + db, m.n)
+               - _angular_density(f, bc.b - db, m.n)) / (2.0 * db)
+        density = (2.0 * sc.Psi - fpb / (bc.b * _angular_density(f, bc.b, m.n))) * rs_0
+    return density - (sc.Phi / (2.0 * alpha * sc.Delta**2)
+                      * (con.r_00 - 2.0 * alpha * sc.Q * con.s_0))
 
 
 def h_curvature(m: MetricSpec, f: PhiFamily, x, y):

@@ -30,26 +30,28 @@ def _benchmark_check(command, text, expected_name):
 
 #: ``table --metric lie_group --quantity S --per-axis 2 --directions 4``,
 #: as printed when every direction recomputed the ln sigma gradient (two
-#: S_def cells re-recorded for the spectral sigma rule: ...734 -> ...733,
-#: nearer the S_formula cell ...729)
+#: S_def cells re-recorded for the spectral sigma rule: ...734 -> ...733;
+#: S_formula re-recorded for the Busemann-Hausdorff f(b), which moves it by
+#: at most 2.9e-9: 9 = 3 / (1 - b^2) times the stencil noise of r_0 + s_0,
+#: 0 in exact arithmetic since b is constant)
 S_TABLE_ROWS = [
     "x1,x2,y1,y2,S_formula,S_def",
-    "-2.76,0.44,0.995004165278,0.0998334166468,-1.40990952073,-1.40990952059",
-    "-2.76,0.44,-0.0998334166468,0.995004165278,1.18861772503,1.18861772638",
-    "-2.76,0.44,-0.995004165278,-0.0998334166468,-1.59172674391,-1.59172674405",
-    "-2.76,0.44,0.0998334166468,-0.995004165278,-1.52202086016,-1.52202086151",
-    "-2.76,4.76,0.995004165278,0.0998334166468,-0.13032777085,-0.130327770849",
-    "-2.76,4.76,-0.0998334166468,0.995004165278,0.109872226729,0.109872226733",
-    "-2.76,4.76,-0.995004165278,-0.0998334166468,-0.147134405,-0.147134405001",
-    "-2.76,4.76,0.0998334166468,-0.995004165278,-0.140691003723,-0.140691003728",
-    "2.76,0.44,0.995004165278,0.0998334166468,-1.40990952073,-1.40990952059",
-    "2.76,0.44,-0.0998334166468,0.995004165278,1.18861772503,1.18861772638",
-    "2.76,0.44,-0.995004165278,-0.0998334166468,-1.59172674391,-1.59172674405",
-    "2.76,0.44,0.0998334166468,-0.995004165278,-1.52202086016,-1.52202086151",
-    "2.76,4.76,0.995004165278,0.0998334166468,-0.13032777085,-0.130327770849",
-    "2.76,4.76,-0.0998334166468,0.995004165278,0.109872226729,0.109872226733",
-    "2.76,4.76,-0.995004165278,-0.0998334166468,-0.147134405,-0.147134405001",
-    "2.76,4.76,0.0998334166468,-0.995004165278,-0.140691003723,-0.140691003728",
+    "-2.76,0.44,0.995004165278,0.0998334166468,-1.40990952102,-1.40990952059",
+    "-2.76,0.44,-0.0998334166468,0.995004165278,1.18861772213,1.18861772638",
+    "-2.76,0.44,-0.995004165278,-0.0998334166468,-1.59172674362,-1.59172674405",
+    "-2.76,0.44,0.0998334166468,-0.995004165278,-1.52202085726,-1.52202086151",
+    "-2.76,4.76,0.995004165278,0.0998334166468,-0.130327770851,-0.130327770849",
+    "-2.76,4.76,-0.0998334166468,0.995004165278,0.109872226719,0.109872226733",
+    "-2.76,4.76,-0.995004165278,-0.0998334166468,-0.147134404999,-0.147134405001",
+    "-2.76,4.76,0.0998334166468,-0.995004165278,-0.140691003713,-0.140691003728",
+    "2.76,0.44,0.995004165278,0.0998334166468,-1.40990952102,-1.40990952059",
+    "2.76,0.44,-0.0998334166468,0.995004165278,1.18861772213,1.18861772638",
+    "2.76,0.44,-0.995004165278,-0.0998334166468,-1.59172674362,-1.59172674405",
+    "2.76,0.44,0.0998334166468,-0.995004165278,-1.52202085726,-1.52202086151",
+    "2.76,4.76,0.995004165278,0.0998334166468,-0.130327770851,-0.130327770849",
+    "2.76,4.76,-0.0998334166468,0.995004165278,0.109872226719,0.109872226733",
+    "2.76,4.76,-0.995004165278,-0.0998334166468,-0.147134404999,-0.147134405001",
+    "2.76,4.76,0.0998334166468,-0.995004165278,-0.140691003713,-0.140691003728",
 ]
 
 
@@ -220,6 +222,27 @@ class TestReport:
         assert cls["predicates"]["s_zero"]["verdict"] is True
         assert all(abs(r.get("K", 0.0)) < 1e-5 for r in doc["records"])
 
+    def test_report_is_valid_json_where_beta_vanishes(self, capsys):
+        # beta = 0 at the fish_tank origin, a grid point: S_formula was NaN
+        # there, and a bare NaN token is not JSON
+        assert main(["report", "--metric", "fish_tank", "--per-axis", "3",
+                     "--directions", "4"]) == 0
+
+        def reject(token):
+            raise ValueError(f"{token} in report output")
+
+        doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+        origin = [r for r in doc["records"] if r["x"] == [0.0, 0.0]]
+        assert len(origin) == 4
+        assert all(abs(r["S_formula"]) < 1e-12 for r in origin)
+
+    def test_s_table_is_finite_where_beta_vanishes(self, capsys):
+        assert main(["table", "--metric", "euclid", "--quantity", "S",
+                     "--per-axis", "2", "--directions", "4"]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        j = rows[0].index("S_formula")
+        assert len(rows) == 17 and all(float(r[j]) == 0.0 for r in rows[1:])
+
     def test_deterministic(self):
         cfg = _cfg("euclid_randers", per_axis=2, directions=4, eps=0.5)
         assert cmd_report(cfg) == cmd_report(
@@ -314,10 +337,13 @@ class TestMain:
 
     def test_report_bytes_of_failing_directions(self, capsys):
         # a custom unicorn metric with |b| = 0.97 near the edge of its cone:
-        # two records fail at `fundamental`, six at `S_formula`, and the
-        # classification fails in a stencil.  Each point's batch raises and is
-        # redone one direction at a time, which must print the bytes of the
-        # one-direction-at-a-time engine that recorded this file.
+        # two records fail at `fundamental`, and the classification fails in
+        # a stencil.  The point's batch raises and is redone one direction at
+        # a time, which must print the bytes of the one-direction-at-a-time
+        # engine that recorded this file.  (The six other records, which
+        # failed where the old S formula's density met s = 0.97, were
+        # re-recorded with S_formula = 0: exact for constant a and b, where
+        # the density term is skipped.)
         rc = main(["report", "--config", str(FIXTURES / "unicorn_near_edge.json")])
         assert rc == 0
         want = (FIXTURES / "unicorn_near_edge.report.out").read_bytes().decode()

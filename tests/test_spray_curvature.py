@@ -1,19 +1,22 @@
 """Spray coefficients and the curvature tensors, against independent oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from finsler.catalog import get_metric
+from finsler.catalog import catalog_names, get_metric
 from finsler.classify import default_directions, default_grid
 from finsler.errors import (DimensionError, DomainError, EvaluationError,
                             ZeroVector)
 from finsler.finsler_metric import fundamental
-from finsler.spray_curvature import (berwald, berwald_2d_identity,
-                                     curvature_bundle, douglas,
-                                     douglas_2d_identity, h_curvature,
-                                     landsberg, riemann_flag, s_curvature_def,
+from finsler.phi_families import RandersPhi
+from finsler.spray_curvature import (_angular_density, berwald,
+                                     berwald_2d_identity, curvature_bundle,
+                                     douglas, douglas_2d_identity, h_curvature,
+                                     landsberg, ln_sigma_gradient,
+                                     riemann_flag, s_curvature_def,
                                      s_curvature_formula, spray_ab,
                                      spray_alpha, spray_data, spray_generic)
 
@@ -171,6 +174,34 @@ class TestSCurvature:
         sf = s_curvature_formula(e.metric, e.phi, x, y)
         assert sd == pytest.approx(sf, rel=1e-6)
         assert abs(sd) > 0.01
+
+    @pytest.mark.parametrize("name", [n for n in catalog_names() if n != "mw"])
+    def test_formula_matches_definition_on_every_metric(self, name):
+        # fish_tank and sphere_randers have a one-form of varying length, so
+        # only the Busemann-Hausdorff f(b) that S_def differentiates agrees
+        # there (a Holmes-Thompson f(b) is off by 5.2 and 0.165); mw has
+        # |b| = 1 and no sigma
+        e = get_metric(name)
+        m, f = e.metric, e.phi
+        for x in default_grid(m, 3)[:6]:
+            Y = default_directions(m.n, 4)
+            sd = s_curvature_def(m, f, x, Y, ln_sigma_gradient(m, f, x))
+            sf = [s_curvature_formula(m, f, x, y) for y in Y]
+            assert np.abs(sd - sf).max() <= 1e-6
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_density_is_the_randers_closed_form(self, n):
+        # Randers: vol{F < 1} = vol(B^n) (1 - b^2)^(-(n+1)/2)
+        for b in np.linspace(0.0, 0.99, 12):
+            want = (1.0 - b * b) ** ((n + 1) / 2)
+            assert _angular_density(RandersPhi(), float(b), n) == pytest.approx(want, rel=1e-12)
+
+    def test_formula_is_finite_where_beta_vanishes(self):
+        e = get_metric("fish_tank")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            S = s_curvature_formula(e.metric, e.phi, [0.0, 0.0], [1.0, 0.4])
+        assert S == pytest.approx(0.0, abs=1e-12)  # fish_tank has S = 0
 
     def test_s_is_one_homogeneous(self):
         e = get_metric("lie_group")

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from finsler.catalog import catalog_names, get_metric
+from finsler.classify import default_directions
 from finsler.errors import EvaluationError
 from finsler.finsler_metric import fsq_jet, fundamental
 from finsler.geometry_core import (ChartDomain, MetricSpec, beta_derivatives,
@@ -213,3 +214,46 @@ def test_direction_tensors_bit_equal(name):
                                   ref_spray_generic(m, f, x, y))
             assert np.array_equal(h_curvature(m, f, x, y),
                                   ref_h_curvature(m, f, x, y))
+
+
+_NOT_MW = [name for name in catalog_names() if name != "mw"]  # mw has |b| = 1
+
+
+@pytest.mark.parametrize("name", _NOT_MW)
+def test_batched_spray_generic_rows_bit_equal(name):
+    entry = get_metric(name)
+    m, f = entry.metric, entry.phi
+    Y = default_directions(m.n, 6)
+    for x in _points(entry):
+        G = spray_generic(m, f, x, Y)
+        assert G.shape == Y.shape
+        for row, y in zip(G, Y):
+            assert np.array_equal(row, ref_spray_generic(m, f, x, y))
+
+
+def test_batched_spray_generic_property():
+    # random chart points and 1-8 random directions: a batch gives, row by
+    # row, the bits of each direction alone
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=30, deadline=None)
+    @hypothesis.given(st.sampled_from(_NOT_MW), st.data())
+    def check(name, data):
+        entry = get_metric(name)
+        m, f = entry.metric, entry.phi
+        lo = np.asarray(m.chart_domain.lo, dtype=float)
+        hi = np.asarray(m.chart_domain.hi, dtype=float)
+        unit = st.floats(0.1, 0.9)
+        x = lo + np.array(data.draw(st.lists(unit, min_size=m.n, max_size=m.n))) * (hi - lo)
+        hypothesis.assume(m.chart_domain.contains(x))
+        count = data.draw(st.integers(1, 8))
+        comp = st.floats(-1.0, 1.0)
+        Y = np.array(data.draw(st.lists(st.lists(comp, min_size=m.n, max_size=m.n),
+                                        min_size=count, max_size=count)))
+        hypothesis.assume(np.linalg.norm(Y, axis=1).min() > 0.1)
+        G = spray_generic(m, f, x, Y)
+        for row, y in zip(G, Y):
+            assert np.array_equal(row, spray_generic(m, f, x, y))
+
+    check()
