@@ -1,9 +1,10 @@
 """Fiber-level Finsler quantities for F = alpha * phi(beta/alpha).
 
 Fundamental tensor, Cartan torsion and friends come from exact fiber jets of
-F^2; the Busemann-Hausdorff density comes from a polar quadrature of the unit
-ball.  Fiber derivatives are never finite-differenced: g and C feed the
-noise-critical Landsberg and flag computations.
+F^2; the Busemann-Hausdorff density, and its factor f(b) = sigma_F / sigma_alpha
+for the S formula, come from one polar quadrature of the unit ball.  Fiber
+derivatives are never finite-differenced: g and C feed the noise-critical
+Landsberg and flag computations.
 """
 
 import math
@@ -12,8 +13,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (DomainError, SingularDirectionInQuadrature, SingularG,
-                     ZeroVector)
+from .errors import (DomainError, NonPositiveDensity,
+                     SingularDirectionInQuadrature, SingularG, ZeroVector)
 from .geometry_core import MetricSpec, _inverse_cholesky, _inverse_spd
 from .jets import jet_form, jet_variable, per_column
 from .phi_families import PhiFamily
@@ -192,3 +193,23 @@ def sigma_bh(m: MetricSpec, f: PhiFamily, x, with_flag=False):
     if with_flag:
         return sigma, shifted
     return sigma
+
+
+@lru_cache(maxsize=256)
+def _angular_density(f: PhiFamily, b, n):
+    """Busemann-Hausdorff f(b) = vol(B^n) / vol{y : |y| phi(b y_1 / |y|) < 1}.
+
+    sigma_BH = f(b) sigma_alpha (Cheng-Shen); this is ``sigma_bh``'s rule and
+    refine switch at a = I, with beta off the polar axis of the n = 3 rule,
+    where it is more accurate near b = 1.  Memoised on (f, b, n), the 256
+    most recent keys; a ``PhiFamily`` hashes by identity and is never
+    mutated, and the cache's strong reference keeps its id from reuse.
+    """
+    for refine in (1, 4):
+        _, (dirs, w) = _polar_nodes(n, refine)
+        phi = f.value_many(b * dirs[:, 0])
+        if not np.all(phi > 0.0):  # also false where phi is NaN
+            raise NonPositiveDensity(f"phi <= 0 or not finite on the unit sphere at b = {b}")
+        if phi.max() <= _MAX_RADIUS_RATIO[n] * phi.min():
+            break
+    return _UNIT_BALL_VOLUME[n] / float(w @ (1.0 / phi) ** n)

@@ -17,16 +17,13 @@ direction at a time.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
-from .errors import (DegenerateFlag, DimensionError, FinslerError,
-                     NonPositiveDensity)
-from .finsler_metric import (_MAX_RADIUS_RATIO, _UNIT_BALL_VOLUME,
-                             FundamentalData, _polar_nodes, alpha_beta_jets,
-                             fsq_jet, fundamental, sigma_bh)
+from .errors import DegenerateFlag, DimensionError, FinslerError
+from .finsler_metric import (FundamentalData, _angular_density,
+                             alpha_beta_jets, fsq_jet, fundamental, sigma_bh)
 from .geometry_core import MetricSpec, beta_at, beta_contractions
 from .jets import base_derivative, jet_form, jet_variable
 from .phi_families import PhiFamily, spray_scalar_series
@@ -230,26 +227,6 @@ def s_curvature_def(m: MetricSpec, f: PhiFamily, x, y, grad_ln_sigma=None,
     return float(S) if S.ndim == 0 else S
 
 
-@lru_cache(maxsize=256)
-def _angular_density(f: PhiFamily, b, n):
-    """Busemann-Hausdorff f(b) = vol(B^n) / vol{y : |y| phi(b y_1 / |y|) < 1}.
-
-    sigma_BH = f(b) sigma_alpha (Cheng-Shen), here on ``sigma_bh``'s nodes and
-    refine switch with beta off the polar axis of the n = 3 rule, where it is
-    more accurate near b = 1.  Memoised on (f, b, n), the 256 most recent keys;
-    a ``PhiFamily`` hashes by identity and is never mutated, and the cache's
-    strong reference to it keeps its id from reuse while the entry lives.
-    """
-    for refine in (1, 4):
-        _, (dirs, w) = _polar_nodes(n, refine)
-        phi = f.value_many(b * dirs[:, 0])
-        if not np.all(phi > 0.0):  # also false where phi is NaN
-            raise NonPositiveDensity(f"phi <= 0 or not finite on the unit sphere at b = {b}")
-        if phi.max() <= _MAX_RADIUS_RATIO[n] * phi.min():
-            break
-    return _UNIT_BALL_VOLUME[n] / float(w @ (1.0 / phi) ** n)
-
-
 def s_curvature_formula(m: MetricSpec, f: PhiFamily, x, y):
     """S-curvature from the (alpha, beta) scalar formula with the Busemann-Hausdorff f(b)."""
     from .phi_families import ab_scalars
@@ -261,8 +238,10 @@ def s_curvature_formula(m: MetricSpec, f: PhiFamily, x, y):
     alpha = math.sqrt(float(y @ bc.a @ y))
     s = float(bc.b_i @ y) / alpha
     sc = ab_scalars(f, bc.b, s, m.n)
-    rs_0 = con.r_0 + con.s_0  # b^i b_{i;0}: exactly 0 where beta vanishes,
-    density = 0.0  # and there f'(b) / b is 0/0, so the term is skipped
+    # the density term multiplies r_0 + s_0 = b^i b_{i;0}, exactly 0 where
+    # beta vanishes, and there f'(b) / b is 0/0: skip it
+    rs_0 = con.r_0 + con.s_0
+    density = 0.0
     if rs_0 != 0.0:
         db = 1e-4
         fpb = (_angular_density(f, bc.b + db, m.n)

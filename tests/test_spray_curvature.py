@@ -10,11 +10,11 @@ from finsler.catalog import catalog_names, get_metric
 from finsler.classify import default_directions, default_grid
 from finsler.errors import (DimensionError, DomainError, EvaluationError,
                             ZeroVector)
-from finsler.finsler_metric import fundamental
+from finsler.finsler_metric import _angular_density, fundamental
 from finsler.phi_families import RandersPhi
-from finsler.spray_curvature import (_angular_density, berwald,
-                                     berwald_2d_identity, curvature_bundle,
-                                     douglas, douglas_2d_identity, h_curvature,
+from finsler.spray_curvature import (berwald, berwald_2d_identity,
+                                     curvature_bundle, douglas,
+                                     douglas_2d_identity, h_curvature,
                                      landsberg, ln_sigma_gradient,
                                      riemann_flag, s_curvature_def,
                                      s_curvature_formula, spray_ab,

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from finsler.catalog import catalog_names, get_metric
-from finsler.classify import default_directions
 from finsler.errors import EvaluationError
 from finsler.finsler_metric import fsq_jet, fundamental
 from finsler.geometry_core import (ChartDomain, MetricSpec, beta_derivatives,
@@ -207,53 +206,40 @@ def test_direction_tensors_bit_equal(name):
     entry = get_metric(name)
     m, f = entry.metric, entry.phi
     for x in _points(entry):
-        for y in _directions(m.n):
+        Y = np.array(_directions(m.n))
+        for y, batched in zip(Y, spray_generic(m, f, x, Y)):  # rows of one batch
             assert np.array_equal(riemann_flag(m, f, x, y)[0],
                                   ref_riemann(m, f, x, y))
-            assert np.array_equal(spray_generic(m, f, x, y),
-                                  ref_spray_generic(m, f, x, y))
+            want = ref_spray_generic(m, f, x, y)
+            assert np.array_equal(spray_generic(m, f, x, y), want)
+            assert np.array_equal(batched, want)
             assert np.array_equal(h_curvature(m, f, x, y),
                                   ref_h_curvature(m, f, x, y))
 
 
-_NOT_MW = [name for name in catalog_names() if name != "mw"]  # mw has |b| = 1
-
-
-@pytest.mark.parametrize("name", _NOT_MW)
-def test_batched_spray_generic_rows_bit_equal(name):
-    entry = get_metric(name)
-    m, f = entry.metric, entry.phi
-    Y = default_directions(m.n, 6)
-    for x in _points(entry):
-        G = spray_generic(m, f, x, Y)
-        assert G.shape == Y.shape
-        for row, y in zip(G, Y):
-            assert np.array_equal(row, ref_spray_generic(m, f, x, y))
-
-
 def test_batched_spray_generic_property():
     # random chart points and 1-8 random directions: a batch gives, row by
-    # row, the bits of each direction alone
+    # row, the bits of each direction alone (mw has |b| = 1, so F vanishes
+    # in one direction)
     hypothesis = pytest.importorskip("hypothesis")
+    hnp = pytest.importorskip("hypothesis.extra.numpy")
     st = hypothesis.strategies
 
     @hypothesis.settings(max_examples=30, deadline=None)
-    @hypothesis.given(st.sampled_from(_NOT_MW), st.data())
+    @hypothesis.given(st.sampled_from([n for n in catalog_names() if n != "mw"]),
+                      st.data())
     def check(name, data):
         entry = get_metric(name)
         m, f = entry.metric, entry.phi
         lo = np.asarray(m.chart_domain.lo, dtype=float)
         hi = np.asarray(m.chart_domain.hi, dtype=float)
-        unit = st.floats(0.1, 0.9)
-        x = lo + np.array(data.draw(st.lists(unit, min_size=m.n, max_size=m.n))) * (hi - lo)
+        t = data.draw(hnp.arrays(float, m.n, elements=st.floats(0.1, 0.9)))
+        x = lo + t * (hi - lo)
         hypothesis.assume(m.chart_domain.contains(x))
-        count = data.draw(st.integers(1, 8))
-        comp = st.floats(-1.0, 1.0)
-        Y = np.array(data.draw(st.lists(st.lists(comp, min_size=m.n, max_size=m.n),
-                                        min_size=count, max_size=count)))
+        shape = (data.draw(st.integers(1, 8)), m.n)
+        Y = data.draw(hnp.arrays(float, shape, elements=st.floats(-1.0, 1.0)))
         hypothesis.assume(np.linalg.norm(Y, axis=1).min() > 0.1)
-        G = spray_generic(m, f, x, Y)
-        for row, y in zip(G, Y):
+        for row, y in zip(spray_generic(m, f, x, Y), Y):
             assert np.array_equal(row, spray_generic(m, f, x, y))
 
     check()
