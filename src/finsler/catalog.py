@@ -11,7 +11,7 @@ from .geometry_core import ChartDomain, MetricSpec
 from .phi_families import PhiFamily, RandersPhi
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class CatalogEntry:
     """A fully wired metric: Riemannian data, default phi and chart domain."""
 

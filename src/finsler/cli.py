@@ -209,9 +209,9 @@ def _records(m, f, x, Y, grad):
             fill(key, T, norm)
         if m.n == 2:  # K is the only part kept, and exists for n = 2 only
             R = riemann(m, f, x, Y, spray=sd)  # one stencil pass, then K per direction
-            each = [(fd[b], R[b]) for b in range(len(recs))] if Y.ndim == 2 else [(fd, R)]
-            fill("K", [riemann_flag(m, f, x, y, fd=fd_b, R=R_b)[1]
-                       for y, (fd_b, R_b) in zip(dirs, each)])
+            g_rows, R_rows = (np.reshape(T, (-1, m.n, m.n)) for T in (fd.g, R))
+            fill("K", [riemann_flag(m, f, x, y, g=g_b, R=R_b)[1]
+                       for y, g_b, R_b in zip(dirs, g_rows, R_rows)])
         fill("S_formula", [s_curvature_formula(m, f, x, y) for y in dirs])
         if grad is not None:
             fill("S_def", s_curvature_def(m, f, x, Y, grad, sd))

@@ -8,7 +8,7 @@ Landsberg and flag computations.
 """
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -84,10 +84,6 @@ class FundamentalData:
     ell: np.ndarray  # y^i / F
     h: np.ndarray  # angular metric h_ij
 
-    def __getitem__(self, b):
-        """The data of direction b of a batch."""
-        return FundamentalData(*(getattr(self, fl.name)[b] for fl in fields(self)))
-
 
 def fundamental(m: MetricSpec, f: PhiFamily, x, y) -> FundamentalData:
     """All fundamental-tensor data from an order-3 fiber jet of F^2, batched for a stack of y."""
@@ -108,7 +104,7 @@ def fundamental(m: MetricSpec, f: PhiFamily, x, y) -> FundamentalData:
 
 
 def _radii(m, f, x, dirs, h, to_y):
-    """1/F at the directions ``dirs @ to_y``, and whether any node was turned.
+    """1/F at the directions ``dirs @ to_y``.
 
     A node past the admissible |s| of an almost-regular family turns by h/2
     about the polar axis.  F <= 0 or non-finite at a node raises: there the
@@ -130,7 +126,7 @@ def _radii(m, f, x, dirs, h, to_y):
         if np.any(fault):
             raise SingularDirectionInQuadrature(
                 f"F {cause} at {int(np.sum(fault))} quadrature node(s)")
-    return 1.0 / F, bool(np.any(bad))
+    return 1.0 / F
 
 
 #: the largest max(r) / min(r) on the nodes of ``_polar_nodes(n)`` with a
@@ -166,7 +162,7 @@ def _polar_nodes(n, refine=1):
     return h, (dirs, w)
 
 
-def sigma_bh(m: MetricSpec, f: PhiFamily, x, with_flag=False):
+def sigma_bh(m: MetricSpec, f: PhiFamily, x):
     """Busemann-Hausdorff volume density sigma_F(x) = vol(B^n) / vol{F(x, y) < 1}.
 
     The unit-ball volume int r^n / n, r = 1/F, over the alpha-unit sphere,
@@ -175,9 +171,8 @@ def sigma_bh(m: MetricSpec, f: PhiFamily, x, with_flag=False):
     exponentially for this smooth periodic integrand: the trapezoid rule on
     256 azimuths (n = 2), or 32 Gauss-Legendre nodes in cos(theta) x 64
     azimuths (n = 3), redone 4x finer when the radii vary by more than
-    ``_MAX_RADIUS_RATIO`` (|b|_alpha near 1).  ``with_flag`` also returns
-    whether any node was turned (see ``_radii``).  F <= 0 or non-finite at a
-    node (an unbounded unit ball, as for Randers with |b|_alpha = 1) raises
+    ``_MAX_RADIUS_RATIO`` (|b|_alpha near 1).  F <= 0 or non-finite at a node
+    (an unbounded unit ball, as for Randers with |b|_alpha = 1) raises
     ``SingularDirectionInQuadrature``.
     """
     if m.n not in _UNIT_BALL_VOLUME:
@@ -185,14 +180,11 @@ def sigma_bh(m: MetricSpec, f: PhiFamily, x, with_flag=False):
     to_y = _inverse_cholesky(m.a_at(x))
     for refine in (1, 4):
         h, (dirs, w) = _polar_nodes(m.n, refine)
-        r, shifted = _radii(m, f, x, dirs, h, to_y)
+        r = _radii(m, f, x, dirs, h, to_y)
         if r.max() <= _MAX_RADIUS_RATIO[m.n] * r.min():
             break
     vol = float(w @ r ** m.n) * float(np.prod(np.diag(to_y)))
-    sigma = _UNIT_BALL_VOLUME[m.n] / vol
-    if with_flag:
-        return sigma, shifted
-    return sigma
+    return _UNIT_BALL_VOLUME[m.n] / vol
 
 
 @lru_cache(maxsize=256)

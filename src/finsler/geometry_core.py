@@ -38,7 +38,7 @@ class ChartDomain:
         return [p for p in pts if self.contains(p)]
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class MetricSpec:
     """Riemannian metric a_ij(x) and one-form b_i(x) on an n-dimensional chart."""
 
@@ -201,7 +201,7 @@ def _cached_beta(m, x_key):
 def beta_at(m: MetricSpec, x) -> BetaCalculus:
     """Memoized ``beta_derivatives``; heavy callers hit the same points repeatedly.
 
-    Keyed on (m, x): a ``MetricSpec`` hashes by identity, and the least
-    recently used of the 4096 entries is dropped with its reference to ``m``.
+    Keyed on (m, x): a ``MetricSpec`` is frozen and hashes by identity, and the
+    least recently used of the 4096 entries is dropped with its reference to ``m``.
     """
     return _cached_beta(m, tuple(np.asarray(x, dtype=float)))

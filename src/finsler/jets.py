@@ -349,17 +349,18 @@ def jet_apply(fn, args):
     return table[fn](*args)
 
 
-def base_derivative(field, x, axis, order, h0=None):
+def base_derivative(field, x, axis, order):
     """Derivative of a scalar or array field along a chart axis by extrapolated differences.
 
-    One Richardson step over the classic central stencils: fourth-order
-    accurate for ``order`` 1, and correspondingly extrapolated for ``order`` 2.
-    A scalar field gives a float; an array field gives an array of the same
-    shape, each entry with the bits of differencing that component alone.
+    One Richardson step over the classic central stencils with steps h and
+    2h, h = 1e-3 max(1, |x[axis]|): fourth-order accurate for ``order`` 1,
+    and correspondingly extrapolated for ``order`` 2.  Only base-point (x-)
+    derivatives use it; fiber derivatives come exact from jets.  A scalar
+    field gives a float; an array field gives an array of the same shape,
+    each entry with the bits of differencing that component alone.
     """
     x = np.asarray(x, dtype=float)
-    if h0 is None:
-        h0 = 1e-3 * max(1.0, abs(x[axis]))
+    h0 = 1e-3 * max(1.0, abs(x[axis]))
 
     def f(offset):
         xp = x.copy()

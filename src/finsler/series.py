@@ -89,10 +89,6 @@ def _coeffs(tag, u0, order):
             g = _recip_series(quad, order - 1)
             for k in range(1, order + 1):
                 c[k] = g[k - 1] / k
-    elif tag == "neg":
-        c[0] = -u0
-        if order >= 1:
-            c[1] = -1.0
     else:
         raise ValueError(f"no Taylor table for tag {tag!r}")
     return c

@@ -99,7 +99,7 @@ def test_riemann_flag_reuses_the_spray_and_fundamental_data(name):
     for y in default_directions(m.n, 5, seed=1):
         sd, fd = spray_data(m, f, x, y), fundamental(m, f, x, y)
         R, K = riemann_flag(m, f, x, y)
-        R2, K2 = riemann_flag(m, f, x, y, spray=sd, fd=fd)
+        R2, K2 = riemann_flag(m, f, x, y, spray=sd, g=fd.g)
         assert np.array_equal(R, R2) and K == K2
-        R3, K3 = riemann_flag(m, f, x, y, fd=fd, R=riemann(m, f, x, y, spray=sd))
+        R3, K3 = riemann_flag(m, f, x, y, g=fd.g, R=riemann(m, f, x, y, spray=sd))
         assert np.array_equal(R, R3) and K == K3

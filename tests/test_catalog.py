@@ -1,5 +1,6 @@
 """Catalog entries and the Zermelo navigation converter."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -73,6 +74,18 @@ class TestEntries:
                 x = lo + frac * (hi - lo)
                 if m.chart_domain.contains(x):
                     _inverse_spd(m.a_at(x))  # raises if not SPD
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_entry_and_spec_are_frozen(self, name):
+        # beta_at caches on the spec's identity hash, so no field may change
+        entry = get_metric(name)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            entry.metric.regularity_margin = 0.5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            entry.phi = RandersPhi()
+        spec = entry.metric
+        assert hash(spec) == object.__hash__(spec)
+        assert dataclasses.replace(spec) != spec
 
 
 class TestZermelo:

@@ -174,7 +174,7 @@ def test_sigma_bit_equal_on_catalog(name):
 
     def sweep(x):
         try:
-            return sigma_bh(m, f, x, with_flag=True)
+            return sigma_bh(m, f, x)
         except SingularDirectionInQuadrature as exc:
             return str(exc)
 
@@ -212,7 +212,10 @@ def test_shifted_nodes_bit_equal(n):
     moved[bad] = dirs[bad] @ rot.T
     F = finsler_eval_many(m, f, x, moved)[0]
     want = _UNIT_BALL_VOLUME[n] / float(w @ (1.0 / F) ** n)
-    assert sigma_bh(m, f, x, with_flag=True) == (want, True)
+    assert sigma_bh(m, f, x) == want
+    # the sweep with no node turned has other bits: the turn happened
+    F = finsler_eval_many(m, f, x, dirs)[0]
+    assert _UNIT_BALL_VOLUME[n] / float(w @ (1.0 / F) ** n) != want
     # F = alpha + 0.2 beta is Randers; the moved nodes cost 2e-6 on the sphere
     exact = (1.0 - (0.2 * m.b_at(x)[0]) ** 2) ** ((n + 1) / 2)
     assert want == pytest.approx(exact, rel=1e-5)

@@ -8,8 +8,7 @@ import pytest
 
 from finsler.catalog import catalog_names, get_metric
 from finsler.classify import default_directions, default_grid
-from finsler.errors import (DimensionError, DomainError, EvaluationError,
-                            ZeroVector)
+from finsler.errors import DimensionError, DomainError, ZeroVector
 from finsler.finsler_metric import _angular_density, fundamental
 from finsler.phi_families import RandersPhi
 from finsler.spray_curvature import (berwald, berwald_2d_identity,
@@ -222,26 +221,25 @@ class TestHCurvature:
         H = h_curvature(e.metric, e.phi, [0.0, 1.0], [1.0, 0.4])
         assert np.allclose(H, H.T, atol=1e-6)
 
-
-    def test_failing_y_stencil_point_is_an_evaluation_error(self, monkeypatch):
-        # the y-stencil goes through base_derivative, which wraps a failing
-        # stencil point in EvaluationError as the x-stencil always did
+    @pytest.mark.parametrize("name", ["lie_group", "bao_shen"])
+    def test_one_spray_jet_and_an_x_stencil(self, name, monkeypatch):
+        # dE/dy comes off the spray jet: only the x-stencil calls berwald,
+        # 4 stencil points on each of the n axes
         import finsler.spray_curvature as sc
-        e = get_metric("lie_group")
-        y0 = np.array([0.6, 0.4])  # |y| < 1: the y-step is 1e-3
-        real = sc.berwald
+        calls = {"berwald": 0, "spray_data": 0}
 
-        def failing_off_centre(m, f, x, y):
-            if not np.array_equal(y, y0):
-                raise DomainError("off-centre direction")
-            return real(m, f, x, y)
+        def counting(fn):
+            def wrapped(*args):
+                calls[fn.__name__] += 1
+                return fn(*args)
+            return wrapped
 
-        monkeypatch.setattr(sc, "berwald", failing_off_centre)
-        with pytest.raises(EvaluationError) as info:
-            h_curvature(e.metric, e.phi, [0.0, 1.0], y0)
-        assert str(info.value) == ("field evaluation failed at offset +0.001 "
-                                   "along axis 0: off-centre direction")
-        assert isinstance(info.value.__cause__, DomainError)
+        for fn in (sc.berwald, sc.spray_data):
+            monkeypatch.setattr(sc, fn.__name__, counting(fn))
+        e = get_metric(name)
+        x = default_grid(e.metric, 2)[0]
+        h_curvature(e.metric, e.phi, x, default_directions(e.metric.n, 1)[0])
+        assert calls == {"berwald": 4 * e.metric.n, "spray_data": 1}
 
 
 class TestBundle:

@@ -15,7 +15,7 @@ from finsler.finsler_metric import fsq_jet, fundamental
 from finsler.geometry_core import (ChartDomain, MetricSpec, beta_derivatives,
                                    christoffels)
 from finsler.spray_curvature import (berwald, h_curvature, riemann_flag,
-                                     spray_ab, spray_generic)
+                                     spray_ab, spray_data, spray_generic)
 
 
 def _scalar_base_derivative(field, x, axis, order):
@@ -128,6 +128,7 @@ def ref_spray_generic(m, f, x, y):
 
 
 def ref_h_curvature(m, f, x, y):
+    # the x-stencil per component; dE/dy exact, off the order-4 spray jet
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n = m.n
@@ -149,22 +150,41 @@ def ref_h_curvature(m, f, x, y):
                     lambda xp: e_field(xp, y)[i, j], x, mm, 1)
                 Ex[i, j, mm] = d
                 Ex[j, i, mm] = d
-    hy = 1e-3 * max(1.0, float(np.linalg.norm(y)))
-    Ey = np.zeros((n, n, n))
-    for k in range(n):
-        yp, ym = y.copy(), y.copy()
-        yp[k] += hy
-        ym[k] -= hy
-        yp2, ym2 = y.copy(), y.copy()
-        yp2[k] += 2 * hy
-        ym2[k] -= 2 * hy
-        d1 = (e_field(x, yp) - e_field(x, ym)) / (2 * hy)
-        d2 = (e_field(x, yp2) - e_field(x, ym2)) / (4 * hy)
-        Ey[:, :, k] = (4.0 * d1 - d2) / 3.0
+    Ey = spray_data(m, f, x, y).E_vert
     return (np.einsum("m,ijm->ij", y, Ex)
             - 2.0 * np.einsum("k,ijk->ij", G, Ey)
             - np.einsum("kj,ki->ij", E, N)
             - np.einsum("ik,kj->ij", E, N))
+
+
+def stencil_e_vert(m, f, x, y):
+    """dE_jk/dy^l by a Richardson y-stencil over 4n berwald passes, step
+    1e-3 max(1, |y|): the finite-difference oracle of ``E_vert``."""
+    y = np.asarray(y, dtype=float)
+    hy = 1e-3 * max(1.0, float(np.linalg.norm(y)))
+    Ey = np.zeros((m.n,) * 3)
+    for k in range(m.n):
+        def e_at(t):
+            yp = y.copy()
+            yp[k] += t
+            return berwald(m, f, x, yp)[1]
+        d1 = (e_at(hy) - e_at(-hy)) / (2 * hy)
+        d2 = (e_at(2 * hy) - e_at(-2 * hy)) / (4 * hy)
+        Ey[:, :, k] = (4.0 * d1 - d2) / 3.0
+    return Ey
+
+
+def _e_vert_error(m, f, x, y):
+    """|E_vert - y-stencil| over its bound 1e-8 max(1, |E_vert|), for |y| >= 1.
+
+    The stencil's step is 1e-3 |y| only for |y| >= 1; a shorter y takes a
+    relatively longer step, and the stencil's h^4 error grows by the fourth
+    power of that ratio, so the bound does too.
+    """
+    exact = spray_data(m, f, x, y).E_vert
+    err = np.abs(exact - stencil_e_vert(m, f, x, y)).max()
+    step_ratio = max(1.0, 1.0 / float(np.linalg.norm(y)))
+    return err / (1e-8 * max(1.0, np.abs(exact).max()) * step_ratio**4)
 
 
 def _points(entry):
@@ -215,6 +235,7 @@ def test_direction_tensors_bit_equal(name):
             assert np.array_equal(batched, want)
             assert np.array_equal(h_curvature(m, f, x, y),
                                   ref_h_curvature(m, f, x, y))
+            assert _e_vert_error(m, f, x, y) <= 1.0
 
 
 def test_batched_spray_generic_property():
@@ -241,5 +262,31 @@ def test_batched_spray_generic_property():
         hypothesis.assume(np.linalg.norm(Y, axis=1).min() > 0.1)
         for row, y in zip(spray_generic(m, f, x, Y), Y):
             assert np.array_equal(row, spray_generic(m, f, x, y))
+
+    check()
+
+
+def test_e_vert_matches_the_y_stencil_property():
+    # random chart points and directions: the exact dE/dy of the spray jet
+    # against the finite-difference y-stencil (mw has |b| = 1, so F vanishes
+    # in one direction)
+    hypothesis = pytest.importorskip("hypothesis")
+    hnp = pytest.importorskip("hypothesis.extra.numpy")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=30, deadline=None)
+    @hypothesis.given(st.sampled_from([n for n in catalog_names() if n != "mw"]),
+                      st.data())
+    def check(name, data):
+        entry = get_metric(name)
+        m, f = entry.metric, entry.phi
+        lo = np.asarray(m.chart_domain.lo, dtype=float)
+        hi = np.asarray(m.chart_domain.hi, dtype=float)
+        t = data.draw(hnp.arrays(float, m.n, elements=st.floats(0.1, 0.9)))
+        x = lo + t * (hi - lo)
+        hypothesis.assume(m.chart_domain.contains(x))
+        y = data.draw(hnp.arrays(float, m.n, elements=st.floats(-1.0, 1.0)))
+        hypothesis.assume(np.linalg.norm(y) > 0.1)
+        assert _e_vert_error(m, f, x, y) <= 1.0
 
     check()
