@@ -17,7 +17,7 @@ m, phi = entry.metric, entry.phi
 x = [0.0, 1.0]
 y = [1.0, 0.3]
 
-cb = curvature_bundle(m, phi, x, y, with_s_def=True, with_h=True)
+cb = curvature_bundle(m, phi, x, y)  # each tensor computed when first read
 
 print(f"metric: {entry.name} at x={x}, y={y}")
 print(f"  spray G            = {np.round(spray_ab(m, phi, x, y), 6)}")

@@ -20,8 +20,8 @@ from .classify import (default_directions, default_grid,
 from .finsler_metric import finsler_eval, fsq_jet, fundamental
 from .geometry_core import beta_at, beta_norm_gradient_check
 from .phi_families import UnicornPhi, _q_series, ode_residual
-from .spray_curvature import (berwald, berwald_2d_identity, douglas_2d_identity,
-                              landsberg, douglas, ln_sigma_gradient,
+from .spray_curvature import (berwald, berwald_2d_identity, curvature_bundle,
+                              douglas_2d_identity, ln_sigma_gradient,
                               riemann_flag, s_curvature_def,
                               s_curvature_formula, spray_ab, spray_generic)
 
@@ -96,11 +96,10 @@ def criterion_2():
     mb = ml = md = 0.0
     for x in grid[:4]:
         for y in ([1.0, 0.3], [-0.5, 1.0]):
-            fd = fundamental(m, f, x, y)
-            B, _ = berwald(m, f, x, y)
-            mb = max(mb, float(np.abs(B).max()))
-            ml = max(ml, float(np.abs(landsberg(fd, B)).max()))
-            md = max(md, float(np.abs(douglas(m, f, x, y)).max()))
+            cb = curvature_bundle(m, f, x, y)
+            mb = max(mb, float(np.abs(cb.B).max()))
+            ml = max(ml, float(np.abs(cb.L).max()))
+            md = max(md, float(np.abs(cb.D).max()))
     out.gt("max|B|", mb, 1e-3)
     out.gt("max|L|", ml, 1e-3)
     out.gt("max|D|", md, 1e-3)
@@ -237,11 +236,9 @@ def criterion_8():
         worst_d = worst_b = 0.0
         for x in default_grid(m, margin=_MARGIN)[:4]:
             for y in ([1.0, 0.4], [-0.6, 1.0]):
-                worst_d = max(worst_d, float(np.abs(douglas_2d_identity(m, f, x, y)).max()))
-                fd = fundamental(m, f, x, y)
-                B, E = berwald(m, f, x, y)
-                L = landsberg(fd, B)
-                worst_b = max(worst_b, float(np.abs(berwald_2d_identity(fd, B, E, L)).max()))
+                cb = curvature_bundle(m, f, x, y)
+                worst_d = max(worst_d, float(np.abs(douglas_2d_identity(cb)).max()))
+                worst_b = max(worst_b, float(np.abs(berwald_2d_identity(cb)).max()))
         out.lt(f"Douglas identity ({name})", worst_d, 1e-6)
         out.lt(f"Berwald identity ({name})", worst_b, 1e-6)
     return out

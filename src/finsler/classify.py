@@ -16,11 +16,11 @@ import numpy as np
 from .errors import (AllSamplesSingular, DegenerateFlag, DomainError,
                      EmptyGrid, EvaluationError, MissingReports, RankDeficient,
                      WrongPhiVariant)
-from .finsler_metric import fsq_jet, fundamental
+from .finsler_metric import fsq_jet
 from .geometry_core import MetricSpec, beta_at
 from .phi_families import PhiFamily, _q_series
-from .spray_curvature import (landsberg, ln_sigma_gradient, per_direction,
-                              riemann_flag, s_curvature_def, spray_data)
+from .spray_curvature import (curvature_bundle, ln_sigma_gradient,
+                              per_direction, riemann_flag)
 
 #: default thresholds per predicate family
 TOL_TENSOR = 1e-6
@@ -163,15 +163,10 @@ def randers_s0_shortcut(m: MetricSpec, f: PhiFamily, grid,
 def _sample_norms(m, f, x, Y, grad):
     """Max-norms of B, L, D, S and C per direction of Y, each scaled to F = 1."""
     Y = Y / np.sqrt(fsq_jet(m, f, x, Y, 0).value)[..., None]
-    fd = fundamental(m, f, x, Y)
-    sd = spray_data(m, f, x, Y)
-    S = np.reshape(s_curvature_def(m, f, x, Y, grad_ln_sigma=grad, spray=sd), -1)
-
-    def norm(T):
-        return np.abs(np.reshape(T, (len(S), -1))).max(axis=1)
-
-    return np.column_stack([norm(sd.B), norm(landsberg(fd, sd.B)), norm(sd.D),
-                            np.abs(S), norm(fd.C)]).tolist()
+    cb = curvature_bundle(m, f, x, Y, grad)
+    C = cb.fd.C  # before the spray: a failing sample raises what `fundamental` does
+    return np.column_stack([np.abs(np.reshape(T, (len(cb.dirs), -1))).max(axis=1)
+                            for T in (cb.B, cb.L, cb.D, cb.S_def, C)]).tolist()
 
 
 def curvature_flags(m: MetricSpec, f: PhiFamily, grid, dirs=None,

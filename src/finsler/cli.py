@@ -23,20 +23,20 @@ from .classify import classify_metric, default_directions, default_grid
 from .errors import ConfigError, FinslerError, UnknownQuantity
 from .exprparse import parse
 from .exprparse import eval_expr
-from .finsler_metric import fundamental, sigma_bh
+from .finsler_metric import sigma_bh
 from .geometry_core import ChartDomain, MetricSpec, beta_at
 from .phi_families import (CustomExprPhi, RandersPhi, RiemannSqrtPhi,
                            UnicornPhi, _q_series)
-from .spray_curvature import (berwald, douglas, h_curvature, landsberg,
-                              ln_sigma_gradient, per_direction, riemann,
-                              riemann_flag, s_curvature_def,
-                              s_curvature_formula, spray_ab, spray_data)
+# curvature_bundle calls riemann_flag; perfbench/tests/test_tracer.py requires it bound here
+from .spray_curvature import (curvature_bundle, ln_sigma_gradient,  # noqa: F401
+                              per_direction, riemann_flag)
 
 QUANTITIES = ("a", "b_form", "gamma", "r", "s", "r_i", "s_i", "bnorm", "Q",
               "G", "B", "E", "L", "D", "R", "K", "S", "H", "sigma")
 
-#: quantities that need a direction as well as a point
-_DIRECTIONAL = {"Q", "G", "B", "E", "L", "D", "R", "K", "S", "H"}
+#: quantities read off a curvature bundle, one per grid point; these and Q
+#: need a direction as well as a point
+_FIBER = {"G", "B", "E", "L", "D", "R", "K", "S", "H"}
 
 _CONFIG_KEYS = {"schema", "metric", "grid", "directions", "seed", "out"}
 _METRIC_KEYS = {"name", "params", "custom"}
@@ -187,8 +187,8 @@ def _records(m, f, x, Y, grad):
     does; one direction gives its record, a partial one with the error text
     if a layer raises.
     """
-    dirs = np.reshape(Y, (-1, m.n))
-    recs = [{"x": [_fmt(v) for v in x], "y": [_fmt(v) for v in y]} for y in dirs]
+    cb = curvature_bundle(m, f, x, Y, grad)
+    recs = [{"x": [_fmt(v) for v in x], "y": [_fmt(v) for v in y]} for y in cb.dirs]
 
     def fill(key, T, fmt=lambda row: _fmt(row[0])):  # from one flat row per direction
         for rec, row in zip(recs, np.reshape(T, (len(recs), -1))):
@@ -198,23 +198,17 @@ def _records(m, f, x, Y, grad):
         return _fmt(np.abs(row).max())
 
     try:
-        fd = fundamental(m, f, x, Y)
-        fill("F", fd.F)
-        fill("g", fd.g, lambda row: [[_fmt(v) for v in r] for r in row.reshape(m.n, -1)])
-        fill("C_norm", fd.C, norm)
-        sd = spray_data(m, f, x, Y)
-        fill("G", sd.G, lambda row: [_fmt(v) for v in row])
-        for key, T in (("B_norm", sd.B), ("E_norm", sd.E),
-                       ("L_norm", landsberg(fd, sd.B)), ("D_norm", sd.D)):
-            fill(key, T, norm)
-        if m.n == 2:  # K is the only part kept, and exists for n = 2 only
-            R = riemann(m, f, x, Y, spray=sd)  # one stencil pass, then K per direction
-            g_rows, R_rows = (np.reshape(T, (-1, m.n, m.n)) for T in (fd.g, R))
-            fill("K", [riemann_flag(m, f, x, y, g=g_b, R=R_b)[1]
-                       for y, g_b, R_b in zip(dirs, g_rows, R_rows)])
-        fill("S_formula", [s_curvature_formula(m, f, x, y) for y in dirs])
+        fill("F", cb.fd.F)
+        fill("g", cb.fd.g, lambda row: [[_fmt(v) for v in r] for r in row.reshape(m.n, -1)])
+        fill("C_norm", cb.fd.C, norm)
+        fill("G", cb.G, lambda row: [_fmt(v) for v in row])
+        for key in ("B", "E", "L", "D"):
+            fill(f"{key}_norm", getattr(cb, key), norm)
+        if m.n == 2:  # K exists for n = 2 only, and R is not kept
+            fill("K", cb.K)
+        fill("S_formula", cb.S_formula)
         if grad is not None:
-            fill("S_def", s_curvature_def(m, f, x, Y, grad, sd))
+            fill("S_def", cb.S_def)
     except FinslerError as exc:
         if Y.ndim == 2:
             raise
@@ -263,7 +257,8 @@ def _cells(label, T, upper=False):
     return names, list(T.ravel())
 
 
-def _header_and_row(name, m, bc, x, y, f, grad_ln_sigma=None):
+def _header_and_row(name, m, bc, x, y, f):
+    """Columns and cells of a beta-calculus quantity, sigma or Q."""
     if name in ("a", "r", "s"):
         return _cells(name, getattr(bc, name))
     if name in ("r_i", "s_i"):
@@ -276,64 +271,56 @@ def _header_and_row(name, m, bc, x, y, f, grad_ln_sigma=None):
         return (["bnorm"], [bc.b])
     if name == "sigma":
         return (["sigma"], [sigma_bh(m, f, x)])
-    if name == "Q":
-        alpha = math.sqrt(float(np.asarray(y) @ bc.a @ np.asarray(y)))
-        s_val = float(bc.b_i @ np.asarray(y)) / alpha
-        return (["Q"], [_q_series(f, s_val, 0).value])
-    if name == "G":
-        return _cells("G", spray_ab(m, f, x, y), upper=True)
-    if name in ("B", "E", "L"):
-        B, E = berwald(m, f, x, y)
-        if name == "B":
-            return _cells("B", B, upper=True)
-        if name == "E":
-            return _cells("E", E)
-        return _cells("L", landsberg(fundamental(m, f, x, y), B))
-    if name == "D":
-        return _cells("D", douglas(m, f, x, y), upper=True)
-    if name in ("R", "K"):
-        R, K = riemann_flag(m, f, x, y)
-        if name == "R":
-            return _cells("R", R, upper=True)
-        return (["K"], [K if K is not None else ""])
+    alpha = math.sqrt(float(np.asarray(y) @ bc.a @ np.asarray(y)))  # Q
+    s_val = float(bc.b_i @ np.asarray(y)) / alpha
+    return (["Q"], [_q_series(f, s_val, 0).value])
+
+
+def _fiber_cells(name, cb):
+    """Columns and cells of a fiber quantity, per direction of a bundle."""
+    def each(T):  # one item per direction
+        return [T] if cb.y.ndim == 1 else T
+
     if name == "S":
-        return (["S_formula", "S_def"],
-                [s_curvature_formula(m, f, x, y),
-                 s_curvature_def(m, f, x, y, grad_ln_sigma)])
-    if name == "H":
-        return _cells("H", h_curvature(m, f, x, y))
-    raise UnknownQuantity(f"unknown quantity {name!r}; choose from {QUANTITIES}")
+        return [(["S_formula", "S_def"], [a, b])
+                for a, b in zip(each(cb.S_formula), each(cb.S_def))]
+    if name == "K":  # an empty cell where n != 2
+        return [(["K"], [k]) for k in
+                (each(cb.K) if cb.K is not None else [""] * len(cb.dirs))]
+    return [_cells(name, T, upper=name in ("G", "B", "D", "R"))
+            for T in each(getattr(cb, name))]
 
 
 def cmd_table(cfg, quantity):
-    """CSV table of one quantity over the sample grid (and directions)."""
+    """CSV table of one quantity over the sample grid (and directions).
+
+    A fiber quantity reads one curvature bundle per grid point, its
+    directions as one batch, redone one direction at a time if it raises.
+    """
     if quantity not in QUANTITIES:
         raise UnknownQuantity(
             f"unknown quantity {quantity!r}; choose from {QUANTITIES}")
     m, f = cfg.metric, cfg.phi
     grid = _sample_grid(cfg)
-    directional = quantity in _DIRECTIONAL
+    directional = quantity in _FIBER or quantity == "Q"
     dirs = (default_directions(m.n, cfg.n_directions, seed=cfg.seed)
             if directional else [None])
     buf = io.StringIO()
     writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
-    header_written = False
-    for x in grid:
-        bc = beta_at(m, x)
-        grad = ln_sigma_gradient(m, f, x) if quantity == "S" else None
-        for y in dirs:
-            cols, vals = _header_and_row(quantity, m, bc, x, y, f, grad)
-            if not header_written:
-                pre = [f"x{i+1}" for i in range(m.n)]
-                if directional:
-                    pre += [f"y{i+1}" for i in range(m.n)]
-                writer.writerow(pre + cols)
-                header_written = True
-            pre = [f"{v:.12g}" for v in x]
-            if directional:
-                pre += [f"{v:.12g}" for v in y]
-            writer.writerow(pre + [v if isinstance(v, str) else f"{v:.12g}"
-                                   for v in vals])
+    for k, x in enumerate(grid):
+        if quantity in _FIBER:
+            grad = ln_sigma_gradient(m, f, x) if quantity == "S" else None
+            rows = per_direction(lambda Y: _fiber_cells(
+                quantity, curvature_bundle(m, f, x, Y, grad)), dirs)
+        else:
+            bc = beta_at(m, x)
+            rows = [_header_and_row(quantity, m, bc, x, y, f) for y in dirs]
+        if k == 0:
+            axes = ("x", "y") if directional else ("x",)
+            writer.writerow([f"{a}{i+1}" for a in axes for i in range(m.n)] + rows[0][0])
+        for y, (_, vals) in zip(dirs, rows):
+            writer.writerow([f"{v:.12g}" for v in ([*x, *y] if directional else x)]
+                            + [v if isinstance(v, str) else f"{v:.12g}" for v in vals])
     return buf.getvalue()
 
 

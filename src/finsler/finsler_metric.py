@@ -194,8 +194,8 @@ def _angular_density(f: PhiFamily, b, n):
     sigma_BH = f(b) sigma_alpha (Cheng-Shen); this is ``sigma_bh``'s rule and
     refine switch at a = I, with beta off the polar axis of the n = 3 rule,
     where it is more accurate near b = 1.  Memoised on (f, b, n), the 256
-    most recent keys; a ``PhiFamily`` hashes by identity and is never
-    mutated, and the cache's strong reference keeps its id from reuse.
+    most recent keys; a ``PhiFamily`` hashes by identity and is frozen, and
+    the cache's strong reference keeps its id from reuse.
     """
     for refine in (1, 4):
         _, (dirs, w) = _polar_nodes(n, refine)

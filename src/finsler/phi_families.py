@@ -11,6 +11,7 @@ derivatives from the first-order recurrence phi' = g * phi.
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -29,6 +30,12 @@ class PhiFamily:
     b0 = math.inf
     #: margin excluded near the singular endpoints of almost-regular families
     delta = 0.05
+
+    # frozen once built: the _unicorn_value LRU and the f(b) memo key on identity
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is frozen: {name!r} cannot change")
+
+    __delattr__ = __setattr__
 
     def taylor(self, s0, order):
         raise NotImplementedError
@@ -83,8 +90,8 @@ class RiemannSqrtPhi(PhiFamily):
     variant = "riemann_sqrt"
 
     def __init__(self, k):
-        self.k = float(k)
-        self.b0 = math.inf if self.k >= 0 else 1.0 / math.sqrt(-self.k)
+        k = float(k)
+        self.__dict__.update(k=k, b0=math.inf if k >= 0 else 1.0 / math.sqrt(-k))
 
     def taylor(self, s0, order):
         t = jet_variable(0, s0, 1, order)
@@ -105,11 +112,8 @@ class UnicornPhi(PhiFamily):
     def __init__(self, b0, k, q, c, delta=0.05):
         if not (b0 > 0 and q > 0 and c > 0):
             raise ParamOutOfRange("unicorn family requires b0 > 0, q > 0, c > 0")
-        self.b0 = float(b0)
-        self.k = float(k)
-        self.q = float(q)
-        self.c = float(c)
-        self.delta = float(delta)
+        self.__dict__.update(b0=float(b0), k=float(k), q=float(q), c=float(c),
+                             delta=float(delta))
 
     def _g(self, t):
         root = math.sqrt(max(self.b0**2 - t * t, 0.0))
@@ -148,8 +152,7 @@ def _unicorn_value(f: UnicornPhi, s):
     LRU smaller than a sweep evicts every key before its reuse, so this one
     holds two n = 3 sweeps (not the 16x larger ones of sigma_bh's finer rule,
     taken only for strongly elongated unit balls).  A ``UnicornPhi`` hashes
-    by identity and is never mutated after construction; an entry keeps its
-    id from being reused.
+    by identity and is frozen; an entry keeps its id from being reused.
     """
     return f.c * math.exp(adaptive_simpson(f._g, 0.0, s, tol=1e-12))
 
@@ -160,12 +163,9 @@ class CustomExprPhi(PhiFamily):
     variant = "custom"
 
     def __init__(self, text, params=None, b0=math.inf, delta=0.05):
-        self.text = text
-        self.params = dict(params or {})
-        allowed = {"s"} | set(self.params)
-        self.ast = parse(text, allowed)
-        self.b0 = float(b0)
-        self.delta = float(delta)
+        params = MappingProxyType(dict(params or {}))  # read-only, like the family
+        self.__dict__.update(text=text, params=params, ast=parse(text, {"s"} | set(params)),
+                             b0=float(b0), delta=float(delta))
 
     def taylor(self, s0, order):
         bindings = dict(self.params)

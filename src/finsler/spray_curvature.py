@@ -8,16 +8,20 @@ oracle.  Base-point derivatives of spray-level fields always go through
 ``base_derivative``.
 
 ``spray_ab``, ``spray_generic``, ``spray_data``, ``berwald``, ``douglas``,
-``riemann``, ``riemann_flag`` and ``s_curvature_def`` take one direction ``y``
-or a ``(B, n)`` stack at one x, which goes through as one jet batch and gives
-every field a leading B axis, each row with the bits of its direction alone.
-:func:`per_direction` runs a caller's batch and, if it raises, redoes it one
-direction at a time.
+``riemann``, ``riemann_flag``, ``s_curvature_def`` and ``h_curvature`` take one
+direction ``y`` or a ``(B, n)`` stack at one x, which goes through as one jet
+batch and gives every field a leading B axis, each row with the bits of its
+direction alone.  :func:`per_direction` runs a caller's batch and, if it
+raises, redoes it one direction at a time.
+
+:func:`curvature_bundle` evaluates the fiber tensors at a point for
+``report``, ``table`` and the classification, each on first read, from one
+copy of the fundamental data and of the order-4 spray jet.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
 
 import numpy as np
 
@@ -26,7 +30,7 @@ from .finsler_metric import (FundamentalData, _angular_density,
                              alpha_beta_jets, fsq_jet, fundamental, sigma_bh)
 from .geometry_core import MetricSpec, beta_at, beta_contractions
 from .jets import base_derivative, jet_form, jet_variable
-from .phi_families import PhiFamily, spray_scalar_series
+from .phi_families import PhiFamily, ab_scalars, spray_scalar_series
 
 
 def per_direction(fn, Y):
@@ -116,30 +120,27 @@ def douglas(m: MetricSpec, f: PhiFamily, x, y):
     return spray_data(m, f, x, y).D
 
 
-def douglas_2d_identity(m: MetricSpec, f: PhiFamily, x, y):
+def douglas_2d_identity(cb: "CurvatureBundle"):
     """Residual of the surface decomposition of D through B, E and E_{jk,l}."""
-    n = m.n
-    if n != 2:
+    if cb.m.n != 2:
         raise DimensionError("surface identity requires n = 2")
-    y = np.asarray(y, dtype=float)
-    sd = spray_data(m, f, x, y)
-    delta = np.eye(n)
+    sd, delta = cb.spray, np.eye(2)
     rhs = sd.B - (2.0 / 3.0) * (
         np.einsum("jk,il->ijkl", sd.E, delta)
         + np.einsum("kl,ij->ijkl", sd.E, delta)
         + np.einsum("lj,ik->ijkl", sd.E, delta)
-        + np.einsum("jkl,i->ijkl", sd.E_vert, y))
+        + np.einsum("jkl,i->ijkl", sd.E_vert, cb.y))
     return sd.D - rhs
 
 
-def berwald_2d_identity(fd: FundamentalData, B, E, L):
+def berwald_2d_identity(cb: "CurvatureBundle"):
     """Residual of the surface decomposition of B through L, E and the angular metric."""
-    n = B.shape[0]
-    if n != 2:
+    if cb.m.n != 2:
         raise DimensionError("surface identity requires n = 2")
+    fd, B, E = cb.fd, cb.B, cb.E
     y = fd.ell * fd.F
     h_mixed = fd.g_inv @ fd.h  # h^i_l
-    rhs = (-2.0 / fd.F**2) * np.einsum("jkl,i->ijkl", L, y) + (2.0 / 3.0) * (
+    rhs = (-2.0 / fd.F**2) * np.einsum("jkl,i->ijkl", cb.L, y) + (2.0 / 3.0) * (
         np.einsum("jk,il->ijkl", E, h_mixed)
         + np.einsum("kl,ij->ijkl", E, h_mixed)
         + np.einsum("jl,ik->ijkl", E, h_mixed))
@@ -175,16 +176,14 @@ def riemann(m: MetricSpec, f: PhiFamily, x, y, spray=None):
             - N @ N)
 
 
-def riemann_flag(m: MetricSpec, f: PhiFamily, x, y, u=None, spray=None,
-                 g=None, R=None):
+def riemann_flag(m: MetricSpec, f: PhiFamily, x, y, u=None, g=None, R=None):
     """Riemann curvature R^i_k and (given or default transverse u) flag curvature.
 
-    ``spray``, ``g`` and ``R`` take the caller's spray_data, fundamental tensor
-    and riemann.
+    ``g`` and ``R`` take the caller's fundamental tensor and riemann.
     """
     y = np.asarray(y, dtype=float)
     if R is None:
-        R = riemann(m, f, x, y, spray)
+        R = riemann(m, f, x, y)
     if u is None:
         if m.n != 2:
             return R, None
@@ -229,8 +228,6 @@ def s_curvature_def(m: MetricSpec, f: PhiFamily, x, y, grad_ln_sigma=None,
 
 def s_curvature_formula(m: MetricSpec, f: PhiFamily, x, y):
     """S-curvature from the (alpha, beta) scalar formula with the Busemann-Hausdorff f(b)."""
-    from .phi_families import ab_scalars
-
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     bc = beta_at(m, x)
@@ -251,21 +248,22 @@ def s_curvature_formula(m: MetricSpec, f: PhiFamily, x, y):
                       * (con.r_00 - 2.0 * alpha * sc.Q * con.s_0))
 
 
-def h_curvature(m: MetricSpec, f: PhiFamily, x, y):
+def h_curvature(m: MetricSpec, f: PhiFamily, x, y, spray=None):
     """H_ij: horizontal derivative of the mean Berwald curvature along the flow.
 
-    dE_ij/dy^k is exact, ``E_vert`` of the order-4 spray jet; dE_ij/dx^m is
-    one ``base_derivative`` stencil per axis over order-3 ``berwald`` jets.
+    dE_ij/dy^k is exact, ``E_vert`` of the order-4 spray jet (``spray``, the
+    ``spray_data`` of (x, y), if at hand); dE_ij/dx^m is one
+    ``base_derivative`` stencil per axis over order-3 ``berwald`` jets.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    sd = spray_data(m, f, x, y)
+    sd = spray_data(m, f, x, y) if spray is None else spray
     Ex = np.stack([base_derivative(lambda xp: berwald(m, f, xp, y)[1], x, mm, 1)
                    for mm in range(m.n)], axis=-1)
-    return (np.einsum("m,ijm->ij", y, Ex)
-            - 2.0 * np.einsum("k,ijk->ij", sd.G, sd.E_vert)
-            - np.einsum("kj,ki->ij", sd.E, sd.N)
-            - np.einsum("ik,kj->ij", sd.E, sd.N))
+    return (np.einsum("...m,...ijm->...ij", y, Ex)
+            - 2.0 * np.einsum("...k,...ijk->...ij", sd.G, sd.E_vert)
+            - np.einsum("...kj,...ki->...ij", sd.E, sd.N)
+            - np.einsum("...ik,...kj->...ij", sd.E, sd.N))
 
 
 @dataclass
@@ -279,21 +277,6 @@ class SprayData:
     E: np.ndarray  # mean Berwald curvature
     E_vert: np.ndarray  # E_{jk,l} = d E_jk / dy^l
     D: np.ndarray  # Douglas curvature, from the projective spray
-
-
-@dataclass
-class CurvatureBundle:
-    """All curvature tensors evaluated at one (x, y)."""
-
-    B: np.ndarray
-    E: np.ndarray
-    L: np.ndarray
-    D: np.ndarray
-    R: np.ndarray
-    K: Optional[float]
-    S_def: Optional[float]
-    S_formula: float
-    H: Optional[np.ndarray]
 
 
 def spray_data(m: MetricSpec, f: PhiFamily, x, y) -> SprayData:
@@ -318,14 +301,49 @@ def spray_data(m: MetricSpec, f: PhiFamily, x, y) -> SprayData:
                      D=_fiber(projective, 3))
 
 
-def curvature_bundle(m: MetricSpec, f: PhiFamily, x, y,
-                     with_s_def=True, with_h=False) -> CurvatureBundle:
-    """Convenience: every curvature tensor at one (x, y)."""
-    fd = fundamental(m, f, x, y)
-    sd = spray_data(m, f, x, y)
-    R, K = riemann_flag(m, f, x, y, spray=sd, g=fd.g)
-    s_form = s_curvature_formula(m, f, x, y)
-    s_def = s_curvature_def(m, f, x, y, spray=sd) if with_s_def else None
-    H = h_curvature(m, f, x, y) if with_h else None
-    return CurvatureBundle(B=sd.B, E=sd.E, L=landsberg(fd, sd.B), D=sd.D, R=R,
-                           K=K, S_def=s_def, S_formula=s_form, H=H)
+class CurvatureBundle:
+    """The curvature tensors at one x, for one direction or a ``(B, n)`` stack.
+
+    Each field is computed on first read and kept; the tensors share one
+    ``fd`` (``fundamental``) and one ``spray`` (``spray_data``, an order-4
+    jet).  A field raises when read, so the caller's reading order fixes which
+    error a sample reports.  ``grad_ln_sigma`` feeds ``S_def`` if at hand.
+    """
+
+    def __init__(self, m: MetricSpec, f: PhiFamily, x, y, grad_ln_sigma=None):
+        self.m, self.f, self.grad_ln_sigma = m, f, grad_ln_sigma
+        self.x, self.y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        self.dirs = np.reshape(self.y, (-1, m.n))  # y as a stack
+
+    fd = cached_property(lambda self: fundamental(self.m, self.f, self.x, self.y))
+    spray = cached_property(lambda self: spray_data(self.m, self.f, self.x, self.y))
+    G = property(lambda self: self.spray.G)
+    B = property(lambda self: self.spray.B)
+    E = property(lambda self: self.spray.E)
+    D = property(lambda self: self.spray.D)
+    L = cached_property(lambda self: landsberg(self.fd, self.B))
+    R = cached_property(lambda self: riemann(self.m, self.f, self.x, self.y, self.spray))
+    S_def = cached_property(lambda self: s_curvature_def(
+        self.m, self.f, self.x, self.y, self.grad_ln_sigma, self.spray))
+    H = cached_property(lambda self: h_curvature(self.m, self.f, self.x, self.y, self.spray))
+
+    @cached_property
+    def K(self):
+        """Flag curvature where n = 2, else ``None``; one ``riemann_flag`` call
+        per direction, as perfbench/tests/test_tracer.py counts them."""
+        if self.m.n != 2:
+            return None
+        R, g = self.R, self.fd.g
+        K = [riemann_flag(self.m, self.f, self.x, y, g=g_b, R=R_b)[1] for y, g_b, R_b
+             in zip(self.dirs, np.reshape(g, (-1, 2, 2)), np.reshape(R, (-1, 2, 2)))]
+        return K[0] if self.y.ndim == 1 else np.array(K)
+
+    @cached_property
+    def S_formula(self):
+        S = [s_curvature_formula(self.m, self.f, self.x, y) for y in self.dirs]
+        return S[0] if self.y.ndim == 1 else np.array(S)
+
+
+#: ``curvature_bundle(m, f, x, y, grad_ln_sigma=None)``: every curvature
+#: tensor at x, for one direction or a ``(B, n)`` stack
+curvature_bundle = CurvatureBundle

@@ -202,6 +202,32 @@ class TestTable:
         assert capsys.readouterr().out == "\r\n".join(S_TABLE_ROWS) + "\r\n"
 
 
+TABLES = FIXTURES / "tables"
+
+
+@pytest.mark.parametrize("metric,quantity,extra", [
+    *(("lie_group", q, []) for q in "QGBELDRKH"),
+    *(("bao_shen", q, ["--seed", "0"]) for q in "GBDRH"),
+])
+def test_table_bytes(metric, quantity, extra, capsys):
+    # one curvature bundle per grid point, its directions as one batch, must
+    # print the bytes of one direction at a time (recorded in the fixtures)
+    rc = main(["table", "--metric", metric, "--quantity", quantity,
+               "--per-axis", "2", "--directions", "4", *extra])
+    assert rc == 0
+    want = (TABLES / f"{metric}.{quantity}.csv").read_bytes().decode()
+    assert capsys.readouterr().out == want
+
+
+def test_table_reports_the_first_failing_direction(capsys, monkeypatch):
+    # a point's batch raises; redone one direction at a time, the error is
+    # the one the first failing direction raises alone
+    doc = json.loads((TABLES / "unicorn_near_edge.B.json").read_text())
+    monkeypatch.chdir(FIXTURES.parents[1])
+    assert main(doc["argv"]) == doc["exit_code"]
+    assert capsys.readouterr() == (doc["stdout"], doc["stderr"])
+
+
 class TestReport:
     def test_lie_group_report(self):
         doc = json.loads(cmd_report(_cfg("lie_group", per_axis=2,
@@ -250,27 +276,31 @@ class TestReport:
 
 
 class TestRiemannSkip:
-    """``report`` calls ``riemann_flag`` only where it keeps K, i.e. n = 2."""
+    """``report`` calls ``riemann_flag`` only where it keeps K, i.e. n = 2.
+
+    The records read K off a curvature bundle, which calls ``riemann_flag``
+    once per direction.
+    """
 
     def test_not_called_for_n3(self, monkeypatch):
         def broken(*args, **kwargs):
             raise EvaluationError("Riemann stencil failed")
 
-        monkeypatch.setattr("finsler.cli.riemann_flag", broken)
+        monkeypatch.setattr("finsler.spray_curvature.riemann_flag", broken)
         doc = json.loads(cmd_report(_cfg("bao_shen", per_axis=2,
                                          directions=4)))
         assert doc["records"]
         assert not any("error" in r or "K" in r for r in doc["records"])
 
     def test_called_for_n2(self, monkeypatch):
-        import finsler.cli
-        real, calls = finsler.cli.riemann_flag, []
+        import finsler.spray_curvature
+        real, calls = finsler.spray_curvature.riemann_flag, []
 
         def counting(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr("finsler.cli.riemann_flag", counting)
+        monkeypatch.setattr("finsler.spray_curvature.riemann_flag", counting)
         doc = json.loads(cmd_report(_cfg("lie_group", per_axis=2,
                                          directions=4)))
         assert len(calls) == len(doc["records"]) == 16

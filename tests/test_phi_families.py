@@ -182,3 +182,37 @@ class TestScalars:
 
         spray_scalar_series(Counted(1.0, 0.3, 0.7, 1.0), 0.6, 0.3, 4)
         assert calls == [(0.3, 6)]
+
+
+#: one constructed member of each family, and the attributes it carries
+FAMILIES = {
+    "randers": (RandersPhi, ("b0", "delta")),
+    "riemann_sqrt": (lambda: RiemannSqrtPhi(-4.0), ("k", "b0", "delta")),
+    "unicorn": (lambda: UnicornPhi(1.0, 0.3, 0.7, 1.0), ("b0", "k", "q", "c", "delta")),
+    "custom": (lambda: CustomExprPhi("1 + p1 * s", {"p1": 0.5}, b0=1.0),
+               ("text", "params", "ast", "b0", "delta")),
+}
+
+
+@pytest.mark.parametrize("variant", FAMILIES)
+def test_family_is_frozen_and_hashes_by_identity(variant):
+    # the _unicorn_value LRU and the f(b) memo key on the family: a family
+    # that changed after its first use would read the values of its old self
+    make, names = FAMILIES[variant]
+    f = make()
+    assert f.variant == variant
+    before = {name: getattr(f, name) for name in names}
+    for name in (*names, "variant", "new_attribute"):
+        with pytest.raises(AttributeError, match="frozen"):
+            setattr(f, name, 0.25)
+        with pytest.raises(AttributeError, match="frozen"):
+            delattr(f, name)
+    assert {name: getattr(f, name) for name in names} == before
+    assert not hasattr(f, "new_attribute")
+    assert hash(f) == object.__hash__(f)
+    g = make()
+    assert f != g and hash(f) != hash(g)
+    assert f.value(0.3) == g.value(0.3)
+    if variant == "custom":
+        with pytest.raises(TypeError):
+            f.params["p1"] = 2.0

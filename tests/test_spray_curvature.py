@@ -117,16 +117,18 @@ class TestSurfaceIdentities:
     def test_decompositions(self, name, kw, x):
         e = get_metric(name, **kw)
         y = [1.0, 0.45]
-        assert np.abs(douglas_2d_identity(e.metric, e.phi, x, y)).max() < 1e-8
-        fd = fundamental(e.metric, e.phi, x, y)
-        B, E = berwald(e.metric, e.phi, x, y)
-        L = landsberg(fd, B)
-        assert np.abs(berwald_2d_identity(fd, B, E, L)).max() < 1e-8
+        cb = curvature_bundle(e.metric, e.phi, x, y)
+        assert np.abs(douglas_2d_identity(cb)).max() < 1e-8
+        assert np.abs(berwald_2d_identity(cb)).max() < 1e-8
 
     def test_dimension_guard(self):
         e = get_metric("bao_shen", K=2.0)
         with pytest.raises(DimensionError):
-            douglas_2d_identity(e.metric, e.phi, [0.1, 0.1, 0.1], [1, 0, 0])
+            douglas_2d_identity(curvature_bundle(e.metric, e.phi, [0.1, 0.1, 0.1],
+                                                 [1, 0, 0]))
+        with pytest.raises(DimensionError):
+            berwald_2d_identity(curvature_bundle(e.metric, e.phi, [0.1, 0.1, 0.1],
+                                                 [1, 0, 0]))
 
 
 class TestRiemannFlag:
@@ -249,15 +251,44 @@ class TestBundle:
             e = get_metric(name)
             x = default_grid(e.metric)[2]
             for y in default_directions(2, 3, seed=2):
-                cb = curvature_bundle(e.metric, e.phi, x, y, with_s_def=False)
+                cb = curvature_bundle(e.metric, e.phi, x, y)
                 R, K = riemann_flag(e.metric, e.phi, x, y)
                 assert np.array_equal(cb.R, R) and cb.K == K
 
     def test_bundle_consistency(self):
         e = get_metric("lie_group")
-        cb = curvature_bundle(e.metric, e.phi, [0.0, 1.0], [1.0, 0.3],
-                              with_s_def=True, with_h=True)
+        cb = curvature_bundle(e.metric, e.phi, [0.0, 1.0], [1.0, 0.3])
         assert cb.S_def == pytest.approx(cb.S_formula, rel=1e-6)
         assert cb.K is not None
         assert cb.H is not None
         assert cb.B.shape == (2, 2, 2, 2)
+
+    def test_tensors_share_one_spray_jet_and_fundamental_data(self, monkeypatch):
+        # every field is computed on first read: H alone builds one spray
+        # jet, and reading every field after it builds no other
+        import finsler.spray_curvature as sc
+        calls = {"spray_data": 0, "fundamental": 0}
+
+        def counting(fn):
+            def wrapped(*args, **kwargs):
+                calls[fn.__name__] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for fn in (sc.spray_data, sc.fundamental):
+            monkeypatch.setattr(sc, fn.__name__, counting(fn))
+        e = get_metric("lie_group")
+        cb = curvature_bundle(e.metric, e.phi, [0.0, 1.0], [1.0, 0.3])
+        cb.H
+        assert calls == {"spray_data": 1, "fundamental": 0}
+        for name in ("fd", "spray", "G", "B", "E", "D", "L", "R", "K",
+                     "S_formula", "S_def", "H"):
+            getattr(cb, name)
+        assert calls == {"spray_data": 1, "fundamental": 1}
+
+    def test_no_flag_curvature_off_surfaces(self, monkeypatch):
+        import finsler.spray_curvature as sc
+        monkeypatch.setattr(sc, "riemann", None)  # K must not compute R
+        e = get_metric("bao_shen")
+        assert curvature_bundle(e.metric, e.phi, [0.1, 0.2, 0.3],
+                                [1.0, 0.3, -0.2]).K is None
