@@ -121,7 +121,7 @@ def douglas(m: MetricSpec, f: PhiFamily, x, y):
 
 
 def douglas_2d_identity(cb: "CurvatureBundle"):
-    """Residual of the surface decomposition of D through B, E and E_{jk,l}."""
+    """Residual of the surface decomposition of D through B, E and E_{jk,l}, at one y."""
     if cb.m.n != 2:
         raise DimensionError("surface identity requires n = 2")
     sd, delta = cb.spray, np.eye(2)
@@ -134,7 +134,7 @@ def douglas_2d_identity(cb: "CurvatureBundle"):
 
 
 def berwald_2d_identity(cb: "CurvatureBundle"):
-    """Residual of the surface decomposition of B through L, E and the angular metric."""
+    """Residual of the surface decomposition of B through L, E and h, at one y."""
     if cb.m.n != 2:
         raise DimensionError("surface identity requires n = 2")
     fd, B, E = cb.fd, cb.B, cb.E
