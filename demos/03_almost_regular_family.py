@@ -1,9 +1,10 @@
 """The almost-regular phi family and recovery of its defining constants.
 
-phi is defined through the integral of a logarithmic derivative g(t) and is
-singular at s = +-b0.  Its associated function Q = phi'/(phi - s phi') is
-exactly k*s + q*sqrt(b0^2 - s^2); we verify that numerically and then recover
-(k, q) from samples by linear least squares.
+phi = c exp(int_0^s g) for a logarithmic derivative g(t), singular at
+s = +-b0; UnicornPhi evaluates the paper's closed form of that integral.  Its
+associated function Q = phi'/(phi - s phi') is exactly k*s + q*sqrt(b0^2 - s^2);
+we verify that numerically and then recover (k, q) from samples by linear least
+squares.
 """
 
 import numpy as np

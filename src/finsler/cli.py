@@ -148,6 +148,12 @@ class RunConfig:
 
 def _config_from_args(args):
     if getattr(args, "config", None):
+        # the file sets these: given next to it, they would be dropped
+        ignored = [flag for flag in ("--metric", "--param", "--per-axis", "--directions", "--seed")
+                   if getattr(args, flag[2:].replace("-", "_"), None) is not None]
+        if ignored:
+            raise ConfigError(f"{', '.join(ignored)} cannot be combined with --config; "
+                              "set them in the config file")
         with open(args.config) as fh:
             try:
                 doc = json.load(fh)
@@ -376,7 +382,7 @@ def build_parser():
                         help="grid points per axis (default 5)")
         sp.add_argument("--directions", type=int,
                         help="direction count (default 16)")
-        sp.add_argument("--seed", type=int, default=42)
+        sp.add_argument("--seed", type=int, help="direction seed (default 42)")
         sp.add_argument("--out", help="output file (default stdout)")
 
     common(sub.add_parser("report", help="JSON curvature report"))

@@ -3,14 +3,13 @@
 Each family exposes its local Taylor expansion ``taylor(s0, order)``; every
 downstream quantity (Q, Delta, Theta, Phi, Psi, spray scalars) is assembled
 from those coefficients as univariate jets (``JetScalar`` with ``n_vars = 1``),
-so all s-derivatives are exact.  The almost-regular family integrates its
-defining logarithmic derivative with adaptive quadrature and recovers
-derivatives from the first-order recurrence phi' = g * phi.
+so all s-derivatives are exact.  The almost-regular family takes its values
+from the paper's closed form (``UnicornPhi``), a whole sweep of s in one numpy
+pass, and its derivatives from the first-order recurrence phi' = g * phi.
 """
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from types import MappingProxyType
 
 import numpy as np
@@ -19,7 +18,6 @@ from .errors import (DegenerateDenominator, DomainError, NonPositivePhi,
                      ParamOutOfRange)
 from .exprparse import eval_expr, parse
 from .jets import JetScalar, jet_apply, jet_variable, per_column
-from .quadrature import adaptive_simpson
 
 
 class PhiFamily:
@@ -31,7 +29,7 @@ class PhiFamily:
     #: margin excluded near the singular endpoints of almost-regular families
     delta = 0.05
 
-    # frozen once built: the _unicorn_value LRU and the f(b) memo key on identity
+    # frozen once built: the f(b) memo keys on identity
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} is frozen: {name!r} cannot change")
 
@@ -104,22 +102,24 @@ class RiemannSqrtPhi(PhiFamily):
 class UnicornPhi(PhiFamily):
     """Almost-regular family phi = c * exp(int_0^s g), singular at s = +-b0.
 
-    g(t) = (k t + q sqrt(b0^2 - t^2)) / (1 + k t^2 + q t sqrt(b0^2 - t^2)).
+    g = (k t + q w) / D with w = sqrt(b0^2 - t^2) and D = 1 + k t^2 + q t w.
+    With u = s / w, a = 1 + k b0^2, Q = q b0^2 / 2 and r = sqrt(a - Q^2),
+    phi(s) = c sqrt(D(s)) exp((Q/r) [atan((a u + Q)/r) - atan(Q/r)]); the
+    bracket is the one angle atan2(r s, w + Q s), free of its cancellation.
+    a <= Q^2 puts a zero of D inside (-b0, b0), where phi is not positive.
     """
 
     variant = "unicorn"
 
     def __init__(self, b0, k, q, c, delta=0.05):
-        if not (b0 > 0 and q > 0 and c > 0):
-            raise ParamOutOfRange("unicorn family requires b0 > 0, q > 0, c > 0")
+        if not (b0 > 0 and q > 0 and c > 0 and 0 <= delta < 1):
+            raise ParamOutOfRange("unicorn family requires b0 > 0, q > 0, c > 0, 0 <= delta < 1")
+        a, Q = 1.0 + k * b0**2, q * b0**2 / 2.0
+        if not a > Q * Q:  # D then has a zero inside (-b0, b0), or k is NaN
+            raise ParamOutOfRange("unicorn family requires 1 + k b0^2 > (q b0^2 / 2)^2, "
+                                  f"got {a} <= {Q * Q}")
         self.__dict__.update(b0=float(b0), k=float(k), q=float(q), c=float(c),
-                             delta=float(delta))
-
-    def _g(self, t):
-        root = math.sqrt(max(self.b0**2 - t * t, 0.0))
-        num = self.k * t + self.q * root
-        den = 1.0 + self.k * t * t + self.q * t * root
-        return num / den
+                             delta=float(delta), _Q=Q, _r=math.sqrt(a - Q * Q))
 
     def _g_series(self, s0, order):
         t = jet_variable(0, s0, 1, order)
@@ -127,34 +127,26 @@ class UnicornPhi(PhiFamily):
         return (self.k * t + self.q * root) / (1.0 + self.k * t * t + self.q * t * root)
 
     def value(self, s):
-        self.require_admissible(s)
-        return _unicorn_value(self, s)
+        return float(self.value_many(s))
+
+    def value_many(self, s):
+        s = np.asarray(s, dtype=float)
+        outside = ~self.admissible(s)
+        if outside.any():
+            self.require_admissible(s[outside][0])
+        w = np.sqrt(self.b0**2 - s * s)
+        D = 1.0 + self.k * s * s + self.q * s * w
+        Q, r = self._Q, self._r
+        return self.c * np.sqrt(D) * np.exp(Q / r * np.arctan2(r * s, w + Q * s))
 
     def taylor(self, s0, order):
-        phi0 = self.value(s0)
-        if order == 0:
-            return np.array([phi0])
-        g = self._g_series(s0, order - 1).coeffs
         c = np.zeros(order + 1)
-        c[0] = phi0
-        # phi' = g * phi, order by order
-        for m in range(order):
-            c[m + 1] = float(np.dot(g[: m + 1], c[m::-1])) / (m + 1)
+        c[0] = self.value(s0)
+        if order:
+            g = self._g_series(s0, order - 1).coeffs
+            for m in range(order):  # phi' = g * phi, order by order
+                c[m + 1] = float(np.dot(g[: m + 1], c[m::-1])) / (m + 1)
         return c
-
-
-@lru_cache(maxsize=2 * 2048)
-def _unicorn_value(f: UnicornPhi, s):
-    """phi(s) = c exp(int_0^s g), one quadrature per (f, s) key.
-
-    sigma_bh asks for phi at its 256 (n = 2) or 32 x 64 = 2048 (n = 3) nodes
-    in the same order each call, and at constant a and b the s repeat.  An
-    LRU smaller than a sweep evicts every key before its reuse, so this one
-    holds two n = 3 sweeps (not the 16x larger ones of sigma_bh's finer rule,
-    taken only for strongly elongated unit balls).  A ``UnicornPhi`` hashes
-    by identity and is frozen; an entry keeps its id from being reused.
-    """
-    return f.c * math.exp(adaptive_simpson(f._g, 0.0, s, tol=1e-12))
 
 
 class CustomExprPhi(PhiFamily):

@@ -1,4 +1,4 @@
-"""Adaptive Simpson quadrature for smooth 1-D integrands."""
+"""Adaptive Simpson quadrature for smooth 1-D integrands (the tests' phi oracle)."""
 
 from .errors import EvaluationError
 

@@ -323,6 +323,44 @@ class TestMain:
     def test_missing_metric_exit_2(self):
         assert main(["report"]) == 2
 
+    @pytest.mark.parametrize("command", ["report", "classify"])
+    def test_unicorn_with_a_zero_of_d_fails_typed(self, command, tmp_path, capsys):
+        # a = 1 + k b0^2 = 1 <= Q^2 = (q b0^2 / 2)^2 = 2.25: phi is not
+        # positive on the whole cone, which the family rejects when built
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"schema": 1, "metric": {"custom": {
+            "n": 2, "a": [["1", "0"], ["0", "1"]], "b": ["0.6", "0"],
+            "lo": [-1, -1], "hi": [1, 1],
+            "phi": {"variant": "unicorn", "b0": 1, "k": 0, "q": 3, "c": 1}}}}))
+        assert main([command, "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ParamOutOfRange: unicorn family requires")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("flags", [
+        ["--per-axis", "3", "--directions", "2"],
+        ["--seed", "42"],
+        ["--param", "eps=0.5"],
+        ["--metric", "euclid"],
+    ])
+    def test_config_with_run_flags_exit_2(self, flags, capsys):
+        # the config file sets the grid, directions, seed and metric: a flag
+        # next to it would be silently dropped, so it is refused
+        argv = ["report", "--config", str(FIXTURES / "unicorn_near_edge.json"), *flags]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        named = [flag for flag in flags if flag.startswith("--")]
+        assert err == f"error: {', '.join(named)} cannot be combined with --config; " \
+                      "set them in the config file\n"
+
+    def test_config_with_out(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert main(["report", "--config", str(FIXTURES / "unicorn_near_edge.json"),
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        # stdout ends the JSON with a newline, the file does not
+        assert out.read_text() + "\n" == (FIXTURES / "unicorn_near_edge.report.out").read_text()
+
     def test_parser_subcommands(self):
         p = build_parser()
         for cmd in ("report", "table", "classify", "check"):

@@ -10,6 +10,7 @@ from finsler.errors import (DegenerateDenominator, DomainError, NonPositivePhi,
 from finsler.phi_families import (CustomExprPhi, RandersPhi, RiemannSqrtPhi,
                                   UnicornPhi, _q_series, ab_scalars,
                                   ode_residual, phi_eval, spray_scalar_series)
+from finsler.quadrature import adaptive_simpson
 
 
 class TestRanders:
@@ -58,12 +59,45 @@ class TestRiemannSqrt:
                            np.sqrt(1 + 3 * np.array([0.0, 0.2]) ** 2))
 
 
+def _unicorn_g(f, t):
+    """g = phi'/phi of the almost-regular family."""
+    w = math.sqrt(f.b0**2 - t * t)
+    return (f.k * t + f.q * w) / (1.0 + f.k * t * t + f.q * t * w)
+
+
+def _unicorn_oracle(f, s, tol=1e-14):
+    """phi(s) = c exp(int_0^s g) by adaptive Simpson, the definition.
+
+    At tol = 1e-12 the rule can be off by 1.2e-12 relative (b0 = c = 1,
+    k = 0.509765625, q = 1.5, s = 0.509765625 against 40-digit mpmath).
+    """
+    return f.c * math.exp(adaptive_simpson(lambda t: _unicorn_g(f, t), 0.0, s, tol=tol))
+
+
 class TestUnicorn:
     def test_param_validation(self):
         with pytest.raises(ParamOutOfRange):
             UnicornPhi(1.0, 0.0, -1.0, 1.0)
         with pytest.raises(ParamOutOfRange):
             UnicornPhi(-1.0, 0.0, 1.0, 1.0)
+        # a negative margin admits |s| > b0, where sqrt(b0^2 - s^2) is NaN
+        for delta in (-0.1, 1.0):
+            with pytest.raises(ParamOutOfRange, match="0 <= delta < 1"):
+                UnicornPhi(1.0, 0.0, 1.0, 1.0, delta=delta)
+
+    def test_d_with_a_zero_in_the_cone_is_rejected(self):
+        # a = 1 + k b0^2 = 1 = Q^2 with Q = q b0^2 / 2: D = 1 + sin(2 theta)
+        # has a double zero at s = -1/sqrt(2), inside the admissible interval
+        with pytest.raises(ParamOutOfRange, match=r"1 \+ k b0\^2 > \(q b0\^2 / 2\)\^2"):
+            UnicornPhi(1.0, 0.0, 2.0, 1.0)
+        for k, q in ((0.0, 3.0), (math.nan, 1.0)):
+            with pytest.raises(ParamOutOfRange):
+                UnicornPhi(1.0, k, q, 1.0)
+        # just above: a - Q^2 = 0.01, and D dips to 0.005 at s = -1/sqrt(2),
+        # where the rule runs out of depth at tol = 1e-14
+        f = UnicornPhi(1.0, 0.0, 1.99, 1.0)
+        for s in (-0.9, -1.0 / math.sqrt(2.0), -0.3, 0.5):
+            assert 0.0 < f.value(s) == pytest.approx(_unicorn_oracle(f, s, 1e-12), rel=1e-10)
 
     def test_phi_at_zero_is_c(self):
         f = UnicornPhi(1.0, 0.3, 0.7, 2.5)
@@ -81,8 +115,8 @@ class TestUnicorn:
         f = UnicornPhi(1.0, 0.2, 0.5, 1.0)
         c = f.taylor(0.1, 3)
         h = 1e-4
-        d1 = (f.value(0.1 + h) - f.value(0.1 - h)) / (2 * h)
-        assert c[0] == pytest.approx(f.value(0.1))
+        d1 = (_unicorn_oracle(f, 0.1 + h) - _unicorn_oracle(f, 0.1 - h)) / (2 * h)
+        assert c[0] == pytest.approx(_unicorn_oracle(f, 0.1), rel=1e-12)
         assert c[1] == pytest.approx(d1, abs=1e-7)
 
     def test_ode_residual_zero_at_b0(self):
@@ -94,28 +128,47 @@ class TestUnicorn:
         f = UnicornPhi(1.0, 0.0, 1.0, 1.0, delta=0.1)
         with pytest.raises(DomainError):
             f.value(0.95)
+        with pytest.raises(DomainError, match="s=-0.95 outside"):
+            f.value_many(np.array([[0.1, -0.95], [0.97, 0.0]]))
 
+    def test_closed_form_matches_the_quadrature_oracle(self):
+        # random parameters with a = 1 + k b0^2 clear of Q^2 = (q b0^2 / 2)^2
+        # (nearer, the oracle's own rule runs out of depth; the a = Q^2 edge
+        # has its own test) and random admissible s: the closed form against
+        # the definition, a sweep against scalar calls bit for bit, and
+        # taylor's phi' = g phi recurrence against 40-digit finite differences
+        # (mpmath.taylor) of the paper's closed form
+        hypothesis = pytest.importorskip("hypothesis")
+        mp = pytest.importorskip("mpmath")
+        st = hypothesis.strategies
 
-    def test_value_cache_answers_a_repeated_sigma_sweep(self):
-        # sigma_bh at constant a = I and b asks for phi at s = b . y on every
-        # unit node y, in the same order each call: the second sweep must be
-        # served from the cache, with the bits of the direct quadrature.
-        from finsler.finsler_metric import _polar_nodes
-        from finsler.phi_families import _unicorn_value
-        from finsler.quadrature import adaptive_simpson
-        f = UnicornPhi(1.0, 0.3, 0.7, 1.2)
-        s = _polar_nodes(2)[1][0] @ np.array([0.3, 0.1])
-        _unicorn_value.cache_clear()
-        first = f.value_many(s)
-        misses = _unicorn_value.cache_info().misses
-        assert np.array_equal(f.value_many(s), first)
-        assert _unicorn_value.cache_info().misses == misses
-        for v in s[::128]:
-            want = 1.2 * math.exp(adaptive_simpson(f._g, 0.0, v, tol=1e-12))
-            assert f.value(v) == want
-        info = _unicorn_value.cache_info()
-        assert info.maxsize >= 2 * len(_polar_nodes(3)[1][0])
-        assert info.currsize <= info.maxsize
+        @hypothesis.settings(max_examples=60, deadline=None)
+        @hypothesis.given(st.floats(0.3, 3.0), st.floats(-0.9, 2.0), st.floats(0.05, 3.0),
+                          st.floats(0.1, 5.0),
+                          st.lists(st.floats(-0.94, 0.94), min_size=1, max_size=8))
+        def check(b0, kb, qb, c, ts):
+            hypothesis.assume(1.0 + kb - (qb / 2.0) ** 2 > 0.25)  # a - Q^2
+            f = UnicornPhi(b0, kb / b0**2, qb / b0**2, c)
+            s = b0 * np.array(ts)
+            sweep = f.value_many(s)
+            for v, phi in zip(s, sweep):
+                assert phi == f.value(v) == f.value_many([v])[0]
+                assert phi == pytest.approx(_unicorn_oracle(f, v), rel=1e-12)
+
+            def closed_form(t):
+                b0, k, q, c = map(mp.mpf, (f.b0, f.k, f.q, f.c))
+                w = mp.sqrt(b0**2 - t * t)
+                a, Q = 1 + k * b0**2, q * b0**2 / 2
+                r = mp.sqrt(a - Q * Q)
+                angle = mp.atan((a * t / w + Q) / r) - mp.atan(Q / r)
+                return c * mp.sqrt(1 + k * t * t + q * t * w) * mp.exp(Q / r * angle)
+
+            with mp.workdps(40):
+                want = np.array([float(v) for v in mp.taylor(closed_form, s[0], 6)])
+            assert np.allclose(f.taylor(s[0], 6), want, rtol=1e-10,
+                               atol=1e-12 * np.abs(want).max())
+
+        check()
 
 
 class TestCustomExpr:
@@ -196,8 +249,8 @@ FAMILIES = {
 
 @pytest.mark.parametrize("variant", FAMILIES)
 def test_family_is_frozen_and_hashes_by_identity(variant):
-    # the _unicorn_value LRU and the f(b) memo key on the family: a family
-    # that changed after its first use would read the values of its old self
+    # the f(b) memo keys on the family: a family that changed after its
+    # first use would read the values of its old self
     make, names = FAMILIES[variant]
     f = make()
     assert f.variant == variant
