@@ -220,8 +220,8 @@ def criterion_7():
         worst = 0.0
         for x in default_grid(m, margin=_MARGIN)[:3]:
             grad = ln_sigma_gradient(m, f, x)
-            for y, sd in zip(dirs[:4], s_curvature_def(m, f, x, dirs[:4], grad)):
-                sf = s_curvature_formula(m, f, x, y)
+            for sd, sf in zip(s_curvature_def(m, f, x, dirs[:4], grad),
+                              s_curvature_formula(m, f, x, dirs[:4])):
                 worst = max(worst, abs(sd - sf) / max(1e-7, abs(sf)))
         out.lt(f"S routes ({name})", worst, 1e-4)
     return out

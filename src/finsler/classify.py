@@ -19,7 +19,8 @@ from .errors import (AllSamplesSingular, DegenerateFlag, DomainError,
 from .finsler_metric import fsq_jet
 from .geometry_core import MetricSpec, beta_at
 from .phi_families import PhiFamily, _q_series
-from .spray_curvature import (curvature_bundle, ln_sigma_gradient,
+# curvature_bundle calls riemann_flag; perfbench/tests/test_tracer.py requires it bound here
+from .spray_curvature import (curvature_bundle, ln_sigma_gradient,  # noqa: F401
                               per_direction, riemann_flag)
 
 #: default thresholds per predicate family
@@ -169,6 +170,16 @@ def _sample_norms(m, f, x, Y, grad):
                             for T in (cb.B, cb.L, cb.D, cb.S_def, C)]).tolist()
 
 
+def _flag_curvatures(m, f, x, Y):
+    """K per direction of Y; a lone direction without a usable flag gives none."""
+    try:
+        return np.reshape(curvature_bundle(m, f, x, Y).K, -1).tolist() if len(Y) else []
+    except (DomainError, DegenerateFlag, EvaluationError):
+        if Y.ndim == 2:
+            raise
+        return []
+
+
 def curvature_flags(m: MetricSpec, f: PhiFamily, grid, dirs=None,
                     tol=TOL_TENSOR, tol_s=TOL_S) -> dict:
     """Berwald / Landsberg / Douglas / S-zero / Riemannian verdicts.
@@ -261,17 +272,12 @@ def classify_metric(m: MetricSpec, f: PhiFamily, per_axis=3, dirs=None,
     flag_zero = None
     if preds["gb"] and preds["s_zero"]:
         if preds["berwald"] and m.n == 2:  # a flag curvature needs n = 2
-            kmax, n_flag = 0.0, 0
-            for x in grid[: min(3, len(grid))]:
-                for y in _admissible_dirs(m, f, x, np.asarray(dirs))[:4]:
-                    try:
-                        _, K = riemann_flag(m, f, x, y)
-                    except (DomainError, DegenerateFlag, EvaluationError):
-                        continue  # this sample has no usable flag
-                    kmax = max(kmax, abs(K))
-                    n_flag += 1
-            if n_flag:
-                flag_zero = Verdict(kmax < tol_s * 10, kmax, tol_s * 10, n_flag)
+            ks = [abs(K) for x in grid[:3] for K in per_direction(
+                lambda Y: _flag_curvatures(m, f, x, Y),
+                _admissible_dirs(m, f, x, np.asarray(dirs))[:4])]
+            if ks:
+                kmax = max([0.0] + ks)
+                flag_zero = Verdict(kmax < tol_s * 10, kmax, tol_s * 10, len(ks))
         if preds["killing_cl"]:
             b = beta_at(m, grid[0]).b
             if b > 1e-8:

@@ -356,13 +356,12 @@ def cmd_check(seed=42, stream=sys.stdout):
 
 
 def _emit(text, out):
+    text += "" if text.endswith("\n") else "\n"
     if out:
         with open(out, "w", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
 
 
 def build_parser():

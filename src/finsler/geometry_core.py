@@ -2,10 +2,10 @@
 
 Metric and one-form evaluation, Christoffel symbols, the covariant derivative
 of the one-form, and the symmetric/antisymmetric split with all of its index
-raisings and directional contractions.
+raisings.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
 
@@ -147,31 +147,6 @@ def beta_derivatives(m: MetricSpec, x) -> BetaCalculus:
     return BetaCalculus(x=x, n=n, a=a, a_inv=a_inv, gamma=gamma, b_i=b_i,
                         b_up=b_up, b2=b2, b=float(np.sqrt(max(b2, 0.0))),
                         bij=bij, r=r, s=s, r_i=r_i, s_i=s_i, s_up=s_up)
-
-
-@dataclass
-class BetaContractions:
-    r_00: float
-    r_0: float
-    s_0: float
-    r_i0: np.ndarray
-    s_i0: np.ndarray
-    s_up0: np.ndarray  # s^i_0
-
-
-def beta_contractions(bc: BetaCalculus, y) -> BetaContractions:
-    """Directional contractions of the r/s tensors with a tangent vector."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != (bc.n,):
-        raise DimensionMismatch(f"direction has shape {y.shape}, expected {(bc.n,)}")
-    return BetaContractions(
-        r_00=float(y @ bc.r @ y),
-        r_0=float(bc.r_i @ y),
-        s_0=float(bc.s_i @ y),
-        r_i0=bc.r @ y,
-        s_i0=bc.s @ y,
-        s_up0=bc.s_up @ y,
-    )
 
 
 def beta_norm_gradient_check(m: MetricSpec, x):

@@ -209,21 +209,21 @@ def _q_series(f: PhiFamily, s, order, phi=None):
 
 
 def ab_scalars(f: PhiFamily, b, s, n) -> AlphaBetaScalars:
-    """The seven scalars Q, Q', Q'', Delta, Theta, Phi, Psi at (b, s)."""
-    if abs(s) > b + 1e-12:
-        raise DomainError(f"|s|={abs(s)} exceeds b={b}")
-    qs = _q_series(f, s, 3)
-    q, qp, qpp = (qs.partial((k,)) for k in range(3))
+    """The seven scalars Q, Q', Q'', Delta, Theta, Phi, Psi at (b, s), or at each s of an array."""
+    if (np.abs(s) > b + 1e-12).any():
+        raise DomainError(f"|s|={np.max(np.abs(s))} exceeds b={b}")
+    c = _q_series(f, s, 3).coeffs
+    q, qp, qpp = c[0], c[1], 2.0 * c[2]
     delta = 1.0 + s * q + (b * b - s * s) * qp
-    if delta <= 1e-12:
+    if (delta <= 1e-12).any():
         raise DegenerateDenominator(f"Delta = {delta} at (b={b}, s={s})")
     theta = (q - s * qp) / (2.0 * delta)
     phi_big = -(q - s * qp) * (n * delta + 1.0 + s * q) \
         - (b * b - s * s) * (1.0 + s * q) * qpp
-    c = f.taylor(s, 2)
+    c = _series(f, s, 2).coeffs
     phi, phip, phipp = c[0], c[1], 2.0 * c[2]
     psi_den = (phi - s * phip) + (b * b - s * s) * phipp
-    if abs(psi_den) <= 1e-300:
+    if (np.abs(psi_den) <= 1e-300).any():
         raise DegenerateDenominator(f"Psi denominator ~0 at (b={b}, s={s})")
     psi = phipp / (2.0 * psi_den)
     return AlphaBetaScalars(Q=q, Qp=qp, Qpp=qpp, Delta=delta, Theta=theta,

@@ -8,11 +8,11 @@ oracle.  Base-point derivatives of spray-level fields always go through
 ``base_derivative``.
 
 ``spray_ab``, ``spray_generic``, ``spray_data``, ``berwald``, ``douglas``,
-``riemann``, ``riemann_flag``, ``s_curvature_def`` and ``h_curvature`` take one
-direction ``y`` or a ``(B, n)`` stack at one x, which goes through as one jet
-batch and gives every field a leading B axis, each row with the bits of its
-direction alone.  :func:`per_direction` runs a caller's batch and, if it
-raises, redoes it one direction at a time.
+``riemann``, ``riemann_flag``, ``s_curvature_def``, ``s_curvature_formula`` and
+``h_curvature`` take one direction ``y`` or a ``(B, n)`` stack at one x, which
+goes through as one jet batch and gives every field a leading B axis, each row
+with the bits of its direction alone.  :func:`per_direction` runs a caller's
+batch and, if it raises, redoes it one direction at a time.
 
 :func:`curvature_bundle` evaluates the fiber tensors at a point for
 ``report``, ``table`` and the classification, each on first read, from one
@@ -28,7 +28,7 @@ import numpy as np
 from .errors import DegenerateFlag, DimensionError, FinslerError
 from .finsler_metric import (FundamentalData, _angular_density,
                              alpha_beta_jets, fsq_jet, fundamental, sigma_bh)
-from .geometry_core import MetricSpec, beta_at, beta_contractions
+from .geometry_core import MetricSpec, beta_at
 from .jets import base_derivative, jet_form, jet_variable
 from .phi_families import PhiFamily, ab_scalars, spray_scalar_series
 
@@ -43,13 +43,6 @@ def per_direction(fn, Y):
         return fn(Y)
     except FinslerError:
         return [item for y in Y for item in fn(y)]
-
-
-def spray_alpha(m: MetricSpec, x, y):
-    """Geodesic coefficients of alpha alone: (1/2) gamma^i_jk y^j y^k."""
-    y = np.asarray(y, dtype=float)
-    bc = beta_at(m, x)
-    return 0.5 * np.einsum("ijk,j,k->i", bc.gamma, y, y)
 
 
 def _spray_jets(bc, f: PhiFamily, y, order):
@@ -228,24 +221,24 @@ def s_curvature_def(m: MetricSpec, f: PhiFamily, x, y, grad_ln_sigma=None,
 
 def s_curvature_formula(m: MetricSpec, f: PhiFamily, x, y):
     """S-curvature from the (alpha, beta) scalar formula with the Busemann-Hausdorff f(b)."""
-    x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     bc = beta_at(m, x)
-    con = beta_contractions(bc, y)
-    alpha = math.sqrt(float(y @ bc.a @ y))
-    s = float(bc.b_i @ y) / alpha
-    sc = ab_scalars(f, bc.b, s, m.n)
+    # v_0 = v_i y^i per direction, with the bits of a one-direction dot product
+    beta, r_0, s_0 = ((y[..., None, :] @ v[:, None])[..., 0, 0]
+                      for v in (bc.b_i, bc.r_i, bc.s_i))
+    alpha = np.sqrt(_bilinear(y, bc.a, y))
+    sc = ab_scalars(f, bc.b, beta / alpha, m.n)
     # the density term multiplies r_0 + s_0 = b^i b_{i;0}, exactly 0 where
     # beta vanishes, and there f'(b) / b is 0/0: skip it
-    rs_0 = con.r_0 + con.s_0
+    rs_0 = r_0 + s_0
     density = 0.0
-    if rs_0 != 0.0:
-        db = 1e-4
-        fpb = (_angular_density(f, bc.b + db, m.n)
-               - _angular_density(f, bc.b - db, m.n)) / (2.0 * db)
-        density = (2.0 * sc.Psi - fpb / (bc.b * _angular_density(f, bc.b, m.n))) * rs_0
-    return density - (sc.Phi / (2.0 * alpha * sc.Delta**2)
-                      * (con.r_00 - 2.0 * alpha * sc.Q * con.s_0))
+    if (rs_0 != 0.0).any():
+        fb, fp, fm = (_angular_density(f, bc.b + db, m.n) for db in (0.0, 1e-4, -1e-4))
+        fpb = (fp - fm) / 2e-4
+        density = np.where(rs_0 != 0.0, (2.0 * sc.Psi - fpb / (bc.b * fb)) * rs_0, 0.0)
+    S = density - (sc.Phi / (2.0 * alpha * sc.Delta**2)
+                   * (_bilinear(y, bc.r, y) - 2.0 * alpha * sc.Q * s_0))
+    return float(S) if S.ndim == 0 else S
 
 
 def h_curvature(m: MetricSpec, f: PhiFamily, x, y, spray=None):
@@ -325,6 +318,7 @@ class CurvatureBundle:
     R = cached_property(lambda self: riemann(self.m, self.f, self.x, self.y, self.spray))
     S_def = cached_property(lambda self: s_curvature_def(
         self.m, self.f, self.x, self.y, self.grad_ln_sigma, self.spray))
+    S_formula = cached_property(lambda self: s_curvature_formula(self.m, self.f, self.x, self.y))
     H = cached_property(lambda self: h_curvature(self.m, self.f, self.x, self.y, self.spray))
 
     @cached_property
@@ -337,11 +331,6 @@ class CurvatureBundle:
         K = [riemann_flag(self.m, self.f, self.x, y, g=g_b, R=R_b)[1] for y, g_b, R_b
              in zip(self.dirs, np.reshape(g, (-1, 2, 2)), np.reshape(R, (-1, 2, 2)))]
         return K[0] if self.y.ndim == 1 else np.array(K)
-
-    @cached_property
-    def S_formula(self):
-        S = [s_curvature_formula(self.m, self.f, self.x, y) for y in self.dirs]
-        return S[0] if self.y.ndim == 1 else np.array(S)
 
 
 #: ``curvature_bundle(m, f, x, y, grad_ln_sigma=None)``: every curvature

@@ -2,8 +2,9 @@
 
 ``fsq_jet``, ``fundamental``, ``spray_ab``, ``spray_data``, ``berwald``,
 ``douglas``, ``riemann``, ``riemann_flag``, ``s_curvature_def``,
-``h_curvature`` and ``curvature_bundle`` take a ``(B, n)`` stack of
-directions at one point and run it through batched jets.  Row b of every field must equal the field of ``y[b]`` computed alone,
+``s_curvature_formula``, ``h_curvature`` and ``curvature_bundle`` take a
+``(B, n)`` stack of directions at one point and run it through batched jets.
+Row b of every field must equal the field of ``y[b]`` computed alone,
 exactly: the ``report`` stdout is byte-stable, and a batch that raises is
 redone one direction at a time.
 """

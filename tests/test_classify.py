@@ -244,10 +244,13 @@ class TestEndToEnd:
 class TestFlagZeroLoop:
     @pytest.mark.parametrize("error", [DegenerateFlag, EvaluationError])
     def test_a_failing_flag_sample_is_skipped(self, monkeypatch, error):
-        # riemann_flag raises DegenerateFlag (denominator ~ 0) or
-        # EvaluationError (a failing stencil point); neither is a DomainError,
-        # and one such sample must not abort the whole classification
+        # the flag-zero check reads K off one curvature bundle per point,
+        # whose riemann_flag raises DegenerateFlag (denominator ~ 0) or
+        # EvaluationError (a failing stencil point) for one direction here;
+        # the point's batch is redone one direction at a time, and that one
+        # sample is skipped instead of aborting the whole classification
         import finsler.classify as classify
+        import finsler.spray_curvature as spray_curvature
         e = get_metric("euclid_randers")
         flag_zero = []
         verdict = classify.theorem11_verdict
@@ -258,17 +261,21 @@ class TestFlagZeroLoop:
 
         monkeypatch.setattr(classify, "theorem11_verdict", recording)
         base = classify_metric(e.metric, e.phi)
-        calls = []
-        riemann = classify.riemann_flag
+        grid = default_grid(e.metric)
+        chosen = classify._admissible_dirs(e.metric, e.phi, grid[1],
+                                           default_directions(2))[2]
+        riemann = spray_curvature.riemann_flag
+        failed = []
 
-        def failing_once(*args, **kwargs):
-            calls.append(args)
-            if len(calls) == 1:
-                raise error("first flag sample fails")
-            return riemann(*args, **kwargs)
+        def failing_for_one(m, f, x, y, **kwargs):
+            if np.array_equal(x, grid[1]) and np.array_equal(y, chosen):
+                failed.append(y)
+                raise error("one flag sample fails")
+            return riemann(m, f, x, y, **kwargs)
 
-        monkeypatch.setattr(classify, "riemann_flag", failing_once)
+        monkeypatch.setattr(spray_curvature, "riemann_flag", failing_for_one)
         rep = classify_metric(e.metric, e.phi)
+        assert failed  # the chosen direction was read, and raised
         assert rep.verdict == base.verdict == "LocallyMinkowskiLike"
         assert flag_zero[-1].n_samples == flag_zero[0].n_samples - 1 > 0
 

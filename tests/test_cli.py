@@ -358,8 +358,8 @@ class TestMain:
         assert main(["report", "--config", str(FIXTURES / "unicorn_near_edge.json"),
                      "--out", str(out)]) == 0
         assert capsys.readouterr().out == ""
-        # stdout ends the JSON with a newline, the file does not
-        assert out.read_text() + "\n" == (FIXTURES / "unicorn_near_edge.report.out").read_text()
+        # the file holds the bytes of stdout, trailing newline included
+        assert out.read_text() == (FIXTURES / "unicorn_near_edge.report.out").read_text()
 
     def test_parser_subcommands(self):
         p = build_parser()

@@ -10,9 +10,8 @@ import pytest
 from finsler.catalog import get_metric
 from finsler.errors import DimensionMismatch, SingularMetric, ZeroNorm
 from finsler.geometry_core import (ChartDomain, MetricSpec, _cached_beta,
-                                   _inverse_spd, beta_at, beta_contractions,
-                                   beta_derivatives, beta_norm_gradient_check,
-                                   christoffels)
+                                   _inverse_spd, beta_at, beta_derivatives,
+                                   beta_norm_gradient_check, christoffels)
 
 
 def _euclid_spec(b=lambda x: np.zeros(2)):
@@ -64,16 +63,6 @@ class TestBetaCalculus:
         assert np.allclose(bc.s_i, bc.b_up @ bc.s)
         assert np.allclose(bc.s_up, bc.a_inv @ bc.s)
         assert bc.b == pytest.approx(math.sqrt(bc.b2))
-
-    def test_contractions(self):
-        bc = beta_at(get_metric("lie_group").metric, [0.0, 1.0])
-        y = np.array([0.7, -0.4])
-        con = beta_contractions(bc, y)
-        assert con.r_00 == pytest.approx(float(y @ bc.r @ y))
-        assert con.s_0 == pytest.approx(float(bc.s_i @ y))
-        assert np.allclose(con.s_up0, bc.s_up @ y)
-        with pytest.raises(DimensionMismatch):
-            beta_contractions(bc, np.ones(3))
 
     def test_gradient_identity_on_fish_tank(self):
         m = get_metric("fish_tank").metric
