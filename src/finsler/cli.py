@@ -13,6 +13,7 @@ import io
 import json
 import math
 import sys
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -24,7 +25,7 @@ from .errors import ConfigError, FinslerError, UnknownQuantity
 from .exprparse import parse
 from .exprparse import eval_expr
 from .finsler_metric import sigma_bh
-from .geometry_core import ChartDomain, MetricSpec, beta_at
+from .geometry_core import ChartDomain, MetricSpec, beta_at, beta_derivatives
 from .phi_families import (CustomExprPhi, RandersPhi, RiemannSqrtPhi,
                            UnicornPhi, _q_series)
 # curvature_bundle calls riemann_flag; perfbench/tests/test_tracer.py requires it bound here
@@ -247,20 +248,23 @@ def cmd_report(cfg):
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def _cells(label, T, upper=False):
-    """Column names and values of an ``(n,) * r`` tensor, in row-major order.
-
-    Names read ``label_12``, or ``label^1_2`` when ``upper`` marks the first
-    index as contravariant.
-    """
-    T = np.asarray(T)
+@lru_cache(maxsize=None)
+def _names(label, n, rank, upper):
+    """Column names of an ``(n,) * rank`` tensor, built once and kept: ``label_12``,
+    or ``label^1_2`` when ``upper`` marks the first index as contravariant."""
     names = []
-    for idx in product(range(1, len(T) + 1), repeat=T.ndim):
+    for idx in product(range(1, n + 1), repeat=rank):
         digits = "".join(map(str, idx))
         # a lone upper index leaves a trailing "_" to strip: G^1_ -> G^1
         names.append(f"{label}^{digits[0]}_{digits[1:]}".rstrip("_") if upper
                      else f"{label}_{digits}")
-    return names, list(T.ravel())
+    return tuple(names)
+
+
+def _cells(label, T, upper=False):
+    """Column names and values of an ``(n,) * r`` tensor, in row-major order."""
+    T = np.asarray(T)
+    return _names(label, len(T), T.ndim, upper), T.ravel().tolist()
 
 
 def _header_and_row(name, m, bc, x, y, f):
@@ -297,11 +301,22 @@ def _fiber_cells(name, cb):
             for T in each(getattr(cb, name))]
 
 
+def _grid_calculus(m, grid):
+    """Each grid point's beta calculus from one stacked pass, or, if that raises,
+    one ``beta_at`` per point as it is read, so the first failing point raises."""
+    try:
+        stack = beta_derivatives(m, np.array(grid))
+    except Exception:  # noqa: BLE001 - each point then raises what it raises alone
+        return (beta_at(m, x) for x in grid)
+    return (stack.row(k) for k in range(len(grid)))
+
+
 def cmd_table(cfg, quantity):
     """CSV table of one quantity over the sample grid (and directions).
 
     A fiber quantity reads one curvature bundle per grid point, its
-    directions as one batch, redone one direction at a time if it raises.
+    directions as one batch, redone one direction at a time if it raises;
+    any other quantity reads the grid's beta calculus (``_grid_calculus``).
     """
     if quantity not in QUANTITIES:
         raise UnknownQuantity(
@@ -313,17 +328,18 @@ def cmd_table(cfg, quantity):
             if directional else [None])
     buf = io.StringIO()
     writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
+    calculus = None if quantity in _FIBER else _grid_calculus(m, grid)
     for k, x in enumerate(grid):
         if quantity in _FIBER:
             grad = ln_sigma_gradient(m, f, x) if quantity == "S" else None
             rows = per_direction(lambda Y: _fiber_cells(
                 quantity, curvature_bundle(m, f, x, Y, grad)), dirs)
         else:
-            bc = beta_at(m, x)
+            bc = next(calculus)
             rows = [_header_and_row(quantity, m, bc, x, y, f) for y in dirs]
         if k == 0:
             axes = ("x", "y") if directional else ("x",)
-            writer.writerow([f"{a}{i+1}" for a in axes for i in range(m.n)] + rows[0][0])
+            writer.writerow([*(f"{a}{i+1}" for a in axes for i in range(m.n)), *rows[0][0]])
         for y, (_, vals) in zip(dirs, rows):
             writer.writerow([f"{v:.12g}" for v in ([*x, *y] if directional else x)]
                             + [v if isinstance(v, str) else f"{v:.12g}" for v in vals])

@@ -11,7 +11,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, SingularMetric, ZeroNorm
+from .errors import DimensionMismatch, DomainError, SingularMetric, ZeroNorm
 from .jets import base_derivative
 
 
@@ -35,7 +35,9 @@ class ChartDomain:
         hi = np.asarray(self.hi, dtype=float) - margin
         axes = [np.linspace(lo[i], hi[i], counts[i]) for i in range(len(lo))]
         pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(lo))
-        return [p for p in pts if self.contains(p)]
+        # the box as one mask, the predicate only on the points inside it
+        pts = pts[~((pts < np.asarray(self.lo)) | (pts > np.asarray(self.hi))).any(axis=1)]
+        return [p for p in pts if self.predicate is None or self.predicate(p)]
 
 
 @dataclass(eq=False, frozen=True)
@@ -83,31 +85,35 @@ def _lower_triangle(n):
     return np.tril_indices(n, -1)
 
 
+def _at(field, x):
+    """``field`` at one point ``(n,)``, or stacked over the rows of a ``(P, n)`` stack."""
+    return field(x) if x.ndim == 1 else np.array([field(p) for p in x])
+
+
 def christoffels(m: MetricSpec, x, a_inv=None):
-    """Levi-Civita connection of alpha at ``x``; ``a_inv`` is a(x)^-1, if at hand."""
+    """Levi-Civita connection of alpha at ``x`` or a ``(P, n)`` stack; ``a_inv`` is a(x)^-1."""
     x = np.asarray(x, dtype=float)
     if a_inv is None:
-        a_inv = _inverse_spd(m.a_at(x))
+        a_inv = _inverse_spd(_at(m.a_at, x))
     n = m.n
-    # da[k, i, j] = d a_ij / d x^k, one stencil per axis; the upper triangle
-    # is mirrored so an a(x) symmetric only to roundoff gives a symmetric da
-    da = np.array([base_derivative(m.a_at, x, k, 1) for k in range(n)])
+    # da[..., k, i, j] = d a_ij / d x^k, one stencil per axis, points first; the upper
+    # triangle is mirrored so an a(x) symmetric only to roundoff gives a symmetric da
+    da = np.array([base_derivative(m.a_at, x, k, 1) for k in range(n)]).swapaxes(0, -3)
     rows, cols = _lower_triangle(n)
-    da[:, rows, cols] = da[:, cols, rows]
-    gamma = np.zeros((n, n, n))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                acc = 0.0
-                for mm in range(n):
-                    acc += a_inv[i, mm] * (da[j, mm, k] + da[k, mm, j] - da[mm, j, k])
-                gamma[i, j, k] = 0.5 * acc
-    return gamma
+    da[..., rows, cols] = da[..., cols, rows]
+    # term[..., m, j, k] = da[j, m, k] + da[k, m, j] - da[m, j, k]
+    da_j = da.swapaxes(-3, -2)
+    term = da_j + da_j.swapaxes(-2, -1) - da
+    acc = 0.0  # gamma^i_jk = a^im term_mjk / 2, summed in the order of m
+    for mm in range(n):
+        acc = acc + a_inv[..., :, mm, None, None] * term[..., None, mm, :, :]
+    return 0.5 * acc
 
 
 @dataclass
 class BetaCalculus:
-    """One-form calculus at a point: covariant derivative and its r/s split."""
+    """One-form calculus at a point, covariant derivative and its r/s split; every
+    field but ``n`` has a leading P axis when computed at a ``(P, n)`` stack."""
 
     x: np.ndarray
     n: int
@@ -125,28 +131,38 @@ class BetaCalculus:
     s_i: np.ndarray
     s_up: np.ndarray  # s^i_j
 
+    def row(self, k):
+        """Point ``k`` of a stack, as a one-point call gives it."""
+        fields = {key: value[k] for key, value in vars(self).items() if key != "n"}
+        fields.update(n=self.n, b2=float(fields["b2"]), b=float(fields["b"]))
+        return BetaCalculus(**fields)
+
 
 def beta_derivatives(m: MetricSpec, x) -> BetaCalculus:
-    """Covariant derivative of the one-form and its full index menagerie."""
+    """Covariant derivative of the one-form and its full index menagerie, at one
+    point or at a ``(P, n)`` stack, each row with the bits of its point alone."""
     x = np.asarray(x, dtype=float)
-    a = m.a_at(x)
+    if not len(x):
+        raise DomainError("beta_derivatives needs at least one point, got an empty stack")
+    a = _at(m.a_at, x)
     a_inv = _inverse_spd(a)
     gamma = christoffels(m, x, a_inv)
-    b_i = m.b_at(x)
-    n = m.n
-    # db[i, j] = d b_i / d x^j
-    db = np.array([base_derivative(m.b_at, x, j, 1) for j in range(n)]).T
-    bij = db - np.einsum("k,kij->ij", b_i, gamma)
-    r = 0.5 * (bij + bij.T)
-    s = 0.5 * (bij - bij.T)
-    b_up = a_inv @ b_i
-    b2 = float(b_i @ b_up)
-    r_i = b_up @ r
-    s_i = b_up @ s
-    s_up = a_inv @ s
-    return BetaCalculus(x=x, n=n, a=a, a_inv=a_inv, gamma=gamma, b_i=b_i,
-                        b_up=b_up, b2=b2, b=float(np.sqrt(max(b2, 0.0))),
-                        bij=bij, r=r, s=s, r_i=r_i, s_i=s_i, s_up=s_up)
+    b_i = _at(m.b_at, x)
+    # db[..., i, j] = d b_i / d x^j, points first
+    db = np.array([base_derivative(m.b_at, x, j, 1) for j in range(m.n)]).T.swapaxes(0, -2)
+    bij = db - np.einsum("...k,...kij->...ij", b_i, gamma)
+    bji = bij.swapaxes(-1, -2)
+    r = 0.5 * (bij + bji)
+    s = 0.5 * (bij - bji)
+    b_up = (a_inv @ b_i[..., None])[..., 0]
+    b2 = (b_i[..., None, :] @ b_up[..., None])[..., 0, 0]
+    b = np.sqrt(np.where(b2 < 0.0, 0.0, b2))  # max(b2, 0.0), which keeps a -0.0
+    if x.ndim == 1:  # one point keeps Python floats
+        b2, b = float(b2), float(b)
+    return BetaCalculus(x=x, n=m.n, a=a, a_inv=a_inv, gamma=gamma, b_i=b_i,
+                        b_up=b_up, b2=b2, b=b, bij=bij, r=r, s=s,
+                        r_i=(b_up[..., None, :] @ r)[..., 0, :],
+                        s_i=(b_up[..., None, :] @ s)[..., 0, :], s_up=a_inv @ s)
 
 
 def beta_norm_gradient_check(m: MetricSpec, x):

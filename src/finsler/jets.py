@@ -357,33 +357,39 @@ def base_derivative(field, x, axis, order):
     and correspondingly extrapolated for ``order`` 2.  Only base-point (x-)
     derivatives use it; fiber derivatives come exact from jets.  A scalar
     field gives a float; an array field gives an array of the same shape,
-    each entry with the bits of differencing that component alone.
+    each entry with the bits of differencing that component alone.  A ``(P, n)``
+    stack gives a leading P axis, h per row, and each row the bits of its point.
     """
     x = np.asarray(x, dtype=float)
-    h0 = 1e-3 * max(1.0, abs(x[axis]))
+    h = 1e-3 * np.maximum(1.0, abs(x.T[axis]))  # one h per point
 
-    def f(offset):
-        xp = x.copy()
-        xp[axis] += offset
+    def at(xp, offset):
         try:
-            v = field(xp)
-            return float(v) if np.ndim(v) == 0 else np.asarray(v, dtype=float)
+            return np.asarray(field(xp), dtype=float)
         except Exception as exc:  # noqa: BLE001 - surface stencil failures uniformly
             raise EvaluationError(
                 f"field evaluation failed at offset {offset:+g} along axis {axis}: {exc}"
             ) from exc
 
+    def f(step):  # the field at x + step h, transposed so that the points come last
+        xp = x.copy()
+        offset = step * h
+        xp.T[axis] += offset
+        return (at(xp, offset) if x.ndim == 1
+                else np.array([at(p, o) for p, o in zip(xp, offset)])).T
+
     if order == 1:
-        def central(h):
-            return (f(h) - f(-h)) / (2.0 * h)
+        def central(k):
+            return (f(k) - f(-k)) / (2.0 * (k * h))
     elif order == 2:
         f0 = f(0.0)
 
-        def central(h):
-            return (f(h) - 2.0 * f0 + f(-h)) / (h * h)
+        def central(k):
+            return (f(k) - 2.0 * f0 + f(-k)) / ((k * h) * (k * h))
     else:
         raise DomainError("base_derivative supports orders 1 and 2 only")
 
-    d1 = central(h0)
-    d2 = central(2.0 * h0)
-    return (4.0 * d1 - d2) / 3.0
+    d1 = central(1.0)
+    d2 = central(2.0)
+    out = ((4.0 * d1 - d2) / 3.0).T
+    return float(out) if out.ndim == 0 else out

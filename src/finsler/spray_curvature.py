@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateFlag, DimensionError, FinslerError
+from .errors import DegenerateFlag, DimensionError, DomainError, FinslerError
 from .finsler_metric import (FundamentalData, _angular_density,
                              alpha_beta_jets, fsq_jet, fundamental, sigma_bh)
 from .geometry_core import MetricSpec, beta_at
@@ -295,7 +295,7 @@ def spray_data(m: MetricSpec, f: PhiFamily, x, y) -> SprayData:
 
 
 class CurvatureBundle:
-    """The curvature tensors at one x, for one direction or a ``(B, n)`` stack.
+    """The curvature tensors at one x, for one direction or a ``(B, n)`` stack, B >= 1.
 
     Each field is computed on first read and kept; the tensors share one
     ``fd`` (``fundamental``) and one ``spray`` (``spray_data``, an order-4
@@ -307,6 +307,8 @@ class CurvatureBundle:
         self.m, self.f, self.grad_ln_sigma = m, f, grad_ln_sigma
         self.x, self.y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         self.dirs = np.reshape(self.y, (-1, m.n))  # y as a stack
+        if not len(self.dirs):
+            raise DomainError("curvature_bundle needs at least one direction, got an empty stack")
 
     fd = cached_property(lambda self: fundamental(self.m, self.f, self.x, self.y))
     spray = cached_property(lambda self: spray_data(self.m, self.f, self.x, self.y))

@@ -1,0 +1,266 @@
+"""The beta calculus over a stack of points gives the bits of one point alone.
+
+``beta_derivatives`` takes one point or a ``(P, n)`` stack, and ``table``
+reads one stacked pass over its grid.  The reference below is the one-point
+route the engine took before: its stencil, its Christoffel loop and its
+contractions, copied verbatim.  Every field must match it exactly, not just
+closely: ``report`` and ``table`` stdout are byte-stable, and the CSV shows
+only 12 digits.
+"""
+
+import types
+
+import numpy as np
+import pytest
+
+from finsler.catalog import catalog_names, get_metric
+from finsler.classify import default_grid
+from finsler.cli import RunConfig, cmd_table
+from finsler.errors import DomainError, EvaluationError, SingularMetric
+from finsler.geometry_core import (BetaCalculus, ChartDomain, MetricSpec,
+                                   _inverse_spd, beta_derivatives)
+from finsler.jets import base_derivative
+from finsler.spray_curvature import curvature_bundle, per_direction
+
+FIELDS = [name for name in BetaCalculus.__dataclass_fields__ if name != "n"]
+
+
+def ref_base_derivative(field, x, axis, order):
+    x = np.asarray(x, dtype=float)
+    h0 = 1e-3 * max(1.0, abs(x[axis]))
+
+    def f(offset):
+        xp = x.copy()
+        xp[axis] += offset
+        try:
+            v = field(xp)
+            return float(v) if np.ndim(v) == 0 else np.asarray(v, dtype=float)
+        except Exception as exc:  # noqa: BLE001
+            raise EvaluationError(
+                f"field evaluation failed at offset {offset:+g} along axis {axis}: {exc}"
+            ) from exc
+
+    if order == 1:
+        def central(h):
+            return (f(h) - f(-h)) / (2.0 * h)
+    else:
+        f0 = f(0.0)
+
+        def central(h):
+            return (f(h) - 2.0 * f0 + f(-h)) / (h * h)
+
+    d1 = central(h0)
+    d2 = central(2.0 * h0)
+    return (4.0 * d1 - d2) / 3.0
+
+
+def ref_beta_derivatives(m, x):
+    x = np.asarray(x, dtype=float)
+    a = m.a_at(x)
+    a_inv = _inverse_spd(a)
+    n = m.n
+    da = np.array([ref_base_derivative(m.a_at, x, k, 1) for k in range(n)])
+    rows, cols = np.tril_indices(n, -1)
+    da[:, rows, cols] = da[:, cols, rows]
+    gamma = np.zeros((n, n, n))
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                acc = 0.0
+                for mm in range(n):
+                    acc += a_inv[i, mm] * (da[j, mm, k] + da[k, mm, j] - da[mm, j, k])
+                gamma[i, j, k] = 0.5 * acc
+    b_i = m.b_at(x)
+    db = np.array([ref_base_derivative(m.b_at, x, j, 1) for j in range(n)]).T
+    bij = db - np.einsum("k,kij->ij", b_i, gamma)
+    r = 0.5 * (bij + bij.T)
+    s = 0.5 * (bij - bij.T)
+    b_up = a_inv @ b_i
+    b2 = float(b_i @ b_up)
+    return BetaCalculus(x=x, n=n, a=a, a_inv=a_inv, gamma=gamma, b_i=b_i,
+                        b_up=b_up, b2=b2, b=float(np.sqrt(max(b2, 0.0))),
+                        bij=bij, r=r, s=s, r_i=b_up @ r, s_i=b_up @ s,
+                        s_up=a_inv @ s)
+
+
+def _bits(value):
+    """Values and signs of zero, so that -0.0 and 0.0 differ."""
+    value = np.asarray(value)
+    return value.tolist(), np.signbit(value).tolist()
+
+
+def _same(got, want):
+    for name in FIELDS:
+        assert _bits(getattr(got, name)) == _bits(getattr(want, name)), name
+    assert type(got.b) is float and type(got.b2) is float
+
+
+#: an expression-based ``--config`` metric: a(x) and b(x) parsed from text
+CUSTOM = {"schema": 1, "metric": {"custom": {
+    "n": 2,
+    "a": [["1 + x1*x1", "0.3*sin(x1*x2)"], ["0.3*sin(x1*x2)", "exp(0.5*x2)"]],
+    "b": ["0.2*cos(x2)", "0.1*x1*x2 - 0.05"],
+    "lo": [-1, -1], "hi": [1, 1]}}}
+
+
+def _metrics():
+    return ([get_metric(name).metric for name in catalog_names()]
+            + [RunConfig(CUSTOM).metric])
+
+
+@pytest.mark.parametrize("m", _metrics(), ids=lambda m: m.name)
+def test_stack_rows_have_the_one_point_bits(m):
+    grid = default_grid(m, per_axis=4)
+    stack = beta_derivatives(m, np.array(grid))
+    assert stack.gamma.shape == (len(grid),) + (m.n,) * 3
+    for k, x in enumerate(grid):
+        want = ref_beta_derivatives(m, x)
+        _same(beta_derivatives(m, x), want)
+        _same(stack.row(k), want)
+
+
+def test_stacked_base_derivative_keeps_the_error_wrapping():
+    def field(p):
+        if p[0] > 0.5:
+            raise ValueError("boom")
+        return np.zeros(3)
+
+    with pytest.raises(EvaluationError, match="offset"):
+        base_derivative(field, np.array([[0.0, 0.0], [0.5, 0.0]]), 0, 1)
+
+
+def test_grid_mask_equals_the_contains_filter():
+    calls = []
+
+    def inside(p):
+        calls.append(p)
+        return p[0] ** 2 + p[1] ** 2 < 0.6
+
+    dom = ChartDomain((-0.8, -0.5), (0.7, 0.9), predicate=inside)
+    counts = [7, 9]
+    # a negative margin grows the box, so the mask has points to drop
+    pts = dom.grid(counts, margin=-0.2)
+    lo, hi = np.array(dom.lo) - 0.2, np.array(dom.hi) + 0.2
+    axes = [np.linspace(lo[i], hi[i], counts[i]) for i in range(2)]
+    every = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
+    in_box = [p for p in every if np.all(p >= dom.lo) and np.all(p <= dom.hi)]
+    assert len(calls) == len(in_box) < len(every)
+    want = [p for p in every if dom.contains(p)]
+    assert np.array_equal(np.array(pts), np.array(want))
+
+
+def test_empty_stacks_fail_typed():
+    entry = get_metric("euclid_randers")
+    empty = np.zeros((0, 2))
+    with pytest.raises(DomainError, match="empty stack"):
+        beta_derivatives(entry.metric, empty)
+    with pytest.raises(DomainError, match="empty stack"):
+        curvature_bundle(entry.metric, entry.phi, [0.1, 0.2], empty)
+    assert per_direction(lambda Y: [curvature_bundle(entry.metric, entry.phi,
+                                                     [0.1, 0.2], Y).K], empty) == []
+
+
+def _draw_points(data, m, count):
+    hnp = pytest.importorskip("hypothesis.extra.numpy")
+    st = pytest.importorskip("hypothesis").strategies
+    lo = np.asarray(m.chart_domain.lo, dtype=float)
+    hi = np.asarray(m.chart_domain.hi, dtype=float)
+    t = data.draw(hnp.arrays(float, (count, m.n), elements=st.floats(0.05, 0.95)))
+    return lo + t * (hi - lo)
+
+
+def test_stack_equals_one_point_calls_property():
+    # random interior points of every catalog metric and of an expression
+    # metric: each row of the stacked call has its point's bits
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    metrics = _metrics()
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(st.sampled_from(range(len(metrics))), st.integers(1, 6), st.data())
+    def check(index, count, data):
+        m = metrics[index]
+        X = _draw_points(data, m, count)
+        hypothesis.assume(all(m.chart_domain.contains(x) for x in X))
+        stack = beta_derivatives(m, X)
+        for k, x in enumerate(X):
+            one = beta_derivatives(m, x)
+            for name in FIELDS:
+                assert np.array_equal(getattr(stack.row(k), name), getattr(one, name)), name
+
+    check()
+
+
+def test_stacked_base_derivative_equals_scalar_rows_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    hnp = pytest.importorskip("hypothesis.extra.numpy")
+    st = hypothesis.strategies
+
+    def scalar(p):
+        return np.sin(p[0]) * np.exp(0.3 * p[1]) + p[0] ** 3
+
+    def tensor(p):
+        return np.array([[p[0] * p[1], np.cos(p[1])], [1.0 / (2.0 + p[0]), p[1] ** 2]])
+
+    @hypothesis.settings(max_examples=80, deadline=None)
+    @hypothesis.given(st.sampled_from([scalar, tensor]), st.sampled_from([1, 2]),
+                      st.integers(0, 1),
+                      hnp.arrays(float, st.tuples(st.integers(1, 5), st.just(2)),
+                                 elements=st.floats(-1.5, 1.5)))
+    def check(field, order, axis, X):
+        stack = base_derivative(field, X, axis, order)
+        assert stack.shape == (len(X),) + np.shape(field(X[0]))
+        for row, x in zip(stack, X):
+            alone = base_derivative(field, x, axis, order)
+            assert _bits(row) == _bits(alone)
+            assert _bits(alone) == _bits(ref_base_derivative(field, x, axis, order))
+
+    check()
+
+
+def _outcome(fn, *args):
+    try:
+        fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the error itself is the outcome
+        return type(exc), str(exc)
+    return None
+
+
+def test_table_reports_what_the_first_failing_point_raises_property():
+    # a(x) raises (or is singular) at one grid point, and b(x) may raise at
+    # another: the stacked pass can fail at a later point first, and the
+    # table must still report the first point that fails alone
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.given(st.integers(2, 4), st.data())
+    def check(per_axis, data):
+        base = get_metric("lie_group").metric
+        grid = default_grid(base, per_axis)
+        bad_a = grid[data.draw(st.integers(0, len(grid) - 1))]
+        bad_b = grid[data.draw(st.integers(0, len(grid) - 1))]
+        how = data.draw(st.sampled_from(["raise", "singular", "stencil"]))
+        b_fails = data.draw(st.booleans())
+
+        def a(x):
+            if how == "stencil" and 0 < np.abs(x - bad_a).max() < 3e-3:
+                raise ValueError("a(x) undefined next to the point")
+            if how != "stencil" and np.array_equal(x, bad_a):
+                if how == "raise":
+                    raise SingularMetric("a(x) undefined at the point")
+                return np.zeros((2, 2))
+            return base.a(x)
+
+        def b(x):
+            if b_fails and np.array_equal(x, bad_b):
+                raise ValueError("b(x) undefined at the point")
+            return base.b_form(x)
+
+        m = MetricSpec(n=2, a=a, b_form=b, chart_domain=base.chart_domain, name="flaky")
+        want = next(filter(None, (_outcome(beta_derivatives, m, x) for x in grid)))
+        cfg = types.SimpleNamespace(metric=m, phi=get_metric("lie_group").phi,
+                                    per_axis=per_axis, n_directions=4, seed=42)
+        assert _outcome(cmd_table, cfg, "r") == want
+
+    check()

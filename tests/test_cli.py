@@ -205,27 +205,44 @@ class TestTable:
 TABLES = FIXTURES / "tables"
 
 
+FIBER_FLAGS = ["--per-axis", "2", "--directions", "4"]
+
+
 @pytest.mark.parametrize("metric,quantity,extra", [
-    *(("lie_group", q, []) for q in "QGBELDRKH"),
-    *(("bao_shen", q, ["--seed", "0"]) for q in "GBDRH"),
+    *(("lie_group", q, FIBER_FLAGS) for q in "QGBELDRKH"),
+    *(("bao_shen", q, [*FIBER_FLAGS, "--seed", "0"]) for q in "GBDRH"),
+    *((metric, q, ["--per-axis", "3"]) for metric in ("lie_group", "bao_shen", "fish_tank")
+      for q in ("a", "b_form", "gamma", "r", "s", "r_i", "s_i", "bnorm", "sigma")),
 ])
 def test_table_bytes(metric, quantity, extra, capsys):
-    # one curvature bundle per grid point, its directions as one batch, must
-    # print the bytes of one direction at a time (recorded in the fixtures)
-    rc = main(["table", "--metric", metric, "--quantity", quantity,
-               "--per-axis", "2", "--directions", "4", *extra])
+    # one curvature bundle per grid point, its directions as one batch, and
+    # one beta calculus over the whole grid must print the bytes of one
+    # direction and one point at a time (recorded in the fixtures)
+    rc = main(["table", "--metric", metric, "--quantity", quantity, *extra])
     assert rc == 0
     want = (TABLES / f"{metric}.{quantity}.csv").read_bytes().decode()
     assert capsys.readouterr().out == want
 
 
-def test_table_reports_the_first_failing_direction(capsys, monkeypatch):
-    # a point's batch raises; redone one direction at a time, the error is
-    # the one the first failing direction raises alone
-    doc = json.loads((TABLES / "unicorn_near_edge.B.json").read_text())
+def _replay(name, capsys, monkeypatch):
+    doc = json.loads((TABLES / name).read_text())
     monkeypatch.chdir(FIXTURES.parents[1])
     assert main(doc["argv"]) == doc["exit_code"]
     assert capsys.readouterr() == (doc["stdout"], doc["stderr"])
+
+
+def test_table_reports_the_first_failing_direction(capsys, monkeypatch):
+    # a point's batch raises; redone one direction at a time, the error is
+    # the one the first failing direction raises alone
+    _replay("unicorn_near_edge.B.json", capsys, monkeypatch)
+
+
+@pytest.mark.parametrize("name", ["singular_a.r.json", "singular_a_b_first.r.json"])
+def test_table_reports_the_first_failing_point(name, capsys, monkeypatch):
+    # a(x) is singular at the middle grid point, so the grid's stacked beta
+    # calculus raises; in the second case b(x) fails alone at an earlier
+    # point, and that is the error the table must report
+    _replay(name, capsys, monkeypatch)
 
 
 class TestReport:
