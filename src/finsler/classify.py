@@ -27,6 +27,7 @@ from .spray_curvature import (curvature_bundle, ln_sigma_gradient,  # noqa: F401
 TOL_TENSOR = 1e-6
 TOL_S = 1e-5
 TOL_DUAL_ROUTE = 1e-4
+TOL_UNICORN = 1e-3  # rms of the unicorn fit
 
 VERDICTS = ("RiemannianIsotropic", "LocallyMinkowskiLike", "UnicornCase",
             "NotGeneralizedBerwald", "SNonzero", "Inconclusive")
@@ -75,7 +76,7 @@ class ClassificationReport:
     unicorn: Optional[UnicornFit] = None
     grid_meta: dict = field(default_factory=dict)
 
-    def to_json(self, indent=2):
+    def to_json(self):
         doc = {
             "metric": self.metric_name,
             "verdict": self.verdict,
@@ -84,17 +85,14 @@ class ClassificationReport:
         }
         if self.unicorn is not None:
             doc["unicorn_fit"] = self.unicorn.as_dict()
-        return json.dumps(doc, indent=indent, sort_keys=True)
+        return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def default_grid(m: MetricSpec, per_axis=3, margin=None):
+def default_grid(m: MetricSpec, per_axis=3, margin=0.05):
     """Interior sampling grid of the chart domain, ``per_axis`` points per axis.
 
-    The box shrinks on every side by ``margin`` times its shortest side;
-    ``None`` means the metric's ``regularity_margin``.
+    The box shrinks on every side by ``margin`` times its shortest side.
     """
-    if margin is None:
-        margin = m.regularity_margin
     lo = np.asarray(m.chart_domain.lo, dtype=float)
     hi = np.asarray(m.chart_domain.hi, dtype=float)
     grid = m.chart_domain.grid([per_axis] * m.n,
@@ -180,8 +178,7 @@ def _flag_curvatures(m, f, x, Y):
         return []
 
 
-def curvature_flags(m: MetricSpec, f: PhiFamily, grid, dirs=None,
-                    tol=TOL_TENSOR, tol_s=TOL_S) -> dict:
+def curvature_flags(m: MetricSpec, f: PhiFamily, grid, dirs=None) -> dict:
     """Berwald / Landsberg / Douglas / S-zero / Riemannian verdicts.
 
     Directions are normalized to F = 1 before evaluation so the max-norms are
@@ -207,20 +204,20 @@ def curvature_flags(m: MetricSpec, f: PhiFamily, grid, dirs=None,
         raise AllSamplesSingular("every grid x direction sample was inadmissible")
     out = {}
     for name, r in res.items():
-        t = tol_s if name == "s_zero" else tol
+        t = TOL_S if name == "s_zero" else TOL_TENSOR
         out[name] = Verdict(r < t, r, t, n_used)
     return out
 
 
-def unicorn_fit(f_or_samples, b, delta=0.05, n_samples=20) -> UnicornFit:
+def unicorn_fit(f_or_samples, b) -> UnicornFit:
     """Least-squares fit of Q(s) against the basis {s, sqrt(b^2 - s^2)}.
 
-    Accepts either a PhiFamily (Q sampled from its Taylor data) or a pair of
-    arrays (s values, Q values).
+    Accepts either a PhiFamily (Q sampled at 20 points of its Taylor data, at
+    least 5 % inside the regular cone) or a pair of arrays (s values, Q values).
     """
     if isinstance(f_or_samples, PhiFamily):
-        half = 0.999 * min(b, f_or_samples.b0) * (1.0 - max(delta, f_or_samples.delta))
-        s = np.linspace(-half, half, n_samples)
+        half = 0.999 * min(b, f_or_samples.b0) * (1.0 - max(0.05, f_or_samples.delta))
+        s = np.linspace(-half, half, 20)
         q = np.array([_q_series(f_or_samples, v, 0).value for v in s])
     else:
         s, q = (np.asarray(v, dtype=float) for v in f_or_samples)
@@ -235,8 +232,7 @@ def unicorn_fit(f_or_samples, b, delta=0.05, n_samples=20) -> UnicornFit:
 
 
 def theorem11_verdict(reports: dict, unicorn: Optional[UnicornFit] = None,
-                      flag_zero: Optional[Verdict] = None,
-                      unicorn_tol=1e-3) -> str:
+                      flag_zero: Optional[Verdict] = None) -> str:
     """Trichotomy decision from the predicate verdicts, in fixed priority order."""
     for key in ("gb", "s_zero"):
         if key not in reports:
@@ -252,22 +248,21 @@ def theorem11_verdict(reports: dict, unicorn: Optional[UnicornFit] = None,
     if reports.get("berwald") and flag_zero is not None and flag_zero:
         return "LocallyMinkowskiLike"
     if (reports.get("killing_cl") and unicorn is not None
-            and unicorn.rms < unicorn_tol):
+            and unicorn.rms < TOL_UNICORN):
         return "UnicornCase"
     return "Inconclusive"
 
 
-def classify_metric(m: MetricSpec, f: PhiFamily, per_axis=3, dirs=None,
-                    tol=TOL_TENSOR, tol_s=TOL_S) -> ClassificationReport:
+def classify_metric(m: MetricSpec, f: PhiFamily, per_axis=3, dirs=None) -> ClassificationReport:
     """Run every predicate on a default grid and assemble the report."""
     grid = default_grid(m, per_axis)
     if dirs is None:
         dirs = default_directions(m.n)
     preds = {
-        "gb": is_generalized_berwald(m, grid, tol),
-        "killing_cl": killing_constant_length(m, grid, tol),
+        "gb": is_generalized_berwald(m, grid),
+        "killing_cl": killing_constant_length(m, grid),
     }
-    preds.update(curvature_flags(m, f, grid, dirs, tol, tol_s))
+    preds.update(curvature_flags(m, f, grid, dirs))
     unicorn = None
     flag_zero = None
     if preds["gb"] and preds["s_zero"]:
@@ -277,7 +272,7 @@ def classify_metric(m: MetricSpec, f: PhiFamily, per_axis=3, dirs=None,
                 _admissible_dirs(m, f, x, np.asarray(dirs))[:4])]
             if ks:
                 kmax = max([0.0] + ks)
-                flag_zero = Verdict(kmax < tol_s * 10, kmax, tol_s * 10, len(ks))
+                flag_zero = Verdict(kmax < TOL_S * 10, kmax, TOL_S * 10, len(ks))
         if preds["killing_cl"]:
             b = beta_at(m, grid[0]).b
             if b > 1e-8:

@@ -48,7 +48,6 @@ class MetricSpec:
     a: Callable  # x -> (n, n) symmetric positive-definite matrix
     b_form: Callable  # x -> (n,) covector
     chart_domain: ChartDomain
-    regularity_margin: float = 0.05
     name: str = "custom"
 
     def a_at(self, x):
@@ -96,9 +95,9 @@ def christoffels(m: MetricSpec, x, a_inv=None):
     if a_inv is None:
         a_inv = _inverse_spd(_at(m.a_at, x))
     n = m.n
-    # da[..., k, i, j] = d a_ij / d x^k, one stencil per axis, points first; the upper
-    # triangle is mirrored so an a(x) symmetric only to roundoff gives a symmetric da
-    da = np.array([base_derivative(m.a_at, x, k, 1) for k in range(n)]).swapaxes(0, -3)
+    # da[..., k, i, j] = d a_ij / d x^k, points first; the upper triangle is
+    # mirrored so an a(x) symmetric only to roundoff gives a symmetric da
+    da = np.moveaxis(base_derivative(m.a_at, x), -1, -3)
     rows, cols = _lower_triangle(n)
     da[..., rows, cols] = da[..., cols, rows]
     # term[..., m, j, k] = da[j, m, k] + da[k, m, j] - da[m, j, k]
@@ -148,8 +147,7 @@ def beta_derivatives(m: MetricSpec, x) -> BetaCalculus:
     a_inv = _inverse_spd(a)
     gamma = christoffels(m, x, a_inv)
     b_i = _at(m.b_at, x)
-    # db[..., i, j] = d b_i / d x^j, points first
-    db = np.array([base_derivative(m.b_at, x, j, 1) for j in range(m.n)]).T.swapaxes(0, -2)
+    db = base_derivative(m.b_at, x)  # db[..., i, j] = d b_i / d x^j, points first
     bij = db - np.einsum("...k,...kij->...ij", b_i, gamma)
     bji = bij.swapaxes(-1, -2)
     r = 0.5 * (bij + bji)
@@ -177,8 +175,7 @@ def beta_norm_gradient_check(m: MetricSpec, x):
         b_i = m.b_at(xp)
         return float(np.sqrt(max(b_i @ a_inv @ b_i, 0.0)))
 
-    grad = np.array([base_derivative(norm, x, i, 1) for i in range(m.n)])
-    return grad - (bc.r_i + bc.s_i) / bc.b
+    return base_derivative(norm, x) - (bc.r_i + bc.s_i) / bc.b
 
 
 _POINT_CACHE_SIZE = 4096

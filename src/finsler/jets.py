@@ -18,10 +18,10 @@ jets, one per column, each with the bits it has alone, so one Python
 operation serves B samples.  Univariate tables are still built per column.
 
 Base-point (x-)derivatives are a different regime: metric evaluators may hide
-quadratures that are cheap to re-evaluate but awkward to jet through, so those
-derivatives go through :func:`base_derivative`, a Richardson-extrapolated
-central difference.  Its field may be scalar or array valued, so a tensor is
-differenced with one stencil per axis rather than one per component.
+quadratures that are cheap to re-evaluate but awkward to jet through, so every
+x-derivative goes through :func:`base_derivative`, the whole gradient of a
+scalar or array field by Richardson-extrapolated central differences, one
+stencil per chart axis, with the derivative axis last.
 """
 
 import math
@@ -349,21 +349,21 @@ def jet_apply(fn, args):
     return table[fn](*args)
 
 
-def base_derivative(field, x, axis, order):
-    """Derivative of a scalar or array field along a chart axis by extrapolated differences.
+def base_derivative(field, x):
+    """Gradient of a scalar or array field at ``x`` by extrapolated differences.
 
-    One Richardson step over the classic central stencils with steps h and
-    2h, h = 1e-3 max(1, |x[axis]|): fourth-order accurate for ``order`` 1,
-    and correspondingly extrapolated for ``order`` 2.  Only base-point (x-)
-    derivatives use it; fiber derivatives come exact from jets.  A scalar
-    field gives a float; an array field gives an array of the same shape,
-    each entry with the bits of differencing that component alone.  A ``(P, n)``
-    stack gives a leading P axis, h per row, and each row the bits of its point.
+    The one entry point for base-point (x-)derivatives; fiber derivatives come
+    exact from jets.  Per chart axis k, one Richardson step over the central
+    stencils with steps h and 2h, h = 1e-3 max(1, |x^k|): fourth-order
+    accurate.  The derivative axis comes last, after the field's own axes,
+    each entry with the bits of differencing that component alone.  A
+    ``(P, n)`` stack gives a leading P axis, h per row, and each row the bits
+    of its point.  Axis 0 goes first, each at +h, -h, +2h, -2h.
     """
     x = np.asarray(x, dtype=float)
-    h = 1e-3 * np.maximum(1.0, abs(x.T[axis]))  # one h per point
+    steps = 1e-3 * np.maximum(1.0, abs(x))  # one h per point and axis
 
-    def at(xp, offset):
+    def at(xp, offset, axis):
         try:
             return np.asarray(field(xp), dtype=float)
         except Exception as exc:  # noqa: BLE001 - surface stencil failures uniformly
@@ -371,25 +371,17 @@ def base_derivative(field, x, axis, order):
                 f"field evaluation failed at offset {offset:+g} along axis {axis}: {exc}"
             ) from exc
 
-    def f(step):  # the field at x + step h, transposed so that the points come last
-        xp = x.copy()
-        offset = step * h
-        xp.T[axis] += offset
-        return (at(xp, offset) if x.ndim == 1
-                else np.array([at(p, o) for p, o in zip(xp, offset)])).T
+    def along(axis):
+        h = steps.T[axis]
 
-    if order == 1:
-        def central(k):
-            return (f(k) - f(-k)) / (2.0 * (k * h))
-    elif order == 2:
-        f0 = f(0.0)
+        def f(step):  # the field at x + step h, transposed so that the points come last
+            xp = x.copy()
+            offset = step * h
+            xp.T[axis] += offset
+            return (at(xp, offset, axis) if x.ndim == 1
+                    else np.array([at(p, o, axis) for p, o in zip(xp, offset)])).T
 
-        def central(k):
-            return (f(k) - 2.0 * f0 + f(-k)) / ((k * h) * (k * h))
-    else:
-        raise DomainError("base_derivative supports orders 1 and 2 only")
+        d1, d2 = ((f(k) - f(-k)) / (2.0 * (k * h)) for k in (1.0, 2.0))
+        return ((4.0 * d1 - d2) / 3.0).T
 
-    d1 = central(1.0)
-    d2 = central(2.0)
-    out = ((4.0 * d1 - d2) / 3.0).T
-    return float(out) if out.ndim == 0 else out
+    return np.stack([along(k) for k in range(x.shape[-1])], axis=-1)

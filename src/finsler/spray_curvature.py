@@ -4,8 +4,8 @@ The (alpha, beta) route assembles the spray from the one-form calculus and the
 phi scalar series, in exact fiber-jet arithmetic, so every y-derivative up to
 the Douglas order is exact.  The generic route differentiates F^2 directly
 (fiber jets in y, extrapolated differences in x) and serves as an independent
-oracle.  Base-point derivatives of spray-level fields always go through
-``base_derivative``.
+oracle.  Base-point derivatives of spray-level fields are one
+``base_derivative`` gradient per field, the derivative axis last.
 
 ``spray_ab``, ``spray_generic``, ``spray_data``, ``berwald``, ``douglas``,
 ``riemann``, ``riemann_flag``, ``s_curvature_def``, ``s_curvature_formula`` and
@@ -81,8 +81,8 @@ def spray_generic(m: MetricSpec, f: PhiFamily, x, y):
         jet = fsq_jet(m, f, xp, y, 1)
         return np.concatenate((np.asarray(jet.value)[..., None], jet.tensor(1)), axis=-1)
 
-    # d[..., k, 0] = dF^2/dx^k, d[..., k, 1 + l] = d^2F^2/dx^k dy^l: a stencil per axis
-    d = np.stack([base_derivative(fsq_and_grad, x, k, 1) for k in range(n)], axis=-2)
+    # d[..., k, 0] = dF^2/dx^k, d[..., k, 1 + l] = d^2F^2/dx^k dy^l
+    d = np.moveaxis(base_derivative(fsq_and_grad, x), -1, -2)
     mixed = sum(y[..., k, None] * d[..., k, 1:] for k in range(n))
     return 0.25 * (fd.g_inv @ (mixed - d[..., 0])[..., None])[..., 0]
 
@@ -159,10 +159,10 @@ def riemann(m: MetricSpec, f: PhiFamily, x, y, spray=None):
         jets = spray_ab(m, f, xp, y, order=1)
         return np.concatenate((_fiber(jets, 0)[..., None], _fiber(jets, 1)), axis=-1)
 
-    # d[..., i, j, 0] = dG^i/dx^j, d[..., i, j, 1 + k] = dN^i_k/dx^j: one
-    # stencil per axis
-    d = np.stack([base_derivative(g_and_n, x, j, 1) for j in range(m.n)], axis=-2)
-    Gx, Gxy = d[..., 0], d[..., 1:]
+    # d[..., i, j, 0] = dG^i/dx^j, d[..., i, j, 1 + k] = dN^i_k/dx^j; einsum
+    # takes Gxy contiguous, as its last bits depend on the operand's layout
+    d = np.moveaxis(base_derivative(g_and_n, x), -1, -2)
+    Gx, Gxy = d[..., 0], np.ascontiguousarray(d[..., 1:])
     return (2.0 * Gx
             - np.einsum("...j,...ijk->...ik", y, Gxy)
             + 2.0 * np.einsum("...j,...ijk->...ik", G, Gyy)
@@ -198,7 +198,7 @@ def ln_sigma_gradient(m: MetricSpec, f: PhiFamily, x):
     def ln_sigma(xp):
         return math.log(sigma_bh(m, f, xp))
 
-    return np.array([base_derivative(ln_sigma, x, i, 1) for i in range(m.n)])
+    return base_derivative(ln_sigma, x)
 
 
 def s_curvature_def(m: MetricSpec, f: PhiFamily, x, y, grad_ln_sigma=None,
@@ -245,14 +245,13 @@ def h_curvature(m: MetricSpec, f: PhiFamily, x, y, spray=None):
     """H_ij: horizontal derivative of the mean Berwald curvature along the flow.
 
     dE_ij/dy^k is exact, ``E_vert`` of the order-4 spray jet (``spray``, the
-    ``spray_data`` of (x, y), if at hand); dE_ij/dx^m is one
-    ``base_derivative`` stencil per axis over order-3 ``berwald`` jets.
+    ``spray_data`` of (x, y), if at hand); dE_ij/dx^m is the
+    ``base_derivative`` gradient of order-3 ``berwald`` jets.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     sd = spray_data(m, f, x, y) if spray is None else spray
-    Ex = np.stack([base_derivative(lambda xp: berwald(m, f, xp, y)[1], x, mm, 1)
-                   for mm in range(m.n)], axis=-1)
+    Ex = base_derivative(lambda xp: berwald(m, f, xp, y)[1], x)
     return (np.einsum("...m,...ijm->...ij", y, Ex)
             - 2.0 * np.einsum("...k,...ijk->...ij", sd.G, sd.E_vert)
             - np.einsum("...kj,...ki->...ij", sd.E, sd.N)

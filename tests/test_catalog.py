@@ -80,7 +80,7 @@ class TestEntries:
         # beta_at caches on the spec's identity hash, so no field may change
         entry = get_metric(name)
         with pytest.raises(dataclasses.FrozenInstanceError):
-            entry.metric.regularity_margin = 0.5
+            entry.metric.name = "renamed"
         with pytest.raises(dataclasses.FrozenInstanceError):
             entry.phi = RandersPhi()
         spec = entry.metric

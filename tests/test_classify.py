@@ -40,9 +40,11 @@ class TestGeneralizedBerwald:
 class TestDefaultGrid:
     def test_margin_defaults_to_the_regularity_margin(self):
         m = get_metric("lie_group").metric
+        # the regularity margin: 5 % of the box's shortest side
         got = default_grid(m, 3)
-        want = default_grid(m, 3, margin=m.regularity_margin)
+        want = default_grid(m, 3, margin=0.05)
         assert np.array_equal(got, want)
+        assert not np.array_equal(got, default_grid(m, 3, margin=0.1))
 
     def test_explicit_margin(self):
         m = get_metric("euclid").metric

@@ -162,48 +162,63 @@ def test_domain_rule(fn, args, want):
 
 
 class TestBaseDerivative:
-    def test_first_and_second_order(self):
+    def test_gradient_matches_the_closed_form(self):
         fn = lambda p: math.sin(p[0]) * math.exp(2.0 * p[1])
-        x = np.array([0.3, -0.2])
-        assert base_derivative(fn, x, 0, 1) == pytest.approx(
-            math.cos(0.3) * math.exp(-0.4), abs=1e-10)
-        assert base_derivative(fn, x, 1, 1) == pytest.approx(
-            2.0 * math.sin(0.3) * math.exp(-0.4), abs=1e-10)
-        assert base_derivative(fn, x, 0, 2) == pytest.approx(
-            -math.sin(0.3) * math.exp(-0.4), abs=1e-7)
+        grad = base_derivative(fn, np.array([0.3, -0.2]))
+        assert grad.shape == (2,)
+        assert grad == pytest.approx([math.cos(0.3) * math.exp(-0.4),
+                                      2.0 * math.sin(0.3) * math.exp(-0.4)], abs=1e-10)
+
+    def test_stencil_order(self):
+        # axis 0 first, each axis at +h, -h, +2h, -2h with h = 1e-3 max(1, |x^k|)
+        seen = []
+
+        def record(p):
+            seen.append(p.tolist())
+            return 0.0
+
+        base_derivative(record, np.array([0.3, -2.0]))
+        h0, h1 = 1e-3, 2e-3
+        assert seen == [[0.3 + h0, -2.0], [0.3 - h0, -2.0], [0.3 + 2 * h0, -2.0],
+                        [0.3 - 2 * h0, -2.0], [0.3, -2.0 + h1], [0.3, -2.0 - h1],
+                        [0.3, -2.0 + 2 * h1], [0.3, -2.0 - 2 * h1]]
 
     def test_failure_is_wrapped(self):
+        # the first evaluation, axis 0 at +h, fails and names itself
         def bad(p):
             raise ValueError("boom")
 
-        with pytest.raises(EvaluationError):
-            base_derivative(bad, np.zeros(2), 0, 1)
+        with pytest.raises(EvaluationError) as info:
+            base_derivative(bad, np.zeros(2))
+        assert str(info.value) == "field evaluation failed at offset +0.001 along axis 0: boom"
+        assert isinstance(info.value.__cause__, ValueError)
+
+    def test_array_field_failure_is_wrapped(self):
+        def bad(p):  # only the last stencil point of axis 1 fails
+            if p[1] < -0.0015:
+                raise ValueError("boom")
+            return np.zeros(3)
+
+        with pytest.raises(EvaluationError) as info:
+            base_derivative(bad, np.zeros(2))
+        assert str(info.value) == "field evaluation failed at offset -0.002 along axis 1: boom"
 
     @staticmethod
     def _components(p):
         return [math.sin(p[0]) * math.exp(2.0 * p[1]), p[0] ** 3 * p[1],
                 math.cos(p[0] - p[1])]
 
-    @pytest.mark.parametrize("order", [1, 2])
-    def test_array_field_is_stacked_scalar_calls(self, order):
+    def test_array_field_is_stacked_scalar_calls(self):
         x = np.array([0.3, -0.2])
-        for axis in range(2):
-            got = base_derivative(self._components, x, axis, order)
-            want = [base_derivative(lambda p, c=c: self._components(p)[c],
-                                    x, axis, order) for c in range(3)]
-            assert isinstance(got, np.ndarray) and got.shape == (3,)
-            assert np.array_equal(got, want)
+        got = base_derivative(self._components, x)
+        want = [base_derivative(lambda p, c=c: self._components(p)[c], x)
+                for c in range(3)]
+        assert got.shape == (3, 2)
+        assert np.array_equal(got, want)
 
-    def test_array_field_failure_is_wrapped(self):
-        def bad(p):
-            if p[0] > 0.0:
-                raise ValueError("boom")
-            return np.zeros(3)
-
-        with pytest.raises(EvaluationError):
-            base_derivative(bad, np.zeros(2), 0, 1)
-
-    def test_scalar_field_gives_float(self):
+    def test_gradient_is_always_an_array(self):
         fn = lambda p: np.float64(p[0] * p[1])
-        for order in (1, 2):
-            assert type(base_derivative(fn, np.array([0.3, -0.2]), 0, order)) is float
+        one = base_derivative(fn, np.array([0.3, -0.2]))
+        stack = base_derivative(fn, np.array([[0.3, -0.2], [0.1, 0.4], [0.0, 1.0]]))
+        assert type(one) is np.ndarray and one.shape == (2,)
+        assert stack.shape == (3, 2) and np.array_equal(stack[0], one)
