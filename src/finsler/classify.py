@@ -14,8 +14,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import (AllSamplesSingular, DegenerateFlag, DomainError,
-                     EmptyGrid, EvaluationError, MissingReports, RankDeficient,
-                     WrongPhiVariant)
+                     EmptyGrid, EvaluationError, FinslerError, MissingReports,
+                     RankDeficient, WrongPhiVariant)
 from .finsler_metric import fsq_jet
 from .geometry_core import MetricSpec, beta_at
 from .phi_families import PhiFamily, _q_series
@@ -41,6 +41,12 @@ class Verdict:
     residual: float
     threshold: float
     n_samples: int
+    error: Optional[str] = None  # why the predicate could not be evaluated
+
+    @classmethod
+    def errored(cls, threshold, exc):
+        """A predicate that raised: false, with no residual, carrying the error text."""
+        return cls(False, math.nan, threshold, 0, f"{type(exc).__name__}: {exc}")
 
     def __post_init__(self):
         # a numpy comparison yields numpy.bool, which __bool__ may not return
@@ -52,6 +58,9 @@ class Verdict:
         return self.value
 
     def as_dict(self):
+        if self.error is not None:
+            return {"verdict": None, "error": self.error,
+                    "threshold": self.threshold, "n_samples": self.n_samples}
         return {"verdict": self.value, "residual": self.residual,
                 "threshold": self.threshold, "n_samples": self.n_samples}
 
@@ -75,6 +84,7 @@ class ClassificationReport:
     verdict: str
     unicorn: Optional[UnicornFit] = None
     grid_meta: dict = field(default_factory=dict)
+    reason: Optional[str] = None  # why the verdict is Inconclusive, if a predicate errored
 
     def to_json(self):
         doc = {
@@ -85,6 +95,8 @@ class ClassificationReport:
         }
         if self.unicorn is not None:
             doc["unicorn_fit"] = self.unicorn.as_dict()
+        if self.reason is not None:
+            doc["reason"] = self.reason
         return json.dumps(doc, indent=2, sort_keys=True)
 
 
@@ -160,12 +172,17 @@ def randers_s0_shortcut(m: MetricSpec, f: PhiFamily, grid,
 
 
 def _sample_norms(m, f, x, Y, grad):
-    """Max-norms of B, L, D, S and C per direction of Y, each scaled to F = 1."""
+    """Max-norms of B, L, D, S and C per direction of Y, each scaled to F = 1.
+
+    S reads 0 where ``grad``, the gradient of ln sigma, is None: sigma failed.
+    """
     Y = Y / np.sqrt(fsq_jet(m, f, x, Y, 0).value)[..., None]
     cb = curvature_bundle(m, f, x, Y, grad)
     C = cb.fd.C  # before the spray: a failing sample raises what `fundamental` does
     return np.column_stack([np.abs(np.reshape(T, (len(cb.dirs), -1))).max(axis=1)
-                            for T in (cb.B, cb.L, cb.D, cb.S_def, C)]).tolist()
+                            for T in (cb.B, cb.L, cb.D,
+                                      cb.S_def if grad is not None else np.zeros(len(cb.dirs)),
+                                      C)]).tolist()
 
 
 def _flag_curvatures(m, f, x, Y):
@@ -185,17 +202,23 @@ def curvature_flags(m: MetricSpec, f: PhiFamily, grid, dirs=None) -> dict:
     scale-invariant; directions outside the regular cone of almost-regular
     families are dropped.  Each point's directions go through as one batch,
     redone one at a time if it raises, so an error is the one raised alone.
+    Where sigma fails, ``s_zero`` is an errored verdict carrying the first
+    failure, and the other verdicts stand.
     """
     if dirs is None:
         dirs = default_directions(m.n)
     res = {"berwald": 0.0, "landsberg": 0.0, "douglas": 0.0,
            "s_zero": 0.0, "riemannian": 0.0}
     n_used = 0
+    sigma_error = None
     for x in grid:
         usable = _admissible_dirs(m, f, x, np.asarray(dirs, dtype=float))
         if not len(usable):
             continue
-        grad = ln_sigma_gradient(m, f, x)
+        try:
+            grad = ln_sigma_gradient(m, f, x)
+        except FinslerError as exc:
+            grad, sigma_error = None, sigma_error or exc
         for row in per_direction(lambda Y: _sample_norms(m, f, x, Y, grad), usable):
             for name, r in zip(res, row):
                 res[name] = max(res[name], r)
@@ -206,6 +229,8 @@ def curvature_flags(m: MetricSpec, f: PhiFamily, grid, dirs=None) -> dict:
     for name, r in res.items():
         t = TOL_S if name == "s_zero" else TOL_TENSOR
         out[name] = Verdict(r < t, r, t, n_used)
+    if sigma_error is not None:
+        out["s_zero"] = Verdict.errored(TOL_S, sigma_error)
     return out
 
 
@@ -232,25 +257,28 @@ def unicorn_fit(f_or_samples, b) -> UnicornFit:
 
 
 def theorem11_verdict(reports: dict, unicorn: Optional[UnicornFit] = None,
-                      flag_zero: Optional[Verdict] = None) -> str:
-    """Trichotomy decision from the predicate verdicts, in fixed priority order."""
+                      flag_zero: Optional[Verdict] = None):
+    """Trichotomy decision from the predicate verdicts, in fixed priority order.
+
+    Returns the verdict and, when it is ``Inconclusive`` because the ``gb``
+    or ``s_zero`` rung errored, why; else None.
+    """
     for key in ("gb", "s_zero"):
         if key not in reports:
             raise MissingReports(f"verdict requires the {key!r} predicate")
-    gb = reports["gb"]
-    s_zero = reports["s_zero"]
-    if not gb:
-        return "NotGeneralizedBerwald"
-    if not s_zero:
-        return "SNonzero"
+    for key, failed in (("gb", "NotGeneralizedBerwald"), ("s_zero", "SNonzero")):
+        if reports[key].error is not None:
+            return "Inconclusive", f"{key} could not be evaluated: {reports[key].error}"
+        if not reports[key]:
+            return failed, None
     if reports.get("riemannian"):
-        return "RiemannianIsotropic"
+        return "RiemannianIsotropic", None
     if reports.get("berwald") and flag_zero is not None and flag_zero:
-        return "LocallyMinkowskiLike"
+        return "LocallyMinkowskiLike", None
     if (reports.get("killing_cl") and unicorn is not None
             and unicorn.rms < TOL_UNICORN):
-        return "UnicornCase"
-    return "Inconclusive"
+        return "UnicornCase", None
+    return "Inconclusive", None
 
 
 def classify_metric(m: MetricSpec, f: PhiFamily, per_axis=3, dirs=None) -> ClassificationReport:
@@ -280,9 +308,9 @@ def classify_metric(m: MetricSpec, f: PhiFamily, per_axis=3, dirs=None) -> Class
                     unicorn = unicorn_fit(f, b)
                 except RankDeficient:
                     unicorn = None
-    verdict = theorem11_verdict(preds, unicorn=unicorn, flag_zero=flag_zero)
+    verdict, reason = theorem11_verdict(preds, unicorn=unicorn, flag_zero=flag_zero)
     meta = {"per_axis": per_axis, "n_points": len(grid),
             "n_directions": int(np.asarray(dirs).shape[0])}
     return ClassificationReport(metric_name=m.name, predicates=preds,
                                 verdict=verdict, unicorn=unicorn,
-                                grid_meta=meta)
+                                grid_meta=meta, reason=reason)

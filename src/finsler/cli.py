@@ -301,14 +301,22 @@ def _fiber_cells(name, cb):
             for T in each(getattr(cb, name))]
 
 
+#: grid points per stacked beta pass: its stencil holds 4 n points per grid point
+_GRID_CHUNK = 1024
+
+
 def _grid_calculus(m, grid):
-    """Each grid point's beta calculus from one stacked pass, or, if that raises,
-    one ``beta_at`` per point as it is read, so the first failing point raises."""
-    try:
-        stack = beta_derivatives(m, np.array(grid))
-    except Exception:  # noqa: BLE001 - each point then raises what it raises alone
-        return (beta_at(m, x) for x in grid)
-    return (stack.row(k) for k in range(len(grid)))
+    """Each grid point's beta calculus from one stacked pass per chunk of the grid,
+    or, where a pass raises, one ``beta_at`` per point of its chunk as it is read,
+    so the first failing point raises."""
+    for start in range(0, len(grid), _GRID_CHUNK):
+        chunk = grid[start:start + _GRID_CHUNK]
+        try:
+            stack = beta_derivatives(m, np.array(chunk))
+        except Exception:  # noqa: BLE001 - each point then raises what it raises alone
+            yield from (beta_at(m, x) for x in chunk)
+        else:
+            yield from (stack.row(k) for k in range(len(chunk)))
 
 
 def cmd_table(cfg, quantity):

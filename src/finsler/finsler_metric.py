@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import (DomainError, NonPositiveDensity,
                      SingularDirectionInQuadrature, SingularG, ZeroVector)
-from .geometry_core import MetricSpec, _inverse_cholesky, _inverse_spd
+from .geometry_core import MetricSpec, _at, _inverse_cholesky, _inverse_spd
 from .jets import jet_form, jet_variable, per_column
 from .phi_families import PhiFamily
 
@@ -51,8 +51,30 @@ def finsler_eval_many(m: MetricSpec, f: PhiFamily, x, Y):
     return alpha * f.value_many(s), s
 
 
+def pair_columns(x, y):
+    """The (point, direction) pairs of ``x`` and ``y`` as jet columns, point-major.
+
+    ``x`` is one point or a ``(S, n)`` stack, ``y`` one direction or a ``(B, n)``
+    stack.  Returns each column's direction, and ``col``, which lays a per-point
+    field out as ``jet_form`` coefficients: unchanged for one pair, else with a
+    trailing column axis (of length 1 at one point).  Pair (k, b) is column k B + b.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.ndim == 1:
+        if y.ndim == 1:
+            return y, lambda v: v
+        return y, lambda v: v if np.ndim(v) == 0 else v[..., None]
+    reps = 1 if y.ndim == 1 else len(y)
+    return (np.tile(y, (len(x), 1)),
+            lambda v: np.moveaxis(np.repeat(v, reps, axis=0), 0, -1))
+
+
 def alpha_beta_jets(a, b_i, f: PhiFamily, y, order):
-    """Fiber jets of y^i, alpha^2, alpha and an admissible s = beta/alpha at y."""
+    """Fiber jets of y^i, alpha^2, alpha and an admissible s = beta/alpha at y.
+
+    A stack of y takes ``a`` and ``b_i`` as per-column coefficients (``pair_columns``).
+    """
     y = np.asarray(y, dtype=float)
     yj = [jet_variable(i, y[..., i], len(b_i), order) for i in range(len(b_i))]
     A = jet_form(a, yj)
@@ -66,8 +88,13 @@ def alpha_beta_jets(a, b_i, f: PhiFamily, y, order):
 
 
 def fsq_jet(m: MetricSpec, f: PhiFamily, x, y, order):
-    """Jet of F^2 in the fiber variables, exact to ``order``; batched for a stack of y."""
-    _, A, _, s = alpha_beta_jets(m.a_at(x), m.b_at(x), f, y, order)
+    """Jet of F^2 in the fiber variables, exact to ``order``; batched for a stack of y.
+
+    A ``(S, n)`` stack of x runs every (point, direction) pair (``pair_columns``).
+    """
+    x = np.asarray(x, dtype=float)
+    y, col = pair_columns(x, y)
+    _, A, _, s = alpha_beta_jets(col(_at(m.a_at, x)), col(_at(m.b_at, x)), f, y, order)
     phi = s.compose_series(per_column(lambda s0: f.taylor(s0, order), s.value))
     return A * phi * phi
 

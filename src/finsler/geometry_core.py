@@ -6,7 +6,7 @@ raisings.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -97,7 +97,7 @@ def christoffels(m: MetricSpec, x, a_inv=None):
     n = m.n
     # da[..., k, i, j] = d a_ij / d x^k, points first; the upper triangle is
     # mirrored so an a(x) symmetric only to roundoff gives a symmetric da
-    da = np.moveaxis(base_derivative(m.a_at, x), -1, -3)
+    da = np.moveaxis(base_derivative(partial(_at, m.a_at), x), -1, -3)
     rows, cols = _lower_triangle(n)
     da[..., rows, cols] = da[..., cols, rows]
     # term[..., m, j, k] = da[j, m, k] + da[k, m, j] - da[m, j, k]
@@ -147,7 +147,7 @@ def beta_derivatives(m: MetricSpec, x) -> BetaCalculus:
     a_inv = _inverse_spd(a)
     gamma = christoffels(m, x, a_inv)
     b_i = _at(m.b_at, x)
-    db = base_derivative(m.b_at, x)  # db[..., i, j] = d b_i / d x^j, points first
+    db = base_derivative(partial(_at, m.b_at), x)  # db[..., i, j] = d b_i / d x^j, points first
     bij = db - np.einsum("...k,...kij->...ij", b_i, gamma)
     bji = bij.swapaxes(-1, -2)
     r = 0.5 * (bij + bji)
@@ -175,7 +175,7 @@ def beta_norm_gradient_check(m: MetricSpec, x):
         b_i = m.b_at(xp)
         return float(np.sqrt(max(b_i @ a_inv @ b_i, 0.0)))
 
-    return base_derivative(norm, x) - (bc.r_i + bc.s_i) / bc.b
+    return base_derivative(partial(_at, norm), x) - (bc.r_i + bc.s_i) / bc.b
 
 
 _POINT_CACHE_SIZE = 4096

@@ -20,8 +20,10 @@ operation serves B samples.  Univariate tables are still built per column.
 Base-point (x-)derivatives are a different regime: metric evaluators may hide
 quadratures that are cheap to re-evaluate but awkward to jet through, so every
 x-derivative goes through :func:`base_derivative`, the whole gradient of a
-scalar or array field by Richardson-extrapolated central differences, one
-stencil per chart axis, with the derivative axis last.
+scalar or array field by Richardson-extrapolated central differences, with the
+derivative axis last.  A gradient is one field call on the whole stencil as a
+point stack, redone one point at a time if that call raises, so an error names
+the stencil point that raises alone.
 """
 
 import math
@@ -86,6 +88,8 @@ class JetScalar:
     """Dense truncated Taylor expansion of a scalar in ``n_vars`` variables."""
 
     __slots__ = ("coeffs", "n_vars", "max_order")
+    # numpy defers to the jet: ``ndarray - jet`` is ``jet.__rsub__(ndarray)``
+    __array_ufunc__ = None
 
     def __init__(self, coeffs, n_vars, max_order):
         if max_order < 0 or (n_vars > 1 and max_order > MAX_ORDER):
@@ -188,6 +192,9 @@ class JetScalar:
     def __mul__(self, other):
         if isinstance(other, _NUMBER):
             return self._like(self.coeffs * float(other))
+        if isinstance(other, np.ndarray) and other.ndim == self.coeffs.ndim - 1:
+            # one float per column: each column has the bits of its float product
+            return self._like(self.coeffs * other)
         o = self._coerce(other)
         if o is NotImplemented:
             return o
@@ -274,10 +281,15 @@ def jet_variable(index, point_value, n_vars, max_order):
 
 
 def jet_form(c, yj):
-    """Jet of the form c_i y^i or c_ij y^i y^j in the jets ``yj``, summed in index order."""
+    """Jet of the form c_i y^i or c_ij y^i y^j in the jets ``yj``, summed in index order.
+
+    Batched jets take ``c`` with a trailing column axis: one coefficient per
+    column, or a length-1 axis for one coefficient shared by every column.
+    """
     out = yj[0]._coerce(0.0)
+    linear = c.ndim == yj[0].coeffs.ndim
     for i, y_i in enumerate(yj):  # jet first: a numpy scalar first is slow
-        if c.ndim == 1:
+        if linear:
             out = out + y_i * c[i]
         else:
             for j, y_j in enumerate(yj):
@@ -349,6 +361,10 @@ def jet_apply(fn, args):
     return table[fn](*args)
 
 
+#: the stencil of one axis, in steps of h: +h, -h, +2h, -2h
+_STENCIL = np.array([1.0, -1.0, 2.0, -2.0])
+
+
 def base_derivative(field, x):
     """Gradient of a scalar or array field at ``x`` by extrapolated differences.
 
@@ -358,30 +374,42 @@ def base_derivative(field, x):
     accurate.  The derivative axis comes last, after the field's own axes,
     each entry with the bits of differencing that component alone.  A
     ``(P, n)`` stack gives a leading P axis, h per row, and each row the bits
-    of its point.  Axis 0 goes first, each at +h, -h, +2h, -2h.
+    of its point.
+
+    ``field`` takes one point ``(n,)`` or a ``(S, n)`` stack, and returns its
+    value, or the values stacked along a leading S axis.  It is called once,
+    on the whole stencil as a ``(4 n P, n)`` stack: axis 0 first, each axis at
+    +h, -h, +2h, -2h, the rows of ``x`` in order.  If that call raises, the
+    stencil is redone one point at a time in the same order, and the first
+    point that raises is named in an :class:`EvaluationError`.
     """
     x = np.asarray(x, dtype=float)
+    n = x.shape[-1]
     steps = 1e-3 * np.maximum(1.0, abs(x))  # one h per point and axis
+    offsets = np.multiply.outer(_STENCIL, steps)  # [j, ..., k]: step j along axis k
+    points = np.empty((n, len(_STENCIL)) + x.shape)
+    for k in range(n):
+        points[k] = x
+        points[k, ..., k] += offsets[..., k]
+    try:
+        values = np.asarray(field(points.reshape(-1, n)), dtype=float)
+    except Exception:  # noqa: BLE001 - redone point by point, to name the point
+        values = np.array([_evaluate(field, p, offset, k) for k in range(n)
+                           for p, offset in zip(points[k].reshape(-1, n),
+                                                offsets[..., k].ravel())])
+    values = values.reshape(points.shape[:-1] + values.shape[1:])  # [k, j, ...]
+    h = np.moveaxis(steps, -1, 0)
+    h = h.reshape(h.shape + (1,) * (values.ndim - h.ndim - 1))  # over the field's axes
+    d1, d2 = ((values[:, j] - values[:, j + 1]) / (2.0 * (step * h))
+              for j, step in ((0, 1.0), (2, 2.0)))
+    return np.ascontiguousarray(np.moveaxis((4.0 * d1 - d2) / 3.0, 0, -1))
 
-    def at(xp, offset, axis):
-        try:
-            return np.asarray(field(xp), dtype=float)
-        except Exception as exc:  # noqa: BLE001 - surface stencil failures uniformly
-            raise EvaluationError(
-                f"field evaluation failed at offset {offset:+g} along axis {axis}: {exc}"
-            ) from exc
 
-    def along(axis):
-        h = steps.T[axis]
-
-        def f(step):  # the field at x + step h, transposed so that the points come last
-            xp = x.copy()
-            offset = step * h
-            xp.T[axis] += offset
-            return (at(xp, offset, axis) if x.ndim == 1
-                    else np.array([at(p, o, axis) for p, o in zip(xp, offset)])).T
-
-        d1, d2 = ((f(k) - f(-k)) / (2.0 * (k * h)) for k in (1.0, 2.0))
-        return ((4.0 * d1 - d2) / 3.0).T
-
-    return np.stack([along(k) for k in range(x.shape[-1])], axis=-1)
+def _evaluate(field, xp, offset, axis):
+    """``field`` at the one stencil point ``xp``; a failure names its offset and axis."""
+    try:
+        return np.asarray(field(xp), dtype=float)
+    except Exception as exc:  # noqa: BLE001 - surface stencil failures uniformly
+        raise EvaluationError(
+            f"field evaluation failed at offset {offset:+g} along axis {axis}: {exc}"
+        ) from exc

@@ -5,7 +5,10 @@ phi scalar series, in exact fiber-jet arithmetic, so every y-derivative up to
 the Douglas order is exact.  The generic route differentiates F^2 directly
 (fiber jets in y, extrapolated differences in x) and serves as an independent
 oracle.  Base-point derivatives of spray-level fields are one
-``base_derivative`` gradient per field, the derivative axis last.
+``base_derivative`` gradient per field, the derivative axis last: one field
+call on the whole stencil as a point stack, so ``spray_ab`` and ``fsq_jet``
+run every (stencil point, direction) pair as one jet batch, and the stencil is
+redone one point at a time if that batch raises.
 
 ``spray_ab``, ``spray_generic``, ``spray_data``, ``berwald``, ``douglas``,
 ``riemann``, ``riemann_flag``, ``s_curvature_def``, ``s_curvature_formula`` and
@@ -21,14 +24,15 @@ copy of the fundamental data and of the order-4 spray jet.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 from .errors import DegenerateFlag, DimensionError, DomainError, FinslerError
 from .finsler_metric import (FundamentalData, _angular_density,
-                             alpha_beta_jets, fsq_jet, fundamental, sigma_bh)
-from .geometry_core import MetricSpec, beta_at
+                             alpha_beta_jets, fsq_jet, fundamental,
+                             pair_columns, sigma_bh)
+from .geometry_core import MetricSpec, _at, beta_at, beta_derivatives
 from .jets import base_derivative, jet_form, jet_variable
 from .phi_families import PhiFamily, ab_scalars, spray_scalar_series
 
@@ -46,27 +50,36 @@ def per_direction(fn, Y):
 
 
 def _spray_jets(bc, f: PhiFamily, y, order):
-    """G^i as fiber jets of the requested order, from the one-form calculus."""
-    yj, _, alpha, s = alpha_beta_jets(bc.a, bc.b_i, f, y, order)
-    q_t, theta_t, psi_t = spray_scalar_series(f, bc.b, s.value, order)
+    """G^i as fiber jets of the requested order, from the one-form calculus.
+
+    A stacked ``bc`` pairs each of its points with every direction, point-major.
+    """
+    y, col = pair_columns(bc.x, y)
+    yj, _, alpha, s = alpha_beta_jets(col(bc.a), col(bc.b_i), f, y, order)
+    q_t, theta_t, psi_t = spray_scalar_series(f, col(bc.b), s.value, order)
     Q = s.compose_series(q_t.coeffs)
     Theta = s.compose_series(theta_t.coeffs)
     Psi = s.compose_series(psi_t.coeffs)
-    core = (jet_form(bc.r, yj) - 2.0 * Q * alpha * jet_form(bc.s_i, yj)) / alpha
-    return [jet_form(0.5 * bc.gamma[i], yj) + alpha * Q * jet_form(bc.s_up[i], yj)
-            + core * (Theta * yj[i] + alpha * Psi * bc.b_up[i]) for i in range(bc.n)]
+    r, s_i, gamma, s_up, b_up = map(col, (bc.r, bc.s_i, bc.gamma, bc.s_up, bc.b_up))
+    core = (jet_form(r, yj) - 2.0 * Q * alpha * jet_form(s_i, yj)) / alpha
+    return [jet_form(0.5 * gamma[i], yj) + alpha * Q * jet_form(s_up[i], yj)
+            + core * (Theta * yj[i] + alpha * Psi * b_up[i]) for i in range(bc.n)]
 
 
 def spray_ab(m: MetricSpec, f: PhiFamily, x, y, order=0):
     """Spray coefficients G^i by the (alpha, beta) formula.
 
     With ``order`` 0 returns a plain array; otherwise a list of jets carrying
-    exact y-derivatives up to ``order``.
+    exact y-derivatives up to ``order``.  A ``(S, n)`` stack of x takes its
+    beta calculus from one stacked ``beta_derivatives`` and runs every
+    (point, direction) pair as one jet batch (``pair_columns``); order 0 then
+    gives a leading S axis.
     """
-    bc = beta_at(m, x)
+    x = np.asarray(x, dtype=float)
+    bc = beta_at(m, x) if x.ndim == 1 else beta_derivatives(m, x)
     jets = _spray_jets(bc, f, y, order)
     if order == 0:
-        return _fiber(jets, 0)
+        return _fiber(jets, 0, _pairs_shape(x, y))
     return jets
 
 
@@ -77,9 +90,10 @@ def spray_generic(m: MetricSpec, f: PhiFamily, x, y):
     n = m.n
     fd = fundamental(m, f, x, y)
 
-    def fsq_and_grad(xp):  # [F^2, dF^2/dy^l] per direction
+    def fsq_and_grad(xp):  # [F^2, dF^2/dy^l] per (point, direction)
         jet = fsq_jet(m, f, xp, y, 1)
-        return np.concatenate((np.asarray(jet.value)[..., None], jet.tensor(1)), axis=-1)
+        both = np.concatenate((np.asarray(jet.value)[..., None], jet.tensor(1)), axis=-1)
+        return both.reshape(_pairs_shape(xp, y) + (1 + n,))
 
     # d[..., k, 0] = dF^2/dx^k, d[..., k, 1 + l] = d^2F^2/dx^k dy^l
     d = np.moveaxis(base_derivative(fsq_and_grad, x), -1, -2)
@@ -87,20 +101,34 @@ def spray_generic(m: MetricSpec, f: PhiFamily, x, y):
     return 0.25 * (fd.g_inv @ (mixed - d[..., 0])[..., None])[..., 0]
 
 
-def _fiber(jets, k):
-    """k-th fiber derivatives of every G^i: shape ``(n,) * (k + 1)`` after any B axis."""
+def _pairs_shape(x, y):
+    """The batch axes of the (point, direction) pairs of ``x`` and ``y``."""
+    return np.shape(x)[:-1] + np.shape(y)[:-1]
+
+
+def _fiber(jets, k, lead=None):
+    """k-th fiber derivatives of every G^i: shape ``(n,) * (k + 1)`` after any batch axis.
+
+    ``lead`` splits the jet columns into batch axes (``_pairs_shape``).
+    """
     T = np.array([j.tensor(k) for j in jets])
-    return T if T.ndim == k + 1 else np.ascontiguousarray(T.swapaxes(0, 1))
+    if T.ndim == k + 1:
+        return T
+    T = np.ascontiguousarray(T.swapaxes(0, 1))
+    return T if lead is None else T.reshape(lead + T.shape[1:])
 
 
-def _berwald(jets):
-    B = _fiber(jets, 3)
+def _berwald(jets, lead=None):
+    B = _fiber(jets, 3, lead)
     return B, 0.5 * np.einsum("...mmij->...ij", B)
 
 
 def berwald(m: MetricSpec, f: PhiFamily, x, y):
-    """Berwald curvature B^i_jkl and its mean E_ij, from order-3 spray jets."""
-    return _berwald(spray_ab(m, f, x, y, order=3))
+    """Berwald curvature B^i_jkl and its mean E_ij, from order-3 spray jets.
+
+    A ``(S, n)`` stack of x gives a leading S axis, as ``spray_ab`` does.
+    """
+    return _berwald(spray_ab(m, f, x, y, order=3), _pairs_shape(x, y))
 
 
 def landsberg(fd: FundamentalData, B):
@@ -155,9 +183,10 @@ def riemann(m: MetricSpec, f: PhiFamily, x, y, spray=None):
     else:
         G, N, Gyy = spray.G, spray.N, spray.G_jk
 
-    def g_and_n(xp):  # [G^i, N^i_k] as an (n, 1 + n) array per direction
-        jets = spray_ab(m, f, xp, y, order=1)
-        return np.concatenate((_fiber(jets, 0)[..., None], _fiber(jets, 1)), axis=-1)
+    def g_and_n(xp):  # [G^i, N^i_k] as an (n, 1 + n) array per (point, direction)
+        jets, lead = spray_ab(m, f, xp, y, order=1), _pairs_shape(xp, y)
+        return np.concatenate((_fiber(jets, 0, lead)[..., None], _fiber(jets, 1, lead)),
+                              axis=-1)
 
     # d[..., i, j, 0] = dG^i/dx^j, d[..., i, j, 1 + k] = dN^i_k/dx^j; einsum
     # takes Gxy contiguous, as its last bits depend on the operand's layout
@@ -198,7 +227,7 @@ def ln_sigma_gradient(m: MetricSpec, f: PhiFamily, x):
     def ln_sigma(xp):
         return math.log(sigma_bh(m, f, xp))
 
-    return base_derivative(ln_sigma, x)
+    return base_derivative(partial(_at, ln_sigma), x)
 
 
 def s_curvature_def(m: MetricSpec, f: PhiFamily, x, y, grad_ln_sigma=None,
@@ -236,7 +265,9 @@ def s_curvature_formula(m: MetricSpec, f: PhiFamily, x, y):
         fb, fp, fm = (_angular_density(f, bc.b + db, m.n) for db in (0.0, 1e-4, -1e-4))
         fpb = (fp - fm) / 2e-4
         density = np.where(rs_0 != 0.0, (2.0 * sc.Psi - fpb / (bc.b * fb)) * rs_0, 0.0)
-    S = density - (sc.Phi / (2.0 * alpha * sc.Delta**2)
+    # Delta * Delta, not Delta ** 2: a float's ** is libm pow, an array's a
+    # product, and they differ in the last bit for some Delta
+    S = density - (sc.Phi / (2.0 * alpha * (sc.Delta * sc.Delta))
                    * (_bilinear(y, bc.r, y) - 2.0 * alpha * sc.Q * s_0))
     return float(S) if S.ndim == 0 else S
 

@@ -9,6 +9,7 @@ only 12 digits.
 """
 
 import types
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from finsler.catalog import catalog_names, get_metric
 from finsler.classify import default_grid
 from finsler.cli import RunConfig, cmd_table
 from finsler.errors import DomainError, EvaluationError, SingularMetric
-from finsler.geometry_core import (BetaCalculus, ChartDomain, MetricSpec,
+from finsler.geometry_core import (BetaCalculus, ChartDomain, MetricSpec, _at,
                                    _inverse_spd, beta_derivatives)
 from finsler.jets import base_derivative
 from finsler.spray_curvature import curvature_bundle, per_direction
@@ -206,10 +207,10 @@ def test_stacked_base_derivative_equals_scalar_rows_property():
                                  elements=st.floats(-1.5, 1.5)))
     def check(field, X):
         n = X.shape[1]
-        stack = base_derivative(field, X)
+        stack = base_derivative(partial(_at, field), X)
         assert stack.shape == (len(X),) + np.shape(field(X[0])) + (n,)
         for row, x in zip(stack, X):
-            alone = base_derivative(field, x)
+            alone = base_derivative(partial(_at, field), x)
             assert _bits(row) == _bits(alone)
             for k in range(n):
                 assert _bits(alone[..., k]) == _bits(ref_base_derivative(field, x, k))
@@ -228,9 +229,11 @@ def _outcome(fn, *args):
 def test_table_reports_what_the_first_failing_point_raises_property():
     # a(x) raises (or is singular) at one grid point, and b(x) may raise at
     # another: the stacked pass can fail at a later point first, and the
-    # table must still report the first point that fails alone
+    # table must still report the first point that fails alone, also when
+    # the grid's stacked passes are split into chunks of a few points
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
+    import finsler.cli as cli
 
     @hypothesis.settings(max_examples=40, deadline=None)
     @hypothesis.given(st.integers(2, 4), st.data())
@@ -260,6 +263,22 @@ def test_table_reports_what_the_first_failing_point_raises_property():
         want = next(filter(None, (_outcome(beta_derivatives, m, x) for x in grid)))
         cfg = types.SimpleNamespace(metric=m, phi=get_metric("lie_group").phi,
                                     per_axis=per_axis, n_directions=4, seed=42)
-        assert _outcome(cmd_table, cfg, "r") == want
+        chunk = data.draw(st.sampled_from([cli._GRID_CHUNK, 1, 3, 5]))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_GRID_CHUNK", chunk)
+            assert _outcome(cmd_table, cfg, "r") == want
 
     check()
+
+
+@pytest.mark.parametrize("quantity", ["gamma", "r", "s_i", "bnorm"])
+def test_chunked_grid_passes_keep_the_table_bytes(quantity, monkeypatch):
+    # table reads the grid's beta calculus one chunk of points at a time, to
+    # bound the memory of the stacked stencil; the chunk size moves no bit
+    import finsler.cli as cli
+    e = get_metric("bao_shen")
+    cfg = types.SimpleNamespace(metric=e.metric, phi=e.phi, per_axis=3,
+                                n_directions=4, seed=42)
+    whole = cmd_table(cfg, quantity)
+    monkeypatch.setattr(cli, "_GRID_CHUNK", 7)
+    assert cmd_table(cfg, quantity) == whole

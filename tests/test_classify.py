@@ -173,15 +173,27 @@ class TestVerdict:
 
     def test_priority_order(self):
         t, f = self._v(True), self._v(False, 1.0)
-        assert theorem11_verdict({"gb": f, "s_zero": t}) == "NotGeneralizedBerwald"
-        assert theorem11_verdict({"gb": t, "s_zero": f}) == "SNonzero"
+        assert theorem11_verdict({"gb": f, "s_zero": t}) == ("NotGeneralizedBerwald", None)
+        assert theorem11_verdict({"gb": t, "s_zero": f}) == ("SNonzero", None)
         assert theorem11_verdict({"gb": t, "s_zero": t, "riemannian": t}) \
-            == "RiemannianIsotropic"
+            == ("RiemannianIsotropic", None)
         assert theorem11_verdict({"gb": t, "s_zero": t, "riemannian": f,
                                   "berwald": t}, flag_zero=self._v(True)) \
-            == "LocallyMinkowskiLike"
+            == ("LocallyMinkowskiLike", None)
         assert theorem11_verdict({"gb": t, "s_zero": t, "riemannian": f,
-                                  "berwald": f, "killing_cl": f}) == "Inconclusive"
+                                  "berwald": f, "killing_cl": f}) == ("Inconclusive", None)
+
+    def test_an_errored_rung_is_inconclusive_and_says_why(self):
+        t, f = self._v(True), self._v(False, 1.0)
+        err = Verdict.errored(1e-5, EvaluationError("sigma failed"))
+        assert not err and err.as_dict() == {"verdict": None, "threshold": 1e-5,
+                                             "error": "EvaluationError: sigma failed",
+                                             "n_samples": 0}
+        why = "s_zero could not be evaluated: EvaluationError: sigma failed"
+        assert theorem11_verdict({"gb": t, "s_zero": err, "riemannian": t}) \
+            == ("Inconclusive", why)
+        # a one-form of varying length decides the ladder before S is read
+        assert theorem11_verdict({"gb": f, "s_zero": err}) == ("NotGeneralizedBerwald", None)
 
     def test_missing_reports(self):
         with pytest.raises(MissingReports):

@@ -414,18 +414,30 @@ class TestMain:
         assert _benchmark_check("check", out, "check_suite.seed0.out")[1:4] == (True, 13, 0)
 
     def test_mw_classification_fails_typed(self, capsys):
-        # mw has |b| = 1: F = 0 at one sigma node, so the ln sigma stencil fails
-        assert main(["classify", "--metric", "mw", "--per-axis", "2",
-                     "--directions", "4"]) == 1
-        assert ("EvaluationError: field evaluation failed at offset +0.001 "
-                "along axis 0: F <= 0 at 1 quadrature node(s)") in capsys.readouterr().err
+        # mw has |b| = 1: F = 0 at one sigma node, so the ln sigma stencil
+        # fails; s_zero records the typed error and the verdict says why it
+        # is Inconclusive, while the six verdicts that need no sigma stand
+        assert main(["classify", "--metric", "mw"]) == 0
+        out = capsys.readouterr().out
+        assert out == (FIXTURES / "classify_mw.out").read_text()
+        doc = json.loads(out)
+        error = ("EvaluationError: field evaluation failed at offset +0.001 "
+                 "along axis 0: F <= 0 at 1 quadrature node(s)")
+        assert doc["predicates"]["s_zero"] == {"verdict": None, "error": error,
+                                               "threshold": 1e-5, "n_samples": 0}
+        assert doc["verdict"] == "Inconclusive"
+        assert doc["reason"] == f"s_zero could not be evaluated: {error}"
+        decided = {k: v["verdict"] for k, v in doc["predicates"].items() if k != "s_zero"}
+        assert decided == {"gb": True, "killing_cl": False, "berwald": False,
+                           "landsberg": False, "douglas": True, "riemannian": False}
 
     def test_report_bytes_of_failing_directions(self, capsys):
         # a custom unicorn metric with |b| = 0.97 near the edge of its cone:
-        # two records fail at `fundamental`, and the classification fails in
-        # a stencil.  The point's batch raises and is redone one direction at
-        # a time, which must print the bytes of the one-direction-at-a-time
-        # engine that recorded this file.  (The six other records, which
+        # two records fail at `fundamental`, and the classification's sigma
+        # fails in a stencil, so its s_zero is an errored verdict.  The
+        # point's batch raises and is redone one direction at a time, which
+        # must print the bytes of the one-direction-at-a-time engine that
+        # recorded this file.  (The six other records, which
         # failed where the old S formula's density met s = 0.97, were
         # re-recorded with S_formula = 0: exact for constant a and b, where
         # the density term is skipped.)

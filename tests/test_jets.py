@@ -1,11 +1,13 @@
 """Truncated jets (multivariate and univariate) and base-point derivatives."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
 from finsler.errors import DomainError, EvaluationError
+from finsler.geometry_core import _at
 from finsler.jets import (MAX_ORDER, JetScalar, _tables, base_derivative,
                           jet_apply, jet_variable)
 
@@ -164,24 +166,25 @@ def test_domain_rule(fn, args, want):
 class TestBaseDerivative:
     def test_gradient_matches_the_closed_form(self):
         fn = lambda p: math.sin(p[0]) * math.exp(2.0 * p[1])
-        grad = base_derivative(fn, np.array([0.3, -0.2]))
+        grad = base_derivative(partial(_at, fn), np.array([0.3, -0.2]))
         assert grad.shape == (2,)
         assert grad == pytest.approx([math.cos(0.3) * math.exp(-0.4),
                                       2.0 * math.sin(0.3) * math.exp(-0.4)], abs=1e-10)
 
     def test_stencil_order(self):
-        # axis 0 first, each axis at +h, -h, +2h, -2h with h = 1e-3 max(1, |x^k|)
+        # one call on the whole stencil: axis 0 first, each axis at +h, -h,
+        # +2h, -2h with h = 1e-3 max(1, |x^k|)
         seen = []
 
         def record(p):
             seen.append(p.tolist())
-            return 0.0
+            return np.zeros(len(p))
 
         base_derivative(record, np.array([0.3, -2.0]))
         h0, h1 = 1e-3, 2e-3
-        assert seen == [[0.3 + h0, -2.0], [0.3 - h0, -2.0], [0.3 + 2 * h0, -2.0],
-                        [0.3 - 2 * h0, -2.0], [0.3, -2.0 + h1], [0.3, -2.0 - h1],
-                        [0.3, -2.0 + 2 * h1], [0.3, -2.0 - 2 * h1]]
+        assert seen == [[[0.3 + h0, -2.0], [0.3 - h0, -2.0], [0.3 + 2 * h0, -2.0],
+                         [0.3 - 2 * h0, -2.0], [0.3, -2.0 + h1], [0.3, -2.0 - h1],
+                         [0.3, -2.0 + 2 * h1], [0.3, -2.0 - 2 * h1]]]
 
     def test_failure_is_wrapped(self):
         # the first evaluation, axis 0 at +h, fails and names itself
@@ -200,7 +203,7 @@ class TestBaseDerivative:
             return np.zeros(3)
 
         with pytest.raises(EvaluationError) as info:
-            base_derivative(bad, np.zeros(2))
+            base_derivative(partial(_at, bad), np.zeros(2))
         assert str(info.value) == "field evaluation failed at offset -0.002 along axis 1: boom"
 
     @staticmethod
@@ -210,14 +213,14 @@ class TestBaseDerivative:
 
     def test_array_field_is_stacked_scalar_calls(self):
         x = np.array([0.3, -0.2])
-        got = base_derivative(self._components, x)
-        want = [base_derivative(lambda p, c=c: self._components(p)[c], x)
+        got = base_derivative(partial(_at, self._components), x)
+        want = [base_derivative(partial(_at, lambda p, c=c: self._components(p)[c]), x)
                 for c in range(3)]
         assert got.shape == (3, 2)
         assert np.array_equal(got, want)
 
     def test_gradient_is_always_an_array(self):
-        fn = lambda p: np.float64(p[0] * p[1])
+        fn = partial(_at, lambda p: np.float64(p[0] * p[1]))  # a numpy scalar per point
         one = base_derivative(fn, np.array([0.3, -0.2]))
         stack = base_derivative(fn, np.array([[0.3, -0.2], [0.1, 0.4], [0.0, 1.0]]))
         assert type(one) is np.ndarray and one.shape == (2,)

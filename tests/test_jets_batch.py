@@ -95,3 +95,42 @@ def test_batched_composition_and_readers_equal_each_column_alone(case, data):
         for axis in range(n_vars):
             _same(a.derivative(axis).coeffs,
                   [u.derivative(axis).coeffs for u in _columns(a)])
+
+
+# -- per-column coefficients -------------------------------------------------
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(_case(), st.data())
+def test_scaling_by_a_column_array_is_each_column_times_its_float(case, data):
+    # jet * (B,) array and (B,) array * jet: column b has the bits of its
+    # lone jet times the float c[b], signed zeros included, and no product
+    # with a constant jet (whose zero coefficients would turn -0.0 into 0.0)
+    n_vars, order, pa, _, _ = case
+    a = JetScalar(pa, n_vars, order)
+    elements = st.floats(-8.0, 8.0, allow_nan=False) | st.sampled_from([0.0, -0.0])
+    c = data.draw(hnp.arrays(float, pa.shape[1], elements=elements))
+    alone = [u.coeffs * float(v) for u, v in zip(_columns(a), c)]
+    for got in (a * c, c * a):
+        assert isinstance(got, JetScalar)
+        _same(got.coeffs, alone)
+    # a length-1 axis is one float for every column
+    _same((a * c[:1]).coeffs, [u.coeffs * float(c[0]) for u in _columns(a)])
+
+
+def test_an_array_on_the_left_defers_to_the_jet():
+    # numpy hands ``ndarray op jet`` to the jet instead of building an
+    # object array of per-element results
+    a = JetScalar(np.array([[1.0, 2.0, -3.0], [0.5, -0.0, 1.0], [2.0, 1.0, 0.0]]), 2, 1)
+    c = np.array([0.5, -2.0, 3.0])
+    for got, want in ((c + a, a + c), (c - a, JetScalar.constant(c, 2, 1) - a),
+                      (c * a, a * c)):
+        assert type(got) is JetScalar
+        assert np.array_equal(got.coeffs, want.coeffs)
+        assert np.array_equal(np.signbit(got.coeffs), np.signbit(want.coeffs))
+    assert type(np.float64(2.0) * a) is JetScalar
+
+
+def test_rmul_is_mul():
+    # the benchmark's tracer counts products by rebinding __mul__ and
+    # __rmul__ together, which needs them to be one function
+    assert JetScalar.__rmul__ is JetScalar.__mul__

@@ -83,7 +83,7 @@ def ref_s_curvature_formula(m, f, x, y):
         fpb = (_angular_density(f, bc.b + db, m.n)
                - _angular_density(f, bc.b - db, m.n)) / (2.0 * db)
         density = (2.0 * sc.Psi - fpb / (bc.b * _angular_density(f, bc.b, m.n))) * rs_0
-    return density - (sc.Phi / (2.0 * alpha * sc.Delta**2)
+    return density - (sc.Phi / (2.0 * alpha * (sc.Delta * sc.Delta))
                       * (con.r_00 - 2.0 * alpha * sc.Q * con.s_0))
 
 
