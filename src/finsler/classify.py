@@ -129,9 +129,7 @@ def _admissible_dirs(m, f, x, dirs):
     a = m.a_at(x)
     b = m.b_at(x)
     alpha = np.sqrt(np.einsum("ki,ij,kj->k", dirs, a, dirs))
-    s = (dirs @ b) / alpha
-    keep = np.abs(s) < f.b0 * (1.0 - f.delta)
-    return dirs[keep]
+    return dirs[f.admissible((dirs @ b) / alpha)]
 
 
 def is_generalized_berwald(m: MetricSpec, grid, tol=TOL_TENSOR) -> Verdict:

@@ -78,7 +78,7 @@ def _custom_metric(doc):
         if key not in doc:
             raise ConfigError(f"metric.custom missing field {key!r}")
     n = int(doc["n"])
-    var_names = ["x1", "x2", "x3"][:n]
+    var_names = [f"x{i + 1}" for i in range(n)]
     allowed = set(var_names)
     try:
         a_ast = [[parse(str(doc["a"][i][j]), allowed) for j in range(n)]

@@ -13,10 +13,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (DomainError, NonPositiveDensity,
+from .errors import (DimensionError, NonPositiveDensity,
                      SingularDirectionInQuadrature, SingularG, ZeroVector)
 from .geometry_core import MetricSpec, _at, _inverse_cholesky, _inverse_spd
-from .jets import jet_form, jet_variable, per_column
+from .jets import jet_form, jet_variable
 from .phi_families import PhiFamily
 
 _UNIT_BALL_VOLUME = {2: math.pi, 3: 4.0 * math.pi / 3.0}
@@ -82,8 +82,7 @@ def alpha_beta_jets(a, b_i, f: PhiFamily, y, order):
         raise ZeroVector("alpha(x, y) must be positive")
     alpha = A ** 0.5
     s = jet_form(b_i, yj) / alpha
-    for s0 in s.coeffs[:1].ravel().tolist():
-        f.require_admissible(s0)
+    f.require_admissible(s.coeffs[0])
     return yj, A, alpha, s
 
 
@@ -95,7 +94,7 @@ def fsq_jet(m: MetricSpec, f: PhiFamily, x, y, order):
     x = np.asarray(x, dtype=float)
     y, col = pair_columns(x, y)
     _, A, _, s = alpha_beta_jets(col(_at(m.a_at, x)), col(_at(m.b_at, x)), f, y, order)
-    phi = s.compose_series(per_column(lambda s0: f.taylor(s0, order), s.value))
+    phi = s.compose_series(f.taylor(s.value, order))
     return A * phi * phi
 
 
@@ -170,8 +169,10 @@ def _polar_nodes(n, refine=1):
     the trapezoid rule on 256 azimuths (n = 2), or 32 Gauss-Legendre nodes in
     u = cos(theta) times the trapezoid rule on 64 azimuths (n = 3), each
     count times ``refine``, with 1/n folded into one product weight per node.
-    Built once per (n, refine), on first use.
+    Built once per (n, refine), on first use; another n is a DimensionError.
     """
+    if n not in _UNIT_BALL_VOLUME:
+        raise DimensionError("sigma_bh supports n = 2 or 3 only")
     n_az = (256 if n == 2 else 64) * refine
     h = 2.0 * math.pi / n_az
     phi = h * np.arange(n_az)
@@ -202,8 +203,6 @@ def sigma_bh(m: MetricSpec, f: PhiFamily, x):
     (an unbounded unit ball, as for Randers with |b|_alpha = 1) raises
     ``SingularDirectionInQuadrature``.
     """
-    if m.n not in _UNIT_BALL_VOLUME:
-        raise DomainError("sigma_bh supports n = 2 or 3 only")
     to_y = _inverse_cholesky(m.a_at(x))
     for refine in (1, 4):
         h, (dirs, w) = _polar_nodes(m.n, refine)

@@ -77,11 +77,8 @@ def _batch_bins(n_vars, max_order, width):
     return (kk[:, None] * width + np.arange(width)).ravel()
 
 
-def per_column(table, values):
-    """``table(v)`` at a float, or its ``(L, B)`` column stack over a ``(B,)`` array."""
-    if getattr(values, "ndim", 0) == 0:
-        return table(float(values))
-    return np.column_stack([table(v) for v in np.asarray(values).tolist()])
+class SplitBatch(Exception):
+    """A batch whose columns take different routes: its ``args[0]`` masks one group."""
 
 
 class JetScalar:
@@ -211,10 +208,10 @@ class JetScalar:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, _NUMBER):
-            if abs(other) < TINY:
+        if isinstance(other, _NUMBER + (np.ndarray,)):  # a number, or one per column
+            if np.any(abs(other) < TINY):
                 raise DomainError("division by ~0")
-            return self._like(self.coeffs / float(other))
+            return self._like(self.coeffs / other)
         o = self._coerce(other)
         if o is NotImplemented:
             return o
@@ -239,8 +236,7 @@ class JetScalar:
                 base = base * base
                 p >>= 1
             return out
-        return self.compose_series(per_column(
-            lambda u0: pow_coeffs(u0, float(p), self.max_order), self.value))
+        return self.compose_series(pow_coeffs(self.value, p, self.max_order))
 
     # -- composition --------------------------------------------------------
 
@@ -260,8 +256,7 @@ class JetScalar:
         return out
 
     def _compose(self, tag):
-        return self.compose_series(per_column(
-            lambda u0: taylor_coeffs(tag, u0, self.max_order), self.value))
+        return self.compose_series(taylor_coeffs(tag, self.value, self.max_order))
 
     def __repr__(self):
         return (f"JetScalar(value={self.value!r}, n_vars={self.n_vars}, "
@@ -298,35 +293,46 @@ def jet_form(c, yj):
 
 
 def _elementary(tag, u):
-    # a float is treated as an order-0 jet, so it meets the same domain checks
+    # a float, or a batch's float per column, is an order-0 jet: the same domain checks
     if isinstance(u, JetScalar):
         return u._compose(tag)
-    return float(taylor_coeffs(tag, float(u), 0)[0])
+    c = taylor_coeffs(tag, u, 0)[0]
+    return c if np.ndim(u) else float(c)
 
 
 def _abs(u):
     if not isinstance(u, JetScalar):
         return abs(u)
-    if u.max_order >= 1 and abs(u.value) < TINY:
+    if u.max_order >= 1 and np.any(np.abs(u.value) < TINY):
         raise DomainError("abs is not differentiable at 0")
-    return -u if u.value < 0.0 else u
+    return u._like(np.where(u.value < 0.0, -u.coeffs, u.coeffs))
 
 
 def _div(u, v):
-    if isinstance(v, _NUMBER) and abs(v) < TINY:
+    if not isinstance(v, JetScalar) and np.any(abs(v) < TINY):
         raise DomainError("division by ~0")
     return u / v
 
 
 def _pow(u, p):
     if isinstance(p, JetScalar):
-        if np.any(p.coeffs[1:] != 0.0):
+        varies = np.any(p.coeffs[1:] != 0.0, axis=0)
+        if np.all(varies):
             # the exponent varies: u^p = exp(p log u)
             return _elementary("exp", _elementary("log", u) * p)
+        if np.any(varies):
+            raise SplitBatch(varies)
         p = p.value
-    p = float(p)
     if isinstance(u, JetScalar):
+        whole = p[np.floor(p) == p] if np.ndim(p) else ()  # integers take the product route
+        if len(whole):
+            if np.any(p != whole[0]):
+                raise SplitBatch(p == whole[0])
+            p = float(whole[0])
         return u ** p
+    if np.ndim(u) or np.ndim(p):  # one float per column, each through Python's pow
+        return np.array([_pow(float(a), float(b)) for a, b in np.broadcast(u, p)])
+    p = float(p)
     if p.is_integer():
         if p < 0.0 and abs(u) < TINY:
             raise DomainError("negative power of ~0")

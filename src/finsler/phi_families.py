@@ -17,7 +17,8 @@ import numpy as np
 from .errors import (DegenerateDenominator, DomainError, NonPositivePhi,
                      ParamOutOfRange)
 from .exprparse import eval_expr, parse
-from .jets import JetScalar, jet_apply, jet_variable, per_column
+from .jets import JetScalar, SplitBatch, jet_apply, jet_variable
+from .series import batched
 
 
 class PhiFamily:
@@ -36,28 +37,29 @@ class PhiFamily:
     __delattr__ = __setattr__
 
     def taylor(self, s0, order):
+        """phi's Taylor coefficients at ``s0``: ``(order + 1,)``, or a column per s of an array."""
         raise NotImplementedError
 
     def value(self, s):
         return float(self.taylor(s, 0)[0])
 
     def value_many(self, s):
-        s = np.asarray(s, dtype=float)
-        return np.array([self.value(v) for v in s.ravel()]).reshape(s.shape)
+        return self.taylor(np.asarray(s, dtype=float), 0)[0]
 
     def admissible(self, s):
         return abs(s) < self.b0 * (1.0 - self.delta)
 
-    def require_admissible(self, s):
-        if not self.admissible(s):
-            raise DomainError(
-                f"s={s} outside admissible interval |s| < {self.b0}*(1-{self.delta})")
+    def require_admissible(self, s):  # at a float, or at the first bad s of an array
+        ok = self.admissible(np.asarray(s))
+        if not ok.all():
+            raise DomainError(f"s={np.asarray(s)[~ok].ravel()[0]} outside admissible "
+                              f"interval |s| < {self.b0}*(1-{self.delta})")
 
-    def check_positivity(self, b, n_samples=41):
-        """Sampled positivity of phi and phi - s*phi' on the working interval."""
+    def check_positivity(self, b):
+        """Positivity of phi and phi - s*phi' at 41 samples of the working interval."""
         half = min(b, self.b0) * (1.0 - self.delta)
-        for s in np.linspace(-half, half, n_samples):
-            phi, dphi = self.taylor(s, 1)[:2]
+        samples = np.linspace(-half, half, 41)
+        for s, phi, dphi in zip(samples, *self.taylor(samples, 1)):
             if phi <= 0.0:
                 raise NonPositivePhi(f"phi({s}) = {phi} <= 0")
             if phi - s * dphi <= 0.0:
@@ -72,14 +74,10 @@ class RandersPhi(PhiFamily):
     delta = 0.0
 
     def taylor(self, s0, order):
-        c = np.zeros(order + 1)
+        c = np.zeros((order + 1,) + np.shape(s0))
         c[0] = 1.0 + s0
-        if order >= 1:
-            c[1] = 1.0
+        c[1:2] = 1.0  # phi' = 1, where order >= 1
         return c
-
-    def value_many(self, s):
-        return 1.0 + np.asarray(s, dtype=float)
 
 
 class RiemannSqrtPhi(PhiFamily):
@@ -126,27 +124,25 @@ class UnicornPhi(PhiFamily):
         root = jet_apply("sqrt", (self.b0**2 - t * t,))
         return (self.k * t + self.q * root) / (1.0 + self.k * t * t + self.q * t * root)
 
-    def value(self, s):
-        return float(self.value_many(s))
-
     def value_many(self, s):
         s = np.asarray(s, dtype=float)
-        outside = ~self.admissible(s)
-        if outside.any():
-            self.require_admissible(s[outside][0])
+        self.require_admissible(s)
         w = np.sqrt(self.b0**2 - s * s)
         D = 1.0 + self.k * s * s + self.q * s * w
         Q, r = self._Q, self._r
         return self.c * np.sqrt(D) * np.exp(Q / r * np.arctan2(r * s, w + Q * s))
 
     def taylor(self, s0, order):
-        c = np.zeros(order + 1)
-        c[0] = self.value(s0)
+        s = np.array(s0, dtype=float, ndmin=1)
+        c = np.zeros((order + 1, len(s)))
+        c[0] = self.value_many(s)
         if order:
-            g = self._g_series(s0, order - 1).coeffs
+            g = self._g_series(s, order - 1).coeffs
             for m in range(order):  # phi' = g * phi, order by order
-                c[m + 1] = float(np.dot(g[: m + 1], c[m::-1])) / (m + 1)
-        return c
+                # a stack of contiguous rows: per column, the bits of np.dot
+                a, b = (np.ascontiguousarray(v.T) for v in (g[: m + 1], c[m::-1]))
+                c[m + 1] = (a[:, None, :] @ b[:, :, None])[:, 0, 0] / (m + 1)
+        return c if np.ndim(s0) else c[:, 0]
 
 
 class CustomExprPhi(PhiFamily):
@@ -160,14 +156,18 @@ class CustomExprPhi(PhiFamily):
                              b0=float(b0), delta=float(delta))
 
     def taylor(self, s0, order):
-        bindings = dict(self.params)
-        bindings["s"] = jet_variable(0, s0, 1, order)
-        out = eval_expr(self.ast, bindings)
-        if isinstance(out, JetScalar):
-            return out.coeffs
-        c = np.zeros(order + 1)
-        c[0] = float(out)
-        return c
+        return batched(lambda s: self._table(s, order), s0)
+
+    def _table(self, s, order):
+        t = jet_variable(0, s, 1, order)
+        try:
+            out = eval_expr(self.ast, {**self.params, "s": t})
+        except SplitBatch as split:  # columns on different routes, each group batched
+            c = np.empty((order + 1, len(s)))
+            for cols in (split.args[0], ~split.args[0]):
+                c[:, cols] = self._table(s[cols], order)
+            return c
+        return (out if isinstance(out, JetScalar) else t._coerce(out)).coeffs  # free of s
 
 
 def phi_eval(f: PhiFamily, s):
@@ -190,7 +190,7 @@ class AlphaBetaScalars:
 
 def _series(f: PhiFamily, s, order):
     """phi at s as a univariate jet of the given order, batched for an array of s."""
-    return JetScalar(per_column(lambda v: f.taylor(v, order), s), 1, order)
+    return JetScalar(f.taylor(s, order), 1, order)
 
 
 def _q_series(f: PhiFamily, s, order, phi=None):

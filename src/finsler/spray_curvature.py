@@ -29,7 +29,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .errors import DegenerateFlag, DimensionError, DomainError, FinslerError
-from .finsler_metric import (FundamentalData, _angular_density,
+from .finsler_metric import (FundamentalData, _angular_density, _polar_nodes,
                              alpha_beta_jets, fsq_jet, fundamental,
                              pair_columns, sigma_bh)
 from .geometry_core import MetricSpec, _at, beta_at, beta_derivatives
@@ -223,6 +223,7 @@ def riemann_flag(m: MetricSpec, f: PhiFamily, x, y, u=None, g=None, R=None):
 def ln_sigma_gradient(m: MetricSpec, f: PhiFamily, x):
     """Gradient of ln sigma_F at ``x``; reusable across directions."""
     x = np.asarray(x, dtype=float)
+    _polar_nodes(m.n)  # sigma's rule, or the DimensionError of n, before the stencil
 
     def ln_sigma(xp):
         return math.log(sigma_bh(m, f, xp))

@@ -445,3 +445,43 @@ class TestMain:
         assert rc == 0
         want = (FIXTURES / "unicorn_near_edge.report.out").read_bytes().decode()
         assert capsys.readouterr().out == want
+
+
+#: a 4-dimensional custom metric whose one-form reads the fourth coordinate
+FOUR_D_CONFIG = {"schema": 1, "grid": {"per_axis": 2}, "directions": 4,
+                 "metric": {"custom": {
+                     "n": 4, "a": [["1" if i == j else "0" for j in range(4)] for i in range(4)],
+                     "b": ["0.1 * x4", "0", "0", "0.2"],
+                     "lo": [-1, -1, -1, -1], "hi": [1, 1, 1, 1]}}}
+SIGMA_DIMENSION = "DimensionError: sigma_bh supports n = 2 or 3 only"
+
+
+class TestFourDimensionalConfig:
+    def _path(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(FOUR_D_CONFIG))
+        return str(path)
+
+    def test_a_config_names_every_coordinate(self, tmp_path, capsys):
+        assert main(["table", "--config", self._path(tmp_path), "--quantity", "r"]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert rows[0][:4] == ["x1", "x2", "x3", "x4"]
+        assert len(rows) == 1 + 2**4
+
+    def test_sigma_names_its_dimension_limit(self, tmp_path, capsys):
+        # the dimension is the cause, not a stencil point: the error comes
+        # before the stencil, as a DimensionError
+        path = self._path(tmp_path)
+        assert main(["table", "--config", path, "--quantity", "S"]) == 1
+        assert capsys.readouterr().err == f"error: {SIGMA_DIMENSION}\n"
+        assert main(["classify", "--config", path]) == 0
+        s_zero = json.loads(capsys.readouterr().out)["predicates"]["s_zero"]
+        assert s_zero["error"] == SIGMA_DIMENSION
+
+    def test_report_records_the_dimension_limit(self, tmp_path, capsys):
+        # the S formula's f(b) has the same rules as sigma: each record
+        # keeps its other fields and names the limit
+        assert main(["report", "--config", self._path(tmp_path)]) == 0
+        records = json.loads(capsys.readouterr().out)["records"]
+        assert {r["error"] for r in records} == {SIGMA_DIMENSION}
+        assert all("F" in r and "S_formula" not in r for r in records)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from finsler.catalog import get_metric
-from finsler.errors import DomainError, SingularG, ZeroVector
+from finsler.errors import DimensionError, SingularG, ZeroVector
 from finsler.finsler_metric import (finsler_eval, finsler_eval_many, fsq_jet,
                                     fundamental, sigma_bh)
 from finsler.geometry_core import ChartDomain, MetricSpec
@@ -127,5 +127,5 @@ class TestSigma:
         m = MetricSpec(n=4, a=lambda x: np.eye(4),
                        b_form=lambda x: np.zeros(4),
                        chart_domain=ChartDomain((-1,) * 4, (1,) * 4))
-        with pytest.raises(DomainError):
+        with pytest.raises(DimensionError, match="sigma_bh supports n = 2 or 3 only"):
             sigma_bh(m, RandersPhi(), [0, 0, 0, 0])
