@@ -9,7 +9,7 @@ Minkowskian.
 import numpy as np
 
 from finsler import get_metric
-from finsler.geometry_core import beta_at
+from finsler.geometry_core import beta_derivatives
 from finsler.spray_curvature import (ln_sigma_gradient, riemann_flag,
                                      s_curvature_def)
 
@@ -18,7 +18,7 @@ m, phi = entry.metric, entry.phi
 
 print("point (x, y)      |beta|    radius     S-curvature   flag K")
 for x in ([0.2, 0.1], [0.4, -0.3], [-0.1, 0.5], [0.45, 0.45]):
-    bc = beta_at(m, x)
+    bc = beta_derivatives(m, x)
     grad = ln_sigma_gradient(m, phi, x)
     y = [0.8, 0.6]
     S = s_curvature_def(m, phi, x, y, grad)

@@ -18,7 +18,7 @@ from .classify import (default_directions, default_grid,
                        is_generalized_berwald, randers_s0_shortcut,
                        unicorn_fit)
 from .finsler_metric import finsler_eval, fsq_jet, fundamental
-from .geometry_core import beta_at, beta_norm_gradient_check
+from .geometry_core import beta_derivatives, beta_norm_gradient_check
 from .phi_families import UnicornPhi, _q_series, ode_residual
 from .spray_curvature import (berwald, berwald_2d_identity, curvature_bundle,
                               douglas_2d_identity, ln_sigma_gradient,
@@ -72,7 +72,7 @@ _MARGIN = 0.1
 def criterion_1():
     """Left-invariant surface metric: component values at the base point."""
     out = CriterionResult(1, "lie_group component values at (0,1)")
-    bc = beta_at(get_metric("lie_group").metric, [0.0, 1.0])
+    bc = beta_derivatives(get_metric("lie_group").metric, [0.0, 1.0])
     # The reference table for this metric lists the exterior-derivative
     # components d(beta)_ij = -2 s_ij and their b-contractions; the
     # half-antisymmetrized s_ij used everywhere else maps onto it by -2.
@@ -89,14 +89,15 @@ def criterion_2():
     e = get_metric("lie_group")
     m, f = e.metric, e.phi
     grid = default_grid(m, margin=_MARGIN)
-    gb = is_generalized_berwald(m, grid)
+    calc = beta_derivatives(m, np.array(grid))
+    gb = is_generalized_berwald(calc)
     out.lt("gb residual", gb.residual, gb.threshold)
     S = s_curvature_def(m, f, [0.0, 1.0], [1.0, 0.0])
     out.gt("|S| at (0,1),(1,0)", abs(S), 0.01)
     mb = ml = md = 0.0
-    for x in grid[:4]:
+    for k, x in enumerate(grid[:4]):
         for y in ([1.0, 0.3], [-0.5, 1.0]):
-            cb = curvature_bundle(m, f, x, y)
+            cb = curvature_bundle(m, f, x, y, bc=calc.row(k))
             mb = max(mb, float(np.abs(cb.B).max()))
             ml = max(ml, float(np.abs(cb.L).max()))
             md = max(md, float(np.abs(cb.D).max()))
@@ -112,14 +113,9 @@ def criterion_3():
     e = get_metric("fish_tank")
     m, f = e.metric, e.phi
     axes = np.linspace(-0.6, 0.6, 5)
-    worst_b = 0.0
-    pts = []
-    for xv in axes:
-        for yv in axes:
-            if xv * xv + yv * yv < 0.81:
-                pts.append([xv, yv])
-                bv = beta_at(m, [xv, yv]).b
-                worst_b = max(worst_b, abs(bv - math.hypot(xv, yv)))
+    pts = [[xv, yv] for xv in axes for yv in axes if xv * xv + yv * yv < 0.81]
+    calc = beta_derivatives(m, pts)
+    worst_b = max(abs(b - math.hypot(*p)) for b, p in zip(calc.b, pts))
     out.lt("|b - r| on 5x5 grid", worst_b, 1e-8)
     dirs = default_directions(2, 8)
     worst_s = worst_k = 0.0
@@ -131,7 +127,7 @@ def criterion_3():
             worst_k = max(worst_k, *np.abs(riemann_flag(m, f, x, dirs)[1]))
     out.lt("max|S| 9 pts x 8 dirs", worst_s, 1e-5)
     out.lt("max|K| 9 pts x 8 dirs", worst_k, 1e-5)
-    gb = is_generalized_berwald(m, pts)
+    gb = is_generalized_berwald(calc)
     out.gt("gb residual (must fail)", gb.residual, gb.threshold)
     return out
 
@@ -145,7 +141,7 @@ def criterion_4():
     m, f = e.metric, e.phi
     worst = {"r12": 0.0, "s12": 0.0, "s1": 0.0}
     for r in (0.5, 1.0, 2.0):
-        bc = beta_at(m, [r, 1.0])
+        bc = beta_derivatives(m, [r, 1.0])
         d1 = 1.0 + r * r
         d2 = 1.0 + e2 * r * r
         worst["r12"] = max(worst["r12"], abs(bc.r[0, 1] - eps**3 * r**3 / (d1 * d2 * d2)))
@@ -154,14 +150,15 @@ def criterion_4():
     for k, v in worst.items():
         out.lt(f"|{k} - closed form|", v, 1e-8)
     grid = default_grid(m, margin=_MARGIN)
-    sc = randers_s0_shortcut(m, f, grid, tol=1e-10)
+    calc = beta_derivatives(m, np.array(grid))
+    sc = randers_s0_shortcut(calc, f, tol=1e-10)
     out.lt("max|r_ij + b_i s_j + b_j s_i|", sc.residual, 1e-10)
     worst_s = 0.0
     for x in grid[:3]:
         S = s_curvature_def(m, f, x, default_directions(2, 4), ln_sigma_gradient(m, f, x))
         worst_s = max(worst_s, *np.abs(S))
     out.lt("max|S| definitional", worst_s, 1e-6)
-    gb = is_generalized_berwald(m, grid)
+    gb = is_generalized_berwald(calc)
     out.gt("gb residual (must fail)", gb.residual, gb.threshold)
     return out
 
@@ -172,7 +169,7 @@ def criterion_5():
     m = get_metric("mw").metric
     worst_s = worst_r = 0.0
     for x in default_grid(m, margin=_MARGIN):
-        bc = beta_at(m, x)
+        bc = beta_derivatives(m, x)
         worst_s = max(worst_s, float(np.abs(bc.s).max()))
         target = bc.b2 * bc.a - np.outer(bc.b_i, bc.b_i)
         worst_r = max(worst_r, float(np.abs(bc.r - target).max()))
@@ -234,9 +231,11 @@ def criterion_8():
         e = get_metric(name, **kw)
         m, f = e.metric, e.phi
         worst_d = worst_b = 0.0
-        for x in default_grid(m, margin=_MARGIN)[:4]:
+        grid = default_grid(m, margin=_MARGIN)[:4]
+        calc = beta_derivatives(m, np.array(grid))
+        for k, x in enumerate(grid):
             for y in ([1.0, 0.4], [-0.6, 1.0]):
-                cb = curvature_bundle(m, f, x, y)
+                cb = curvature_bundle(m, f, x, y, bc=calc.row(k))
                 worst_d = max(worst_d, float(np.abs(douglas_2d_identity(cb)).max()))
                 worst_b = max(worst_b, float(np.abs(berwald_2d_identity(cb)).max()))
         out.lt(f"Douglas identity ({name})", worst_d, 1e-6)
@@ -253,7 +252,7 @@ def criterion_9(seed=42):
     worst_b = 0.0
     for _ in range(5):
         x = rng.uniform(-1.0, 1.0, 3)
-        worst_b = max(worst_b, abs(beta_at(m, x).b - math.sqrt(0.5)))
+        worst_b = max(worst_b, abs(beta_derivatives(m, x).b - math.sqrt(0.5)))
     out.lt("|b - sqrt(1/2)| at 5 random points", worst_b, 1e-8)
     worst_s = 0.0
     for _ in range(3):
@@ -273,7 +272,7 @@ def criterion_10(seed=42):
     worst_r = worst_b = max_s = 0.0
     for _ in range(5):
         x = rng.uniform(-1.0, 1.0, 3)
-        bc = beta_at(m, x)
+        bc = beta_derivatives(m, x)
         worst_r = max(worst_r, float(np.abs(bc.r).max()))
         worst_b = max(worst_b, abs(bc.b - 0.5))
         max_s = max(max_s, float(np.abs(bc.s).max()))
@@ -290,7 +289,7 @@ def criterion_11():
         m = get_metric(name, **kw).metric
         worst = 0.0
         for x in default_grid(m, margin=_MARGIN):
-            if beta_at(m, x).b > 0.1:
+            if beta_derivatives(m, x).b > 0.1:
                 worst = max(worst, float(np.abs(beta_norm_gradient_check(m, x)).max()))
         out.lt(f"gradient identity ({name})", worst, 1e-5)
     return out

@@ -9,6 +9,7 @@ deterministic.
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -17,8 +18,9 @@ from .errors import (AllSamplesSingular, DegenerateFlag, DomainError,
                      EmptyGrid, EvaluationError, FinslerError, MissingReports,
                      RankDeficient, WrongPhiVariant)
 from .finsler_metric import fsq_jet
-from .geometry_core import MetricSpec, beta_at
+from .geometry_core import BetaCalculus, MetricSpec, beta_derivatives
 from .phi_families import PhiFamily, _q_series
+from .series import batched
 # curvature_bundle calls riemann_flag; perfbench/tests/test_tracer.py requires it bound here
 from .spray_curvature import (curvature_bundle, ln_sigma_gradient,  # noqa: F401
                               per_direction, riemann_flag)
@@ -124,58 +126,43 @@ def default_directions(n, count=16, seed=42):
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def _admissible_dirs(m, f, x, dirs):
-    """Directions whose s = beta/alpha stays inside the regular cone."""
-    a = m.a_at(x)
-    b = m.b_at(x)
-    alpha = np.sqrt(np.einsum("ki,ij,kj->k", dirs, a, dirs))
-    return dirs[f.admissible((dirs @ b) / alpha)]
+def _admissible_dirs(f, bc, dirs):
+    """Directions whose s = beta/alpha stays inside the regular cone at ``bc``'s point."""
+    alpha = np.sqrt(np.einsum("ki,ij,kj->k", dirs, bc.a, dirs))
+    return dirs[f.admissible((dirs @ bc.b_i) / alpha)]
 
 
-def is_generalized_berwald(m: MetricSpec, grid, tol=TOL_TENSOR) -> Verdict:
-    """True iff the one-form length is constant across the grid."""
-    if not len(grid):
-        raise EmptyGrid("is_generalized_berwald needs a nonempty grid")
-    lengths = np.array([beta_at(m, x).b for x in grid])
-    residual = float(np.max(np.abs(lengths - lengths[0])))
-    return Verdict(residual < tol * max(1.0, lengths[0]), residual, tol, len(grid))
+# the predicates read the beta calculus of a (P, n) stack of sample points, P >= 1
+def is_generalized_berwald(calc: BetaCalculus, tol=TOL_TENSOR) -> Verdict:
+    """True iff the one-form length is constant across the sample points."""
+    residual = float(np.max(np.abs(calc.b - calc.b[0])))
+    return Verdict(residual < tol * max(1.0, calc.b[0]), residual, tol, len(calc.b))
 
 
-def killing_constant_length(m: MetricSpec, grid, tol=TOL_TENSOR) -> Verdict:
-    """True iff r_ij = 0 and s_i = 0 everywhere on the grid."""
-    if not len(grid):
-        raise EmptyGrid("killing_constant_length needs a nonempty grid")
-    residual = 0.0
-    for x in grid:
-        bc = beta_at(m, x)
-        residual = max(residual, float(np.max(np.abs(bc.r))),
-                       float(np.max(np.abs(bc.s_i))))
-    return Verdict(residual < tol, residual, tol, len(grid))
+def killing_constant_length(calc: BetaCalculus, tol=TOL_TENSOR) -> Verdict:
+    """True iff r_ij = 0 and s_i = 0 at every sample point."""
+    residual = max(float(np.max(np.abs(calc.r))), float(np.max(np.abs(calc.s_i))))
+    return Verdict(residual < tol, residual, tol, len(calc.b))
 
 
-def randers_s0_shortcut(m: MetricSpec, f: PhiFamily, grid,
-                        tol=TOL_TENSOR) -> Verdict:
+def randers_s0_shortcut(calc: BetaCalculus, f: PhiFamily, tol=TOL_TENSOR) -> Verdict:
     """Randers-only S = 0 criterion: r_ij + b_i s_j + b_j s_i = 0."""
     if f.variant != "randers":
         raise WrongPhiVariant(
             f"shortcut applies to the Randers family only, got {f.variant!r}")
-    if not len(grid):
-        raise EmptyGrid("randers_s0_shortcut needs a nonempty grid")
-    residual = 0.0
-    for x in grid:
-        bc = beta_at(m, x)
-        t = bc.r + np.outer(bc.b_i, bc.s_i) + np.outer(bc.s_i, bc.b_i)
-        residual = max(residual, float(np.max(np.abs(t))))
-    return Verdict(residual < tol, residual, tol, len(grid))
+    b, s = calc.b_i, calc.s_i  # np.outer per point, as a broadcast product
+    residual = float(np.max(np.abs(calc.r + b[:, :, None] * s[:, None, :]
+                                   + s[:, :, None] * b[:, None, :])))
+    return Verdict(residual < tol, residual, tol, len(calc.b))
 
 
-def _sample_norms(m, f, x, Y, grad):
+def _sample_norms(m, f, bc, Y, grad):
     """Max-norms of B, L, D, S and C per direction of Y, each scaled to F = 1.
 
     S reads 0 where ``grad``, the gradient of ln sigma, is None: sigma failed.
     """
-    Y = Y / np.sqrt(fsq_jet(m, f, x, Y, 0).value)[..., None]
-    cb = curvature_bundle(m, f, x, Y, grad)
+    Y = Y / np.sqrt(fsq_jet(m, f, bc.x, Y, 0).value)[..., None]
+    cb = curvature_bundle(m, f, bc.x, Y, grad, bc)
     C = cb.fd.C  # before the spray: a failing sample raises what `fundamental` does
     return np.column_stack([np.abs(np.reshape(T, (len(cb.dirs), -1))).max(axis=1)
                             for T in (cb.B, cb.L, cb.D,
@@ -183,19 +170,20 @@ def _sample_norms(m, f, x, Y, grad):
                                       C)]).tolist()
 
 
-def _flag_curvatures(m, f, x, Y):
+def _flag_curvatures(m, f, bc, Y):
     """K per direction of Y; a lone direction without a usable flag gives none."""
     try:
-        return np.reshape(curvature_bundle(m, f, x, Y).K, -1).tolist() if len(Y) else []
+        return np.reshape(curvature_bundle(m, f, bc.x, Y, bc=bc).K, -1).tolist() if len(Y) else []
     except (DomainError, DegenerateFlag, EvaluationError):
         if Y.ndim == 2:
             raise
         return []
 
 
-def curvature_flags(m: MetricSpec, f: PhiFamily, grid, dirs=None) -> dict:
+def curvature_flags(m: MetricSpec, f: PhiFamily, calc: BetaCalculus, dirs=None) -> dict:
     """Berwald / Landsberg / Douglas / S-zero / Riemannian verdicts.
 
+    ``calc`` is the beta calculus of the sample points, a ``(P, n)`` stack.
     Directions are normalized to F = 1 before evaluation so the max-norms are
     scale-invariant; directions outside the regular cone of almost-regular
     families are dropped.  Each point's directions go through as one batch,
@@ -209,15 +197,15 @@ def curvature_flags(m: MetricSpec, f: PhiFamily, grid, dirs=None) -> dict:
            "s_zero": 0.0, "riemannian": 0.0}
     n_used = 0
     sigma_error = None
-    for x in grid:
-        usable = _admissible_dirs(m, f, x, np.asarray(dirs, dtype=float))
+    for bc in map(calc.row, range(len(calc.x))):
+        usable = _admissible_dirs(f, bc, np.asarray(dirs, dtype=float))
         if not len(usable):
             continue
         try:
-            grad = ln_sigma_gradient(m, f, x)
+            grad = ln_sigma_gradient(m, f, bc.x)
         except FinslerError as exc:
             grad, sigma_error = None, sigma_error or exc
-        for row in per_direction(lambda Y: _sample_norms(m, f, x, Y, grad), usable):
+        for row in per_direction(lambda Y: _sample_norms(m, f, bc, Y, grad), usable):
             for name, r in zip(res, row):
                 res[name] = max(res[name], r)
             n_used += 1
@@ -280,27 +268,32 @@ def theorem11_verdict(reports: dict, unicorn: Optional[UnicornFit] = None,
 
 
 def classify_metric(m: MetricSpec, f: PhiFamily, per_axis=3, dirs=None) -> ClassificationReport:
-    """Run every predicate on a default grid and assemble the report."""
+    """Run every predicate on a default grid and assemble the report.
+
+    The grid's beta calculus is one stacked pass, redone one point at a time
+    if it raises, so the error is the one the first failing point raises alone.
+    """
     grid = default_grid(m, per_axis)
     if dirs is None:
         dirs = default_directions(m.n)
+    calc = batched(partial(beta_derivatives, m), np.array(grid))
     preds = {
-        "gb": is_generalized_berwald(m, grid),
-        "killing_cl": killing_constant_length(m, grid),
+        "gb": is_generalized_berwald(calc),
+        "killing_cl": killing_constant_length(calc),
     }
-    preds.update(curvature_flags(m, f, grid, dirs))
+    preds.update(curvature_flags(m, f, calc, dirs))
     unicorn = None
     flag_zero = None
     if preds["gb"] and preds["s_zero"]:
         if preds["berwald"] and m.n == 2:  # a flag curvature needs n = 2
-            ks = [abs(K) for x in grid[:3] for K in per_direction(
-                lambda Y: _flag_curvatures(m, f, x, Y),
-                _admissible_dirs(m, f, x, np.asarray(dirs))[:4])]
+            ks = [abs(K) for bc in map(calc.row, range(min(3, len(grid)))) for K in per_direction(
+                lambda Y: _flag_curvatures(m, f, bc, Y),
+                _admissible_dirs(f, bc, np.asarray(dirs))[:4])]
             if ks:
                 kmax = max([0.0] + ks)
                 flag_zero = Verdict(kmax < TOL_S * 10, kmax, TOL_S * 10, len(ks))
         if preds["killing_cl"]:
-            b = beta_at(m, grid[0]).b
+            b = float(calc.b[0])
             if b > 1e-8:
                 try:
                     unicorn = unicorn_fit(f, b)

@@ -21,11 +21,11 @@ import numpy as np
 from . import acceptance
 from .catalog import catalog_names, get_metric
 from .classify import classify_metric, default_directions, default_grid
-from .errors import ConfigError, FinslerError, UnknownQuantity
+from .errors import ConfigError, DimensionError, FinslerError, UnknownQuantity
 from .exprparse import parse
 from .exprparse import eval_expr
 from .finsler_metric import sigma_bh
-from .geometry_core import ChartDomain, MetricSpec, beta_at, beta_derivatives
+from .geometry_core import ChartDomain, MetricSpec, beta_derivatives, grid_calculus
 from .phi_families import (CustomExprPhi, RandersPhi, RiemannSqrtPhi,
                            UnicornPhi, _q_series)
 # curvature_bundle calls riemann_flag; perfbench/tests/test_tracer.py requires it bound here
@@ -187,14 +187,14 @@ def _fmt(v):
     return float(f"{float(v):.12g}")
 
 
-def _records(m, f, x, Y, grad):
+def _records(m, f, x, Y, grad, bc):
     """Curvature records at x for one direction or a ``(B, n)`` stack of them.
 
     A stack goes through every layer as one batch and raises if any layer
     does; one direction gives its record, a partial one with the error text
-    if a layer raises.
+    if a layer raises.  A ``DimensionError`` depends on n alone: a stack records it in each.
     """
-    cb = curvature_bundle(m, f, x, Y, grad)
+    cb = curvature_bundle(m, f, x, Y, grad, bc)
     recs = [{"x": [_fmt(v) for v in x], "y": [_fmt(v) for v in y]} for y in cb.dirs]
 
     def fill(key, T, fmt=lambda row: _fmt(row[0])):  # from one flat row per direction
@@ -217,9 +217,10 @@ def _records(m, f, x, Y, grad):
         if grad is not None:
             fill("S_def", cb.S_def)
     except FinslerError as exc:
-        if Y.ndim == 2:
+        if Y.ndim == 2 and not isinstance(exc, DimensionError):
             raise
-        recs[0]["error"] = f"{type(exc).__name__}: {exc}"
+        for rec in recs:
+            rec["error"] = f"{type(exc).__name__}: {exc}"
     return recs
 
 
@@ -229,12 +230,12 @@ def cmd_report(cfg):
     grid = _sample_grid(cfg)
     dirs = default_directions(m.n, cfg.n_directions, seed=cfg.seed)
     records = []
-    for x in grid:
+    for x, bc in zip(grid, grid_calculus(m, grid)):
         try:
             grad = ln_sigma_gradient(m, f, x)
         except FinslerError:
             grad = None
-        records += per_direction(lambda Y: _records(m, f, x, Y, grad), dirs)
+        records += per_direction(lambda Y: _records(m, f, x, Y, grad, bc), dirs)
     try:
         # classification always samples 3 points per axis: a coarser grid can
         # be radius-symmetric and mask a non-constant one-form length
@@ -301,30 +302,13 @@ def _fiber_cells(name, cb):
             for T in each(getattr(cb, name))]
 
 
-#: grid points per stacked beta pass: its stencil holds 4 n points per grid point
-_GRID_CHUNK = 1024
-
-
-def _grid_calculus(m, grid):
-    """Each grid point's beta calculus from one stacked pass per chunk of the grid,
-    or, where a pass raises, one ``beta_at`` per point of its chunk as it is read,
-    so the first failing point raises."""
-    for start in range(0, len(grid), _GRID_CHUNK):
-        chunk = grid[start:start + _GRID_CHUNK]
-        try:
-            stack = beta_derivatives(m, np.array(chunk))
-        except Exception:  # noqa: BLE001 - each point then raises what it raises alone
-            yield from (beta_at(m, x) for x in chunk)
-        else:
-            yield from (stack.row(k) for k in range(len(chunk)))
-
-
 def cmd_table(cfg, quantity):
     """CSV table of one quantity over the sample grid (and directions).
 
-    A fiber quantity reads one curvature bundle per grid point, its
-    directions as one batch, redone one direction at a time if it raises;
-    any other quantity reads the grid's beta calculus (``_grid_calculus``).
+    Every quantity reads the grid's beta calculus (``grid_calculus``); a
+    fiber quantity hands each point's row to one curvature bundle per grid
+    point, its directions as one batch, redone one direction at a time if it
+    raises.
     """
     if quantity not in QUANTITIES:
         raise UnknownQuantity(
@@ -336,14 +320,13 @@ def cmd_table(cfg, quantity):
             if directional else [None])
     buf = io.StringIO()
     writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
-    calculus = None if quantity in _FIBER else _grid_calculus(m, grid)
-    for k, x in enumerate(grid):
+    for k, (x, bc) in enumerate(zip(grid, grid_calculus(m, grid))):
         if quantity in _FIBER:
             grad = ln_sigma_gradient(m, f, x) if quantity == "S" else None
             rows = per_direction(lambda Y: _fiber_cells(
-                quantity, curvature_bundle(m, f, x, Y, grad)), dirs)
+                quantity, curvature_bundle(m, f, x, Y, grad, bc)), dirs)
         else:
-            bc = next(calculus)
+            bc = beta_derivatives(m, x) if bc is None else bc  # raises where x fails
             rows = [_header_and_row(quantity, m, bc, x, y, f) for y in dirs]
         if k == 0:
             axes = ("x", "y") if directional else ("x",)
@@ -362,8 +345,9 @@ def cmd_classify(cfg):
     return report.to_json()
 
 
-def cmd_check(seed=42, stream=sys.stdout):
+def cmd_check(seed=42, stream=None):
     """Run the verification suite; returns the number of failed criteria."""
+    stream = sys.stdout if stream is None else stream
     results = acceptance.run_all(seed=seed)
     failed = 0
     for r in results:

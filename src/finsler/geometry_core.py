@@ -2,7 +2,7 @@
 
 Metric and one-form evaluation, Christoffel symbols, the covariant derivative
 of the one-form, and the symmetric/antisymmetric split with all of its index
-raisings.
+raisings, at one point or a ``(P, n)`` stack; nothing here keeps state between calls.
 """
 
 from dataclasses import dataclass
@@ -163,6 +163,32 @@ def beta_derivatives(m: MetricSpec, x) -> BetaCalculus:
                         s_i=(b_up[..., None, :] @ s)[..., 0, :], s_up=a_inv @ s)
 
 
+#: points per stacked pass of ``grid_calculus``: its stencil holds 4 n points per point
+_GRID_CHUNK = 1024
+
+
+def grid_calculus(m: MetricSpec, points):
+    """Each point's beta calculus, from one stacked pass per chunk of the points.
+
+    Where a chunk's pass raises, each of its points is computed alone, and a
+    point that raises alone gives ``None``: its reader calls
+    ``beta_derivatives`` at it, and so raises its error where it reads it.
+    """
+    for start in range(0, len(points), _GRID_CHUNK):
+        chunk = points[start:start + _GRID_CHUNK]
+        try:
+            stack = beta_derivatives(m, np.array(chunk))
+        except Exception:  # noqa: BLE001 - each point then raises what it raises alone
+            for x in chunk:
+                try:
+                    bc = beta_derivatives(m, x)
+                except Exception:  # noqa: BLE001 - raised again at its reader
+                    bc = None
+                yield bc
+        else:
+            yield from (stack.row(k) for k in range(len(chunk)))
+
+
 def beta_norm_gradient_check(m: MetricSpec, x):
     """Residual of d|beta|/dx^i = (r_i + s_i)/|beta|, componentwise."""
     x = np.asarray(x, dtype=float)
@@ -178,18 +204,8 @@ def beta_norm_gradient_check(m: MetricSpec, x):
     return base_derivative(partial(_at, norm), x) - (bc.r_i + bc.s_i) / bc.b
 
 
-_POINT_CACHE_SIZE = 4096
-
-
-@lru_cache(maxsize=_POINT_CACHE_SIZE)
-def _cached_beta(m, x_key):
-    return beta_derivatives(m, np.array(x_key))
-
-
+# Called nowhere in the package: perfbench/tracer.py traces this name and its
+# test checks that it is bound; it goes with that tracer (ROADMAP item 1).
 def beta_at(m: MetricSpec, x) -> BetaCalculus:
-    """Memoized ``beta_derivatives``; heavy callers hit the same points repeatedly.
-
-    Keyed on (m, x): a ``MetricSpec`` is frozen and hashes by identity, and the
-    least recently used of the 4096 entries is dropped with its reference to ``m``.
-    """
-    return _cached_beta(m, tuple(np.asarray(x, dtype=float)))
+    """``beta_derivatives`` at one point."""
+    return beta_derivatives(m, x)

@@ -19,7 +19,8 @@ batch and, if it raises, redoes it one direction at a time.
 
 :func:`curvature_bundle` evaluates the fiber tensors at a point for
 ``report``, ``table`` and the classification, each on first read, from one
-copy of the fundamental data and of the order-4 spray jet.
+copy of the fundamental data and of the order-4 spray jet.  A ``bc`` argument
+is the beta calculus of x, if at hand (a row of the caller's stacked pass).
 """
 
 import math
@@ -32,7 +33,7 @@ from .errors import DegenerateFlag, DimensionError, DomainError, FinslerError
 from .finsler_metric import (FundamentalData, _angular_density, _polar_nodes,
                              alpha_beta_jets, fsq_jet, fundamental,
                              pair_columns, sigma_bh)
-from .geometry_core import MetricSpec, _at, beta_at, beta_derivatives
+from .geometry_core import MetricSpec, _at, beta_derivatives
 from .jets import base_derivative, jet_form, jet_variable
 from .phi_families import PhiFamily, ab_scalars, spray_scalar_series
 
@@ -66,7 +67,7 @@ def _spray_jets(bc, f: PhiFamily, y, order):
             + core * (Theta * yj[i] + alpha * Psi * b_up[i]) for i in range(bc.n)]
 
 
-def spray_ab(m: MetricSpec, f: PhiFamily, x, y, order=0):
+def spray_ab(m: MetricSpec, f: PhiFamily, x, y, order=0, bc=None):
     """Spray coefficients G^i by the (alpha, beta) formula.
 
     With ``order`` 0 returns a plain array; otherwise a list of jets carrying
@@ -76,7 +77,7 @@ def spray_ab(m: MetricSpec, f: PhiFamily, x, y, order=0):
     gives a leading S axis.
     """
     x = np.asarray(x, dtype=float)
-    bc = beta_at(m, x) if x.ndim == 1 else beta_derivatives(m, x)
+    bc = beta_derivatives(m, x) if bc is None else bc
     jets = _spray_jets(bc, f, y, order)
     if order == 0:
         return _fiber(jets, 0, _pairs_shape(x, y))
@@ -249,10 +250,10 @@ def s_curvature_def(m: MetricSpec, f: PhiFamily, x, y, grad_ln_sigma=None,
     return float(S) if S.ndim == 0 else S
 
 
-def s_curvature_formula(m: MetricSpec, f: PhiFamily, x, y):
+def s_curvature_formula(m: MetricSpec, f: PhiFamily, x, y, bc=None):
     """S-curvature from the (alpha, beta) scalar formula with the Busemann-Hausdorff f(b)."""
     y = np.asarray(y, dtype=float)
-    bc = beta_at(m, x)
+    bc = beta_derivatives(m, x) if bc is None else bc
     # v_0 = v_i y^i per direction, with the bits of a one-direction dot product
     beta, r_0, s_0 = ((y[..., None, :] @ v[:, None])[..., 0, 0]
                       for v in (bc.b_i, bc.r_i, bc.s_i))
@@ -303,7 +304,7 @@ class SprayData:
     D: np.ndarray  # Douglas curvature, from the projective spray
 
 
-def spray_data(m: MetricSpec, f: PhiFamily, x, y) -> SprayData:
+def spray_data(m: MetricSpec, f: PhiFamily, x, y, bc=None) -> SprayData:
     """Every fiber tensor of the spray at (x, y), read off one order-4 jet.
 
     D comes from the projective spray G^i - (d_m G^m) y^i / (n + 1) by jet
@@ -311,7 +312,7 @@ def spray_data(m: MetricSpec, f: PhiFamily, x, y) -> SprayData:
     """
     y = np.asarray(y, dtype=float)
     n = m.n
-    jets = spray_ab(m, f, x, y, order=4)
+    jets = spray_ab(m, f, x, y, order=4, bc=bc)
     B, E = _berwald(jets)
     d4 = _fiber(jets, 4)
     trace = jets[0].derivative(0)
@@ -331,18 +332,22 @@ class CurvatureBundle:
     Each field is computed on first read and kept; the tensors share one
     ``fd`` (``fundamental``) and one ``spray`` (``spray_data``, an order-4
     jet).  A field raises when read, so the caller's reading order fixes which
-    error a sample reports.  ``grad_ln_sigma`` feeds ``S_def`` if at hand.
+    error a sample reports.  ``grad_ln_sigma`` feeds ``S_def`` if at hand, and
+    ``bc`` feeds ``spray`` and ``S_formula``, else is computed on first read.
     """
 
-    def __init__(self, m: MetricSpec, f: PhiFamily, x, y, grad_ln_sigma=None):
+    def __init__(self, m: MetricSpec, f: PhiFamily, x, y, grad_ln_sigma=None, bc=None):
         self.m, self.f, self.grad_ln_sigma = m, f, grad_ln_sigma
         self.x, self.y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         self.dirs = np.reshape(self.y, (-1, m.n))  # y as a stack
         if not len(self.dirs):
             raise DomainError("curvature_bundle needs at least one direction, got an empty stack")
+        if bc is not None:
+            self.bc = bc  # the cached_property's slot
 
+    bc = cached_property(lambda self: beta_derivatives(self.m, self.x))
     fd = cached_property(lambda self: fundamental(self.m, self.f, self.x, self.y))
-    spray = cached_property(lambda self: spray_data(self.m, self.f, self.x, self.y))
+    spray = cached_property(lambda self: spray_data(self.m, self.f, self.x, self.y, self.bc))
     G = property(lambda self: self.spray.G)
     B = property(lambda self: self.spray.B)
     E = property(lambda self: self.spray.E)
@@ -351,7 +356,8 @@ class CurvatureBundle:
     R = cached_property(lambda self: riemann(self.m, self.f, self.x, self.y, self.spray))
     S_def = cached_property(lambda self: s_curvature_def(
         self.m, self.f, self.x, self.y, self.grad_ln_sigma, self.spray))
-    S_formula = cached_property(lambda self: s_curvature_formula(self.m, self.f, self.x, self.y))
+    S_formula = cached_property(lambda self: s_curvature_formula(
+        self.m, self.f, self.x, self.y, self.bc))
     H = cached_property(lambda self: h_curvature(self.m, self.f, self.x, self.y, self.spray))
 
     @cached_property
@@ -366,6 +372,6 @@ class CurvatureBundle:
         return K[0] if self.y.ndim == 1 else np.array(K)
 
 
-#: ``curvature_bundle(m, f, x, y, grad_ln_sigma=None)``: every curvature
-#: tensor at x, for one direction or a ``(B, n)`` stack
+#: ``curvature_bundle(m, f, x, y, grad_ln_sigma=None, bc=None)``: every
+#: curvature tensor at x, for one direction or a ``(B, n)`` stack
 curvature_bundle = CurvatureBundle

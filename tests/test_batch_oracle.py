@@ -18,6 +18,7 @@ from finsler.catalog import catalog_names, get_metric
 from finsler.classify import _admissible_dirs, default_directions
 from finsler.errors import EvaluationError
 from finsler.finsler_metric import fsq_jet, fundamental
+from finsler.geometry_core import beta_derivatives
 from finsler.spray_curvature import (_fiber, berwald, curvature_bundle,
                                      douglas, h_curvature, landsberg,
                                      ln_sigma_gradient, riemann, riemann_flag,
@@ -60,7 +61,7 @@ def test_batched_fields_equal_one_direction_at_a_time(name, count):
     entry = get_metric(name)
     m, f = entry.metric, entry.phi
     x = _point(entry, 0.4)
-    Y = _admissible_dirs(m, f, x, default_directions(m.n, count, seed=count))
+    Y = _admissible_dirs(f, beta_derivatives(m, x), default_directions(m.n, count, seed=count))
     assert len(Y)
     grad = _grad_ln_sigma(name, m, f, x)
     fd, sd = fundamental(m, f, x, Y), spray_data(m, f, x, Y)

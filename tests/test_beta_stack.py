@@ -1,13 +1,14 @@
 """The beta calculus over a stack of points gives the bits of one point alone.
 
-``beta_derivatives`` takes one point or a ``(P, n)`` stack, and ``table``
-reads one stacked pass over its grid.  The reference below is the one-point
+``beta_derivatives`` takes one point or a ``(P, n)`` stack, and every command
+reads one stacked pass over its sample set.  The reference below is the one-point
 route the engine took before: its stencil, its Christoffel loop and its
 contractions, copied verbatim.  Every field must match it exactly, not just
 closely: ``report`` and ``table`` stdout are byte-stable, and the CSV shows
 only 12 digits.
 """
 
+import sys
 import types
 from functools import partial
 
@@ -16,7 +17,7 @@ import pytest
 
 from finsler.catalog import catalog_names, get_metric
 from finsler.classify import default_grid
-from finsler.cli import RunConfig, cmd_table
+from finsler.cli import RunConfig, cmd_table, main
 from finsler.errors import DomainError, EvaluationError, SingularMetric
 from finsler.geometry_core import (BetaCalculus, ChartDomain, MetricSpec, _at,
                                    _inverse_spd, beta_derivatives)
@@ -233,7 +234,7 @@ def test_table_reports_what_the_first_failing_point_raises_property():
     # the grid's stacked passes are split into chunks of a few points
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-    import finsler.cli as cli
+    import finsler.geometry_core as geometry_core
 
     @hypothesis.settings(max_examples=40, deadline=None)
     @hypothesis.given(st.integers(2, 4), st.data())
@@ -263,9 +264,9 @@ def test_table_reports_what_the_first_failing_point_raises_property():
         want = next(filter(None, (_outcome(beta_derivatives, m, x) for x in grid)))
         cfg = types.SimpleNamespace(metric=m, phi=get_metric("lie_group").phi,
                                     per_axis=per_axis, n_directions=4, seed=42)
-        chunk = data.draw(st.sampled_from([cli._GRID_CHUNK, 1, 3, 5]))
+        chunk = data.draw(st.sampled_from([geometry_core._GRID_CHUNK, 1, 3, 5]))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cli, "_GRID_CHUNK", chunk)
+            mp.setattr(geometry_core, "_GRID_CHUNK", chunk)
             assert _outcome(cmd_table, cfg, "r") == want
 
     check()
@@ -275,10 +276,37 @@ def test_table_reports_what_the_first_failing_point_raises_property():
 def test_chunked_grid_passes_keep_the_table_bytes(quantity, monkeypatch):
     # table reads the grid's beta calculus one chunk of points at a time, to
     # bound the memory of the stacked stencil; the chunk size moves no bit
-    import finsler.cli as cli
+    import finsler.geometry_core as geometry_core
     e = get_metric("bao_shen")
     cfg = types.SimpleNamespace(metric=e.metric, phi=e.phi, per_axis=3,
                                 n_directions=4, seed=42)
     whole = cmd_table(cfg, quantity)
-    monkeypatch.setattr(cli, "_GRID_CHUNK", 7)
+    monkeypatch.setattr(geometry_core, "_GRID_CHUNK", 7)
     assert cmd_table(cfg, quantity) == whole
+
+
+def _count_one_point_passes(monkeypatch):
+    """Calls of ``beta_derivatives`` at one point, through every module that binds it."""
+    original, calls = beta_derivatives, []
+
+    def counting(m, x):
+        if np.ndim(x) == 1:
+            calls.append(x)
+        return original(m, x)
+
+    for mod in list(sys.modules.values()):
+        if (getattr(mod, "__name__", "").startswith("finsler")
+                and getattr(mod, "beta_derivatives", None) is original):
+            monkeypatch.setattr(mod, "beta_derivatives", counting)
+    return calls
+
+
+@pytest.mark.parametrize("command", ["report", "classify"])
+@pytest.mark.parametrize("name", ["lie_group", "bao_shen"])
+def test_commands_make_no_one_point_pass(name, command, monkeypatch, capsys):
+    # each command builds its sample set's beta calculus as one stacked pass
+    # and hands every point its row; stencils pass stacks of their own
+    calls = _count_one_point_passes(monkeypatch)
+    assert main([command, "--metric", name, "--per-axis", "2", "--directions", "4"]) == 0
+    capsys.readouterr()
+    assert calls == []

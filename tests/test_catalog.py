@@ -10,7 +10,7 @@ from finsler.catalog import (ZermeloData, catalog_names, get_metric,
                              zermelo_metric_spec, zermelo_to_randers)
 from finsler.errors import FastWind, ParamOutOfRange, UnknownName
 from finsler.finsler_metric import finsler_eval
-from finsler.geometry_core import ChartDomain, _inverse_spd, beta_at
+from finsler.geometry_core import ChartDomain, _inverse_spd, beta_derivatives
 from finsler.phi_families import RandersPhi
 
 
@@ -31,7 +31,7 @@ class TestEntries:
 
     def test_fish_tank_norm_and_origin(self):
         m = get_metric("fish_tank").metric
-        assert beta_at(m, [0.3, 0.4]).b == pytest.approx(0.5, abs=1e-10)
+        assert beta_derivatives(m, [0.3, 0.4]).b == pytest.approx(0.5, abs=1e-10)
         # degenerates gracefully at the origin: beta = 0, alpha Euclidean
         assert np.allclose(m.a_at([0.0, 0.0]), np.eye(2))
         assert np.allclose(m.b_at([0.0, 0.0]), 0.0)
@@ -55,12 +55,12 @@ class TestEntries:
     def test_bao_shen_norm_both_signs(self):
         for sign in (+1, -1):
             m = get_metric("bao_shen", K=3.0, sign=sign).metric
-            b = beta_at(m, [0.2, -0.4, 0.7]).b
+            b = beta_derivatives(m, [0.2, -0.4, 0.7]).b
             assert b == pytest.approx(math.sqrt(1 - 1 / 3.0), abs=1e-10)
 
     def test_proj_sphere_killing_norm(self):
         m = get_metric("proj_sphere_killing", kappa=0.3).metric
-        assert beta_at(m, [0.5, -0.2, 0.8]).b == pytest.approx(0.3, abs=1e-10)
+        assert beta_derivatives(m, [0.5, -0.2, 0.8]).b == pytest.approx(0.3, abs=1e-10)
 
     def test_positive_definite_on_domains(self):
         for name, kw in [("lie_group", {}), ("fish_tank", {}), ("mw", {}),
@@ -77,7 +77,7 @@ class TestEntries:
 
     @pytest.mark.parametrize("name", catalog_names())
     def test_entry_and_spec_are_frozen(self, name):
-        # beta_at caches on the spec's identity hash, so no field may change
+        # a spec hashes by identity and is frozen: nothing derived from it goes stale
         entry = get_metric(name)
         with pytest.raises(dataclasses.FrozenInstanceError):
             entry.metric.name = "renamed"

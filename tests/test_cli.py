@@ -1,5 +1,6 @@
 """CLI subcommands, config validation, CSV/JSON output, exit codes."""
 
+import contextlib
 import csv
 import importlib.util
 import io
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from finsler.catalog import catalog_names
 from finsler.cli import (build_parser, cmd_check, cmd_classify, cmd_report,
                          cmd_table, main)
 from finsler.cli import RunConfig
@@ -224,8 +226,8 @@ def test_table_bytes(metric, quantity, extra, capsys):
     assert capsys.readouterr().out == want
 
 
-def _replay(name, capsys, monkeypatch):
-    doc = json.loads((TABLES / name).read_text())
+def _replay(path, capsys, monkeypatch):
+    doc = json.loads(path.read_text())
     monkeypatch.chdir(FIXTURES.parents[1])
     assert main(doc["argv"]) == doc["exit_code"]
     assert capsys.readouterr() == (doc["stdout"], doc["stderr"])
@@ -234,7 +236,7 @@ def _replay(name, capsys, monkeypatch):
 def test_table_reports_the_first_failing_direction(capsys, monkeypatch):
     # a point's batch raises; redone one direction at a time, the error is
     # the one the first failing direction raises alone
-    _replay("unicorn_near_edge.B.json", capsys, monkeypatch)
+    _replay(TABLES / "unicorn_near_edge.B.json", capsys, monkeypatch)
 
 
 @pytest.mark.parametrize("name", ["singular_a.r.json", "singular_a_b_first.r.json"])
@@ -242,7 +244,23 @@ def test_table_reports_the_first_failing_point(name, capsys, monkeypatch):
     # a(x) is singular at the middle grid point, so the grid's stacked beta
     # calculus raises; in the second case b(x) fails alone at an earlier
     # point, and that is the error the table must report
-    _replay(name, capsys, monkeypatch)
+    _replay(TABLES / name, capsys, monkeypatch)
+
+
+@pytest.mark.parametrize("config", ["singular_a", "singular_a_b_first", "four_d"])
+@pytest.mark.parametrize("command", ["report", "classify"])
+def test_config_bytes(config, command, capsys, monkeypatch):
+    # stdout, stderr and exit code as recorded: the report of a singular
+    # metric keeps one error record per failing sample, its classification
+    # fails with the first failing point's error, and the 4-D metric records
+    # sigma's dimension limit
+    _replay(FIXTURES / f"{config}.{command}.json", capsys, monkeypatch)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_classify_bytes(name, capsys):
+    assert main(["classify", "--metric", name]) == 0
+    assert capsys.readouterr().out == (FIXTURES / f"classify_{name}.out").read_text()
 
 
 class TestReport:
@@ -378,6 +396,12 @@ class TestMain:
         # the file holds the bytes of stdout, trailing newline included
         assert out.read_text() == (FIXTURES / "unicorn_near_edge.report.out").read_text()
 
+    def test_check_writes_to_the_current_stdout(self):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["check"]) == 0
+        assert out.getvalue().endswith("13/13 criteria passed\n")
+
     def test_parser_subcommands(self):
         p = build_parser()
         for cmd in ("report", "table", "classify", "check"):
@@ -448,40 +472,43 @@ class TestMain:
 
 
 #: a 4-dimensional custom metric whose one-form reads the fourth coordinate
-FOUR_D_CONFIG = {"schema": 1, "grid": {"per_axis": 2}, "directions": 4,
-                 "metric": {"custom": {
-                     "n": 4, "a": [["1" if i == j else "0" for j in range(4)] for i in range(4)],
-                     "b": ["0.1 * x4", "0", "0", "0.2"],
-                     "lo": [-1, -1, -1, -1], "hi": [1, 1, 1, 1]}}}
+FOUR_D = str(FIXTURES / "four_d.json")
 SIGMA_DIMENSION = "DimensionError: sigma_bh supports n = 2 or 3 only"
 
 
 class TestFourDimensionalConfig:
-    def _path(self, tmp_path):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(FOUR_D_CONFIG))
-        return str(path)
-
-    def test_a_config_names_every_coordinate(self, tmp_path, capsys):
-        assert main(["table", "--config", self._path(tmp_path), "--quantity", "r"]) == 0
+    def test_a_config_names_every_coordinate(self, capsys):
+        assert main(["table", "--config", FOUR_D, "--quantity", "r"]) == 0
         rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
         assert rows[0][:4] == ["x1", "x2", "x3", "x4"]
         assert len(rows) == 1 + 2**4
 
-    def test_sigma_names_its_dimension_limit(self, tmp_path, capsys):
+    def test_sigma_names_its_dimension_limit(self, capsys):
         # the dimension is the cause, not a stencil point: the error comes
         # before the stencil, as a DimensionError
-        path = self._path(tmp_path)
-        assert main(["table", "--config", path, "--quantity", "S"]) == 1
+        assert main(["table", "--config", FOUR_D, "--quantity", "S"]) == 1
         assert capsys.readouterr().err == f"error: {SIGMA_DIMENSION}\n"
-        assert main(["classify", "--config", path]) == 0
+        assert main(["classify", "--config", FOUR_D]) == 0
         s_zero = json.loads(capsys.readouterr().out)["predicates"]["s_zero"]
         assert s_zero["error"] == SIGMA_DIMENSION
 
-    def test_report_records_the_dimension_limit(self, tmp_path, capsys):
+    def test_report_records_the_dimension_limit(self, capsys):
         # the S formula's f(b) has the same rules as sigma: each record
         # keeps its other fields and names the limit
-        assert main(["report", "--config", self._path(tmp_path)]) == 0
+        assert main(["report", "--config", FOUR_D]) == 0
         records = json.loads(capsys.readouterr().out)["records"]
         assert {r["error"] for r in records} == {SIGMA_DIMENSION}
         assert all("F" in r and "S_formula" not in r for r in records)
+
+    def test_report_computes_each_point_once(self, capsys, monkeypatch):
+        # the dimension limit depends on n alone: a point's stack records it
+        # in every record instead of redoing the point one direction at a time
+        import finsler.spray_curvature as spray_curvature
+        calls = []
+        spray_data = spray_curvature.spray_data
+        monkeypatch.setattr(spray_curvature, "spray_data",
+                            lambda *args, **kw: calls.append(1) or spray_data(*args, **kw))
+        assert main(["report", "--config", FOUR_D]) == 0
+        capsys.readouterr()
+        # 2 points per axis for the records, 3 for the classification
+        assert len(calls) == 2**4 + 3**4

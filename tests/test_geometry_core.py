@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from finsler.catalog import get_metric
+from finsler.classify import classify_metric
 from finsler.errors import DimensionMismatch, SingularMetric, ZeroNorm
-from finsler.geometry_core import (ChartDomain, MetricSpec, _cached_beta,
-                                   _inverse_spd, beta_at, beta_derivatives,
+from finsler.geometry_core import (ChartDomain, MetricSpec,
+                                   _inverse_spd, beta_derivatives,
                                    beta_norm_gradient_check, christoffels)
 
 
@@ -52,13 +53,13 @@ class TestBetaCalculus:
         assert bc.b2 == pytest.approx(0.26)
 
     def test_split_reconstructs_bij(self):
-        bc = beta_at(get_metric("lie_group").metric, [0.5, 1.5])
+        bc = beta_derivatives(get_metric("lie_group").metric, [0.5, 1.5])
         assert np.abs(bc.r + bc.s - bc.bij).max() < 1e-14
         assert np.abs(bc.r - bc.r.T).max() < 1e-14
         assert np.abs(bc.s + bc.s.T).max() < 1e-14
 
     def test_raisings_consistent(self):
-        bc = beta_at(get_metric("sphere_randers", eps=0.5).metric, [0.9, 1.1])
+        bc = beta_derivatives(get_metric("sphere_randers", eps=0.5).metric, [0.9, 1.1])
         assert np.allclose(bc.b_up, bc.a_inv @ bc.b_i)
         assert np.allclose(bc.s_i, bc.b_up @ bc.s)
         assert np.allclose(bc.s_up, bc.a_inv @ bc.s)
@@ -108,26 +109,12 @@ class TestChartDomain:
         assert all(p[0] < 0.5 for p in pts)
 
 
-class TestBetaCache:
-    """``beta_at`` memoises per (spec, point) and lets go of evicted specs."""
-
-    def _cached_spec_ref(self):
-        spec = _euclid_spec(b=lambda x: np.array([0.3, 0.1]))
-        assert beta_at(spec, [0.1, 0.2]) is beta_at(spec, [0.1, 0.2])
-        return weakref.ref(spec)
-
-    def test_spec_released_by_cache_clear(self):
-        ref = self._cached_spec_ref()
-        gc.collect()
-        assert ref() is not None  # the cache entry holds it
-        _cached_beta.cache_clear()
-        gc.collect()
-        assert ref() is None
-
-    def test_spec_released_by_eviction(self):
-        ref = self._cached_spec_ref()
-        other = _euclid_spec()
-        for k in range(_cached_beta.cache_info().maxsize):
-            beta_at(other, [k * 1e-4, 0.0])
-        gc.collect()
-        assert ref() is None
+def test_spec_released_when_classify_returns():
+    # no cache outlives the call that filled it: once classify_metric
+    # returns, nothing holds on to the metric spec
+    entry = get_metric("lie_group")
+    ref = weakref.ref(entry.metric)
+    classify_metric(entry.metric, entry.phi, per_axis=2)
+    del entry
+    gc.collect()
+    assert ref() is None

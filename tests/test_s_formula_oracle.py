@@ -18,7 +18,7 @@ from finsler.classify import default_directions, default_grid
 from finsler.errors import (DegenerateDenominator, DimensionMismatch,
                             DomainError, FinslerError)
 from finsler.finsler_metric import _angular_density
-from finsler.geometry_core import ChartDomain, MetricSpec, beta_at
+from finsler.geometry_core import ChartDomain, MetricSpec, beta_derivatives
 from finsler.phi_families import AlphaBetaScalars, UnicornPhi, _q_series
 from finsler.spray_curvature import s_curvature_formula
 
@@ -71,7 +71,7 @@ def ref_ab_scalars(f, b, s, n):
 def ref_s_curvature_formula(m, f, x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    bc = beta_at(m, x)
+    bc = beta_derivatives(m, x)
     con = ref_beta_contractions(bc, y)
     alpha = math.sqrt(float(y @ bc.a @ y))
     s = float(bc.b_i @ y) / alpha

@@ -10,7 +10,7 @@ from finsler.catalog import catalog_names, get_metric
 from finsler.classify import default_directions, default_grid
 from finsler.errors import DimensionError, DomainError, ZeroVector
 from finsler.finsler_metric import _angular_density, fundamental
-from finsler.geometry_core import beta_at
+from finsler.geometry_core import beta_derivatives
 from finsler.phi_families import RandersPhi
 from finsler.spray_curvature import (berwald, berwald_2d_identity,
                                      curvature_bundle, douglas,
@@ -32,7 +32,7 @@ class TestSpray:
         # spray must equal the alpha geodesic spray.
         e = get_metric("sphere_randers", eps=0.0)
         x, y = [1.1, 0.7], np.array([0.4, 1.0])
-        gamma = beta_at(e.metric, x).gamma  # alpha's spray: (1/2) gamma^i_jk y^j y^k
+        gamma = beta_derivatives(e.metric, x).gamma  # alpha's spray: (1/2) gamma^i_jk y^j y^k
         assert np.allclose(spray_ab(e.metric, e.phi, x, y),
                            0.5 * np.einsum("ijk,j,k->i", gamma, y, y), atol=1e-10)
 

@@ -110,9 +110,8 @@ def ref_h_curvature(m, f, x, y):
 
 
 def _per_point_stencil(fn):
-    """``fn`` with the β calculus on the reference stencil, and no cached rows."""
+    """``fn`` with the β calculus on the reference stencil."""
     def run(*args):
-        geometry_core._cached_beta.cache_clear()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(geometry_core, "base_derivative", ref_base_derivative)
             return fn(*args)
