@@ -17,13 +17,13 @@ from .catalog import ZermeloData, get_metric, zermelo_to_randers
 from .classify import (default_directions, default_grid,
                        is_generalized_berwald, randers_s0_shortcut,
                        unicorn_fit)
-from .finsler_metric import finsler_eval, fsq_jet, fundamental
+from .finsler_metric import finsler_eval, fsq_jet
 from .geometry_core import beta_derivatives, beta_norm_gradient_check
 from .phi_families import UnicornPhi, _q_series, ode_residual
-from .spray_curvature import (berwald, berwald_2d_identity, curvature_bundle,
+from .spray_curvature import (berwald_2d_identity, curvature_bundle,
                               douglas_2d_identity, ln_sigma_gradient,
-                              riemann_flag, s_curvature_def,
-                              s_curvature_formula, spray_ab, spray_generic)
+                              riemann_flag, s_curvature_def, spray_ab,
+                              spray_generic)
 
 
 @dataclass
@@ -96,11 +96,10 @@ def criterion_2():
     out.gt("|S| at (0,1),(1,0)", abs(S), 0.01)
     mb = ml = md = 0.0
     for k, x in enumerate(grid[:4]):
-        for y in ([1.0, 0.3], [-0.5, 1.0]):
-            cb = curvature_bundle(m, f, x, y, bc=calc.row(k))
-            mb = max(mb, float(np.abs(cb.B).max()))
-            ml = max(ml, float(np.abs(cb.L).max()))
-            md = max(md, float(np.abs(cb.D).max()))
+        cb = curvature_bundle(m, f, x, np.array([[1.0, 0.3], [-0.5, 1.0]]), bc=calc.row(k))
+        mb = max(mb, float(np.abs(cb.B).max()))
+        ml = max(ml, float(np.abs(cb.L).max()))
+        md = max(md, float(np.abs(cb.D).max()))
     out.gt("max|B|", mb, 1e-3)
     out.gt("max|L|", ml, 1e-3)
     out.gt("max|D|", md, 1e-3)
@@ -122,9 +121,9 @@ def criterion_3():
     for xv in np.linspace(-0.4, 0.4, 3):
         for yv in np.linspace(-0.4, 0.4, 3):
             x = [xv, yv]
-            grad = ln_sigma_gradient(m, f, x)
-            worst_s = max(worst_s, *np.abs(s_curvature_def(m, f, x, dirs, grad)))
-            worst_k = max(worst_k, *np.abs(riemann_flag(m, f, x, dirs)[1]))
+            cb = curvature_bundle(m, f, x, dirs, ln_sigma_gradient(m, f, x))
+            worst_s = max(worst_s, *np.abs(cb.S_def))
+            worst_k = max(worst_k, *np.abs(cb.K))
     out.lt("max|S| 9 pts x 8 dirs", worst_s, 1e-5)
     out.lt("max|K| 9 pts x 8 dirs", worst_k, 1e-5)
     gb = is_generalized_berwald(calc)
@@ -154,9 +153,10 @@ def criterion_4():
     sc = randers_s0_shortcut(calc, f, tol=1e-10)
     out.lt("max|r_ij + b_i s_j + b_j s_i|", sc.residual, 1e-10)
     worst_s = 0.0
-    for x in grid[:3]:
-        S = s_curvature_def(m, f, x, default_directions(2, 4), ln_sigma_gradient(m, f, x))
-        worst_s = max(worst_s, *np.abs(S))
+    for k, x in enumerate(grid[:3]):
+        cb = curvature_bundle(m, f, x, default_directions(2, 4), ln_sigma_gradient(m, f, x),
+                              calc.row(k))
+        worst_s = max(worst_s, *np.abs(cb.S_def))
     out.lt("max|S| definitional", worst_s, 1e-6)
     gb = is_generalized_berwald(calc)
     out.gt("gb residual (must fail)", gb.residual, gb.threshold)
@@ -167,14 +167,10 @@ def criterion_5():
     """Warped surface: s_ij = 0 and r_ij = b^2 a_ij - b_i b_j."""
     out = CriterionResult(5, "mw: s = 0 and r = b^2 a - b b")
     m = get_metric("mw").metric
-    worst_s = worst_r = 0.0
-    for x in default_grid(m, margin=_MARGIN):
-        bc = beta_derivatives(m, x)
-        worst_s = max(worst_s, float(np.abs(bc.s).max()))
-        target = bc.b2 * bc.a - np.outer(bc.b_i, bc.b_i)
-        worst_r = max(worst_r, float(np.abs(bc.r - target).max()))
-    out.lt("max|s_ij|", worst_s, 1e-10)
-    out.lt("max|r_ij - (b^2 a - b b)|", worst_r, 1e-10)
+    calc = beta_derivatives(m, np.array(default_grid(m, margin=_MARGIN)))
+    target = calc.b2[:, None, None] * calc.a - calc.b_i[:, :, None] * calc.b_i[:, None, :]
+    out.lt("max|s_ij|", np.abs(calc.s).max(), 1e-10)
+    out.lt("max|r_ij - (b^2 a - b b)|", np.abs(calc.r - target).max(), 1e-10)
     return out
 
 
@@ -183,13 +179,11 @@ def criterion_6():
     out = CriterionResult(6, "unicorn family: Q = ks + q sqrt(b0^2-s^2), ODE, fit")
     for (b0, k, q) in [(1.0, 0.0, 1.0), (1.0, 0.3, 0.7), (0.8, -0.2, 0.5)]:
         f = UnicornPhi(b0, k, q, 1.0)
-        qerr = oderr = 0.0
-        for s in np.linspace(-0.9 * b0, 0.9 * b0, 20):
-            Q = _q_series(f, s, 0).value
-            qerr = max(qerr, abs(Q - (k * s + q * math.sqrt(b0 * b0 - s * s))))
-            oderr = max(oderr, abs(ode_residual(f, b0, s)))
-        out.lt(f"Q identity ({b0},{k},{q})", qerr, 1e-8)
-        out.lt(f"ODE residual ({b0},{k},{q})", oderr, 1e-6)
+        s = np.linspace(-0.9 * b0, 0.9 * b0, 20)
+        Q = _q_series(f, s, 0).value
+        out.lt(f"Q identity ({b0},{k},{q})",
+               np.abs(Q - (k * s + q * np.sqrt(b0 * b0 - s * s))).max(), 1e-8)
+        out.lt(f"ODE residual ({b0},{k},{q})", np.abs(ode_residual(f, b0, s)).max(), 1e-6)
         fit = unicorn_fit(f, b0)
         out.lt(f"fit k ({b0},{k},{q})", abs(fit.k - k), 1e-7)
         out.lt(f"fit q ({b0},{k},{q})", abs(fit.q - q), 1e-7)
@@ -200,26 +194,26 @@ def criterion_7():
     """Spray and S-curvature computed by two independent routes."""
     out = CriterionResult(7, "dual routes: spray formula vs direct, S formula vs definition")
     dirs = default_directions(2, 16)
+    s_routes = {"lie_group": 0.0, "euclid_randers": 0.0}
     for name, kw in [("lie_group", {}), ("sphere_randers", {"eps": 0.5}),
                      ("euclid_randers", {"eps": 0.5})]:
         e = get_metric(name, **kw)
         m, f = e.metric, e.phi
+        grid = default_grid(m, margin=_MARGIN)
+        calc = beta_derivatives(m, np.array(grid))
         worst = 0.0
-        for x in default_grid(m, margin=_MARGIN):
-            # one jet batch per route for the point's directions
-            for ga, gg in zip(spray_ab(m, f, x, dirs), spray_generic(m, f, x, dirs)):
+        for k, x in enumerate(grid):
+            # one jet batch per route for the point's directions; the bundle's
+            # spray also gives S_def, on the first four at the first three points
+            cb = curvature_bundle(m, f, x, dirs, bc=calc.row(k))
+            for ga, gg in zip(cb.G, spray_generic(m, f, x, dirs)):
                 scale = max(1e-1, float(np.abs(ga).max()))
                 worst = max(worst, max(float(np.abs(ga - gg).max()) / scale, 0.0))
+            if k < 3 and name in s_routes:
+                for sd, sf in zip(cb.S_def[:4], cb.S_formula[:4]):
+                    s_routes[name] = max(s_routes[name], abs(sd - sf) / max(1e-7, abs(sf)))
         out.lt(f"spray routes ({name})", max(worst, 1e-12), 1e-6)
-    for name, kw in [("lie_group", {}), ("euclid_randers", {"eps": 0.5})]:
-        e = get_metric(name, **kw)
-        m, f = e.metric, e.phi
-        worst = 0.0
-        for x in default_grid(m, margin=_MARGIN)[:3]:
-            grad = ln_sigma_gradient(m, f, x)
-            for sd, sf in zip(s_curvature_def(m, f, x, dirs[:4], grad),
-                              s_curvature_formula(m, f, x, dirs[:4])):
-                worst = max(worst, abs(sd - sf) / max(1e-7, abs(sf)))
+    for name, worst in s_routes.items():
         out.lt(f"S routes ({name})", worst, 1e-4)
     return out
 
@@ -249,11 +243,8 @@ def criterion_9(seed=42):
     rng = np.random.default_rng(seed)
     e = get_metric("bao_shen", K=2.0)
     m, f = e.metric, e.phi
-    worst_b = 0.0
-    for _ in range(5):
-        x = rng.uniform(-1.0, 1.0, 3)
-        worst_b = max(worst_b, abs(beta_derivatives(m, x).b - math.sqrt(0.5)))
-    out.lt("|b - sqrt(1/2)| at 5 random points", worst_b, 1e-8)
+    calc = beta_derivatives(m, rng.uniform(-1.0, 1.0, (5, 3)))
+    out.lt("|b - sqrt(1/2)| at 5 random points", np.abs(calc.b - math.sqrt(0.5)).max(), 1e-8)
     worst_s = 0.0
     for _ in range(3):
         x = rng.uniform(-0.8, 0.8, 3)
@@ -269,16 +260,10 @@ def criterion_10(seed=42):
     out = CriterionResult(10, "proj_sphere_killing(0.5): r = 0, b = 1/2, s != 0")
     rng = np.random.default_rng(seed)
     m = get_metric("proj_sphere_killing", kappa=0.5).metric
-    worst_r = worst_b = max_s = 0.0
-    for _ in range(5):
-        x = rng.uniform(-1.0, 1.0, 3)
-        bc = beta_derivatives(m, x)
-        worst_r = max(worst_r, float(np.abs(bc.r).max()))
-        worst_b = max(worst_b, abs(bc.b - 0.5))
-        max_s = max(max_s, float(np.abs(bc.s).max()))
-    out.lt("max|r_ij|", worst_r, 1e-6)
-    out.lt("|b - kappa|", worst_b, 1e-6)
-    out.gt("max|s_ij|", max_s, 1e-3)
+    calc = beta_derivatives(m, rng.uniform(-1.0, 1.0, (5, 3)))
+    out.lt("max|r_ij|", np.abs(calc.r).max(), 1e-6)
+    out.lt("|b - kappa|", np.abs(calc.b - 0.5).max(), 1e-6)
+    out.gt("max|s_ij|", np.abs(calc.s).max(), 1e-3)
     return out
 
 
@@ -287,10 +272,10 @@ def criterion_11():
     out = CriterionResult(11, "length-gradient identity on sphere_randers and fish_tank")
     for name, kw in [("sphere_randers", {"eps": 0.5}), ("fish_tank", {})]:
         m = get_metric(name, **kw).metric
+        calc = beta_derivatives(m, np.array(default_grid(m, margin=_MARGIN)))
         worst = 0.0
-        for x in default_grid(m, margin=_MARGIN):
-            if beta_derivatives(m, x).b > 0.1:
-                worst = max(worst, float(np.abs(beta_norm_gradient_check(m, x)).max()))
+        for k in np.flatnonzero(calc.b > 0.1):
+            worst = max(worst, float(np.abs(beta_norm_gradient_check(m, calc.row(k))).max()))
         out.lt(f"gradient identity ({name})", worst, 1e-5)
     return out
 
@@ -337,18 +322,16 @@ def criterion_13(seed=42):
         lam = rng.uniform(0.5, 2.0)
         F1 = finsler_eval(m, f, x, y)
         hom = max(hom, abs(finsler_eval(m, f, x, lam * y) - lam * F1))
-        G1 = spray_ab(m, f, x, y)
-        hom = max(hom, float(np.abs(spray_ab(m, f, x, lam * y) - lam * lam * G1).max()))
-        fd = fundamental(m, f, x, y)
-        cart = max(cart, float(np.abs(np.einsum("ijk,k->ij", fd.C, y)).max()))
-        B, _ = berwald(m, f, x, y)
+        cb = curvature_bundle(m, f, x, y)  # K on the edge u = (-y_2, y_1)
+        G2 = spray_ab(m, f, x, lam * y, bc=cb.bc)
+        hom = max(hom, float(np.abs(G2 - lam * lam * cb.G).max()))
+        cart = max(cart, float(np.abs(np.einsum("ijk,k->ij", cb.fd.C, y)).max()))
+        B = cb.B
         bsym = max(bsym, float(np.abs(B - np.transpose(B, (0, 2, 1, 3))).max()),
                    float(np.abs(B - np.transpose(B, (0, 1, 3, 2))).max()))
         bann = max(bann, float(np.abs(np.einsum("ijkl,l->ijk", B, y)).max()))
-        R, K1 = riemann_flag(m, f, x, y, u=np.array([-y[1], y[0]]))
         u2 = np.array([-y[1], y[0]]) + 0.7 * y
-        _, K2 = riemann_flag(m, f, x, y, u=u2, R=R)
-        flag = max(flag, abs(K1 - K2))
+        flag = max(flag, abs(cb.K - riemann_flag(m, f, x, y, u=u2, g=cb.fd.g, R=cb.R)[1]))
         # jet partial of F^2 vs a central difference in y
         jet = fsq_jet(m, f, x, y, 1)
         h = 1e-5

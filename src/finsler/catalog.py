@@ -1,6 +1,8 @@
 """Built-in metric constructions and the Zermelo navigation converter."""
 
+import inspect
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -22,7 +24,7 @@ class CatalogEntry:
     description: str = ""
 
 
-def _euclid(**params):
+def _euclid():
     m = MetricSpec(
         n=2,
         a=lambda x: np.eye(2),
@@ -34,7 +36,7 @@ def _euclid(**params):
                         "Euclidean plane, zero one-form")
 
 
-def _euclid_randers(eps=0.5, **params):
+def _euclid_randers(eps=0.5):
     if not abs(eps) < 1.0:
         raise ParamOutOfRange(f"euclid_randers requires |eps| < 1, got {eps}")
     b = np.array([float(eps), 0.0])
@@ -49,7 +51,7 @@ def _euclid_randers(eps=0.5, **params):
                         "flat Randers metric with a constant one-form")
 
 
-def _lie_group(**params):
+def _lie_group():
     def a(x):
         y = x[1]
         return np.array([[2.0, 1.0], [1.0, 2.0]]) / (y * y)
@@ -67,7 +69,7 @@ def _lie_group(**params):
                         "left-invariant Randers metric on the affine group of the upper half-plane")
 
 
-def _fish_tank(**params):
+def _fish_tank():
     def a(x):
         r2 = x[0] ** 2 + x[1] ** 2
         d = (1.0 - r2) ** 2
@@ -88,7 +90,7 @@ def _fish_tank(**params):
                         "rotational Randers metric on the unit disc with vanishing S- and flag curvature")
 
 
-def _mw(**params):
+def _mw():
     m = MetricSpec(
         n=2,
         a=lambda x: np.diag([1.0, math.exp(2.0 * x[0])]),
@@ -100,7 +102,7 @@ def _mw(**params):
                         "warped-product surface with a closed unit one-form")
 
 
-def _sphere_randers(eps=0.5, **params):
+def _sphere_randers(eps=0.5):
     if not abs(eps) < 1.0:
         raise ParamOutOfRange(f"sphere_randers requires |eps| < 1, got {eps}")
     e2 = 1.0 - eps * eps
@@ -125,7 +127,7 @@ def _sphere_randers(eps=0.5, **params):
                         "rotational Randers perturbation of the projective sphere metric, polar coordinates")
 
 
-def _bao_shen(K=2.0, sign=+1, **params):
+def _bao_shen(K=2.0, sign=+1):
     if not K > 1.0:
         raise ParamOutOfRange(f"bao_shen requires K > 1, got {K}")
     if sign not in (+1, -1):
@@ -157,7 +159,7 @@ def _bao_shen(K=2.0, sign=+1, **params):
                         "invariant Randers metrics on the 3-sphere with constant one-form length")
 
 
-def _proj_sphere_killing(kappa=0.5, **params):
+def _proj_sphere_killing(kappa=0.5):
     if not 0.0 < kappa < 1.0:
         raise ParamOutOfRange(f"proj_sphere_killing requires 0 < kappa < 1, got {kappa}")
 
@@ -196,12 +198,21 @@ def catalog_names():
 
 
 def get_metric(name, **params) -> CatalogEntry:
-    """Construct a catalog entry by name with its documented parameters."""
+    """Construct a catalog entry by name with its documented parameters, each a finite real."""
     try:
         factory = _FACTORIES[name]
     except KeyError:
         raise UnknownName(
             f"no catalog metric {name!r}; known: {', '.join(catalog_names())}") from None
+    known = inspect.signature(factory).parameters
+    for key, value in params.items():
+        if key not in known:
+            raise UnknownName(f"{name} has no parameter {key!r}; known: "
+                              f"{', '.join(known) or 'none'}")
+        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        if not (real and math.isfinite(value)):
+            raise ParamOutOfRange(f"{name} parameter {key!r} must be a finite real number, "
+                                  f"got {value!r}")
     return factory(**params)
 
 

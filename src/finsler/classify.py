@@ -31,6 +31,10 @@ TOL_S = 1e-5
 TOL_DUAL_ROUTE = 1e-4
 TOL_UNICORN = 1e-3  # rms of the unicorn fit
 
+#: the classification's grid points per axis: a coarser grid can be
+#: radius-symmetric and mask a non-constant one-form length
+PER_AXIS = 3
+
 VERDICTS = ("RiemannianIsotropic", "LocallyMinkowskiLike", "UnicornCase",
             "NotGeneralizedBerwald", "SNonzero", "Inconclusive")
 
@@ -180,7 +184,7 @@ def _flag_curvatures(m, f, bc, Y):
         return []
 
 
-def curvature_flags(m: MetricSpec, f: PhiFamily, calc: BetaCalculus, dirs=None) -> dict:
+def curvature_flags(m: MetricSpec, f: PhiFamily, calc: BetaCalculus, dirs) -> dict:
     """Berwald / Landsberg / Douglas / S-zero / Riemannian verdicts.
 
     ``calc`` is the beta calculus of the sample points, a ``(P, n)`` stack.
@@ -191,8 +195,6 @@ def curvature_flags(m: MetricSpec, f: PhiFamily, calc: BetaCalculus, dirs=None) 
     Where sigma fails, ``s_zero`` is an errored verdict carrying the first
     failure, and the other verdicts stand.
     """
-    if dirs is None:
-        dirs = default_directions(m.n)
     res = {"berwald": 0.0, "landsberg": 0.0, "douglas": 0.0,
            "s_zero": 0.0, "riemannian": 0.0}
     n_used = 0
@@ -229,7 +231,7 @@ def unicorn_fit(f_or_samples, b) -> UnicornFit:
     if isinstance(f_or_samples, PhiFamily):
         half = 0.999 * min(b, f_or_samples.b0) * (1.0 - max(0.05, f_or_samples.delta))
         s = np.linspace(-half, half, 20)
-        q = np.array([_q_series(f_or_samples, v, 0).value for v in s])
+        q = batched(lambda v: _q_series(f_or_samples, v, 0).value, s)
     else:
         s, q = (np.asarray(v, dtype=float) for v in f_or_samples)
     if len(s) < 2:
@@ -267,13 +269,13 @@ def theorem11_verdict(reports: dict, unicorn: Optional[UnicornFit] = None,
     return "Inconclusive", None
 
 
-def classify_metric(m: MetricSpec, f: PhiFamily, per_axis=3, dirs=None) -> ClassificationReport:
-    """Run every predicate on a default grid and assemble the report.
+def classify_metric(m: MetricSpec, f: PhiFamily, dirs=None) -> ClassificationReport:
+    """Run every predicate on a ``PER_AXIS`` grid and assemble the report.
 
     The grid's beta calculus is one stacked pass, redone one point at a time
     if it raises, so the error is the one the first failing point raises alone.
     """
-    grid = default_grid(m, per_axis)
+    grid = default_grid(m, PER_AXIS)
     if dirs is None:
         dirs = default_directions(m.n)
     calc = batched(partial(beta_derivatives, m), np.array(grid))
@@ -300,7 +302,7 @@ def classify_metric(m: MetricSpec, f: PhiFamily, per_axis=3, dirs=None) -> Class
                 except RankDeficient:
                     unicorn = None
     verdict, reason = theorem11_verdict(preds, unicorn=unicorn, flag_zero=flag_zero)
-    meta = {"per_axis": per_axis, "n_points": len(grid),
+    meta = {"per_axis": PER_AXIS, "n_points": len(grid),
             "n_directions": int(np.asarray(dirs).shape[0])}
     return ClassificationReport(metric_name=m.name, predicates=preds,
                                 verdict=verdict, unicorn=unicorn,

@@ -131,8 +131,11 @@ class RunConfig:
             self.metric, self.phi = _custom_metric(mdoc["custom"])
             self.metric_name = "custom"
         elif "name" in mdoc:
+            params = mdoc.get("params", {})
+            if not isinstance(params, dict):
+                raise ConfigError(f"metric.params must be an object, got {params!r}")
             try:
-                entry = get_metric(mdoc["name"], **mdoc.get("params", {}))
+                entry = get_metric(mdoc["name"], **params)
             except FinslerError as exc:
                 raise ConfigError(str(exc)) from exc
             self.metric, self.phi = entry.metric, entry.phi
@@ -168,7 +171,10 @@ def _config_from_args(args):
         if "=" not in item:
             raise ConfigError(f"--param expects key=value, got {item!r}")
         key, _, val = item.partition("=")
-        params[key] = json.loads(val)
+        try:
+            params[key] = json.loads(val)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"--param {key}: {val!r} is not a JSON value ({exc})") from exc
     doc = {"schema": 1, "metric": {"name": args.metric, "params": params}}
     if getattr(args, "per_axis", None) is not None:
         doc["grid"] = {"per_axis": args.per_axis}
@@ -237,9 +243,7 @@ def cmd_report(cfg):
             grad = None
         records += per_direction(lambda Y: _records(m, f, x, Y, grad, bc), dirs)
     try:
-        # classification always samples 3 points per axis: a coarser grid can
-        # be radius-symmetric and mask a non-constant one-form length
-        report = classify_metric(m, f, per_axis=3, dirs=dirs)
+        report = classify_metric(m, f, dirs)  # on its own grid, not the records'
         classification = json.loads(report.to_json())
     except FinslerError as exc:
         classification = {"error": f"{type(exc).__name__}: {exc}"}
@@ -338,11 +342,8 @@ def cmd_table(cfg, quantity):
 
 
 def cmd_classify(cfg):
-    report = classify_metric(cfg.metric, cfg.phi, per_axis=3,
-                             dirs=default_directions(cfg.metric.n,
-                                                     cfg.n_directions,
-                                                     seed=cfg.seed))
-    return report.to_json()
+    dirs = default_directions(cfg.metric.n, cfg.n_directions, seed=cfg.seed)
+    return classify_metric(cfg.metric, cfg.phi, dirs).to_json()
 
 
 def cmd_check(seed=42, stream=None):

@@ -2,7 +2,9 @@
 
 Metric and one-form evaluation, Christoffel symbols, the covariant derivative
 of the one-form, and the symmetric/antisymmetric split with all of its index
-raisings, at one point or a ``(P, n)`` stack; nothing here keeps state between calls.
+raisings, at one point or a ``(P, n)`` stack; nothing here keeps state between
+calls.  A command computes its sample set as one stack and hands each reader
+its point's row (``BetaCalculus.row``, ``grid_calculus``).
 """
 
 from dataclasses import dataclass
@@ -170,29 +172,22 @@ _GRID_CHUNK = 1024
 def grid_calculus(m: MetricSpec, points):
     """Each point's beta calculus, from one stacked pass per chunk of the points.
 
-    Where a chunk's pass raises, each of its points is computed alone, and a
-    point that raises alone gives ``None``: its reader calls
-    ``beta_derivatives`` at it, and so raises its error where it reads it.
+    Every point of a chunk whose pass raises gives ``None``: its reader calls
+    ``beta_derivatives`` at that point alone, once, and so raises the point's
+    own error where it reads it.
     """
     for start in range(0, len(points), _GRID_CHUNK):
         chunk = points[start:start + _GRID_CHUNK]
         try:
             stack = beta_derivatives(m, np.array(chunk))
         except Exception:  # noqa: BLE001 - each point then raises what it raises alone
-            for x in chunk:
-                try:
-                    bc = beta_derivatives(m, x)
-                except Exception:  # noqa: BLE001 - raised again at its reader
-                    bc = None
-                yield bc
+            yield from [None] * len(chunk)
         else:
             yield from (stack.row(k) for k in range(len(chunk)))
 
 
-def beta_norm_gradient_check(m: MetricSpec, x):
-    """Residual of d|beta|/dx^i = (r_i + s_i)/|beta|, componentwise."""
-    x = np.asarray(x, dtype=float)
-    bc = beta_derivatives(m, x)
+def beta_norm_gradient_check(m: MetricSpec, bc: BetaCalculus):
+    """Residual of d|beta|/dx^i = (r_i + s_i)/|beta|, componentwise, at ``bc``'s one point."""
     if bc.b <= 1e-12:
         raise ZeroNorm("one-form has zero length at this point")
 
@@ -201,7 +196,7 @@ def beta_norm_gradient_check(m: MetricSpec, x):
         b_i = m.b_at(xp)
         return float(np.sqrt(max(b_i @ a_inv @ b_i, 0.0)))
 
-    return base_derivative(partial(_at, norm), x) - (bc.r_i + bc.s_i) / bc.b
+    return base_derivative(partial(_at, norm), bc.x) - (bc.r_i + bc.s_i) / bc.b
 
 
 # Called nowhere in the package: perfbench/tracer.py traces this name and its

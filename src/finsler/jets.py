@@ -15,7 +15,7 @@ function, on floats and jets alike, goes through :func:`jet_apply`.
 
 A jet may carry a trailing batch axis: ``coeffs`` of shape ``(K, B)`` holds B
 jets, one per column, each with the bits it has alone, so one Python
-operation serves B samples.  Univariate tables are still built per column.
+operation serves B samples; so does one univariate table (:mod:`.series`).
 
 Base-point (x-)derivatives are a different regime: metric evaluators may hide
 quadratures that are cheap to re-evaluate but awkward to jet through, so every
@@ -196,12 +196,11 @@ class JetScalar:
         if o is NotImplemented:
             return o
         # the one product kernel: each output coefficient sums its table
-        # entries in table order; a batch gives each column its own bins
-        ii, jj, kk = _tables(self.n_vars, self.max_order)[2]
+        # entries in table order, each column in its own bins (one column
+        # where the jet has no batch axis)
+        ii, jj, _ = _tables(self.n_vars, self.max_order)[2]
         w = self.coeffs[ii] * o.coeffs[jj]
-        if w.ndim == 1:
-            return self._like(np.bincount(kk, weights=w, minlength=len(self.coeffs)))
-        out = np.bincount(_batch_bins(self.n_vars, self.max_order, w.shape[1]),
+        out = np.bincount(_batch_bins(self.n_vars, self.max_order, w[0].size),
                           weights=w.ravel(), minlength=self.coeffs.size)
         return self._like(out.reshape(self.coeffs.shape))
 

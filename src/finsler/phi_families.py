@@ -231,13 +231,13 @@ def ab_scalars(f: PhiFamily, b, s, n) -> AlphaBetaScalars:
 
 
 def ode_residual(f: PhiFamily, b, s):
-    """Residual of Q'' - s Q'/(b^2-s^2) + Q/(b^2-s^2) = 0."""
-    if abs(s) >= b:
-        raise DomainError(f"|s|={abs(s)} must be < b={b}")
-    qs = _q_series(f, s, 2)
-    q, qp, qpp = (qs.partial((k,)) for k in range(3))
+    """Residual of Q'' - s Q'/(b^2-s^2) + Q/(b^2-s^2) = 0, at s or at each s of an array."""
+    if (np.abs(s) >= b).any():
+        raise DomainError(f"|s|={np.max(np.abs(s))} must be < b={b}")
+    c = _q_series(f, s, 2).coeffs
     w = b * b - s * s
-    return qpp - s * qp / w + q / w
+    r = 2.0 * c[2] - s * c[1] / w + c[0] / w
+    return float(r) if np.ndim(r) == 0 else r
 
 
 def spray_scalar_series(f: PhiFamily, b, s0, order):

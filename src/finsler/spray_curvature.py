@@ -17,10 +17,14 @@ goes through as one jet batch and gives every field a leading B axis, each row
 with the bits of its direction alone.  :func:`per_direction` runs a caller's
 batch and, if it raises, redoes it one direction at a time.
 
+A sample's G, N and d^2 G come from one order-4 spray jet (``spray_data``),
+which ``riemann`` and ``s_curvature_def`` compute unless handed it; a jet of
+lower order gives the same bits, so the stencils and ``berwald`` run their own.
 :func:`curvature_bundle` evaluates the fiber tensors at a point for
-``report``, ``table`` and the classification, each on first read, from one
-copy of the fundamental data and of the order-4 spray jet.  A ``bc`` argument
-is the beta calculus of x, if at hand (a row of the caller's stacked pass).
+``report``, ``table``, the classification and ``check``, each on first read,
+from one copy of the fundamental data and of the order-4 spray jet.  A ``bc``
+argument is the beta calculus of x, if at hand (a row of the caller's stacked
+pass).
 """
 
 import math
@@ -178,11 +182,7 @@ def riemann(m: MetricSpec, f: PhiFamily, x, y, spray=None):
     """Riemann curvature R^i_k; ``spray`` is the ``spray_data`` of (x, y), if at hand."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if spray is None:
-        jets = spray_ab(m, f, x, y, order=2)
-        G, N, Gyy = (_fiber(jets, k) for k in range(3))
-    else:
-        G, N, Gyy = spray.G, spray.N, spray.G_jk
+    sd = spray_data(m, f, x, y) if spray is None else spray
 
     def g_and_n(xp):  # [G^i, N^i_k] as an (n, 1 + n) array per (point, direction)
         jets, lead = spray_ab(m, f, xp, y, order=1), _pairs_shape(xp, y)
@@ -195,8 +195,8 @@ def riemann(m: MetricSpec, f: PhiFamily, x, y, spray=None):
     Gx, Gxy = d[..., 0], np.ascontiguousarray(d[..., 1:])
     return (2.0 * Gx
             - np.einsum("...j,...ijk->...ik", y, Gxy)
-            + 2.0 * np.einsum("...j,...ijk->...ik", G, Gyy)
-            - N @ N)
+            + 2.0 * np.einsum("...j,...ijk->...ik", sd.G, sd.G_jk)
+            - sd.N @ sd.N)
 
 
 def riemann_flag(m: MetricSpec, f: PhiFamily, x, y, u=None, g=None, R=None):
@@ -240,9 +240,8 @@ def s_curvature_def(m: MetricSpec, f: PhiFamily, x, y, grad_ln_sigma=None,
     and the ``spray_data`` of (x, y) when the caller already has it.  One
     direction gives a float, a ``(B, n)`` stack a ``(B,)`` array.
     """
-    x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    N = spray.N if spray is not None else _fiber(spray_ab(m, f, x, y, order=1), 1)
+    N = (spray_data(m, f, x, y) if spray is None else spray).N
     div = sum(N[..., i, i] for i in range(m.n))
     if grad_ln_sigma is None:
         grad_ln_sigma = ln_sigma_gradient(m, f, x)

@@ -8,16 +8,18 @@ closely: ``report`` and ``table`` stdout are byte-stable, and the CSV shows
 only 12 digits.
 """
 
+import io
 import sys
 import types
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from finsler.catalog import catalog_names, get_metric
 from finsler.classify import default_grid
-from finsler.cli import RunConfig, cmd_table, main
+from finsler.cli import RunConfig, cmd_check, cmd_table, main
 from finsler.errors import DomainError, EvaluationError, SingularMetric
 from finsler.geometry_core import (BetaCalculus, ChartDomain, MetricSpec, _at,
                                    _inverse_spd, beta_derivatives)
@@ -25,6 +27,7 @@ from finsler.jets import base_derivative
 from finsler.spray_curvature import curvature_bundle, per_direction
 
 FIELDS = [name for name in BetaCalculus.__dataclass_fields__ if name != "n"]
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 def ref_base_derivative(field, x, axis):
@@ -286,12 +289,13 @@ def test_chunked_grid_passes_keep_the_table_bytes(quantity, monkeypatch):
 
 
 def _count_one_point_passes(monkeypatch):
-    """Calls of ``beta_derivatives`` at one point, through every module that binds it."""
+    """(spec, point) of each ``beta_derivatives`` call at one point, through every
+    module that binds it; the list keeps every spec alive, so no id is reused."""
     original, calls = beta_derivatives, []
 
     def counting(m, x):
         if np.ndim(x) == 1:
-            calls.append(x)
+            calls.append((m, tuple(np.asarray(x, dtype=float).tolist())))
         return original(m, x)
 
     for mod in list(sys.modules.values()):
@@ -310,3 +314,21 @@ def test_commands_make_no_one_point_pass(name, command, monkeypatch, capsys):
     assert main([command, "--metric", name, "--per-axis", "2", "--directions", "4"]) == 0
     capsys.readouterr()
     assert calls == []
+
+
+def test_check_computes_each_point_once(monkeypatch):
+    # every criterion hands its stack's rows, or one bundle's calculus, to
+    # whatever reads a point: no (spec, point) pair is passed twice
+    calls = _count_one_point_passes(monkeypatch)
+    assert cmd_check(stream=io.StringIO()) == 0
+    assert calls and len(calls) == len(set(calls))
+
+
+@pytest.mark.parametrize("name", ["singular_a", "singular_a_b_first"])
+def test_table_of_a_failing_grid_computes_each_point_once(name, monkeypatch, capsys):
+    # the grid's stacked pass raises, so the table computes each point alone,
+    # once, up to the first point that fails
+    calls = _count_one_point_passes(monkeypatch)
+    assert main(["table", "--config", str(FIXTURES / f"{name}.json"), "--quantity", "r"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert calls and len(calls) == len(set(calls))

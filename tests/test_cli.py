@@ -372,6 +372,33 @@ class TestMain:
         assert captured.err.startswith("error: ParamOutOfRange: unicorn family requires")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("metric,param,named", [
+        ("euclid_randers", "esp=0.3", "no parameter 'esp'"),  # once run with the default
+        ("euclid_randers", "eps=abc", "--param eps: 'abc' is not a JSON value"),
+        ("euclid_randers", 'eps="x"', "parameter 'eps' must be a finite real number, got 'x'"),
+        ("euclid_randers", "eps=[1]", "parameter 'eps' must be a finite real number, got [1]"),
+        ("euclid_randers", "eps=true", "parameter 'eps' must be a finite real number, got True"),
+        # once K > 1 held and every sample came out NaN
+        ("bao_shen", "K=Infinity", "parameter 'K' must be a finite real number, got inf"),
+    ])
+    def test_bad_catalog_parameter_exit_2(self, metric, param, named, capsys):
+        assert main(["classify", "--metric", metric, "--param", param]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and named in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("params,named", [
+        ({"esp": 0.3}, "no parameter 'esp'"),
+        ({"eps": "x"}, "parameter 'eps' must be a finite real number"),
+        ([0.3], "metric.params must be an object"),
+    ])
+    def test_bad_catalog_parameter_in_a_config_exit_2(self, params, named, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"schema": 1, "metric": {"name": "euclid_randers",
+                                                            "params": params}}))
+        assert main(["classify", "--config", str(path)]) == 2
+        assert named in capsys.readouterr().err
+
     @pytest.mark.parametrize("flags", [
         ["--per-axis", "3", "--directions", "2"],
         ["--seed", "42"],

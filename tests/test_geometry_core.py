@@ -67,12 +67,13 @@ class TestBetaCalculus:
 
     def test_gradient_identity_on_fish_tank(self):
         m = get_metric("fish_tank").metric
-        res = beta_norm_gradient_check(m, [0.3, 0.2])
+        res = beta_norm_gradient_check(m, beta_derivatives(m, [0.3, 0.2]))
         assert np.abs(res).max() < 1e-8
 
     def test_gradient_check_zero_norm(self):
         with pytest.raises(ZeroNorm):
-            beta_norm_gradient_check(_euclid_spec(), [0.0, 0.0])
+            m = _euclid_spec()
+            beta_norm_gradient_check(m, beta_derivatives(m, [0.0, 0.0]))
 
 
 class TestValidation:
@@ -114,7 +115,7 @@ def test_spec_released_when_classify_returns():
     # returns, nothing holds on to the metric spec
     entry = get_metric("lie_group")
     ref = weakref.ref(entry.metric)
-    classify_metric(entry.metric, entry.phi, per_axis=2)
+    classify_metric(entry.metric, entry.phi)
     del entry
     gc.collect()
     assert ref() is None

@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 
 from finsler.catalog import catalog_names, get_metric
+from finsler.classify import default_grid
 from finsler.errors import DomainError, EvaluationError
 from finsler.finsler_metric import fsq_jet, fundamental
 from finsler.jets import MAX_ORDER, jet_variable
-from finsler.spray_curvature import (berwald, douglas, ln_sigma_gradient,
+from finsler.spray_curvature import (_fiber, berwald, douglas, ln_sigma_gradient,
                                      s_curvature_def, spray_ab, spray_data)
 
 
@@ -166,6 +167,30 @@ def test_spray_data_bit_equal(name):
                           s_curvature_def(m, f, x, y, grad, spray=sd)):
                 assert type(got_s) is float
                 assert got_s == want_s
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_lower_order_spray_jets_have_the_order_4_bits(name):
+    # riemann and s_curvature_def read G, N and d^2 G off spray_data's
+    # order-4 jet, while riemann's stencil (order 1), berwald (order 3) and
+    # spray_ab's plain G (order 0) read their own: bit for bit, zeros signed
+    # alike, the same tensors
+    entry = get_metric(name)
+    m, f = entry.metric, entry.phi
+    Y = np.array(_directions(m.n))
+    for x in default_grid(m, 3):
+        for y in (Y, Y[1]):
+            sd = spray_data(m, f, x, y)
+            want = (sd.G, sd.N, sd.G_jk, sd.B)
+            assert _bits(spray_ab(m, f, x, y)) == _bits(sd.G)
+            for order in (1, 2, 3):
+                jets = spray_ab(m, f, x, y, order=order)
+                for k in range(order + 1):
+                    assert _bits(_fiber(jets, k)) == _bits(want[k])
+
+
+def _bits(T):
+    return T.shape, T.tobytes()
 
 
 def test_s_curvature_def_without_gradient_is_a_float():
