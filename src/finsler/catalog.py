@@ -24,13 +24,38 @@ class CatalogEntry:
     description: str = ""
 
 
+# Every catalog callable is stacked: it takes one point (n,) or a (P, n) stack
+# and unpacks the coordinates as x.T, floats at one point and (P,) rows of a
+# stack, so one point keeps the cost of float arithmetic.
+
+
+def _each(fn, v):
+    """``fn`` of every float of ``v``, one Python float at a time.
+
+    For libm's ``exp`` and ``pow``: numpy's array loops round some values
+    differently, and each row of a stack must keep the bits of its point.
+    """
+    return np.reshape([fn(t) for t in np.ravel(v).tolist()], np.shape(v))
+
+
+def _square(t):
+    return t ** 2  # libm pow, as a float's ** 2 is, not numpy's t * t
+
+
+def _diag(x, d0, d1):
+    """The 2 x 2 diagonal matrices of ``d0`` and ``d1`` at a point or a stack ``x``."""
+    out = np.zeros(x.shape[:-1] + (2, 2))
+    out[..., 0, 0], out[..., 1, 1] = d0, d1
+    return out
+
+
 def _euclid():
     m = MetricSpec(
         n=2,
-        a=lambda x: np.eye(2),
-        b_form=lambda x: np.zeros(2),
+        a=lambda x: np.tile(np.eye(2), x.shape[:-1] + (1, 1)),
+        b_form=lambda x: np.zeros(x.shape),
         chart_domain=ChartDomain((-1.0, -1.0), (1.0, 1.0)),
-        name="euclid",
+        name="euclid", stacked=True,
     )
     return CatalogEntry("euclid", m, RandersPhi(), {},
                         "Euclidean plane, zero one-form")
@@ -42,10 +67,10 @@ def _euclid_randers(eps=0.5):
     b = np.array([float(eps), 0.0])
     m = MetricSpec(
         n=2,
-        a=lambda x: np.eye(2),
-        b_form=lambda x: b.copy(),
+        a=lambda x: np.tile(np.eye(2), x.shape[:-1] + (1, 1)),
+        b_form=lambda x: np.tile(b, x.shape[:-1] + (1,)),
         chart_domain=ChartDomain((-1.0, -1.0), (1.0, 1.0)),
-        name="euclid_randers",
+        name="euclid_randers", stacked=True,
     )
     return CatalogEntry("euclid_randers", m, RandersPhi(), {"eps": eps},
                         "flat Randers metric with a constant one-form")
@@ -53,17 +78,17 @@ def _euclid_randers(eps=0.5):
 
 def _lie_group():
     def a(x):
-        y = x[1]
+        y = x.T[1][..., None, None]
         return np.array([[2.0, 1.0], [1.0, 2.0]]) / (y * y)
 
     def b(x):
-        y = x[1]
-        return np.array([1.0 / y, 1.0 / y])
+        inv = 1.0 / x.T[1]
+        return np.array([inv, inv]).T
 
     m = MetricSpec(
         n=2, a=a, b_form=b,
         chart_domain=ChartDomain((-3.0, 0.2), (3.0, 5.0)),
-        name="lie_group",
+        name="lie_group", stacked=True,
     )
     return CatalogEntry("lie_group", m, RandersPhi(), {},
                         "left-invariant Randers metric on the affine group of the upper half-plane")
@@ -71,20 +96,22 @@ def _lie_group():
 
 def _fish_tank():
     def a(x):
-        r2 = x[0] ** 2 + x[1] ** 2
-        d = (1.0 - r2) ** 2
-        return np.array([[1.0 - x[0] ** 2, -x[0] * x[1]],
-                         [-x[0] * x[1], 1.0 - x[1] ** 2]]) / d
+        x0, x1 = x.T
+        sq0, sq1 = _each(_square, x).T
+        off = -x0 * x1
+        m = np.array([[1.0 - sq0, off], [off, 1.0 - sq1]]).T  # symmetric: .T moves P first
+        return m / _each(_square, 1.0 - (sq0 + sq1))[..., None, None]
 
     def b(x):
-        r2 = x[0] ** 2 + x[1] ** 2
-        return np.array([x[1], -x[0]]) / (1.0 - r2)
+        x0, x1 = x.T
+        sq0, sq1 = _each(_square, x).T
+        return np.array([x1, -x0]).T / (1.0 - (sq0 + sq1))[..., None]
 
     m = MetricSpec(
         n=2, a=a, b_form=b,
         chart_domain=ChartDomain((-0.63, -0.63), (0.63, 0.63),
                                  predicate=lambda x: x[0] ** 2 + x[1] ** 2 < 0.95**2),
-        name="fish_tank",
+        name="fish_tank", stacked=True,
     )
     return CatalogEntry("fish_tank", m, RandersPhi(), {},
                         "rotational Randers metric on the unit disc with vanishing S- and flag curvature")
@@ -93,10 +120,10 @@ def _fish_tank():
 def _mw():
     m = MetricSpec(
         n=2,
-        a=lambda x: np.diag([1.0, math.exp(2.0 * x[0])]),
-        b_form=lambda x: np.array([1.0, 0.0]),
+        a=lambda x: _diag(x, 1.0, _each(math.exp, 2.0 * x.T[0])),
+        b_form=lambda x: np.tile([1.0, 0.0], x.shape[:-1] + (1,)),
         chart_domain=ChartDomain((-1.0, -1.0), (1.0, 1.0)),
-        name="mw",
+        name="mw", stacked=True,
     )
     return CatalogEntry("mw", m, RandersPhi(), {},
                         "warped-product surface with a closed unit one-form")
@@ -108,23 +135,26 @@ def _sphere_randers(eps=0.5):
     e2 = 1.0 - eps * eps
 
     def a(x):
-        r = x[0]
-        return np.diag([
-            1.0 / ((1.0 + r * r) * (1.0 + e2 * r * r)),
-            r * r * (1.0 + r * r) / (1.0 + e2 * r * r) ** 2,
-        ])
+        r = x.T[0]
+        return _diag(x, 1.0 / ((1.0 + r * r) * (1.0 + e2 * r * r)),
+                     r * r * (1.0 + r * r) / _each(_square, 1.0 + e2 * r * r))
 
     def b(x):
-        r = x[0]
-        return np.array([0.0, -eps * r * r / (1.0 + e2 * r * r)])
+        r = x.T[0]
+        return np.array([np.zeros_like(r), -eps * r * r / (1.0 + e2 * r * r)]).T
 
     m = MetricSpec(
         n=2, a=a, b_form=b,
         chart_domain=ChartDomain((0.1, 0.0), (3.0, 2.0 * math.pi)),
-        name="sphere_randers",
+        name="sphere_randers", stacked=True,
     )
     return CatalogEntry("sphere_randers", m, RandersPhi(), {"eps": eps},
                         "rotational Randers perturbation of the projective sphere metric, polar coordinates")
+
+
+#: the invariant coframes of ``_bao_shen`` as indices into (x, y, z, 1, -x, -y, -z):
+#: w1 = (1, -z, y), w2 = (z, 1, -x), w3 = (-y, x, 1)
+_COFRAME = np.array([[3, 6, 1], [2, 3, 4], [5, 0, 3]])
 
 
 def _bao_shen(K=2.0, sign=+1):
@@ -135,25 +165,25 @@ def _bao_shen(K=2.0, sign=+1):
     rootK1 = math.sqrt(K - 1.0)
 
     def frames(x):
-        xx, yy, zz = x
-        w1 = np.array([1.0, -zz, yy])
-        w2 = np.array([zz, 1.0, -xx])
-        w3 = np.array([-yy, xx, 1.0])
-        d = 1.0 + xx * xx + yy * yy + zz * zz
-        return w1, w2, w3, d
+        """w[..., k, :] is the coframe w_(k+1), d the conformal factor."""
+        xx, yy, zz = x.T
+        w = np.concatenate([x, np.ones(x.shape[:-1] + (1,)), -x], axis=-1)[..., _COFRAME]
+        return w, 1.0 + xx * xx + yy * yy + zz * zz
 
     def a(x):
-        w1, w2, w3, d = frames(x)
-        return (K * np.outer(w1, w1) + np.outer(w2, w2) + np.outer(w3, w3)) / (d * d)
+        w, d = frames(x)
+        outer = w[..., :, None] * w[..., None, :]  # outer[..., k, :, :] = w_k w_k^T
+        return ((K * outer[..., 0, :, :] + outer[..., 1, :, :] + outer[..., 2, :, :])
+                / (d * d)[..., None, None])
 
     def b(x):
-        w1, _, _, d = frames(x)
-        return sign * rootK1 * w1 / d
+        w, d = frames(x)
+        return sign * rootK1 * w[..., 0, :] / d[..., None]
 
     m = MetricSpec(
         n=3, a=a, b_form=b,
         chart_domain=ChartDomain((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0)),
-        name="bao_shen",
+        name="bao_shen", stacked=True,
     )
     return CatalogEntry("bao_shen", m, RandersPhi(), {"K": K, "sign": sign},
                         "invariant Randers metrics on the 3-sphere with constant one-form length")
@@ -163,19 +193,21 @@ def _proj_sphere_killing(kappa=0.5):
     if not 0.0 < kappa < 1.0:
         raise ParamOutOfRange(f"proj_sphere_killing requires 0 < kappa < 1, got {kappa}")
 
+    def r2(x):  # x @ x per point, with the bits of a one-point dot product
+        return (x[..., None, :] @ x[..., :, None])[..., 0, 0]
+
     def a(x):
-        x = np.asarray(x, dtype=float)
-        r2 = float(x @ x)
-        return ((1.0 + r2) * np.eye(3) - np.outer(x, x)) / (1.0 + r2) ** 2
+        c = (1.0 + r2(x))[..., None, None]
+        return (c * np.eye(3) - x[..., :, None] * x[..., None, :]) / _each(_square, c)
 
     def b(x):
-        r2 = float(np.asarray(x) @ np.asarray(x))
-        return kappa * np.array([x[2], 1.0, -x[0]]) / (1.0 + r2)
+        x0, _, x2 = x.T
+        return kappa * np.array([x2, np.ones_like(x0), -x0]).T / (1.0 + r2(x))[..., None]
 
     m = MetricSpec(
         n=3, a=a, b_form=b,
         chart_domain=ChartDomain((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0)),
-        name="proj_sphere_killing",
+        name="proj_sphere_killing", stacked=True,
     )
     return CatalogEntry("proj_sphere_killing", m, RandersPhi(), {"kappa": kappa},
                         "projective sphere metric with a non-closed Killing one-form of constant length")

@@ -199,7 +199,7 @@ def curvature_flags(m: MetricSpec, f: PhiFamily, calc: BetaCalculus, dirs) -> di
            "s_zero": 0.0, "riemannian": 0.0}
     n_used = 0
     sigma_error = None
-    for bc in map(calc.row, range(len(calc.x))):
+    for bc in calc.rows():
         usable = _admissible_dirs(f, bc, np.asarray(dirs, dtype=float))
         if not len(usable):
             continue

@@ -25,7 +25,7 @@ from .errors import ConfigError, DimensionError, FinslerError, UnknownQuantity
 from .exprparse import parse
 from .exprparse import eval_expr
 from .finsler_metric import sigma_bh
-from .geometry_core import ChartDomain, MetricSpec, beta_derivatives, grid_calculus
+from .geometry_core import ChartDomain, MetricSpec, grid_calculus
 from .phi_families import (CustomExprPhi, RandersPhi, RiemannSqrtPhi,
                            UnicornPhi, _q_series)
 # curvature_bundle calls riemann_flag; perfbench/tests/test_tracer.py requires it bound here
@@ -330,7 +330,8 @@ def cmd_table(cfg, quantity):
             rows = per_direction(lambda Y: _fiber_cells(
                 quantity, curvature_bundle(m, f, x, Y, grad, bc)), dirs)
         else:
-            bc = beta_derivatives(m, x) if bc is None else bc  # raises where x fails
+            if isinstance(bc, Exception):  # x's own calculus raised it
+                raise bc
             rows = [_header_and_row(quantity, m, bc, x, y, f) for y in dirs]
         if k == 0:
             axes = ("x", "y") if directional else ("x",)

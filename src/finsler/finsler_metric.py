@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import (DimensionError, NonPositiveDensity,
                      SingularDirectionInQuadrature, SingularG, ZeroVector)
-from .geometry_core import MetricSpec, _at, _inverse_cholesky, _inverse_spd
+from .geometry_core import MetricSpec, _inverse_cholesky, _inverse_spd
 from .jets import jet_form, jet_variable
 from .phi_families import PhiFamily
 
@@ -93,7 +93,7 @@ def fsq_jet(m: MetricSpec, f: PhiFamily, x, y, order):
     """
     x = np.asarray(x, dtype=float)
     y, col = pair_columns(x, y)
-    _, A, _, s = alpha_beta_jets(col(_at(m.a_at, x)), col(_at(m.b_at, x)), f, y, order)
+    _, A, _, s = alpha_beta_jets(col(m.a_at(x)), col(m.b_at(x)), f, y, order)
     phi = s.compose_series(f.taylor(s.value, order))
     return A * phi * phi
 

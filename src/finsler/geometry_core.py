@@ -3,8 +3,10 @@
 Metric and one-form evaluation, Christoffel symbols, the covariant derivative
 of the one-form, and the symmetric/antisymmetric split with all of its index
 raisings, at one point or a ``(P, n)`` stack; nothing here keeps state between
-calls.  A command computes its sample set as one stack and hands each reader
-its point's row (``BetaCalculus.row``, ``grid_calculus``).
+calls.  ``MetricSpec.a_at`` and ``b_at`` evaluate a whole stack (a stencil's,
+or a grid's) in one call of a spec declared ``stacked``, and one call per row
+otherwise.  A command computes its sample set as one stack and hands each
+reader its point's row (``BetaCalculus.rows``, ``grid_calculus``).
 """
 
 from dataclasses import dataclass
@@ -44,24 +46,37 @@ class ChartDomain:
 
 @dataclass(eq=False, frozen=True)
 class MetricSpec:
-    """Riemannian metric a_ij(x) and one-form b_i(x) on an n-dimensional chart."""
+    """Riemannian metric a_ij(x) and one-form b_i(x) on an n-dimensional chart.
+
+    ``a`` and ``b_form`` take one point ``(n,)`` and return ``(n, n)`` and
+    ``(n,)``.  ``stacked=True`` declares that they also take a ``(P, n)``
+    stack (coordinate k is ``x[..., k]``) and return ``(P, n, n)`` and
+    ``(P, n)``, each row with the bytes of its point's one-point call.
+    ``a_at`` and ``b_at`` call a stacked spec once per stack and any other
+    once per row: an output's shape cannot tell them apart.
+    """
 
     n: int
     a: Callable  # x -> (n, n) symmetric positive-definite matrix
     b_form: Callable  # x -> (n,) covector
     chart_domain: ChartDomain
     name: str = "custom"
+    stacked: bool = False
 
     def a_at(self, x):
-        m = np.asarray(self.a(np.asarray(x, dtype=float)), dtype=float)
-        if m.shape != (self.n, self.n):
-            raise DimensionMismatch(f"a(x) has shape {m.shape}, expected {(self.n, self.n)}")
-        return m
+        return self._evaluate(self.a, "a", x, (self.n, self.n))
 
     def b_at(self, x):
-        v = np.asarray(self.b_form(np.asarray(x, dtype=float)), dtype=float)
-        if v.shape != (self.n,):
-            raise DimensionMismatch(f"b(x) has shape {v.shape}, expected {(self.n,)}")
+        return self._evaluate(self.b_form, "b", x, (self.n,))
+
+    def _evaluate(self, field, name, x, shape):
+        x = np.asarray(x, dtype=float)
+        if x.ndim > 1 and not self.stacked:  # one call per row, each checked alone
+            return np.array([self._evaluate(field, name, p, shape) for p in x])
+        v = np.asarray(field(x), dtype=float, order="C")
+        if v.shape != x.shape[:-1] + shape:
+            raise DimensionMismatch(f"{name}(x) has shape {v.shape}, "
+                                    f"expected {x.shape[:-1] + shape}")
         return v
 
 
@@ -87,7 +102,8 @@ def _lower_triangle(n):
 
 
 def _at(field, x):
-    """``field`` at one point ``(n,)``, or stacked over the rows of a ``(P, n)`` stack."""
+    """``field`` at one point ``(n,)``, or stacked over the rows of a ``(P, n)`` stack:
+    the row map of ln sigma and of the one-form's length, which take one point."""
     return field(x) if x.ndim == 1 else np.array([field(p) for p in x])
 
 
@@ -95,11 +111,11 @@ def christoffels(m: MetricSpec, x, a_inv=None):
     """Levi-Civita connection of alpha at ``x`` or a ``(P, n)`` stack; ``a_inv`` is a(x)^-1."""
     x = np.asarray(x, dtype=float)
     if a_inv is None:
-        a_inv = _inverse_spd(_at(m.a_at, x))
+        a_inv = _inverse_spd(m.a_at(x))
     n = m.n
     # da[..., k, i, j] = d a_ij / d x^k, points first; the upper triangle is
     # mirrored so an a(x) symmetric only to roundoff gives a symmetric da
-    da = np.moveaxis(base_derivative(partial(_at, m.a_at), x), -1, -3)
+    da = np.moveaxis(base_derivative(m.a_at, x), -1, -3)
     rows, cols = _lower_triangle(n)
     da[..., rows, cols] = da[..., cols, rows]
     # term[..., m, j, k] = da[j, m, k] + da[k, m, j] - da[m, j, k]
@@ -138,6 +154,15 @@ class BetaCalculus:
         fields.update(n=self.n, b2=float(fields["b2"]), b=float(fields["b"]))
         return BetaCalculus(**fields)
 
+    def rows(self):
+        """Every point of a stack in order, each as ``row`` gives it: the
+        fields' rows zipped, not indexed one point at a time."""
+        names = [key for key in vars(self) if key != "n"]
+        columns = [value if value.ndim > 1 else value.tolist()  # b2, b: floats
+                   for value in map(vars(self).get, names)]
+        for values in zip(*columns):
+            yield BetaCalculus(n=self.n, **dict(zip(names, values)))
+
 
 def beta_derivatives(m: MetricSpec, x) -> BetaCalculus:
     """Covariant derivative of the one-form and its full index menagerie, at one
@@ -145,11 +170,11 @@ def beta_derivatives(m: MetricSpec, x) -> BetaCalculus:
     x = np.asarray(x, dtype=float)
     if not len(x):
         raise DomainError("beta_derivatives needs at least one point, got an empty stack")
-    a = _at(m.a_at, x)
+    a = m.a_at(x)
     a_inv = _inverse_spd(a)
     gamma = christoffels(m, x, a_inv)
-    b_i = _at(m.b_at, x)
-    db = base_derivative(partial(_at, m.b_at), x)  # db[..., i, j] = d b_i / d x^j, points first
+    b_i = m.b_at(x)
+    db = base_derivative(m.b_at, x)  # db[..., i, j] = d b_i / d x^j, points first
     bij = db - np.einsum("...k,...kij->...ij", b_i, gamma)
     bji = bij.swapaxes(-1, -2)
     r = 0.5 * (bij + bji)
@@ -172,18 +197,24 @@ _GRID_CHUNK = 1024
 def grid_calculus(m: MetricSpec, points):
     """Each point's beta calculus, from one stacked pass per chunk of the points.
 
-    Every point of a chunk whose pass raises gives ``None``: its reader calls
-    ``beta_derivatives`` at that point alone, once, and so raises the point's
-    own error where it reads it.
+    Where a chunk's pass raises, each of its points is computed alone, once,
+    as the reader reaches it, and a point that raises alone gives the
+    exception itself: its reader raises it where it needs the calculus
+    (``table``, or a bundle's ``bc``), as a one-point call would.
     """
     for start in range(0, len(points), _GRID_CHUNK):
         chunk = points[start:start + _GRID_CHUNK]
         try:
             stack = beta_derivatives(m, np.array(chunk))
         except Exception:  # noqa: BLE001 - each point then raises what it raises alone
-            yield from [None] * len(chunk)
+            for x in chunk:
+                try:
+                    bc = beta_derivatives(m, x)
+                except Exception as exc:  # noqa: BLE001 - handed to the reader, which raises it
+                    bc = exc
+                yield bc
         else:
-            yield from (stack.row(k) for k in range(len(chunk)))
+            yield from stack.rows()
 
 
 def beta_norm_gradient_check(m: MetricSpec, bc: BetaCalculus):

@@ -332,7 +332,9 @@ class CurvatureBundle:
     ``fd`` (``fundamental``) and one ``spray`` (``spray_data``, an order-4
     jet).  A field raises when read, so the caller's reading order fixes which
     error a sample reports.  ``grad_ln_sigma`` feeds ``S_def`` if at hand, and
-    ``bc`` feeds ``spray`` and ``S_formula``, else is computed on first read.
+    ``bc`` feeds ``spray`` and ``S_formula``, else is computed on first read;
+    ``bc`` may also be the exception x's calculus raised (``grid_calculus``),
+    raised again wherever the calculus is read.
     """
 
     def __init__(self, m: MetricSpec, f: PhiFamily, x, y, grad_ln_sigma=None, bc=None):
@@ -341,10 +343,15 @@ class CurvatureBundle:
         self.dirs = np.reshape(self.y, (-1, m.n))  # y as a stack
         if not len(self.dirs):
             raise DomainError("curvature_bundle needs at least one direction, got an empty stack")
-        if bc is not None:
-            self.bc = bc  # the cached_property's slot
+        self._bc = bc
 
-    bc = cached_property(lambda self: beta_derivatives(self.m, self.x))
+    @cached_property
+    def bc(self):
+        """The ``bc`` handed in, else one pass of its own; a handed-in exception is raised."""
+        if isinstance(self._bc, Exception):
+            raise self._bc
+        return beta_derivatives(self.m, self.x) if self._bc is None else self._bc
+
     fd = cached_property(lambda self: fundamental(self.m, self.f, self.x, self.y))
     spray = cached_property(lambda self: spray_data(self.m, self.f, self.x, self.y, self.bc))
     G = property(lambda self: self.spray.G)

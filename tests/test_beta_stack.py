@@ -324,6 +324,25 @@ def test_check_computes_each_point_once(monkeypatch):
     assert calls and len(calls) == len(set(calls))
 
 
+@pytest.mark.parametrize("argv", [["report"], ["table", "--quantity", "K"],
+                                  ["table", "--quantity", "B"]])
+def test_directions_of_a_failing_grid_share_their_point_once(argv, monkeypatch, capsys):
+    # the grid's stacked pass raises, and so does each point's direction
+    # batch: the bundles of its directions, redone one at a time, share the
+    # point's calculus or its error.  The classification samples its own
+    # grid, and its redo is not the records' concern here
+    import finsler.cli as cli
+
+    def no_classification(*args):
+        raise DomainError("not sampled here")
+
+    monkeypatch.setattr(cli, "classify_metric", no_classification)
+    calls = _count_one_point_passes(monkeypatch)
+    main([argv[0], "--config", str(FIXTURES / "singular_a_b_first.json"), *argv[1:]])
+    capsys.readouterr()
+    assert calls and len(calls) == len(set(calls))
+
+
 @pytest.mark.parametrize("name", ["singular_a", "singular_a_b_first"])
 def test_table_of_a_failing_grid_computes_each_point_once(name, monkeypatch, capsys):
     # the grid's stacked pass raises, so the table computes each point alone,
