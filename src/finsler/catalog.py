@@ -34,8 +34,11 @@ def _each(fn, v):
 
     For libm's ``exp`` and ``pow``: numpy's array loops round some values
     differently, and each row of a stack must keep the bits of its point.
+    A scalar ``v``, one point's coordinate, skips the array round trip.
     """
-    return np.reshape([fn(t) for t in np.ravel(v).tolist()], np.shape(v))
+    if not np.ndim(v):
+        return np.float64(fn(float(v)))
+    return np.array([fn(t) for t in v.ravel().tolist()]).reshape(v.shape)
 
 
 def _square(t):

@@ -160,18 +160,43 @@ def randers_s0_shortcut(calc: BetaCalculus, f: PhiFamily, tol=TOL_TENSOR) -> Ver
     return Verdict(residual < tol, residual, tol, len(calc.b))
 
 
-def _sample_norms(m, f, bc, Y, grad):
+def _sample_norms(m, f, bc, Y, grad, owner=None):
     """Max-norms of B, L, D, S and C per direction of Y, each scaled to F = 1.
 
-    S reads 0 where ``grad``, the gradient of ln sigma, is None: sigma failed.
+    With ``owner``, ``bc`` is the calculus of a point stack, and direction
+    ``Y[j]`` sits at its point ``owner[j]`` (``pair_columns``) with the
+    gradient ``grad[j]``.  S reads 0 where ``grad``, the gradient of ln
+    sigma, is None: sigma failed.
     """
-    Y = Y / np.sqrt(fsq_jet(m, f, bc.x, Y, 0).value)[..., None]
-    cb = curvature_bundle(m, f, bc.x, Y, grad, bc)
+    Y = Y / np.sqrt(fsq_jet(m, f, bc.x, Y, 0, owner).value)[..., None]
+    cb = curvature_bundle(m, f, bc.x, Y, grad, bc, owner)
     C = cb.fd.C  # before the spray: a failing sample raises what `fundamental` does
     return np.column_stack([np.abs(np.reshape(T, (len(cb.dirs), -1))).max(axis=1)
                             for T in (cb.B, cb.L, cb.D,
                                       cb.S_def if grad is not None else np.zeros(len(cb.dirs)),
-                                      C)]).tolist()
+                                      C)])
+
+
+#: (point, direction) pairs per jet batch of ``curvature_flags``
+_PAIR_CHUNK = 1024
+
+
+def _grid_norms(m, f, calc, samples):
+    """``_sample_norms`` rows of every (point, direction) pair of ``samples``,
+    point-major, from one jet batch per ``_PAIR_CHUNK`` pairs."""
+    owner = np.concatenate([np.full(len(usable), k) for k, usable, _ in samples])
+    Y = np.concatenate([usable for _, usable, _ in samples])
+    # each pair's gradient of ln sigma, zero where sigma failed at its point
+    grad = np.concatenate([np.zeros_like(usable) if g is None else np.tile(g, (len(usable), 1))
+                           for _, usable, g in samples])
+    sigma_ok = np.concatenate([np.full(len(usable), g is not None) for _, usable, g in samples])
+    rows = []
+    for start in range(0, len(Y), _PAIR_CHUNK):
+        part = slice(start, start + _PAIR_CHUNK)
+        norms = _sample_norms(m, f, calc, Y[part], grad[part], owner[part])
+        norms[~sigma_ok[part], 3] = 0.0  # S where sigma failed
+        rows += norms.tolist()
+    return rows
 
 
 def _flag_curvatures(m, f, bc, Y):
@@ -190,16 +215,16 @@ def curvature_flags(m: MetricSpec, f: PhiFamily, calc: BetaCalculus, dirs) -> di
     ``calc`` is the beta calculus of the sample points, a ``(P, n)`` stack.
     Directions are normalized to F = 1 before evaluation so the max-norms are
     scale-invariant; directions outside the regular cone of almost-regular
-    families are dropped.  Each point's directions go through as one batch,
-    redone one at a time if it raises, so an error is the one raised alone.
+    families are dropped, each point keeping its own admissible set.  Every
+    (point, direction) pair of the grid goes through one jet batch per
+    ``_PAIR_CHUNK`` pairs; if one raises, each point is redone alone, and
+    then one direction at a time, so an error is the one raised alone.
     Where sigma fails, ``s_zero`` is an errored verdict carrying the first
     failure, and the other verdicts stand.
     """
-    res = {"berwald": 0.0, "landsberg": 0.0, "douglas": 0.0,
-           "s_zero": 0.0, "riemannian": 0.0}
-    n_used = 0
+    samples = []  # (point index, admissible directions, ln sigma gradient or None)
     sigma_error = None
-    for bc in calc.rows():
+    for k, bc in enumerate(calc.rows()):
         usable = _admissible_dirs(f, bc, np.asarray(dirs, dtype=float))
         if not len(usable):
             continue
@@ -207,16 +232,23 @@ def curvature_flags(m: MetricSpec, f: PhiFamily, calc: BetaCalculus, dirs) -> di
             grad = ln_sigma_gradient(m, f, bc.x)
         except FinslerError as exc:
             grad, sigma_error = None, sigma_error or exc
-        for row in per_direction(lambda Y: _sample_norms(m, f, bc, Y, grad), usable):
-            for name, r in zip(res, row):
-                res[name] = max(res[name], r)
-            n_used += 1
-    if n_used == 0:
+        samples.append((k, usable, grad))
+    if not samples:
         raise AllSamplesSingular("every grid x direction sample was inadmissible")
+    try:
+        rows = _grid_norms(m, f, calc, samples)
+    except FinslerError:
+        rows = [row for k, usable, grad in samples for row in per_direction(
+            lambda Y: _sample_norms(m, f, calc.row(k), Y, grad).tolist(), usable)]
+    res = {"berwald": 0.0, "landsberg": 0.0, "douglas": 0.0,
+           "s_zero": 0.0, "riemannian": 0.0}
+    for row in rows:
+        for name, r in zip(res, row):
+            res[name] = max(res[name], r)
     out = {}
     for name, r in res.items():
         t = TOL_S if name == "s_zero" else TOL_TENSOR
-        out[name] = Verdict(r < t, r, t, n_used)
+        out[name] = Verdict(r < t, r, t, len(rows))
     if sigma_error is not None:
         out["s_zero"] = Verdict.errored(TOL_S, sigma_error)
     return out

@@ -35,11 +35,11 @@ def finsler_eval(m: MetricSpec, f: PhiFamily, x, y):
     return alpha * f.value(s)
 
 
-def finsler_eval_many(m: MetricSpec, f: PhiFamily, x, Y):
-    """Vectorized F over rows of ``Y``; returns (F values, s values)."""
+def finsler_eval_many(m: MetricSpec, f: PhiFamily, x, Y, a=None, b=None):
+    """Vectorized F over rows of ``Y``, given a(x) and b(x) if at hand; returns (F, s)."""
     Y = np.asarray(Y, dtype=float)
-    a = m.a_at(x)
-    b = m.b_at(x)
+    a = m.a_at(x) if a is None else a
+    b = m.b_at(x) if b is None else b
     # term by term in this order: the bits of einsum("ki,ij,kj->k") at less
     # than half its cost (Y @ a, faster still, sums in another order)
     alpha2 = 0.0
@@ -51,13 +51,15 @@ def finsler_eval_many(m: MetricSpec, f: PhiFamily, x, Y):
     return alpha * f.value_many(s), s
 
 
-def pair_columns(x, y):
-    """The (point, direction) pairs of ``x`` and ``y`` as jet columns, point-major.
+def pair_columns(x, y, owner=None):
+    """(Point, direction) pairs as jet columns: column j is ``y[j]`` at ``x[owner[j]]``.
 
-    ``x`` is one point or a ``(S, n)`` stack, ``y`` one direction or a ``(B, n)``
-    stack.  Returns each column's direction, and ``col``, which lays a per-point
-    field out as ``jet_form`` coefficients: unchanged for one pair, else with a
-    trailing column axis (of length 1 at one point).  Pair (k, b) is column k B + b.
+    ``x`` is one point or a ``(S, n)`` stack, and ``owner`` indexes it once
+    per row of ``y``.  Without ``owner`` every point pairs with ``y``, one
+    direction or a ``(B, n)`` stack, point-major: ``owner = repeat(arange(S), B)``.
+    Returns each column's direction, and ``col``, which lays a per-point field
+    out as ``jet_form`` coefficients: unchanged for one pair, else with a
+    trailing column axis (of length 1 at one point).
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -65,9 +67,10 @@ def pair_columns(x, y):
         if y.ndim == 1:
             return y, lambda v: v
         return y, lambda v: v if np.ndim(v) == 0 else v[..., None]
-    reps = 1 if y.ndim == 1 else len(y)
-    return (np.tile(y, (len(x), 1)),
-            lambda v: np.moveaxis(np.repeat(v, reps, axis=0), 0, -1))
+    if owner is None:
+        owner = np.repeat(np.arange(len(x)), 1 if y.ndim == 1 else len(y))
+        y = np.tile(y, (len(x), 1))
+    return y, lambda v: np.moveaxis(v[owner], 0, -1)
 
 
 def alpha_beta_jets(a, b_i, f: PhiFamily, y, order):
@@ -86,13 +89,14 @@ def alpha_beta_jets(a, b_i, f: PhiFamily, y, order):
     return yj, A, alpha, s
 
 
-def fsq_jet(m: MetricSpec, f: PhiFamily, x, y, order):
+def fsq_jet(m: MetricSpec, f: PhiFamily, x, y, order, owner=None):
     """Jet of F^2 in the fiber variables, exact to ``order``; batched for a stack of y.
 
-    A ``(S, n)`` stack of x runs every (point, direction) pair (``pair_columns``).
+    A ``(S, n)`` stack of x runs its (point, direction) pairs, every one or
+    those ``owner`` names (``pair_columns``), as one batch.
     """
     x = np.asarray(x, dtype=float)
-    y, col = pair_columns(x, y)
+    y, col = pair_columns(x, y, owner)
     _, A, _, s = alpha_beta_jets(col(m.a_at(x)), col(m.b_at(x)), f, y, order)
     phi = s.compose_series(f.taylor(s.value, order))
     return A * phi * phi
@@ -111,10 +115,11 @@ class FundamentalData:
     h: np.ndarray  # angular metric h_ij
 
 
-def fundamental(m: MetricSpec, f: PhiFamily, x, y) -> FundamentalData:
-    """All fundamental-tensor data from an order-3 fiber jet of F^2, batched for a stack of y."""
+def fundamental(m: MetricSpec, f: PhiFamily, x, y, owner=None) -> FundamentalData:
+    """All fundamental-tensor data from an order-3 fiber jet of F^2, batched for a stack of y
+    (or of the (point, direction) pairs of ``owner``, ``pair_columns``)."""
     y = np.asarray(y, dtype=float)
-    jet = fsq_jet(m, f, x, y, 3)
+    jet = fsq_jet(m, f, x, y, 3, owner)
     F = np.sqrt(jet.value)
     g = 0.5 * jet.tensor(2)
     C = 0.25 * jet.tensor(3)
@@ -129,21 +134,21 @@ def fundamental(m: MetricSpec, f: PhiFamily, x, y) -> FundamentalData:
                            ell=y / F_col, h=h)
 
 
-def _radii(m, f, x, dirs, h, to_y):
-    """1/F at the directions ``dirs @ to_y``.
+def _radii(m, f, x, ab, dirs, h, to_y):
+    """1/F at the directions ``dirs @ to_y``; ``ab`` is the pair a(x), b(x).
 
     A node past the admissible |s| of an almost-regular family turns by h/2
     about the polar axis.  F <= 0 or non-finite at a node raises: there the
     unit ball is unbounded or undefined, and no turned node would measure it.
     """
-    F, s = finsler_eval_many(m, f, x, dirs @ to_y)
+    F, s = finsler_eval_many(m, f, x, dirs @ to_y, *ab)
     half = f.b0 * (1.0 - f.delta)
     bad = np.abs(s) > half
     if np.any(bad):
         c, s_ = math.cos(0.5 * h), math.sin(0.5 * h)
         rot = np.eye(m.n)
         rot[:2, :2] = [[c, -s_], [s_, c]]
-        F[bad], s[bad] = finsler_eval_many(m, f, x, dirs[bad] @ rot.T @ to_y)
+        F[bad], s[bad] = finsler_eval_many(m, f, x, dirs[bad] @ rot.T @ to_y, *ab)
         still = np.abs(s) > half
         if np.any(still):
             raise SingularDirectionInQuadrature(
@@ -203,10 +208,12 @@ def sigma_bh(m: MetricSpec, f: PhiFamily, x):
     (an unbounded unit ball, as for Randers with |b|_alpha = 1) raises
     ``SingularDirectionInQuadrature``.
     """
-    to_y = _inverse_cholesky(m.a_at(x))
+    a = m.a_at(x)
+    to_y = _inverse_cholesky(a)
+    ab = a, m.b_at(x)  # once per sweep, for every node
     for refine in (1, 4):
         h, (dirs, w) = _polar_nodes(m.n, refine)
-        r = _radii(m, f, x, dirs, h, to_y)
+        r = _radii(m, f, x, ab, dirs, h, to_y)
         if r.max() <= _MAX_RADIUS_RATIO[m.n] * r.min():
             break
     vol = float(w @ r ** m.n) * float(np.prod(np.diag(to_y)))

@@ -14,8 +14,14 @@ redone one point at a time if that batch raises.
 ``riemann``, ``riemann_flag``, ``s_curvature_def``, ``s_curvature_formula`` and
 ``h_curvature`` take one direction ``y`` or a ``(B, n)`` stack at one x, which
 goes through as one jet batch and gives every field a leading B axis, each row
-with the bits of its direction alone.  :func:`per_direction` runs a caller's
-batch and, if it raises, redoes it one direction at a time.
+with the bits of its direction alone.  The fiber-level ones (``spray_ab``,
+``spray_data`` and a bundle's fiber fields, as ``fsq_jet`` and
+``fundamental``) also take a ``(S, n)`` stack of x with an
+``owner`` array: pair j is direction ``y[j]`` at point ``x[owner[j]]``, one
+jet column per pair, so a whole grid's samples, with directions that differ
+from point to point, go through as one batch (``pair_columns``).
+:func:`per_direction` runs a caller's batch and, if it raises, redoes it one
+direction at a time.
 
 A sample's G, N and d^2 G come from one order-4 spray jet (``spray_data``),
 which ``riemann`` and ``s_curvature_def`` compute unless handed it; a jet of
@@ -54,12 +60,12 @@ def per_direction(fn, Y):
         return [item for y in Y for item in fn(y)]
 
 
-def _spray_jets(bc, f: PhiFamily, y, order):
+def _spray_jets(bc, f: PhiFamily, y, order, owner=None):
     """G^i as fiber jets of the requested order, from the one-form calculus.
 
-    A stacked ``bc`` pairs each of its points with every direction, point-major.
+    A stacked ``bc`` runs the (point, direction) pairs of ``pair_columns``.
     """
-    y, col = pair_columns(bc.x, y)
+    y, col = pair_columns(bc.x, y, owner)
     yj, _, alpha, s = alpha_beta_jets(col(bc.a), col(bc.b_i), f, y, order)
     q_t, theta_t, psi_t = spray_scalar_series(f, col(bc.b), s.value, order)
     Q = s.compose_series(q_t.coeffs)
@@ -71,20 +77,21 @@ def _spray_jets(bc, f: PhiFamily, y, order):
             + core * (Theta * yj[i] + alpha * Psi * b_up[i]) for i in range(bc.n)]
 
 
-def spray_ab(m: MetricSpec, f: PhiFamily, x, y, order=0, bc=None):
+def spray_ab(m: MetricSpec, f: PhiFamily, x, y, order=0, bc=None, owner=None):
     """Spray coefficients G^i by the (alpha, beta) formula.
 
     With ``order`` 0 returns a plain array; otherwise a list of jets carrying
     exact y-derivatives up to ``order``.  A ``(S, n)`` stack of x takes its
-    beta calculus from one stacked ``beta_derivatives`` and runs every
-    (point, direction) pair as one jet batch (``pair_columns``); order 0 then
-    gives a leading S axis.
+    beta calculus from one stacked ``beta_derivatives`` and runs its
+    (point, direction) pairs as one jet batch: every pair, point-major, and
+    order 0 then gives a leading S axis; or, with ``owner``, direction
+    ``y[j]`` at point ``x[owner[j]]`` (``pair_columns``).
     """
     x = np.asarray(x, dtype=float)
     bc = beta_derivatives(m, x) if bc is None else bc
-    jets = _spray_jets(bc, f, y, order)
+    jets = _spray_jets(bc, f, y, order, owner)
     if order == 0:
-        return _fiber(jets, 0, _pairs_shape(x, y))
+        return _fiber(jets, 0, _pairs_shape(x, y, owner))
     return jets
 
 
@@ -106,9 +113,9 @@ def spray_generic(m: MetricSpec, f: PhiFamily, x, y):
     return 0.25 * (fd.g_inv @ (mixed - d[..., 0])[..., None])[..., 0]
 
 
-def _pairs_shape(x, y):
-    """The batch axes of the (point, direction) pairs of ``x`` and ``y``."""
-    return np.shape(x)[:-1] + np.shape(y)[:-1]
+def _pairs_shape(x, y, owner=None):
+    """The batch axes of the (point, direction) pairs of ``x`` and ``y``, one with ``owner``."""
+    return np.shape(y)[:-1] if owner is not None else np.shape(x)[:-1] + np.shape(y)[:-1]
 
 
 def _fiber(jets, k, lead=None):
@@ -238,14 +245,16 @@ def s_curvature_def(m: MetricSpec, f: PhiFamily, x, y, grad_ln_sigma=None,
 
     Pass a precomputed ``grad_ln_sigma`` when sweeping directions at one point,
     and the ``spray_data`` of (x, y) when the caller already has it.  One
-    direction gives a float, a ``(B, n)`` stack a ``(B,)`` array.
+    direction gives a float, a ``(B, n)`` stack a ``(B,)`` array; a
+    ``(B, n)`` ``grad_ln_sigma`` gives each direction its own gradient, as
+    the pairs of a ``spray_data`` with ``owner`` need.
     """
     y = np.asarray(y, dtype=float)
     N = (spray_data(m, f, x, y) if spray is None else spray).N
     div = sum(N[..., i, i] for i in range(m.n))
     if grad_ln_sigma is None:
         grad_ln_sigma = ln_sigma_gradient(m, f, x)
-    S = div - (y[..., None, :] @ grad_ln_sigma)[..., 0]
+    S = div - (y[..., None, :] @ grad_ln_sigma[..., :, None])[..., 0, 0]
     return float(S) if S.ndim == 0 else S
 
 
@@ -303,15 +312,15 @@ class SprayData:
     D: np.ndarray  # Douglas curvature, from the projective spray
 
 
-def spray_data(m: MetricSpec, f: PhiFamily, x, y, bc=None) -> SprayData:
+def spray_data(m: MetricSpec, f: PhiFamily, x, y, bc=None, owner=None) -> SprayData:
     """Every fiber tensor of the spray at (x, y), read off one order-4 jet.
 
     D comes from the projective spray G^i - (d_m G^m) y^i / (n + 1) by jet
-    products, independently of B and E.
+    products, independently of B and E.  ``owner`` pairs as in ``pair_columns``.
     """
     y = np.asarray(y, dtype=float)
     n = m.n
-    jets = spray_ab(m, f, x, y, order=4, bc=bc)
+    jets = spray_ab(m, f, x, y, order=4, bc=bc, owner=owner)
     B, E = _berwald(jets)
     d4 = _fiber(jets, 4)
     trace = jets[0].derivative(0)
@@ -335,10 +344,17 @@ class CurvatureBundle:
     ``bc`` feeds ``spray`` and ``S_formula``, else is computed on first read;
     ``bc`` may also be the exception x's calculus raised (``grid_calculus``),
     raised again wherever the calculus is read.
+
+    With ``owner``, x is a ``(S, n)`` stack and pair j is ``y[j]`` at
+    ``x[owner[j]]`` (``pair_columns``); ``bc`` then holds one row per point,
+    and ``grad_ln_sigma`` one per pair.  Only the fiber fields take pairs: ``fd``,
+    ``spray`` and its tensors, ``L`` and ``S_def``, not the stencils of R,
+    H and K or ``S_formula``.
     """
 
-    def __init__(self, m: MetricSpec, f: PhiFamily, x, y, grad_ln_sigma=None, bc=None):
-        self.m, self.f, self.grad_ln_sigma = m, f, grad_ln_sigma
+    def __init__(self, m: MetricSpec, f: PhiFamily, x, y, grad_ln_sigma=None, bc=None,
+                 owner=None):
+        self.m, self.f, self.grad_ln_sigma, self.owner = m, f, grad_ln_sigma, owner
         self.x, self.y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         self.dirs = np.reshape(self.y, (-1, m.n))  # y as a stack
         if not len(self.dirs):
@@ -352,8 +368,9 @@ class CurvatureBundle:
             raise self._bc
         return beta_derivatives(self.m, self.x) if self._bc is None else self._bc
 
-    fd = cached_property(lambda self: fundamental(self.m, self.f, self.x, self.y))
-    spray = cached_property(lambda self: spray_data(self.m, self.f, self.x, self.y, self.bc))
+    fd = cached_property(lambda self: fundamental(self.m, self.f, self.x, self.y, self.owner))
+    spray = cached_property(lambda self: spray_data(self.m, self.f, self.x, self.y, self.bc,
+                                                    self.owner))
     G = property(lambda self: self.spray.G)
     B = property(lambda self: self.spray.B)
     E = property(lambda self: self.spray.E)
@@ -378,6 +395,6 @@ class CurvatureBundle:
         return K[0] if self.y.ndim == 1 else np.array(K)
 
 
-#: ``curvature_bundle(m, f, x, y, grad_ln_sigma=None, bc=None)``: every
-#: curvature tensor at x, for one direction or a ``(B, n)`` stack
+#: ``curvature_bundle(m, f, x, y, grad_ln_sigma=None, bc=None, owner=None)``:
+#: every curvature tensor at x, for one direction or a ``(B, n)`` stack
 curvature_bundle = CurvatureBundle

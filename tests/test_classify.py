@@ -301,7 +301,7 @@ class TestFlagZeroLoop:
 
 def test_curvature_flags_scale_by_the_bits_of_fundamental():
     # the F that scales a sample to F = 1 comes from an order-0 F^2 jet of
-    # the point's batch; it must have the bits of `fundamental(...).F`
+    # the sample batch; it must have the bits of `fundamental(...).F`
     from finsler.finsler_metric import fsq_jet, fundamental
     for name in ("lie_group", "bao_shen", "fish_tank"):
         e = get_metric(name)

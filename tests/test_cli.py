@@ -537,5 +537,6 @@ class TestFourDimensionalConfig:
                             lambda *args, **kw: calls.append(1) or spray_data(*args, **kw))
         assert main(["report", "--config", FOUR_D]) == 0
         capsys.readouterr()
-        # 2 points per axis for the records, 3 for the classification
-        assert len(calls) == 2**4 + 3**4
+        # one per point of the records' 2-per-axis grid, and one jet batch
+        # for the classification's 3-per-axis grid (324 pairs, one chunk)
+        assert len(calls) == 2**4 + 1
