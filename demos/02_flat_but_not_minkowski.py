@@ -19,9 +19,9 @@ m, phi = entry.metric, entry.phi
 print("point (x, y)      |beta|    radius     S-curvature   flag K")
 for x in ([0.2, 0.1], [0.4, -0.3], [-0.1, 0.5], [0.45, 0.45]):
     bc = beta_derivatives(m, x)
-    grad = ln_sigma_gradient(m, phi, x)
+    grad = ln_sigma_gradient(m, phi, x, bc)
     y = [0.8, 0.6]
-    S = s_curvature_def(m, phi, x, y, grad)
+    S = s_curvature_def(m, phi, x, y, grad, bc=bc)
     _, K = riemann_flag(m, phi, x, y)
     r = float(np.hypot(*x))
     print(f"{str(x):16s}  {bc.b:.6f}  {r:.6f}   {S:+.2e}     {K:+.2e}")

@@ -118,12 +118,12 @@ def criterion_3():
     out.lt("|b - r| on 5x5 grid", worst_b, 1e-8)
     dirs = default_directions(2, 8)
     worst_s = worst_k = 0.0
-    for xv in np.linspace(-0.4, 0.4, 3):
-        for yv in np.linspace(-0.4, 0.4, 3):
-            x = [xv, yv]
-            cb = curvature_bundle(m, f, x, dirs, ln_sigma_gradient(m, f, x))
-            worst_s = max(worst_s, *np.abs(cb.S_def))
-            worst_k = max(worst_k, *np.abs(cb.K))
+    axes = np.linspace(-0.4, 0.4, 3)
+    sample = [[xv, yv] for xv in axes for yv in axes]
+    for x, bc in zip(sample, beta_derivatives(m, np.array(sample)).rows()):
+        cb = curvature_bundle(m, f, x, dirs, ln_sigma_gradient(m, f, x, bc), bc)
+        worst_s = max(worst_s, *np.abs(cb.S_def))
+        worst_k = max(worst_k, *np.abs(cb.K))
     out.lt("max|S| 9 pts x 8 dirs", worst_s, 1e-5)
     out.lt("max|K| 9 pts x 8 dirs", worst_k, 1e-5)
     gb = is_generalized_berwald(calc)
@@ -154,8 +154,9 @@ def criterion_4():
     out.lt("max|r_ij + b_i s_j + b_j s_i|", sc.residual, 1e-10)
     worst_s = 0.0
     for k, x in enumerate(grid[:3]):
-        cb = curvature_bundle(m, f, x, default_directions(2, 4), ln_sigma_gradient(m, f, x),
-                              calc.row(k))
+        bc = calc.row(k)
+        cb = curvature_bundle(m, f, x, default_directions(2, 4),
+                              ln_sigma_gradient(m, f, x, bc), bc)
         worst_s = max(worst_s, *np.abs(cb.S_def))
     out.lt("max|S| definitional", worst_s, 1e-6)
     gb = is_generalized_berwald(calc)
@@ -248,9 +249,10 @@ def criterion_9(seed=42):
     worst_s = 0.0
     for _ in range(3):
         x = rng.uniform(-0.8, 0.8, 3)
-        grad = ln_sigma_gradient(m, f, x)
+        bc = beta_derivatives(m, x)
+        grad = ln_sigma_gradient(m, f, x, bc)
         Y = rng.normal(size=(6, 3))
-        worst_s = max(worst_s, *np.abs(s_curvature_def(m, f, x, Y, grad)))
+        worst_s = max(worst_s, *np.abs(s_curvature_def(m, f, x, Y, grad, bc=bc)))
     out.lt("max|S| 3 pts x 6 dirs", worst_s, 1e-4)
     return out
 

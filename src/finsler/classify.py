@@ -229,7 +229,7 @@ def curvature_flags(m: MetricSpec, f: PhiFamily, calc: BetaCalculus, dirs) -> di
         if not len(usable):
             continue
         try:
-            grad = ln_sigma_gradient(m, f, bc.x)
+            grad = ln_sigma_gradient(m, f, bc.x, bc)
         except FinslerError as exc:
             grad, sigma_error = None, sigma_error or exc
         samples.append((k, usable, grad))

@@ -238,7 +238,7 @@ def cmd_report(cfg):
     records = []
     for x, bc in zip(grid, grid_calculus(m, grid)):
         try:
-            grad = ln_sigma_gradient(m, f, x)
+            grad = ln_sigma_gradient(m, f, x, bc)
         except FinslerError:
             grad = None
         records += per_direction(lambda Y: _records(m, f, x, Y, grad, bc), dirs)
@@ -326,7 +326,7 @@ def cmd_table(cfg, quantity):
     writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
     for k, (x, bc) in enumerate(zip(grid, grid_calculus(m, grid))):
         if quantity in _FIBER:
-            grad = ln_sigma_gradient(m, f, x) if quantity == "S" else None
+            grad = ln_sigma_gradient(m, f, x, bc) if quantity == "S" else None
             rows = per_direction(lambda Y: _fiber_cells(
                 quantity, curvature_bundle(m, f, x, Y, grad, bc)), dirs)
         else:

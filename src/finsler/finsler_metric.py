@@ -135,10 +135,12 @@ def fundamental(m: MetricSpec, f: PhiFamily, x, y, owner=None) -> FundamentalDat
 
 
 def _radii(m, f, x, ab, dirs, h, to_y):
-    """1/F at the directions ``dirs @ to_y``; ``ab`` is the pair a(x), b(x).
+    """1/F and s at the directions ``dirs @ to_y``, and the nodes they were taken at;
+    ``ab`` is the pair a(x), b(x).
 
     A node past the admissible |s| of an almost-regular family turns by h/2
-    about the polar axis.  F <= 0 or non-finite at a node raises: there the
+    about the polar axis, and the nodes returned are then a copy of ``dirs``
+    with those rows turned.  F <= 0 or non-finite at a node raises: there the
     unit ball is unbounded or undefined, and no turned node would measure it.
     """
     F, s = finsler_eval_many(m, f, x, dirs @ to_y, *ab)
@@ -148,7 +150,9 @@ def _radii(m, f, x, ab, dirs, h, to_y):
         c, s_ = math.cos(0.5 * h), math.sin(0.5 * h)
         rot = np.eye(m.n)
         rot[:2, :2] = [[c, -s_], [s_, c]]
-        F[bad], s[bad] = finsler_eval_many(m, f, x, dirs[bad] @ rot.T @ to_y, *ab)
+        dirs = dirs.copy()
+        dirs[bad] = dirs[bad] @ rot.T
+        F[bad], s[bad] = finsler_eval_many(m, f, x, dirs[bad] @ to_y, *ab)
         still = np.abs(s) > half
         if np.any(still):
             raise SingularDirectionInQuadrature(
@@ -157,7 +161,7 @@ def _radii(m, f, x, ab, dirs, h, to_y):
         if np.any(fault):
             raise SingularDirectionInQuadrature(
                 f"F {cause} at {int(np.sum(fault))} quadrature node(s)")
-    return 1.0 / F
+    return 1.0 / F, s, dirs
 
 
 #: the largest max(r) / min(r) on the nodes of ``_polar_nodes(n)`` with a
@@ -170,11 +174,13 @@ _MAX_RADIUS_RATIO = {2: 150.0, 3: 12.0}
 def _polar_nodes(n, refine=1):
     """sigma_bh's nodes for n = 2 or 3: (azimuthal step, read-only arrays).
 
-    The arrays are the unit directions and the weights of vol = int r^n / n:
-    the trapezoid rule on 256 azimuths (n = 2), or 32 Gauss-Legendre nodes in
-    u = cos(theta) times the trapezoid rule on 64 azimuths (n = 3), each
-    count times ``refine``, with 1/n folded into one product weight per node.
-    Built once per (n, refine), on first use; another n is a DimensionError.
+    The arrays are the unit directions z, the weights of vol = int r^n / n,
+    and the table z (x) z of ``ln_sigma_gradient``, row k the flattened outer
+    product of node k: the trapezoid rule on 256 azimuths (n = 2), or 32
+    Gauss-Legendre nodes in u = cos(theta) times the trapezoid rule on 64
+    azimuths (n = 3), each count times ``refine``, with 1/n folded into one
+    product weight per node.  Built once per (n, refine), on first use;
+    another n is a DimensionError.
     """
     if n not in _UNIT_BALL_VOLUME:
         raise DimensionError("sigma_bh supports n = 2 or 3 only")
@@ -190,32 +196,49 @@ def _polar_nodes(n, refine=1):
         dirs = np.column_stack([(rho * np.cos(phi)).ravel(),
                                 (rho * np.sin(phi)).ravel(), np.repeat(u, n_az)])
         w = np.repeat(wu * (h / 3.0), n_az)
-    for arr in (dirs, w):
+    zz = _outer_rows(dirs)
+    for arr in (dirs, w, zz):
         arr.flags.writeable = False
-    return h, (dirs, w)
+    return h, (dirs, w, zz)
+
+
+def _outer_rows(z):
+    """Row k the flattened outer product z[k] (x) z[k]: ``(N, n * n)``."""
+    return (z[:, :, None] * z[:, None, :]).reshape(len(z), -1)
+
+
+def unit_ball_sweep(m: MetricSpec, f: PhiFamily, x):
+    """One sweep of ``sigma_bh``'s rule at x: ``(L^-1, w, z, zz, r, s)``.
+
+    L^-1 for a(x) = L L^T, the weights w, the nodes z the sweep was taken at
+    (the rule's, or a copy with turned rows) and their z (x) z table, and
+    r = 1/F and s = beta/alpha at y = L^-T z.  The nodes are the unit
+    sphere's image under z -> z L^-1 (Jacobian det L^-1), so that the rule
+    sees no anisotropy of a: the trapezoid rule on 256 azimuths (n = 2), or
+    32 Gauss-Legendre nodes in cos(theta) x 64 azimuths (n = 3), redone 4x
+    finer when the radii vary by more than ``_MAX_RADIUS_RATIO`` (|b|_alpha
+    near 1).  F <= 0 or non-finite at a node (an unbounded unit ball, as for
+    Randers with |b|_alpha = 1) raises ``SingularDirectionInQuadrature``.
+    """
+    a = m.a_at(x)
+    to_y = _inverse_cholesky(a)
+    ab = a, m.b_at(x)  # once per sweep, for every node
+    for refine in (1, 4):
+        h, (dirs, w, zz) = _polar_nodes(m.n, refine)
+        r, s, z = _radii(m, f, x, ab, dirs, h, to_y)
+        if r.max() <= _MAX_RADIUS_RATIO[m.n] * r.min():
+            break
+    return to_y, w, z, zz if z is dirs else _outer_rows(z), r, s
 
 
 def sigma_bh(m: MetricSpec, f: PhiFamily, x):
     """Busemann-Hausdorff volume density sigma_F(x) = vol(B^n) / vol{F(x, y) < 1}.
 
     The unit-ball volume int r^n / n, r = 1/F, over the alpha-unit sphere,
-    the image of the unit sphere under z -> z L^-1 (a = L L^T, Jacobian
-    det L^-1), so that the rule sees no anisotropy of a.  The rule converges
-    exponentially for this smooth periodic integrand: the trapezoid rule on
-    256 azimuths (n = 2), or 32 Gauss-Legendre nodes in cos(theta) x 64
-    azimuths (n = 3), redone 4x finer when the radii vary by more than
-    ``_MAX_RADIUS_RATIO`` (|b|_alpha near 1).  F <= 0 or non-finite at a node
-    (an unbounded unit ball, as for Randers with |b|_alpha = 1) raises
-    ``SingularDirectionInQuadrature``.
+    from one ``unit_ball_sweep``; the rule converges exponentially for this
+    smooth periodic integrand.
     """
-    a = m.a_at(x)
-    to_y = _inverse_cholesky(a)
-    ab = a, m.b_at(x)  # once per sweep, for every node
-    for refine in (1, 4):
-        h, (dirs, w) = _polar_nodes(m.n, refine)
-        r = _radii(m, f, x, ab, dirs, h, to_y)
-        if r.max() <= _MAX_RADIUS_RATIO[m.n] * r.min():
-            break
+    to_y, w, _, _, r, _ = unit_ball_sweep(m, f, x)
     vol = float(w @ r ** m.n) * float(np.prod(np.diag(to_y)))
     return _UNIT_BALL_VOLUME[m.n] / vol
 
@@ -231,7 +254,7 @@ def _angular_density(f: PhiFamily, b, n):
     the cache's strong reference keeps its id from reuse.
     """
     for refine in (1, 4):
-        _, (dirs, w) = _polar_nodes(n, refine)
+        _, (dirs, w, _) = _polar_nodes(n, refine)
         phi = f.value_many(b * dirs[:, 0])
         if not np.all(phi > 0.0):  # also false where phi is NaN
             raise NonPositiveDensity(f"phi <= 0 or not finite on the unit sphere at b = {b}")

@@ -103,21 +103,29 @@ def _lower_triangle(n):
 
 def _at(field, x):
     """``field`` at one point ``(n,)``, or stacked over the rows of a ``(P, n)`` stack:
-    the row map of ln sigma and of the one-form's length, which take one point."""
+    the row map of the one-form's length, which takes one point."""
     return field(x) if x.ndim == 1 else np.array([field(p) for p in x])
 
 
-def christoffels(m: MetricSpec, x, a_inv=None):
-    """Levi-Civita connection of alpha at ``x`` or a ``(P, n)`` stack; ``a_inv`` is a(x)^-1."""
+def _metric_derivative(m: MetricSpec, x):
+    """da[..., k, i, j] = d a_ij / d x^k at ``x`` or a ``(P, n)`` stack, points first;
+    the upper triangle is mirrored so an a(x) symmetric only to roundoff gives
+    a symmetric da."""
+    da = np.moveaxis(base_derivative(m.a_at, x), -1, -3)
+    rows, cols = _lower_triangle(m.n)
+    da[..., rows, cols] = da[..., cols, rows]
+    return da
+
+
+def christoffels(m: MetricSpec, x, a_inv=None, da=None):
+    """Levi-Civita connection of alpha at ``x`` or a ``(P, n)`` stack; ``a_inv`` is
+    a(x)^-1 and ``da`` its ``_metric_derivative``, if at hand."""
     x = np.asarray(x, dtype=float)
     if a_inv is None:
         a_inv = _inverse_spd(m.a_at(x))
     n = m.n
-    # da[..., k, i, j] = d a_ij / d x^k, points first; the upper triangle is
-    # mirrored so an a(x) symmetric only to roundoff gives a symmetric da
-    da = np.moveaxis(base_derivative(m.a_at, x), -1, -3)
-    rows, cols = _lower_triangle(n)
-    da[..., rows, cols] = da[..., cols, rows]
+    if da is None:
+        da = _metric_derivative(m, x)
     # term[..., m, j, k] = da[j, m, k] + da[k, m, j] - da[m, j, k]
     da_j = da.swapaxes(-3, -2)
     term = da_j + da_j.swapaxes(-2, -1) - da
@@ -147,6 +155,8 @@ class BetaCalculus:
     r_i: np.ndarray
     s_i: np.ndarray
     s_up: np.ndarray  # s^i_j
+    da: np.ndarray  # da[k, i, j] = d a_ij / d x^k
+    db: np.ndarray  # db[i, j] = d b_i / d x^j
 
     def row(self, k):
         """Point ``k`` of a stack, as a one-point call gives it."""
@@ -172,7 +182,8 @@ def beta_derivatives(m: MetricSpec, x) -> BetaCalculus:
         raise DomainError("beta_derivatives needs at least one point, got an empty stack")
     a = m.a_at(x)
     a_inv = _inverse_spd(a)
-    gamma = christoffels(m, x, a_inv)
+    da = _metric_derivative(m, x)
+    gamma = christoffels(m, x, a_inv, da)
     b_i = m.b_at(x)
     db = base_derivative(m.b_at, x)  # db[..., i, j] = d b_i / d x^j, points first
     bij = db - np.einsum("...k,...kij->...ij", b_i, gamma)
@@ -187,7 +198,8 @@ def beta_derivatives(m: MetricSpec, x) -> BetaCalculus:
     return BetaCalculus(x=x, n=m.n, a=a, a_inv=a_inv, gamma=gamma, b_i=b_i,
                         b_up=b_up, b2=b2, b=b, bij=bij, r=r, s=s,
                         r_i=(b_up[..., None, :] @ r)[..., 0, :],
-                        s_i=(b_up[..., None, :] @ s)[..., 0, :], s_up=a_inv @ s)
+                        s_i=(b_up[..., None, :] @ s)[..., 0, :], s_up=a_inv @ s,
+                        da=da, db=db)
 
 
 #: points per stacked pass of ``grid_calculus``: its stencil holds 4 n points per point

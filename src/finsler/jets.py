@@ -17,13 +17,15 @@ A jet may carry a trailing batch axis: ``coeffs`` of shape ``(K, B)`` holds B
 jets, one per column, each with the bits it has alone, so one Python
 operation serves B samples; so does one univariate table (:mod:`.series`).
 
-Base-point (x-)derivatives are a different regime: metric evaluators may hide
-quadratures that are cheap to re-evaluate but awkward to jet through, so every
-x-derivative goes through :func:`base_derivative`, the whole gradient of a
-scalar or array field by Richardson-extrapolated central differences, with the
-derivative axis last.  A gradient is one field call on the whole stencil as a
-point stack, redone one point at a time if that call raises, so an error names
-the stencil point that raises alone.
+Base-point (x-)derivatives are a different regime: the metric callables a(x)
+and b(x) are plain functions that need not take jets, so every x-derivative of
+a field goes through :func:`base_derivative`, the whole gradient of a scalar
+or array field by Richardson-extrapolated central differences, with the
+derivative axis last.  No quadrature sits behind it: the gradient of ln sigma
+is differentiated under the integral sign, from the stencils of a and b
+(``spray_curvature.ln_sigma_gradient``).  A gradient is one field call on the
+whole stencil as a point stack, redone one point at a time if that call
+raises, so an error names the stencil point that raises alone.
 """
 
 import math

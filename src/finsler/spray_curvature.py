@@ -33,17 +33,15 @@ argument is the beta calculus of x, if at hand (a row of the caller's stacked
 pass).
 """
 
-import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DegenerateFlag, DimensionError, DomainError, FinslerError
-from .finsler_metric import (FundamentalData, _angular_density, _polar_nodes,
-                             alpha_beta_jets, fsq_jet, fundamental,
-                             pair_columns, sigma_bh)
-from .geometry_core import MetricSpec, _at, beta_derivatives
+from .finsler_metric import (FundamentalData, _angular_density, alpha_beta_jets,
+                             fsq_jet, fundamental, pair_columns, unit_ball_sweep)
+from .geometry_core import MetricSpec, beta_derivatives
 from .jets import base_derivative, jet_form, jet_variable
 from .phi_families import PhiFamily, ab_scalars, spray_scalar_series
 
@@ -228,32 +226,50 @@ def riemann_flag(m: MetricSpec, f: PhiFamily, x, y, u=None, g=None, R=None):
     return R, K
 
 
-def ln_sigma_gradient(m: MetricSpec, f: PhiFamily, x):
-    """Gradient of ln sigma_F at ``x``; reusable across directions."""
-    x = np.asarray(x, dtype=float)
-    _polar_nodes(m.n)  # sigma's rule, or the DimensionError of n, before the stencil
+def ln_sigma_gradient(m: MetricSpec, f: PhiFamily, x, bc=None):
+    """Gradient of ln sigma_F at ``x``, from one ``unit_ball_sweep``; reusable across directions.
 
-    def ln_sigma(xp):
-        return math.log(sigma_bh(m, f, xp))
-
-    return base_derivative(partial(_at, ln_sigma), x)
+    With the frame L of a(x) = L L^T held at x, vol(x) = det L^-1 sum w r^n
+    over the sweep's nodes z (r = 1/F at y = L^-T z, where alpha = 1), so
+    d_k ln sigma = n sum w r^(n+1) d_k F / sum w r^n, differentiated under the
+    integral sign; a turned node is differentiated where it was taken.  Here
+    d_k F = phi d_k alpha + phi' (d_k beta - s d_k alpha), with
+    d_k alpha = z^T (L^-1 d_k a L^-T) z / 2 and d_k beta = (L^-1 d_k b) . z,
+    d_k a and d_k b from ``bc``, the beta calculus of x (one pass of its own
+    if not at hand; an exception handed in is raised again).
+    """
+    to_y, w, z, zz, r, s = unit_ball_sweep(m, f, x)
+    bc = beta_derivatives(m, x) if bc is None else bc
+    if isinstance(bc, Exception):
+        raise bc
+    # column k: L^-1 d_k a L^-T, flattened as the rows of the z (x) z table
+    frame = (to_y @ bc.da @ to_y.T).reshape(m.n, -1).T
+    d_alpha = 0.5 * (zz @ frame)
+    d_beta = z @ (to_y @ bc.db)
+    phi, dphi = f.taylor(s, 1)
+    dF = phi[:, None] * d_alpha + dphi[:, None] * (d_beta - s[:, None] * d_alpha)
+    wr = w * r ** m.n
+    return m.n * ((wr * r) @ dF) / wr.sum()
 
 
 def s_curvature_def(m: MetricSpec, f: PhiFamily, x, y, grad_ln_sigma=None,
-                    spray=None):
+                    spray=None, bc=None):
     """S-curvature from its definition: spray divergence minus the drift of ln sigma.
 
     Pass a precomputed ``grad_ln_sigma`` when sweeping directions at one point,
-    and the ``spray_data`` of (x, y) when the caller already has it.  One
-    direction gives a float, a ``(B, n)`` stack a ``(B,)`` array; a
-    ``(B, n)`` ``grad_ln_sigma`` gives each direction its own gradient, as
-    the pairs of a ``spray_data`` with ``owner`` need.
+    the ``spray_data`` of (x, y) when the caller already has it, and x's beta
+    calculus ``bc`` if at hand.  One direction gives a float, a ``(B, n)``
+    stack a ``(B,)`` array; a ``(B, n)`` ``grad_ln_sigma`` gives each
+    direction its own gradient, as the pairs of a ``spray_data`` with
+    ``owner`` need.
     """
     y = np.asarray(y, dtype=float)
-    N = (spray_data(m, f, x, y) if spray is None else spray).N
-    div = sum(N[..., i, i] for i in range(m.n))
+    if spray is None:  # one calculus pass for the spray and the gradient
+        bc = beta_derivatives(m, x) if bc is None else bc
+        spray = spray_data(m, f, x, y, bc)
+    div = sum(spray.N[..., i, i] for i in range(m.n))
     if grad_ln_sigma is None:
-        grad_ln_sigma = ln_sigma_gradient(m, f, x)
+        grad_ln_sigma = ln_sigma_gradient(m, f, x, bc)
     S = div - (y[..., None, :] @ grad_ln_sigma[..., :, None])[..., 0, 0]
     return float(S) if S.ndim == 0 else S
 
@@ -341,7 +357,8 @@ class CurvatureBundle:
     ``fd`` (``fundamental``) and one ``spray`` (``spray_data``, an order-4
     jet).  A field raises when read, so the caller's reading order fixes which
     error a sample reports.  ``grad_ln_sigma`` feeds ``S_def`` if at hand, and
-    ``bc`` feeds ``spray`` and ``S_formula``, else is computed on first read;
+    ``bc`` feeds ``spray``, ``S_formula`` and a gradient ``S_def`` computes
+    itself, else is computed on first read;
     ``bc`` may also be the exception x's calculus raised (``grid_calculus``),
     raised again wherever the calculus is read.
 
@@ -378,7 +395,7 @@ class CurvatureBundle:
     L = cached_property(lambda self: landsberg(self.fd, self.B))
     R = cached_property(lambda self: riemann(self.m, self.f, self.x, self.y, self.spray))
     S_def = cached_property(lambda self: s_curvature_def(
-        self.m, self.f, self.x, self.y, self.grad_ln_sigma, self.spray))
+        self.m, self.f, self.x, self.y, self.grad_ln_sigma, self.spray, self.bc))
     S_formula = cached_property(lambda self: s_curvature_formula(
         self.m, self.f, self.x, self.y, self.bc))
     H = cached_property(lambda self: h_curvature(self.m, self.f, self.x, self.y, self.spray))

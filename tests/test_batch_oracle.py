@@ -16,7 +16,7 @@ import pytest
 
 from finsler.catalog import catalog_names, get_metric
 from finsler.classify import _admissible_dirs, default_directions
-from finsler.errors import EvaluationError
+from finsler.errors import SingularDirectionInQuadrature
 from finsler.finsler_metric import fsq_jet, fundamental
 from finsler.geometry_core import beta_derivatives
 from finsler.spray_curvature import (_fiber, berwald, curvature_bundle,
@@ -44,7 +44,7 @@ def _grad_ln_sigma(name, m, f, x):
     """
     if name != "mw":
         return ln_sigma_gradient(m, f, x)
-    with pytest.raises(EvaluationError, match="F <= 0 at 1 quadrature node"):
+    with pytest.raises(SingularDirectionInQuadrature, match="F <= 0 at 1 quadrature node"):
         ln_sigma_gradient(m, f, x)
     return np.array([0.5, -0.25])
 

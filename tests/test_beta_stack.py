@@ -79,7 +79,7 @@ def ref_beta_derivatives(m, x):
     return BetaCalculus(x=x, n=n, a=a, a_inv=a_inv, gamma=gamma, b_i=b_i,
                         b_up=b_up, b2=b2, b=float(np.sqrt(max(b2, 0.0))),
                         bij=bij, r=r, s=s, r_i=b_up @ r, s_i=b_up @ s,
-                        s_up=a_inv @ s)
+                        s_up=a_inv @ s, da=da, db=db)
 
 
 def _bits(value):

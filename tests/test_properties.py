@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from finsler.catalog import get_metric
-from finsler.errors import EvaluationError
+from finsler.errors import SingularDirectionInQuadrature
 from finsler.finsler_metric import finsler_eval
 from finsler.spray_curvature import (curvature_bundle, ln_sigma_gradient,
                                      riemann_flag)
@@ -54,7 +54,7 @@ def invariant_ratios(m, f, x, v, lam, edge):
     y = np.asarray(v) / finsler_eval(m, f, x, v)
     try:
         grad = ln_sigma_gradient(m, f, x)
-    except EvaluationError:  # mw: |b| = 1, sigma's unit ball is unbounded
+    except SingularDirectionInQuadrature:  # mw: |b| = 1, sigma's unit ball is unbounded
         grad = None
     cb = curvature_bundle(m, f, x, np.array([y, lam * y]), grad)
     out = {"F": _ratio(finsler_eval(m, f, x, lam * y), lam * finsler_eval(m, f, x, y), TOL["F"]),

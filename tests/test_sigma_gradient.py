@@ -1,0 +1,198 @@
+"""The gradient of ln sigma under the integral sign against the stencil it replaced.
+
+``ln_sigma_gradient`` runs one sweep of ``sigma_bh``'s rule at x and
+differentiates the unit-ball volume under the integral sign, with d a and d b
+read off x's beta calculus.  The reference below is the route it replaced: the
+Richardson stencil of ``base_derivative`` over ln ``sigma_bh``, 4 n sweeps per
+point.  The two routes differ by the stencil's truncation error, and by the
+error of the d a and d b stencils on the new route, so each metric is held
+near its own gap, not to one loose bound.
+"""
+
+import math
+from functools import partial
+
+import numpy as np
+import pytest
+
+import finsler
+from finsler.catalog import catalog_names, get_metric
+from finsler.classify import default_directions, default_grid
+from finsler.cli import main
+from finsler.errors import SingularDirectionInQuadrature, ZeroNorm
+from finsler.finsler_metric import _polar_nodes, sigma_bh, unit_ball_sweep
+from finsler.geometry_core import ChartDomain, MetricSpec, _at, beta_derivatives
+from finsler.jets import base_derivative
+from finsler.phi_families import RandersPhi, RiemannSqrtPhi
+from finsler.spray_curvature import curvature_bundle, ln_sigma_gradient
+
+
+def ref_ln_sigma_gradient(m, f, x):
+    """The stencil route: ``base_derivative`` of ln ``sigma_bh``, one sweep per stencil point."""
+    return base_derivative(partial(_at, lambda p: math.log(sigma_bh(m, f, p))),
+                           np.asarray(x, dtype=float))
+
+
+#: the largest |new - stencil| over ``default_grid(m, 3)``, measured, times
+#: about 2 (and 1e-15 where both routes give 0 exactly); fish_tank's gap is
+#: the d a stencil's error, since ln sigma is constant there and the direct
+#: stencil cancels
+GAP = {"bao_shen": 2e-11, "euclid": 1e-15, "euclid_randers": 1e-15,
+       "fish_tank": 6e-8, "lie_group": 8e-9, "proj_sphere_killing": 1e-11,
+       "sphere_randers": 2e-9}
+
+
+@pytest.mark.parametrize("name", sorted(GAP))
+def test_gradient_matches_the_stencil_route(name):
+    e = get_metric(name)
+    m, f = e.metric, e.phi
+    grid = default_grid(m, 3)
+    gap = 0.0
+    for x, bc in zip(grid, beta_derivatives(m, np.array(grid)).rows()):
+        gap = max(gap, float(np.abs(ln_sigma_gradient(m, f, x, bc)
+                                    - ref_ln_sigma_gradient(m, f, x)).max()))
+    assert gap <= GAP[name]
+
+
+def test_every_sweepable_catalog_metric_has_a_gap():
+    assert sorted(GAP) == [name for name in catalog_names() if name != "mw"]
+
+
+def test_own_calculus_gives_the_bits_of_a_stack_row():
+    e = get_metric("bao_shen")
+    m, f = e.metric, e.phi
+    grid = default_grid(m, 2)
+    for x, bc in zip(grid, beta_derivatives(m, np.array(grid)).rows()):
+        assert np.array_equal(ln_sigma_gradient(m, f, x), ln_sigma_gradient(m, f, x, bc))
+
+
+def _randers_near_one(b1):
+    """Randers on a = (1 + x2/10) I with |b|_alpha = b1 + 0.002 x1 at x2 = 0."""
+    return MetricSpec(n=2, a=lambda x: np.eye(2) * (1.0 + 0.1 * x[1]),
+                      b_form=lambda x: np.array([b1 + 0.002 * x[0], 0.003 * x[1]]),
+                      chart_domain=ChartDomain((-1.0, -1.0), (1.0, 1.0)), name="near_one")
+
+
+def _randers_closed_form(x, b1):
+    """ln sigma_BH = (n + 1)/2 ln(1 - |b|_alpha^2) + ln sqrt(det a), n = 2, complex-safe."""
+    scale = 1.0 + 0.1 * x[1]
+    b2 = ((b1 + 0.002 * x[0]) ** 2 + (0.003 * x[1]) ** 2) / scale
+    return 1.5 * np.log(1.0 - b2) + np.log(scale)
+
+
+def test_refined_rule_point():
+    # |b|_alpha = 0.9902: the radii vary by about 200x, past the base rule's
+    # ratio, so the sweep takes the 4x finer rule.  Against the closed form
+    # (by complex step) the new route is off by 7.9e-13, the stencil by 4.3e-9
+    b1, x = 0.99, np.array([0.1, 0.0])
+    m, f = _randers_near_one(b1), RandersPhi()
+    _, w, _, _, _, _ = unit_ball_sweep(m, f, x)
+    assert len(w) == 4 * len(_polar_nodes(2)[1][1])
+    got = ln_sigma_gradient(m, f, x)
+    step = 1e-20
+    exact = np.array([_randers_closed_form(x + 1j * step * e, b1).imag / step
+                      for e in np.eye(2)])
+    assert np.abs(got - exact).max() < 2e-12
+    assert np.abs(got - ref_ln_sigma_gradient(m, f, x)).max() < 1e-8
+
+
+#: per n, bounds on |new - stencil| and on |new - closed form| on the
+#: turned-node configs below, about 2x the measured 1.1e-6 and 1.15e-5 (n = 2),
+#: 4.1e-5 and 4.4e-4 (n = 3): both routes carry the turned nodes' own error
+#: (the stencil is 1.0e-5 and 3.9e-4 from the closed form), and differ in how
+#: they follow it as the alpha-frame moves with x
+TURNED_BOUNDS = {2: (2.5e-6, 2.5e-5), 3: (1e-4, 1e-3)}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_turned_nodes_are_differentiated_where_they_were_taken(n):
+    # sqrt(alpha^2 - beta^2) with |b|_alpha just past the admissible
+    # half-width 0.95 at the nodes nearest to +-b: those turn by h/2 and
+    # come back inside; a(x) moves |b|_alpha little enough that every
+    # stencil point turns the same nodes
+    f = RiemannSqrtPhi(-1.0)
+    h, (dirs, _, _) = _polar_nodes(n)
+    half = f.b0 * (1.0 - f.delta)
+    b = half * (1.0 + h * h / 16.0) / np.hypot(dirs[:, 0], dirs[:, 1]).max()
+    m = MetricSpec(n=n, a=lambda x: np.diag([1.0 + 0.02 * x[0], 1.0 + 0.01 * x[1]]
+                                            + [1.0] * (n - 2)),
+                   b_form=lambda x: np.array([b] + [0.0] * (n - 1)),
+                   chart_domain=ChartDomain((-1.0,) * n, (1.0,) * n), name="turned")
+    x = np.zeros(n)
+    _, _, z, zz, _, _ = unit_ball_sweep(m, f, x)
+    turned = np.any(z != dirs, axis=1)
+    assert int(turned.sum()) == {2: 2, 3: 4}[n]
+    assert np.array_equal(zz[turned], (z[turned, :, None] * z[turned, None, :]).reshape(-1, n * n))
+    got = ln_sigma_gradient(m, f, x)
+    to_stencil, to_exact = TURNED_BOUNDS[n]
+    assert np.abs(got - ref_ln_sigma_gradient(m, f, x)).max() <= to_stencil
+    # Riemannian: sigma = sqrt(det(a - b b^T)), so d ln sigma / d x1 =
+    # 0.02 / 2 + (b^2 0.02 / 2) / (1 - b^2), and 0.01 / 2 along x2
+    exact = np.zeros(n)
+    exact[:2] = 0.01 + 0.01 * b * b / (1.0 - b * b), 0.005
+    assert np.abs(got - exact).max() <= to_exact
+
+
+@pytest.mark.parametrize("name", ["bao_shen", "lie_group", "proj_sphere_killing"])
+def test_s_routes_agree_to_roundoff(name):
+    # the stencil route left 9.5e-12, 4.3e-9 and 5.1e-12 here
+    e = get_metric(name)
+    m, f = e.metric, e.phi
+    grid = default_grid(m, 3)
+    dirs = default_directions(m.n, 16)
+    worst = 0.0
+    for x, bc in zip(grid, beta_derivatives(m, np.array(grid)).rows()):
+        cb = curvature_bundle(m, f, x, dirs, ln_sigma_gradient(m, f, x, bc), bc)
+        worst = max(worst, float(np.abs(cb.S_def - cb.S_formula).max()))
+    assert worst <= 1e-13
+
+
+def _count(monkeypatch, module, name):
+    """Calls of ``module.name``, through every finsler module that binds it."""
+    original, calls = getattr(module, name), []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    for mod in [module, *(getattr(finsler, sub) for sub in ("geometry_core", "spray_curvature"))]:
+        if getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("case", ["regular", "refined"])
+def test_one_sweep_per_refine_level_and_no_stencil(case, monkeypatch):
+    if case == "regular":
+        e = get_metric("bao_shen")
+        m, f, x, levels = e.metric, e.phi, np.array([0.2, -0.1, 0.3]), 1
+    else:
+        m, f, x, levels = _randers_near_one(0.99), RandersPhi(), np.array([0.1, 0.0]), 2
+    bc = beta_derivatives(m, x)
+    sweeps = _count(monkeypatch, finsler.finsler_metric, "finsler_eval_many")
+    stencils = _count(monkeypatch, finsler.jets, "base_derivative")
+    ln_sigma_gradient(m, f, x, bc)
+    assert (len(sweeps), len(stencils)) == (levels, 0)
+    # without a calculus at hand, the only stencils are those of a and b
+    ln_sigma_gradient(m, f, x)
+    assert len(sweeps) == 2 * levels
+    assert [field for field, _ in stencils] == [m.a_at, m.b_at]
+
+
+def test_mw_sigma_error_comes_from_x(capsys):
+    # mw has |b| = 1: F = 0 at one node of the sweep at x itself, and that
+    # typed error, not a stencil neighbour's, reaches the s_zero verdict
+    e = get_metric("mw")
+    x = np.array([0.3, 0.3])
+    with pytest.raises(SingularDirectionInQuadrature, match=r"F <= 0 at 1 quadrature node\(s\)"):
+        ln_sigma_gradient(e.metric, e.phi, x, ZeroNorm("not read: the sweep fails first"))
+    assert main(["classify", "--metric", "mw"]) == 0
+    out = capsys.readouterr().out
+    assert "SingularDirectionInQuadrature: F <= 0 at 1 quadrature node(s)" in out
+    assert "offset" not in out
+
+
+def test_a_failed_calculus_is_raised_after_the_sweep():
+    e = get_metric("lie_group")
+    with pytest.raises(ZeroNorm, match="handed in"):
+        ln_sigma_gradient(e.metric, e.phi, [0.5, 1.0], ZeroNorm("handed in"))

@@ -140,7 +140,7 @@ def test_elongated_unit_ball_takes_the_finer_rule():
     # is off by about 3e-8
     m = _constant_metric(np.eye(3), [0.95, 0.0, 0.0])
     x, want = np.zeros(3), (1.0 - 0.95 ** 2) ** 2
-    dirs, w = _polar_nodes(3)[1]
+    dirs, w, _ = _polar_nodes(3)[1]
     r = 1.0 / finsler_eval_many(m, RandersPhi(), x, dirs)[0]
     assert r.max() > _MAX_RADIUS_RATIO[3] * r.min()
     base = _UNIT_BALL_VOLUME[3] / float(w @ r ** 3)
@@ -190,7 +190,7 @@ def _edge_metric(n):
     u = +-u_min); a half-step turn about the polar axis brings them back."""
     f = CustomExprPhi("1 + 0.2*s", b0=1.0, delta=0.05)
     half = f.b0 * (1.0 - f.delta)
-    h, (dirs, _) = _polar_nodes(n)
+    h, (dirs, _, _) = _polar_nodes(n)
     rho = np.hypot(dirs[:, 0], dirs[:, 1]).max()  # 1 on the circle
     m = _constant_metric(np.eye(n), [half / (rho * math.cos(0.25 * h))]
                          + [0.0] * (n - 1))
@@ -201,7 +201,7 @@ def _edge_metric(n):
 def test_shifted_nodes_bit_equal(n):
     m, f, half, h = _edge_metric(n)
     x = np.zeros(n)
-    dirs, w = _polar_nodes(n)[1]
+    dirs, w, _ = _polar_nodes(n)[1]
     bad = np.abs(dirs @ m.b_at(x)) > half
     assert int(bad.sum()) == {2: 2, 3: 4}[n]
     # the sweep with only the bad nodes turned by h/2 about the polar axis

@@ -14,7 +14,7 @@ import pytest
 
 from finsler.catalog import catalog_names, get_metric
 from finsler.classify import default_grid
-from finsler.errors import DomainError, EvaluationError
+from finsler.errors import DomainError, SingularDirectionInQuadrature
 from finsler.finsler_metric import fsq_jet, fundamental
 from finsler.jets import MAX_ORDER, jet_variable
 from finsler.spray_curvature import (_fiber, berwald, douglas, ln_sigma_gradient,
@@ -119,7 +119,7 @@ def _grad_ln_sigma(name, m, f, x):
     """
     if name != "mw":
         return ln_sigma_gradient(m, f, x)
-    with pytest.raises(EvaluationError, match="F <= 0 at 1 quadrature node"):
+    with pytest.raises(SingularDirectionInQuadrature, match="F <= 0 at 1 quadrature node"):
         ln_sigma_gradient(m, f, x)
     return np.array([0.5, -0.25])
 
