@@ -82,10 +82,6 @@ class DegenerateFlag(FinslerError):
     """Flag-curvature denominator is numerically zero."""
 
 
-class NonPositiveDensity(FinslerError):
-    """Angular density f(b) came out non-positive."""
-
-
 class EmptyGrid(FinslerError):
     """Classifier called with no sample points."""
 

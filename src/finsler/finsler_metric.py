@@ -1,10 +1,12 @@
 """Fiber-level Finsler quantities for F = alpha * phi(beta/alpha).
 
 Fundamental tensor, Cartan torsion and friends come from exact fiber jets of
-F^2; the Busemann-Hausdorff density, and its factor f(b) = sigma_F / sigma_alpha
-for the S formula, come from one polar quadrature of the unit ball.  Fiber
-derivatives are never finite-differenced: g and C feed the noise-critical
-Landsberg and flag computations.
+F^2.  The Busemann-Hausdorff density sigma_F, the gradient of ln sigma_F and
+the slope d ln f / db of its factor f(b) = sigma_F / sigma_alpha for the S
+formula come from one polar rule of the unit ball (``unit_ball_sweep``) and
+one slope of its volume, differentiated under the integral sign
+(``_ln_sigma_slope``).  Fiber derivatives are never finite-differenced: g and
+C feed the noise-critical Landsberg and flag computations.
 """
 
 import math
@@ -13,8 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (DimensionError, NonPositiveDensity,
-                     SingularDirectionInQuadrature, SingularG, ZeroVector)
+from .errors import DimensionError, SingularDirectionInQuadrature, SingularG, ZeroVector
 from .geometry_core import MetricSpec, _inverse_cholesky, _inverse_spd
 from .jets import jet_form, jet_variable
 from .phi_families import PhiFamily
@@ -35,16 +36,14 @@ def finsler_eval(m: MetricSpec, f: PhiFamily, x, y):
     return alpha * f.value(s)
 
 
-def finsler_eval_many(m: MetricSpec, f: PhiFamily, x, Y, a=None, b=None):
-    """Vectorized F over rows of ``Y``, given a(x) and b(x) if at hand; returns (F, s)."""
+def finsler_eval_many(f: PhiFamily, a, b, Y):
+    """Vectorized F over rows of ``Y`` where a(x) = ``a`` and b(x) = ``b``; returns (F, s)."""
     Y = np.asarray(Y, dtype=float)
-    a = m.a_at(x) if a is None else a
-    b = m.b_at(x) if b is None else b
     # term by term in this order: the bits of einsum("ki,ij,kj->k") at less
     # than half its cost (Y @ a, faster still, sums in another order)
     alpha2 = 0.0
-    for i in range(m.n):
-        for j in range(m.n):
+    for i in range(len(b)):
+        for j in range(len(b)):
             alpha2 = alpha2 + Y[:, i] * a[i, j] * Y[:, j]
     alpha = np.sqrt(alpha2)
     s = (Y @ b) / alpha
@@ -134,36 +133,6 @@ def fundamental(m: MetricSpec, f: PhiFamily, x, y, owner=None) -> FundamentalDat
                            ell=y / F_col, h=h)
 
 
-def _radii(m, f, x, ab, dirs, h, to_y):
-    """1/F and s at the directions ``dirs @ to_y``, and the nodes they were taken at;
-    ``ab`` is the pair a(x), b(x).
-
-    A node past the admissible |s| of an almost-regular family turns by h/2
-    about the polar axis, and the nodes returned are then a copy of ``dirs``
-    with those rows turned.  F <= 0 or non-finite at a node raises: there the
-    unit ball is unbounded or undefined, and no turned node would measure it.
-    """
-    F, s = finsler_eval_many(m, f, x, dirs @ to_y, *ab)
-    half = f.b0 * (1.0 - f.delta)
-    bad = np.abs(s) > half
-    if np.any(bad):
-        c, s_ = math.cos(0.5 * h), math.sin(0.5 * h)
-        rot = np.eye(m.n)
-        rot[:2, :2] = [[c, -s_], [s_, c]]
-        dirs = dirs.copy()
-        dirs[bad] = dirs[bad] @ rot.T
-        F[bad], s[bad] = finsler_eval_many(m, f, x, dirs[bad] @ to_y, *ab)
-        still = np.abs(s) > half
-        if np.any(still):
-            raise SingularDirectionInQuadrature(
-                f"{int(np.sum(still))} quadrature nodes persistently singular")
-    for fault, cause in ((~np.isfinite(F), "is not finite"), (F <= 0.0, "<= 0")):
-        if np.any(fault):
-            raise SingularDirectionInQuadrature(
-                f"F {cause} at {int(np.sum(fault))} quadrature node(s)")
-    return 1.0 / F, s, dirs
-
-
 #: the largest max(r) / min(r) on the nodes of ``_polar_nodes(n)`` with a
 #: relative error near 1e-14 (Randers with |b|_alpha = 0.987 for n = 2, 0.846
 #: for n = 3); past it the sweep is redone on the 4x finer rule
@@ -172,15 +141,15 @@ _MAX_RADIUS_RATIO = {2: 150.0, 3: 12.0}
 
 @lru_cache(maxsize=None)
 def _polar_nodes(n, refine=1):
-    """sigma_bh's nodes for n = 2 or 3: (azimuthal step, read-only arrays).
+    """The unit-ball rule's nodes for n = 2 or 3, as read-only arrays.
 
-    The arrays are the unit directions z, the weights of vol = int r^n / n,
-    and the table z (x) z of ``ln_sigma_gradient``, row k the flattened outer
-    product of node k: the trapezoid rule on 256 azimuths (n = 2), or 32
-    Gauss-Legendre nodes in u = cos(theta) times the trapezoid rule on 64
-    azimuths (n = 3), each count times ``refine``, with 1/n folded into one
-    product weight per node.  Built once per (n, refine), on first use;
-    another n is a DimensionError.
+    The unit directions z, the weights of vol = int r^n / n, and the table
+    z (x) z of ``_ln_sigma_slope``, row k the flattened outer product of
+    node k: the trapezoid rule on 256 azimuths (n = 2), or 32 Gauss-Legendre
+    nodes in u = cos(theta) times the trapezoid rule on 64 azimuths (n = 3),
+    each count times ``refine``, with 1/n folded into one product weight per
+    node.  Built once per (n, refine), on first use; another n is a
+    DimensionError.
     """
     if n not in _UNIT_BALL_VOLUME:
         raise DimensionError("sigma_bh supports n = 2 or 3 only")
@@ -196,39 +165,60 @@ def _polar_nodes(n, refine=1):
         dirs = np.column_stack([(rho * np.cos(phi)).ravel(),
                                 (rho * np.sin(phi)).ravel(), np.repeat(u, n_az)])
         w = np.repeat(wu * (h / 3.0), n_az)
-    zz = _outer_rows(dirs)
+    zz = (dirs[:, :, None] * dirs[:, None, :]).reshape(len(dirs), -1)
     for arr in (dirs, w, zz):
         arr.flags.writeable = False
-    return h, (dirs, w, zz)
+    return dirs, w, zz
 
 
-def _outer_rows(z):
-    """Row k the flattened outer product z[k] (x) z[k]: ``(N, n * n)``."""
-    return (z[:, :, None] * z[:, None, :]).reshape(len(z), -1)
+def unit_ball_sweep(f: PhiFamily, a, b_i):
+    """One sweep of the unit-ball rule where a(x) = ``a`` and b(x) = ``b_i``:
+    ``(L^-1, w, z, zz, r, s)``.
 
-
-def unit_ball_sweep(m: MetricSpec, f: PhiFamily, x):
-    """One sweep of ``sigma_bh``'s rule at x: ``(L^-1, w, z, zz, r, s)``.
-
-    L^-1 for a(x) = L L^T, the weights w, the nodes z the sweep was taken at
-    (the rule's, or a copy with turned rows) and their z (x) z table, and
-    r = 1/F and s = beta/alpha at y = L^-T z.  The nodes are the unit
-    sphere's image under z -> z L^-1 (Jacobian det L^-1), so that the rule
-    sees no anisotropy of a: the trapezoid rule on 256 azimuths (n = 2), or
-    32 Gauss-Legendre nodes in cos(theta) x 64 azimuths (n = 3), redone 4x
-    finer when the radii vary by more than ``_MAX_RADIUS_RATIO`` (|b|_alpha
-    near 1).  F <= 0 or non-finite at a node (an unbounded unit ball, as for
-    Randers with |b|_alpha = 1) raises ``SingularDirectionInQuadrature``.
+    L^-1 for a = L L^T, the rule's weights w, nodes z and z (x) z table
+    (``_polar_nodes``), and r = 1/F and s = beta/alpha at y = L^-T z.  The
+    nodes are the unit sphere's image under z -> z L^-1 (Jacobian det L^-1),
+    so that the rule sees no anisotropy of a; the rule is redone 4x finer
+    when the radii vary by more than ``_MAX_RADIUS_RATIO`` (|b|_alpha near 1).
+    A node raises ``SingularDirectionInQuadrature`` where |s| passes the
+    admissible b0 (1 - delta) of an almost-regular family, or F <= 0 or is
+    not finite (an unbounded unit ball, as for Randers with |b|_alpha = 1).
     """
-    a = m.a_at(x)
     to_y = _inverse_cholesky(a)
-    ab = a, m.b_at(x)  # once per sweep, for every node
+    half = f.b0 * (1.0 - f.delta)
     for refine in (1, 4):
-        h, (dirs, w, zz) = _polar_nodes(m.n, refine)
-        r, s, z = _radii(m, f, x, ab, dirs, h, to_y)
-        if r.max() <= _MAX_RADIUS_RATIO[m.n] * r.min():
+        z, w, zz = _polar_nodes(len(b_i), refine)
+        F, s = finsler_eval_many(f, a, b_i, z @ to_y)
+        for fault, cause in ((np.abs(s) > half, f"|s| > b0 (1 - delta) = {half}"),
+                             (~np.isfinite(F), "F is not finite"), (F <= 0.0, "F <= 0")):
+            if np.any(fault):
+                raise SingularDirectionInQuadrature(
+                    f"{cause} at {int(np.sum(fault))} quadrature node(s)")
+        r = 1.0 / F
+        if r.max() <= _MAX_RADIUS_RATIO[len(b_i)] * r.min():
             break
-    return to_y, w, z, zz if z is dirs else _outer_rows(z), r, s
+    return to_y, w, z, zz, r, s
+
+
+def _ln_sigma_slope(f: PhiFamily, sweep, da, db):
+    """Slope of ln sigma_F along k variations (da[k], db[:, k]) of a and b, from one sweep.
+
+    vol = det L^-1 sum w r^n over the sweep's nodes (r = 1/F at y = L^-T z,
+    where alpha = 1), so d ln sigma = n sum w r^(n+1) dF / sum w r^n,
+    differentiated under the integral sign with the frame L held, where
+    dF = phi d alpha + phi' (d beta - s d alpha), d alpha = z^T (L^-1 da L^-T) z / 2
+    and d beta = (L^-1 db) . z.
+    """
+    to_y, w, z, zz, r, s = sweep
+    n = z.shape[1]
+    # column k: L^-1 da[k] L^-T, flattened as the rows of the z (x) z table
+    frame = (to_y @ da @ to_y.T).reshape(len(da), -1).T
+    d_alpha = 0.5 * (zz @ frame)
+    d_beta = z @ (to_y @ db)
+    phi, dphi = f.taylor(s, 1)
+    dF = phi[:, None] * d_alpha + dphi[:, None] * (d_beta - s[:, None] * d_alpha)
+    wr = w * r ** n
+    return n * ((wr * r) @ dF) / wr.sum()
 
 
 def sigma_bh(m: MetricSpec, f: PhiFamily, x):
@@ -238,26 +228,20 @@ def sigma_bh(m: MetricSpec, f: PhiFamily, x):
     from one ``unit_ball_sweep``; the rule converges exponentially for this
     smooth periodic integrand.
     """
-    to_y, w, _, _, r, _ = unit_ball_sweep(m, f, x)
+    to_y, w, _, _, r, _ = unit_ball_sweep(f, m.a_at(x), m.b_at(x))
     vol = float(w @ r ** m.n) * float(np.prod(np.diag(to_y)))
     return _UNIT_BALL_VOLUME[m.n] / vol
 
 
 @lru_cache(maxsize=256)
-def _angular_density(f: PhiFamily, b, n):
-    """Busemann-Hausdorff f(b) = vol(B^n) / vol{y : |y| phi(b y_1 / |y|) < 1}.
+def _ln_density_slope(f: PhiFamily, b, n):
+    """d ln f / db of the Busemann-Hausdorff f(b) = vol(B^n) / vol{y : |y| phi(b y_1 / |y|) < 1}.
 
-    sigma_BH = f(b) sigma_alpha (Cheng-Shen); this is ``sigma_bh``'s rule and
-    refine switch at a = I, with beta off the polar axis of the n = 3 rule,
-    where it is more accurate near b = 1.  Memoised on (f, b, n), the 256
-    most recent keys; a ``PhiFamily`` hashes by identity and is frozen, and
-    the cache's strong reference keeps its id from reuse.
+    sigma_BH = f(b) sigma_alpha (Cheng-Shen): this is ``_ln_sigma_slope`` at
+    a = I and beta = b y_1, along db = e_1 with a held.  Memoised on
+    (f, b, n), the 256 most recent keys; a ``PhiFamily`` hashes by identity
+    and is frozen, and the cache's strong reference keeps its id from reuse.
     """
-    for refine in (1, 4):
-        _, (dirs, w, _) = _polar_nodes(n, refine)
-        phi = f.value_many(b * dirs[:, 0])
-        if not np.all(phi > 0.0):  # also false where phi is NaN
-            raise NonPositiveDensity(f"phi <= 0 or not finite on the unit sphere at b = {b}")
-        if phi.max() <= _MAX_RADIUS_RATIO[n] * phi.min():
-            break
-    return _UNIT_BALL_VOLUME[n] / float(w @ (1.0 / phi) ** n)
+    e_1 = np.eye(n)[0]
+    sweep = unit_ball_sweep(f, np.eye(n), b * e_1)
+    return float(_ln_sigma_slope(f, sweep, np.zeros((1, n, n)), e_1[:, None])[0])

@@ -31,6 +31,10 @@ lower order gives the same bits, so the stencils and ``berwald`` run their own.
 from one copy of the fundamental data and of the order-4 spray jet.  A ``bc``
 argument is the beta calculus of x, if at hand (a row of the caller's stacked
 pass).
+
+Both S-curvature routes read one unit-ball rule: ``s_curvature_def`` the
+gradient of ln sigma_F, ``s_curvature_formula`` the slope d ln f / db of the
+Busemann-Hausdorff f(b), each one sweep's ``_ln_sigma_slope``.
 """
 
 from dataclasses import dataclass
@@ -39,8 +43,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateFlag, DimensionError, DomainError, FinslerError
-from .finsler_metric import (FundamentalData, _angular_density, alpha_beta_jets,
-                             fsq_jet, fundamental, pair_columns, unit_ball_sweep)
+from .finsler_metric import (FundamentalData, _ln_density_slope, _ln_sigma_slope,
+                             alpha_beta_jets, fsq_jet, fundamental, pair_columns,
+                             unit_ball_sweep)
 from .geometry_core import MetricSpec, beta_derivatives
 from .jets import base_derivative, jet_form, jet_variable
 from .phi_families import PhiFamily, ab_scalars, spray_scalar_series
@@ -219,8 +224,10 @@ def riemann_flag(m: MetricSpec, f: PhiFamily, x, y, u=None, g=None, R=None):
     u = np.asarray(u, dtype=float)
     if g is None:
         g = fundamental(m, f, x, y).g
-    denom = _bilinear(y, g, y) * _bilinear(u, g, u) - _bilinear(y, g, u) ** 2
-    if (np.abs(denom) < 1e-12).any():
+    # K is scale-invariant in y and u, so the denominator is judged against g(y,y) g(u,u)
+    gyy, guu = _bilinear(y, g, y), _bilinear(u, g, u)
+    denom = gyy * guu - _bilinear(y, g, u) ** 2
+    if (np.abs(denom) < 1e-12 * gyy * guu).any():
         raise DegenerateFlag("flag denominator is numerically zero")
     K = _bilinear(u, g, (R @ u[..., None])[..., 0]) / denom
     return R, K
@@ -229,27 +236,15 @@ def riemann_flag(m: MetricSpec, f: PhiFamily, x, y, u=None, g=None, R=None):
 def ln_sigma_gradient(m: MetricSpec, f: PhiFamily, x, bc=None):
     """Gradient of ln sigma_F at ``x``, from one ``unit_ball_sweep``; reusable across directions.
 
-    With the frame L of a(x) = L L^T held at x, vol(x) = det L^-1 sum w r^n
-    over the sweep's nodes z (r = 1/F at y = L^-T z, where alpha = 1), so
-    d_k ln sigma = n sum w r^(n+1) d_k F / sum w r^n, differentiated under the
-    integral sign; a turned node is differentiated where it was taken.  Here
-    d_k F = phi d_k alpha + phi' (d_k beta - s d_k alpha), with
-    d_k alpha = z^T (L^-1 d_k a L^-T) z / 2 and d_k beta = (L^-1 d_k b) . z,
-    d_k a and d_k b from ``bc``, the beta calculus of x (one pass of its own
-    if not at hand; an exception handed in is raised again).
+    The sweep's ``_ln_sigma_slope`` along d_k a and d_k b, k = 1..n, from
+    ``bc``, the beta calculus of x (one pass of its own if not at hand; an
+    exception handed in is raised again, after the sweep).
     """
-    to_y, w, z, zz, r, s = unit_ball_sweep(m, f, x)
+    sweep = unit_ball_sweep(f, m.a_at(x), m.b_at(x))
     bc = beta_derivatives(m, x) if bc is None else bc
     if isinstance(bc, Exception):
         raise bc
-    # column k: L^-1 d_k a L^-T, flattened as the rows of the z (x) z table
-    frame = (to_y @ bc.da @ to_y.T).reshape(m.n, -1).T
-    d_alpha = 0.5 * (zz @ frame)
-    d_beta = z @ (to_y @ bc.db)
-    phi, dphi = f.taylor(s, 1)
-    dF = phi[:, None] * d_alpha + dphi[:, None] * (d_beta - s[:, None] * d_alpha)
-    wr = w * r ** m.n
-    return m.n * ((wr * r) @ dF) / wr.sum()
+    return _ln_sigma_slope(f, sweep, bc.da, bc.db)
 
 
 def s_curvature_def(m: MetricSpec, f: PhiFamily, x, y, grad_ln_sigma=None,
@@ -284,13 +279,12 @@ def s_curvature_formula(m: MetricSpec, f: PhiFamily, x, y, bc=None):
     alpha = np.sqrt(_bilinear(y, bc.a, y))
     sc = ab_scalars(f, bc.b, beta / alpha, m.n)
     # the density term multiplies r_0 + s_0 = b^i b_{i;0}, exactly 0 where
-    # beta vanishes, and there f'(b) / b is 0/0: skip it
+    # beta vanishes, and there (d ln f / db) / b is 0/0: skip it
     rs_0 = r_0 + s_0
     density = 0.0
     if (rs_0 != 0.0).any():
-        fb, fp, fm = (_angular_density(f, bc.b + db, m.n) for db in (0.0, 1e-4, -1e-4))
-        fpb = (fp - fm) / 2e-4
-        density = np.where(rs_0 != 0.0, (2.0 * sc.Psi - fpb / (bc.b * fb)) * rs_0, 0.0)
+        slope = _ln_density_slope(f, bc.b, m.n)
+        density = np.where(rs_0 != 0.0, (2.0 * sc.Psi - slope / bc.b) * rs_0, 0.0)
     # Delta * Delta, not Delta ** 2: a float's ** is libm pow, an array's a
     # product, and they differ in the last bit for some Delta
     S = density - (sc.Phi / (2.0 * alpha * (sc.Delta * sc.Delta))

@@ -40,7 +40,7 @@ class TestEvaluation:
         e = get_metric("sphere_randers", eps=0.5)
         x = [1.0, 0.5]
         Y = np.array([[1.0, 0.2], [-0.3, 1.0], [0.5, -0.8]])
-        F, s = finsler_eval_many(e.metric, e.phi, x, Y)
+        F, s = finsler_eval_many(e.phi, e.metric.a_at(x), e.metric.b_at(x), Y)
         for i, y in enumerate(Y):
             assert F[i] == pytest.approx(finsler_eval(e.metric, e.phi, x, y))
 

@@ -86,8 +86,8 @@ def test_refined_rule_point():
     # (by complex step) the new route is off by 7.9e-13, the stencil by 4.3e-9
     b1, x = 0.99, np.array([0.1, 0.0])
     m, f = _randers_near_one(b1), RandersPhi()
-    _, w, _, _, _, _ = unit_ball_sweep(m, f, x)
-    assert len(w) == 4 * len(_polar_nodes(2)[1][1])
+    _, w, _, _, _, _ = unit_ball_sweep(f, m.a_at(x), m.b_at(x))
+    assert len(w) == 4 * len(_polar_nodes(2)[1])
     got = ln_sigma_gradient(m, f, x)
     step = 1e-20
     exact = np.array([_randers_closed_form(x + 1j * step * e, b1).imag / step
@@ -96,46 +96,31 @@ def test_refined_rule_point():
     assert np.abs(got - ref_ln_sigma_gradient(m, f, x)).max() < 1e-8
 
 
-#: per n, bounds on |new - stencil| and on |new - closed form| on the
-#: turned-node configs below, about 2x the measured 1.1e-6 and 1.15e-5 (n = 2),
-#: 4.1e-5 and 4.4e-4 (n = 3): both routes carry the turned nodes' own error
-#: (the stencil is 1.0e-5 and 3.9e-4 from the closed form), and differ in how
-#: they follow it as the alpha-frame moves with x
-TURNED_BOUNDS = {2: (2.5e-6, 2.5e-5), 3: (1e-4, 1e-3)}
-
-
 @pytest.mark.parametrize("n", [2, 3])
-def test_turned_nodes_are_differentiated_where_they_were_taken(n):
+def test_nodes_past_the_admissible_cone_raise(n):
     # sqrt(alpha^2 - beta^2) with |b|_alpha just past the admissible
-    # half-width 0.95 at the nodes nearest to +-b: those turn by h/2 and
-    # come back inside; a(x) moves |b|_alpha little enough that every
-    # stencil point turns the same nodes
+    # half-width 0.95 at the nodes nearest to +-b: no node is moved back
+    # inside, and the gradient refuses the sweep
     f = RiemannSqrtPhi(-1.0)
-    h, (dirs, _, _) = _polar_nodes(n)
+    dirs = _polar_nodes(n)[0]
     half = f.b0 * (1.0 - f.delta)
-    b = half * (1.0 + h * h / 16.0) / np.hypot(dirs[:, 0], dirs[:, 1]).max()
+    b = half * (1.0 + 1e-6) / np.hypot(dirs[:, 0], dirs[:, 1]).max()
+    bad = {2: 2, 3: 4}[n]
     m = MetricSpec(n=n, a=lambda x: np.diag([1.0 + 0.02 * x[0], 1.0 + 0.01 * x[1]]
                                             + [1.0] * (n - 2)),
                    b_form=lambda x: np.array([b] + [0.0] * (n - 1)),
-                   chart_domain=ChartDomain((-1.0,) * n, (1.0,) * n), name="turned")
-    x = np.zeros(n)
-    _, _, z, zz, _, _ = unit_ball_sweep(m, f, x)
-    turned = np.any(z != dirs, axis=1)
-    assert int(turned.sum()) == {2: 2, 3: 4}[n]
-    assert np.array_equal(zz[turned], (z[turned, :, None] * z[turned, None, :]).reshape(-1, n * n))
-    got = ln_sigma_gradient(m, f, x)
-    to_stencil, to_exact = TURNED_BOUNDS[n]
-    assert np.abs(got - ref_ln_sigma_gradient(m, f, x)).max() <= to_stencil
-    # Riemannian: sigma = sqrt(det(a - b b^T)), so d ln sigma / d x1 =
-    # 0.02 / 2 + (b^2 0.02 / 2) / (1 - b^2), and 0.01 / 2 along x2
-    exact = np.zeros(n)
-    exact[:2] = 0.01 + 0.01 * b * b / (1.0 - b * b), 0.005
-    assert np.abs(got - exact).max() <= to_exact
+                   chart_domain=ChartDomain((-1.0,) * n, (1.0,) * n), name="edge")
+    with pytest.raises(SingularDirectionInQuadrature,
+                       match=rf"\|s\| > b0 \(1 - delta\) = 0.95 at {bad} quadrature node"):
+        ln_sigma_gradient(m, f, np.zeros(n))
 
 
-@pytest.mark.parametrize("name", ["bao_shen", "lie_group", "proj_sphere_killing"])
+@pytest.mark.parametrize("name", ["bao_shen", "fish_tank", "lie_group", "proj_sphere_killing",
+                                  "sphere_randers"])
 def test_s_routes_agree_to_roundoff(name):
-    # the stencil route left 9.5e-12, 4.3e-9 and 5.1e-12 here
+    # the stencil of ln sigma left 9.5e-12, 4.3e-9 and 5.1e-12 on bao_shen,
+    # lie_group and proj_sphere_killing; the b +- 1e-4 stencil of f(b) left
+    # 1.5e-7 and 8.4e-10 on fish_tank and sphere_randers, where |b|_alpha varies
     e = get_metric(name)
     m, f = e.metric, e.phi
     grid = default_grid(m, 3)

@@ -17,11 +17,10 @@ import pytest
 
 from finsler.catalog import catalog_names, get_metric
 from finsler.errors import SingularDirectionInQuadrature, SingularMetric
-from finsler.finsler_metric import (_MAX_RADIUS_RATIO, _polar_nodes,
+from finsler.finsler_metric import (_MAX_RADIUS_RATIO, _ln_density_slope, _polar_nodes,
                                     finsler_eval_many, sigma_bh)
 from finsler.geometry_core import ChartDomain, MetricSpec
 from finsler.phi_families import CustomExprPhi, RandersPhi, UnicornPhi
-from finsler.spray_curvature import _angular_density
 
 _UNIT_BALL_VOLUME = {2: math.pi, 3: 4.0 * math.pi / 3.0}
 #: every catalog metric with a bounded unit ball (mw has |b| = 1)
@@ -35,6 +34,11 @@ def ref_finsler_eval_many(m, f, x, Y):
     alpha = np.sqrt(np.einsum("ki,ij,kj->k", Y, a, Y))
     s = (Y @ b) / alpha
     return alpha * f.value_many(s), s
+
+
+def _F(m, f, x, Y):
+    """F over the rows of Y at x."""
+    return finsler_eval_many(f, m.a_at(x), m.b_at(x), Y)[0]
 
 
 def _sphere(n_u, n_az):
@@ -55,8 +59,7 @@ def refined_sigma(m, f, x):
         w = np.full(4096, math.pi / 4096)
     else:
         dirs, w = _sphere(96, 192)
-    F = finsler_eval_many(m, f, x, dirs)[0]
-    return _UNIT_BALL_VOLUME[m.n] / float(w @ F ** -float(m.n))
+    return _UNIT_BALL_VOLUME[m.n] / float(w @ _F(m, f, x, dirs) ** -float(m.n))
 
 
 def simpson_sigma(m, f, x):
@@ -70,14 +73,14 @@ def simpson_sigma(m, f, x):
     if m.n == 2:
         theta = np.linspace(0.0, 2.0 * math.pi, 2049)
         dirs = np.column_stack([np.cos(theta), np.sin(theta)])
-        r = 1.0 / finsler_eval_many(m, f, x, dirs)[0]
+        r = 1.0 / _F(m, f, x, dirs)
         return math.pi / (0.5 * (theta[1] - theta[0]) * float(weights(2048) @ r ** 2))
     theta = np.linspace(0.0, math.pi, 129)
     phi = np.linspace(0.0, 2.0 * math.pi, 257)
     T, P = np.meshgrid(theta, phi, indexing="ij")
     dirs = np.column_stack([(np.sin(T) * np.cos(P)).ravel(),
                             (np.sin(T) * np.sin(P)).ravel(), np.cos(T).ravel()])
-    r = 1.0 / finsler_eval_many(m, f, x, dirs)[0]
+    r = 1.0 / _F(m, f, x, dirs)
     integrand = r.reshape(T.shape) ** 3 * np.sin(T) / 3.0
     vol = float((weights(128) * (theta[1] - theta[0])) @ integrand
                 @ (weights(256) * (phi[1] - phi[0])))
@@ -140,8 +143,8 @@ def test_elongated_unit_ball_takes_the_finer_rule():
     # is off by about 3e-8
     m = _constant_metric(np.eye(3), [0.95, 0.0, 0.0])
     x, want = np.zeros(3), (1.0 - 0.95 ** 2) ** 2
-    dirs, w, _ = _polar_nodes(3)[1]
-    r = 1.0 / finsler_eval_many(m, RandersPhi(), x, dirs)[0]
+    dirs, w, _ = _polar_nodes(3)
+    r = 1.0 / _F(m, RandersPhi(), x, dirs)
     assert r.max() > _MAX_RADIUS_RATIO[3] * r.min()
     base = _UNIT_BALL_VOLUME[3] / float(w @ r ** 3)
     assert abs(base / want - 1.0) > 1e-9
@@ -168,7 +171,7 @@ def test_sigma_within_simpson_error(name):
 @pytest.mark.parametrize("name", catalog_names())
 def test_sigma_bit_equal_on_catalog(name):
     # the cached read-only nodes give the bits of freshly built ones, also
-    # after sweeps that shifted nodes, refined, or failed
+    # after sweeps that refined or failed
     entry = get_metric(name)
     m, f = entry.metric, entry.phi
 
@@ -184,51 +187,44 @@ def test_sigma_bit_equal_on_catalog(name):
         assert sweep(x) == cached
 
 
+#: the azimuthal step of the base rule of ``_polar_nodes(n)``
+STEP = {2: 2.0 * math.pi / 256, 3: 2.0 * math.pi / 64}
+
+
 def _edge_metric(n):
     """|beta| just past the admissible half-width at the nodes of azimuth 0
-    and pi nearest to +-b (two on the circle, four on the sphere, at
-    u = +-u_min); a half-step turn about the polar axis brings them back."""
+    and pi nearest to +-b: two on the circle, four on the sphere, at u = +-u_min."""
     f = CustomExprPhi("1 + 0.2*s", b0=1.0, delta=0.05)
     half = f.b0 * (1.0 - f.delta)
-    h, (dirs, _, _) = _polar_nodes(n)
+    dirs = _polar_nodes(n)[0]
     rho = np.hypot(dirs[:, 0], dirs[:, 1]).max()  # 1 on the circle
-    m = _constant_metric(np.eye(n), [half / (rho * math.cos(0.25 * h))]
-                         + [0.0] * (n - 1))
-    return m, f, half, h
+    b = half / (rho * math.cos(0.25 * STEP[n]))
+    return _constant_metric(np.eye(n), [b] + [0.0] * (n - 1)), f, b
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_shifted_nodes_bit_equal(n):
-    m, f, half, h = _edge_metric(n)
-    x = np.zeros(n)
-    dirs, w, _ = _polar_nodes(n)[1]
-    bad = np.abs(dirs @ m.b_at(x)) > half
-    assert int(bad.sum()) == {2: 2, 3: 4}[n]
-    # the sweep with only the bad nodes turned by h/2 about the polar axis
-    rot = np.eye(n)
-    rot[:2, :2] = [[math.cos(0.5 * h), -math.sin(0.5 * h)],
-                   [math.sin(0.5 * h), math.cos(0.5 * h)]]
-    moved = dirs.copy()
-    moved[bad] = dirs[bad] @ rot.T
-    F = finsler_eval_many(m, f, x, moved)[0]
-    want = _UNIT_BALL_VOLUME[n] / float(w @ (1.0 / F) ** n)
-    assert sigma_bh(m, f, x) == want
-    # the sweep with no node turned has other bits: the turn happened
-    F = finsler_eval_many(m, f, x, dirs)[0]
-    assert _UNIT_BALL_VOLUME[n] / float(w @ (1.0 / F) ** n) != want
-    # F = alpha + 0.2 beta is Randers; the moved nodes cost 2e-6 on the sphere
-    exact = (1.0 - (0.2 * m.b_at(x)[0]) ** 2) ** ((n + 1) / 2)
-    assert want == pytest.approx(exact, rel=1e-5)
+def test_nodes_past_the_admissible_cone_raise(n):
+    # no node is moved back inside: sigma and the S formula's f(b) slope both
+    # refuse a unit ball whose nodes leave |s| <= b0 (1 - delta)
+    m, f, b = _edge_metric(n)
+    bad = {2: 2, 3: 4}[n]
+    message = rf"\|s\| > b0 \(1 - delta\) = 0.95 at {bad} quadrature node\(s\)"
+    with pytest.raises(SingularDirectionInQuadrature, match=message):
+        sigma_bh(m, f, np.zeros(n))
+    with pytest.raises(SingularDirectionInQuadrature, match=message):
+        _ln_density_slope(f, b, n)
 
 
 @pytest.mark.parametrize("n, b", [
-    (2, lambda half, h: [half / math.cos(2.0 * h), 0.0]),  # an arc of 5 nodes
-    (3, lambda half, h: [0.0, 0.0, 1.0]),  # a ring of 64 about the pole
+    (2, lambda half, h: [half / math.cos(2.0 * h), 0.0]),  # arcs of 3 nodes about +-b
+    (3, lambda half, h: [0.0, 0.0, 1.0]),  # six rings of 64 about the poles
 ])
 def test_persistently_singular_nodes_raise(n, b):
     f = CustomExprPhi("1 + 0.2*s", b0=1.0, delta=0.05)
-    m = _constant_metric(np.eye(n), b(0.95, _polar_nodes(n)[0]))
-    with pytest.raises(SingularDirectionInQuadrature, match="persistently singular"):
+    m = _constant_metric(np.eye(n), b(0.95, STEP[n]))
+    bad = {2: 6, 3: 384}[n]
+    with pytest.raises(SingularDirectionInQuadrature,
+                       match=rf"\|s\| > b0 \(1 - delta\) = 0.95 at {bad} quadrature node\(s\)"):
         sigma_bh(m, f, np.zeros(n))
 
 
@@ -258,7 +254,7 @@ def test_alpha_sum_bit_equal_to_einsum(name):
     rng = np.random.default_rng(7)
     Y = rng.normal(size=(257, m.n))
     for x in _points(entry):
-        got = finsler_eval_many(m, f, x, Y)
+        got = finsler_eval_many(f, m.a_at(x), m.b_at(x), Y)
         want = ref_finsler_eval_many(m, f, x, Y)
         assert np.array_equal(got[0], want[0], equal_nan=True)
         assert np.array_equal(got[1], want[1], equal_nan=True)
@@ -266,8 +262,8 @@ def test_alpha_sum_bit_equal_to_einsum(name):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_cached_nodes_are_read_only(n):
-    _, arrays = _polar_nodes(n)
-    assert _polar_nodes(n)[1][0] is arrays[0]
+    arrays = _polar_nodes(n)
+    assert _polar_nodes(n)[0] is arrays[0]
     for arr in arrays:
         with pytest.raises(ValueError):
             arr[0] = 0.0
@@ -279,6 +275,7 @@ def test_cached_nodes_are_read_only(n):
     (UnicornPhi(1.0, 0.5, 1.0, 1.0), 0.6, 3),
 ])
 def test_angular_density_memo_equals_uncached(f, b, n):
-    want = _angular_density.__wrapped__(f, b, n)
-    assert _angular_density(f, b, n) == want
-    assert _angular_density(f, b, n) == want  # a hit returns the same value
+    # the memo of the density's slope d ln f / db, which the S formula reads
+    want = _ln_density_slope.__wrapped__(f, b, n)
+    assert _ln_density_slope(f, b, n) == want
+    assert _ln_density_slope(f, b, n) == want  # a hit returns the same value

@@ -8,8 +8,8 @@ import pytest
 
 from finsler.catalog import catalog_names, get_metric
 from finsler.classify import default_directions, default_grid
-from finsler.errors import DimensionError, DomainError, ZeroVector
-from finsler.finsler_metric import _angular_density, fundamental
+from finsler.errors import DegenerateFlag, DimensionError, DomainError, ZeroVector
+from finsler.finsler_metric import _ln_density_slope, fundamental
 from finsler.geometry_core import beta_derivatives
 from finsler.phi_families import RandersPhi
 from finsler.spray_curvature import (berwald, berwald_2d_identity,
@@ -155,6 +155,16 @@ class TestRiemannFlag:
         _, K1 = riemann_flag(e.metric, e.phi, x, y, u=u1)
         _, K2 = riemann_flag(e.metric, e.phi, x, y, u=u2)
         assert K1 == pytest.approx(K2, abs=1e-8)
+        # and of the flagpole's length: the flag is judged degenerate
+        # relative to g(y,y) g(u,u), so a short y is refused only with a u
+        # parallel to it
+        x, y = [0.3, 1.2], np.array([0.6, 0.8])
+        _, K = riemann_flag(e.metric, e.phi, x, y)
+        assert K == pytest.approx(0.0021880016781356, rel=1e-12)
+        for scale in (1e-4, 1e-6, 1e3):
+            assert riemann_flag(e.metric, e.phi, x, scale * y)[1] == pytest.approx(K, rel=1e-10)
+        with pytest.raises(DegenerateFlag):
+            riemann_flag(e.metric, e.phi, x, 1e-4 * y, u=-2.0 * y)
 
     def test_riemann_annihilates_y(self):
         e = get_metric("lie_group")
@@ -194,10 +204,10 @@ class TestSCurvature:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_density_is_the_randers_closed_form(self, n):
-        # Randers: vol{F < 1} = vol(B^n) (1 - b^2)^(-(n+1)/2)
-        for b in np.linspace(0.0, 0.99, 12):
-            want = (1.0 - b * b) ** ((n + 1) / 2)
-            assert _angular_density(RandersPhi(), float(b), n) == pytest.approx(want, rel=1e-12)
+        # Randers: f(b) = (1 - b^2)^((n+1)/2), so d ln f / db = -(n+1) b / (1 - b^2)
+        for b in np.linspace(0.1, 0.97, 12):
+            want = -(n + 1) * b / (1.0 - b * b)
+            assert _ln_density_slope(RandersPhi(), float(b), n) == pytest.approx(want, rel=1e-14)
 
     def test_formula_is_finite_where_beta_vanishes(self):
         e = get_metric("fish_tank")
