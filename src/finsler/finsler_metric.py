@@ -1,12 +1,12 @@
 """Fiber-level Finsler quantities for F = alpha * phi(beta/alpha).
 
 Fundamental tensor, Cartan torsion and friends come from exact fiber jets of
-F^2.  The Busemann-Hausdorff density sigma_F, the gradient of ln sigma_F and
-the slope d ln f / db of its factor f(b) = sigma_F / sigma_alpha for the S
-formula come from one polar rule of the unit ball (``unit_ball_sweep``) and
-one slope of its volume, differentiated under the integral sign
-(``_ln_sigma_slope``).  Fiber derivatives are never finite-differenced: g and
-C feed the noise-critical Landsberg and flag computations.
+F^2.  The Busemann-Hausdorff density is sigma_F = f(b) sqrt(det a), and its
+factor f(b) and the slope d ln f / db, which the gradient of ln sigma_F and
+the S formula read, come from one memoised sweep of a polar rule of the unit
+ball in one frame: a = I with beta = b on the first axis (``_unit_ball``).
+Fiber derivatives are never finite-differenced: g and C feed the
+noise-critical Landsberg and flag computations.
 """
 
 import math
@@ -34,20 +34,6 @@ def finsler_eval(m: MetricSpec, f: PhiFamily, x, y):
     s = float(m.b_at(x) @ y) / alpha
     f.require_admissible(s)
     return alpha * f.value(s)
-
-
-def finsler_eval_many(f: PhiFamily, a, b, Y):
-    """Vectorized F over rows of ``Y`` where a(x) = ``a`` and b(x) = ``b``; returns (F, s)."""
-    Y = np.asarray(Y, dtype=float)
-    # term by term in this order: the bits of einsum("ki,ij,kj->k") at less
-    # than half its cost (Y @ a, faster still, sums in another order)
-    alpha2 = 0.0
-    for i in range(len(b)):
-        for j in range(len(b)):
-            alpha2 = alpha2 + Y[:, i] * a[i, j] * Y[:, j]
-    alpha = np.sqrt(alpha2)
-    s = (Y @ b) / alpha
-    return alpha * f.value_many(s), s
 
 
 def pair_columns(x, y, owner=None):
@@ -143,13 +129,12 @@ _MAX_RADIUS_RATIO = {2: 150.0, 3: 12.0}
 def _polar_nodes(n, refine=1):
     """The unit-ball rule's nodes for n = 2 or 3, as read-only arrays.
 
-    The unit directions z, the weights of vol = int r^n / n, and the table
-    z (x) z of ``_ln_sigma_slope``, row k the flattened outer product of
-    node k: the trapezoid rule on 256 azimuths (n = 2), or 32 Gauss-Legendre
-    nodes in u = cos(theta) times the trapezoid rule on 64 azimuths (n = 3),
-    each count times ``refine``, with 1/n folded into one product weight per
-    node.  Built once per (n, refine), on first use; another n is a
-    DimensionError.
+    The unit directions z and the weights of vol = int r^n / n: the
+    trapezoid rule on 256 azimuths (n = 2), or 32 Gauss-Legendre nodes in
+    u = cos(theta) times the trapezoid rule on 64 azimuths (n = 3), each count
+    times ``refine``, with 1/n folded into one product weight per node.  The
+    first axis lies in the equator plane, away from the poles u = +-1.  Built
+    once per (n, refine), on first use; another n is a DimensionError.
     """
     if n not in _UNIT_BALL_VOLUME:
         raise DimensionError("sigma_bh supports n = 2 or 3 only")
@@ -165,83 +150,57 @@ def _polar_nodes(n, refine=1):
         dirs = np.column_stack([(rho * np.cos(phi)).ravel(),
                                 (rho * np.sin(phi)).ravel(), np.repeat(u, n_az)])
         w = np.repeat(wu * (h / 3.0), n_az)
-    zz = (dirs[:, :, None] * dirs[:, None, :]).reshape(len(dirs), -1)
-    for arr in (dirs, w, zz):
+    for arr in (dirs, w):
         arr.flags.writeable = False
-    return dirs, w, zz
+    return dirs, w
 
 
-def unit_ball_sweep(f: PhiFamily, a, b_i):
-    """One sweep of the unit-ball rule where a(x) = ``a`` and b(x) = ``b_i``:
-    ``(L^-1, w, z, zz, r, s)``.
+@lru_cache(maxsize=256)
+def _unit_ball(f: PhiFamily, b, n):
+    """``(vol, d ln f / db)`` of the unit ball {z : |z| phi(b z_1 / |z|) < 1}.
 
-    L^-1 for a = L L^T, the rule's weights w, nodes z and z (x) z table
-    (``_polar_nodes``), and r = 1/F and s = beta/alpha at y = L^-T z.  The
-    nodes are the unit sphere's image under z -> z L^-1 (Jacobian det L^-1),
-    so that the rule sees no anisotropy of a; the rule is redone 4x finer
-    when the radii vary by more than ``_MAX_RADIUS_RATIO`` (|b|_alpha near 1).
-    A node raises ``SingularDirectionInQuadrature`` where |s| passes the
+    sigma_F = f(b) sqrt(det a) with f(b) = vol(B^n) / vol (Cheng-Shen): in
+    z = L^T y, a = L L^T, turned so that beta lies on the first axis,
+    F = |z| phi(b z_1 / |z|).  One sweep of the rule (``_polar_nodes``) gives
+    r = 1/F, vol = sum w r^n and, differentiated under the integral sign,
+    d ln f / db = n sum w r^(n+1) phi'(s) z_1 / sum w r^n.  The rule is redone
+    4x finer when the radii vary by more than ``_MAX_RADIUS_RATIO`` (b near
+    1).  A node raises ``SingularDirectionInQuadrature`` where |s| passes the
     admissible b0 (1 - delta) of an almost-regular family, or F <= 0 or is
-    not finite (an unbounded unit ball, as for Randers with |b|_alpha = 1).
+    not finite (an unbounded unit ball, as for Randers with b = 1).
+    Memoised on (f, b, n), the 256 most recent keys; a ``PhiFamily`` hashes
+    by identity and is frozen, and the cache's strong reference keeps its id
+    from reuse.
     """
-    to_y = _inverse_cholesky(a)
     half = f.b0 * (1.0 - f.delta)
     for refine in (1, 4):
-        z, w, zz = _polar_nodes(len(b_i), refine)
-        F, s = finsler_eval_many(f, a, b_i, z @ to_y)
+        z, w = _polar_nodes(n, refine)
+        # |z| is 1 only to roundoff; dividing by it keeps the bits of d ln f / db
+        alpha = np.sqrt(sum(z[:, i] * z[:, i] for i in range(n)))
+        s = z[:, 0] * b / alpha
+        F = alpha * f.value_many(s)
         for fault, cause in ((np.abs(s) > half, f"|s| > b0 (1 - delta) = {half}"),
                              (~np.isfinite(F), "F is not finite"), (F <= 0.0, "F <= 0")):
             if np.any(fault):
                 raise SingularDirectionInQuadrature(
                     f"{cause} at {int(np.sum(fault))} quadrature node(s)")
         r = 1.0 / F
-        if r.max() <= _MAX_RADIUS_RATIO[len(b_i)] * r.min():
+        if r.max() <= _MAX_RADIUS_RATIO[n] * r.min():
             break
-    return to_y, w, z, zz, r, s
-
-
-def _ln_sigma_slope(f: PhiFamily, sweep, da, db):
-    """Slope of ln sigma_F along k variations (da[k], db[:, k]) of a and b, from one sweep.
-
-    vol = det L^-1 sum w r^n over the sweep's nodes (r = 1/F at y = L^-T z,
-    where alpha = 1), so d ln sigma = n sum w r^(n+1) dF / sum w r^n,
-    differentiated under the integral sign with the frame L held, where
-    dF = phi d alpha + phi' (d beta - s d alpha), d alpha = z^T (L^-1 da L^-T) z / 2
-    and d beta = (L^-1 db) . z.
-    """
-    to_y, w, z, zz, r, s = sweep
-    n = z.shape[1]
-    # column k: L^-1 da[k] L^-T, flattened as the rows of the z (x) z table
-    frame = (to_y @ da @ to_y.T).reshape(len(da), -1).T
-    d_alpha = 0.5 * (zz @ frame)
-    d_beta = z @ (to_y @ db)
-    phi, dphi = f.taylor(s, 1)
-    dF = phi[:, None] * d_alpha + dphi[:, None] * (d_beta - s[:, None] * d_alpha)
     wr = w * r ** n
-    return n * ((wr * r) @ dF) / wr.sum()
+    dF = f.taylor(s, 1)[1] * z[:, 0]  # dF/db
+    vol = wr.sum()
+    return float(vol), float(n * ((wr * r) @ dF) / vol)
 
 
 def sigma_bh(m: MetricSpec, f: PhiFamily, x):
     """Busemann-Hausdorff volume density sigma_F(x) = vol(B^n) / vol{F(x, y) < 1}.
 
-    The unit-ball volume int r^n / n, r = 1/F, over the alpha-unit sphere,
-    from one ``unit_ball_sweep``; the rule converges exponentially for this
-    smooth periodic integrand.
+    = vol(B^n) / (vol(b) det L^-1) for a(x) = L L^T, with vol(b) the
+    ``_unit_ball`` of b = |beta|_alpha = |L^-1 b(x)|; the rule converges
+    exponentially for this smooth periodic integrand.
     """
-    to_y, w, _, _, r, _ = unit_ball_sweep(f, m.a_at(x), m.b_at(x))
-    vol = float(w @ r ** m.n) * float(np.prod(np.diag(to_y)))
-    return _UNIT_BALL_VOLUME[m.n] / vol
-
-
-@lru_cache(maxsize=256)
-def _ln_density_slope(f: PhiFamily, b, n):
-    """d ln f / db of the Busemann-Hausdorff f(b) = vol(B^n) / vol{y : |y| phi(b y_1 / |y|) < 1}.
-
-    sigma_BH = f(b) sigma_alpha (Cheng-Shen): this is ``_ln_sigma_slope`` at
-    a = I and beta = b y_1, along db = e_1 with a held.  Memoised on
-    (f, b, n), the 256 most recent keys; a ``PhiFamily`` hashes by identity
-    and is frozen, and the cache's strong reference keeps its id from reuse.
-    """
-    e_1 = np.eye(n)[0]
-    sweep = unit_ball_sweep(f, np.eye(n), b * e_1)
-    return float(_ln_sigma_slope(f, sweep, np.zeros((1, n, n)), e_1[:, None])[0])
+    a, b_i = m.a_at(x), m.b_at(x)
+    to_y = _inverse_cholesky(a)
+    vol = _unit_ball(f, float(np.linalg.norm(to_y @ b_i)), m.n)[0]
+    return _UNIT_BALL_VOLUME[m.n] / (vol * float(np.prod(np.diag(to_y))))

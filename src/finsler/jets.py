@@ -22,10 +22,11 @@ and b(x) are plain functions that need not take jets, so every x-derivative of
 a field goes through :func:`base_derivative`, the whole gradient of a scalar
 or array field by Richardson-extrapolated central differences, with the
 derivative axis last.  No quadrature sits behind it: the gradient of ln sigma
-is differentiated under the integral sign, from the stencils of a and b
-(``spray_curvature.ln_sigma_gradient``).  A gradient is one field call on the
-whole stencil as a point stack, redone one point at a time if that call
-raises, so an error names the stencil point that raises alone.
+is a closed form in the stencils of a and b and the slope d ln f / db of one
+memoised unit-ball sweep (``spray_curvature.ln_sigma_gradient``).  A gradient
+is one field call on the whole stencil as a point stack, redone one point at
+a time if that call raises, so an error names the stencil point that raises
+alone.
 """
 
 import math

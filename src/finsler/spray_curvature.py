@@ -32,9 +32,11 @@ from one copy of the fundamental data and of the order-4 spray jet.  A ``bc``
 argument is the beta calculus of x, if at hand (a row of the caller's stacked
 pass).
 
-Both S-curvature routes read one unit-ball rule: ``s_curvature_def`` the
-gradient of ln sigma_F, ``s_curvature_formula`` the slope d ln f / db of the
-Busemann-Hausdorff f(b), each one sweep's ``_ln_sigma_slope``.
+Both S-curvature routes read the slope d ln f / db of the Busemann-Hausdorff
+f(b) of sigma_F = f(b) sqrt(det a), from one memoised unit-ball sweep per b
+(``_unit_ball``): ``s_curvature_def`` through the gradient of ln sigma_F, in
+closed form from it and x's d a and d b, and ``s_curvature_formula`` through
+its density term.
 """
 
 from dataclasses import dataclass
@@ -43,9 +45,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateFlag, DimensionError, DomainError, FinslerError
-from .finsler_metric import (FundamentalData, _ln_density_slope, _ln_sigma_slope,
-                             alpha_beta_jets, fsq_jet, fundamental, pair_columns,
-                             unit_ball_sweep)
+from .finsler_metric import (FundamentalData, _unit_ball, alpha_beta_jets, fsq_jet,
+                             fundamental, pair_columns, sigma_bh)
 from .geometry_core import MetricSpec, beta_derivatives
 from .jets import base_derivative, jet_form, jet_variable
 from .phi_families import PhiFamily, ab_scalars, spray_scalar_series
@@ -234,17 +235,24 @@ def riemann_flag(m: MetricSpec, f: PhiFamily, x, y, u=None, g=None, R=None):
 
 
 def ln_sigma_gradient(m: MetricSpec, f: PhiFamily, x, bc=None):
-    """Gradient of ln sigma_F at ``x``, from one ``unit_ball_sweep``; reusable across directions.
+    """Gradient of ln sigma_F at ``x``, from one ``_unit_ball`` sweep; reusable across directions.
 
-    The sweep's ``_ln_sigma_slope`` along d_k a and d_k b, k = 1..n, from
-    ``bc``, the beta calculus of x (one pass of its own if not at hand; an
-    exception handed in is raised again, after the sweep).
+    d_k ln sigma_F = tr(a^-1 d_k a) / 2 + (d ln f / db) d_k b, with
+    b d_k b = b^i d_k b_i - b^i b^j d_k a_ij / 2 from ``bc``, x's beta
+    calculus (one pass of its own if not at hand); the second term is skipped
+    where b = 0, as in the S formula.  An exception handed in as ``bc`` is
+    raised again, after sigma's own error.
     """
-    sweep = unit_ball_sweep(f, m.a_at(x), m.b_at(x))
     bc = beta_derivatives(m, x) if bc is None else bc
     if isinstance(bc, Exception):
+        sigma_bh(m, f, x)
         raise bc
-    return _ln_sigma_slope(f, sweep, bc.da, bc.db)
+    slope = _unit_ball(f, bc.b, m.n)[1]
+    grad = 0.5 * np.einsum("ij,kji->k", bc.a_inv, bc.da)
+    if bc.b == 0.0:
+        return grad
+    db = bc.b_up @ bc.db - 0.5 * np.einsum("i,kij,j->k", bc.b_up, bc.da, bc.b_up)
+    return grad + slope / bc.b * db
 
 
 def s_curvature_def(m: MetricSpec, f: PhiFamily, x, y, grad_ln_sigma=None,
@@ -283,7 +291,7 @@ def s_curvature_formula(m: MetricSpec, f: PhiFamily, x, y, bc=None):
     rs_0 = r_0 + s_0
     density = 0.0
     if (rs_0 != 0.0).any():
-        slope = _ln_density_slope(f, bc.b, m.n)
+        slope = _unit_ball(f, bc.b, m.n)[1]
         density = np.where(rs_0 != 0.0, (2.0 * sc.Psi - slope / bc.b) * rs_0, 0.0)
     # Delta * Delta, not Delta ** 2: a float's ** is libm pow, an array's a
     # product, and they differ in the last bit for some Delta
@@ -359,8 +367,8 @@ class CurvatureBundle:
     With ``owner``, x is a ``(S, n)`` stack and pair j is ``y[j]`` at
     ``x[owner[j]]`` (``pair_columns``); ``bc`` then holds one row per point,
     and ``grad_ln_sigma`` one per pair.  Only the fiber fields take pairs: ``fd``,
-    ``spray`` and its tensors, ``L`` and ``S_def``, not the stencils of R,
-    H and K or ``S_formula``.
+    ``spray`` and its tensors, ``L`` and ``S_def``; R, H, K and ``S_formula``
+    raise ``DomainError`` on such a bundle.
     """
 
     def __init__(self, m: MetricSpec, f: PhiFamily, x, y, grad_ln_sigma=None, bc=None,
@@ -379,6 +387,13 @@ class CurvatureBundle:
             raise self._bc
         return beta_derivatives(self.m, self.x) if self._bc is None else self._bc
 
+    def _one_x(self, field):
+        """x, for a field computed at one point; a bundle with ``owner`` raises."""
+        if self.owner is not None:
+            raise DomainError(f"{field} is computed at one x: a bundle with owner pairs "
+                              "supports only fd, the spray tensors, L and S_def")
+        return self.x
+
     fd = cached_property(lambda self: fundamental(self.m, self.f, self.x, self.y, self.owner))
     spray = cached_property(lambda self: spray_data(self.m, self.f, self.x, self.y, self.bc,
                                                     self.owner))
@@ -387,17 +402,20 @@ class CurvatureBundle:
     E = property(lambda self: self.spray.E)
     D = property(lambda self: self.spray.D)
     L = cached_property(lambda self: landsberg(self.fd, self.B))
-    R = cached_property(lambda self: riemann(self.m, self.f, self.x, self.y, self.spray))
+    R = cached_property(lambda self: riemann(self.m, self.f, self._one_x("R"), self.y,
+                                             self.spray))
     S_def = cached_property(lambda self: s_curvature_def(
         self.m, self.f, self.x, self.y, self.grad_ln_sigma, self.spray, self.bc))
     S_formula = cached_property(lambda self: s_curvature_formula(
-        self.m, self.f, self.x, self.y, self.bc))
-    H = cached_property(lambda self: h_curvature(self.m, self.f, self.x, self.y, self.spray))
+        self.m, self.f, self._one_x("S_formula"), self.y, self.bc))
+    H = cached_property(lambda self: h_curvature(self.m, self.f, self._one_x("H"), self.y,
+                                                 self.spray))
 
     @cached_property
     def K(self):
         """Flag curvature where n = 2, else ``None``; one ``riemann_flag`` call
         per direction, as perfbench/tests/test_tracer.py counts them."""
+        self._one_x("K")
         if self.m.n != 2:
             return None
         R, g = self.R, self.fd.g

@@ -7,8 +7,7 @@ import pytest
 
 from finsler.catalog import get_metric
 from finsler.errors import DimensionError, SingularG, ZeroVector
-from finsler.finsler_metric import (finsler_eval, finsler_eval_many, fsq_jet,
-                                    fundamental, sigma_bh)
+from finsler.finsler_metric import finsler_eval, fsq_jet, fundamental, sigma_bh
 from finsler.geometry_core import ChartDomain, MetricSpec
 from finsler.phi_families import RandersPhi, RiemannSqrtPhi
 
@@ -35,14 +34,6 @@ class TestEvaluation:
         m = _euclid_randers(0.0)
         with pytest.raises(ZeroVector):
             finsler_eval(m, RandersPhi(), [0, 0], [0.0, 0.0])
-
-    def test_vectorized_agrees_with_scalar(self):
-        e = get_metric("sphere_randers", eps=0.5)
-        x = [1.0, 0.5]
-        Y = np.array([[1.0, 0.2], [-0.3, 1.0], [0.5, -0.8]])
-        F, s = finsler_eval_many(e.phi, e.metric.a_at(x), e.metric.b_at(x), Y)
-        for i, y in enumerate(Y):
-            assert F[i] == pytest.approx(finsler_eval(e.metric, e.phi, x, y))
 
 
 class TestFundamental:

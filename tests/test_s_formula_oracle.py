@@ -17,7 +17,7 @@ from finsler.catalog import catalog_names, get_metric
 from finsler.classify import default_directions, default_grid
 from finsler.errors import (DegenerateDenominator, DimensionMismatch,
                             DomainError, FinslerError)
-from finsler.finsler_metric import _ln_density_slope
+from finsler.finsler_metric import _unit_ball
 from finsler.geometry_core import ChartDomain, MetricSpec, beta_derivatives
 from finsler.phi_families import AlphaBetaScalars, UnicornPhi, _q_series
 from finsler.spray_curvature import s_curvature_formula
@@ -79,7 +79,7 @@ def ref_s_curvature_formula(m, f, x, y):
     rs_0 = con.r_0 + con.s_0
     density = 0.0
     if rs_0 != 0.0:
-        density = (2.0 * sc.Psi - _ln_density_slope(f, bc.b, m.n) / bc.b) * rs_0
+        density = (2.0 * sc.Psi - _unit_ball(f, bc.b, m.n)[1] / bc.b) * rs_0
     return density - (sc.Phi / (2.0 * alpha * (sc.Delta * sc.Delta))
                       * (con.r_00 - 2.0 * alpha * sc.Q * con.s_0))
 

@@ -1,12 +1,12 @@
-"""The gradient of ln sigma under the integral sign against the stencil it replaced.
+"""The closed-form gradient of ln sigma against the stencil it replaced.
 
-``ln_sigma_gradient`` runs one sweep of ``sigma_bh``'s rule at x and
-differentiates the unit-ball volume under the integral sign, with d a and d b
-read off x's beta calculus.  The reference below is the route it replaced: the
-Richardson stencil of ``base_derivative`` over ln ``sigma_bh``, 4 n sweeps per
-point.  The two routes differ by the stencil's truncation error, and by the
-error of the d a and d b stencils on the new route, so each metric is held
-near its own gap, not to one loose bound.
+``ln_sigma_gradient`` reads d ln f / db off the memoised unit-ball sweep of
+b = |beta|_alpha at x, which the S formula shares, and d a and d b off x's
+beta calculus.  The reference below is the route it replaced: the Richardson
+stencil of ``base_derivative`` over ln ``sigma_bh``, 4 n sweeps per point.
+The two routes differ by the stencil's truncation error, and by the error of
+the d a and d b stencils on the new route, so each metric is held near its
+own gap, not to one loose bound.
 """
 
 import math
@@ -20,7 +20,7 @@ from finsler.catalog import catalog_names, get_metric
 from finsler.classify import default_directions, default_grid
 from finsler.cli import main
 from finsler.errors import SingularDirectionInQuadrature, ZeroNorm
-from finsler.finsler_metric import _polar_nodes, sigma_bh, unit_ball_sweep
+from finsler.finsler_metric import _polar_nodes, _unit_ball, sigma_bh
 from finsler.geometry_core import ChartDomain, MetricSpec, _at, beta_derivatives
 from finsler.jets import base_derivative
 from finsler.phi_families import RandersPhi, RiemannSqrtPhi
@@ -80,15 +80,16 @@ def _randers_closed_form(x, b1):
     return 1.5 * np.log(1.0 - b2) + np.log(scale)
 
 
-def test_refined_rule_point():
+def test_refined_rule_point(monkeypatch):
     # |b|_alpha = 0.9902: the radii vary by about 200x, past the base rule's
     # ratio, so the sweep takes the 4x finer rule.  Against the closed form
     # (by complex step) the new route is off by 7.9e-13, the stencil by 4.3e-9
     b1, x = 0.99, np.array([0.1, 0.0])
     m, f = _randers_near_one(b1), RandersPhi()
-    _, w, _, _, _, _ = unit_ball_sweep(f, m.a_at(x), m.b_at(x))
-    assert len(w) == 4 * len(_polar_nodes(2)[1])
+    _unit_ball.cache_clear()
+    sweeps = _count(monkeypatch, RandersPhi, "value_many")
     got = ln_sigma_gradient(m, f, x)
+    assert [len(s) for _, s in sweeps] == [k * len(_polar_nodes(2)[1]) for k in (1, 4)]
     step = 1e-20
     exact = np.array([_randers_closed_form(x + 1j * step * e, b1).imag / step
                       for e in np.eye(2)])
@@ -154,14 +155,36 @@ def test_one_sweep_per_refine_level_and_no_stencil(case, monkeypatch):
     else:
         m, f, x, levels = _randers_near_one(0.99), RandersPhi(), np.array([0.1, 0.0]), 2
     bc = beta_derivatives(m, x)
-    sweeps = _count(monkeypatch, finsler.finsler_metric, "finsler_eval_many")
+    _unit_ball.cache_clear()
+    sweeps = _count(monkeypatch, type(f), "value_many")
     stencils = _count(monkeypatch, finsler.jets, "base_derivative")
     ln_sigma_gradient(m, f, x, bc)
-    assert (len(sweeps), len(stencils)) == (levels, 0)
-    # without a calculus at hand, the only stencils are those of a and b
+    assert (_unit_ball.cache_info().misses, len(sweeps), len(stencils)) == (1, levels, 0)
+    # a memo hit makes no sweep; without a calculus at hand, the only
+    # stencils are those of a and b
     ln_sigma_gradient(m, f, x)
-    assert len(sweeps) == 2 * levels
+    assert (_unit_ball.cache_info().misses, len(sweeps)) == (1, levels)
     assert [field for field, _ in stencils] == [m.a_at, m.b_at]
+
+
+def test_table_s_makes_one_sweep_per_point(monkeypatch):
+    # fish_tank's |b|_alpha varies over the grid (three values on these nine
+    # points, by symmetry): the gradient of ln sigma at the first point of
+    # each b misses the memo, and every other read, the S formula's density
+    # term included, hits that key
+    e = get_metric("fish_tank")
+    grid = default_grid(e.metric, 3)
+    keys = {bc.b for bc in beta_derivatives(e.metric, np.array(grid)).rows()}
+    assert 1 < len(keys) < len(grid)
+    _unit_ball.cache_clear()
+    sweeps = _count(monkeypatch, type(e.phi), "value_many")
+    reads = _count(monkeypatch, finsler.finsler_metric, "_unit_ball")
+    argv = ["table", "--metric", "fish_tank", "--quantity", "S", "--per-axis", "3",
+            "--out", "/dev/null"]
+    assert main(argv) == 0
+    info = _unit_ball.cache_info()
+    assert (info.misses, len(sweeps)) == (len(keys), len(keys))
+    assert info.misses + info.hits == len(reads) > len(grid)
 
 
 def test_mw_sigma_error_comes_from_x(capsys):

@@ -9,7 +9,7 @@ import pytest
 from finsler.catalog import catalog_names, get_metric
 from finsler.classify import default_directions, default_grid
 from finsler.errors import DegenerateFlag, DimensionError, DomainError, ZeroVector
-from finsler.finsler_metric import _ln_density_slope, fundamental
+from finsler.finsler_metric import _unit_ball, fundamental
 from finsler.geometry_core import beta_derivatives
 from finsler.phi_families import RandersPhi
 from finsler.spray_curvature import (berwald, berwald_2d_identity,
@@ -207,7 +207,7 @@ class TestSCurvature:
         # Randers: f(b) = (1 - b^2)^((n+1)/2), so d ln f / db = -(n+1) b / (1 - b^2)
         for b in np.linspace(0.1, 0.97, 12):
             want = -(n + 1) * b / (1.0 - b * b)
-            assert _ln_density_slope(RandersPhi(), float(b), n) == pytest.approx(want, rel=1e-14)
+            assert _unit_ball(RandersPhi(), float(b), n)[1] == pytest.approx(want, rel=1e-14)
 
     def test_formula_is_finite_where_beta_vanishes(self):
         e = get_metric("fish_tank")
@@ -277,6 +277,19 @@ class TestBundle:
         assert cb.K is not None
         assert cb.H is not None
         assert cb.B.shape == (2, 2, 2, 2)
+        # with owner, the fiber fields pair each direction with its point, and
+        # the fields computed at one x raise typed, not with every point
+        # against every direction (R, H), zipped pairs (K) or a numpy error
+        x, y = np.array([[0.3, 1.2], [0.5, 2.0]]), default_directions(2, 4)
+        owner = np.array([0, 0, 1, 1])
+        pairs = curvature_bundle(e.metric, e.phi, x, y, bc=beta_derivatives(e.metric, x),
+                                 owner=owner)
+        for j, k in enumerate(owner):
+            alone = curvature_bundle(e.metric, e.phi, x[k], y[j])
+            assert np.array_equal(pairs.L[j], alone.L)
+        for field in ("R", "H", "K", "S_formula"):
+            with pytest.raises(DomainError, match=rf"^{field} is computed at one x: .* owner"):
+                getattr(pairs, field)
 
     def test_tensors_share_one_spray_jet_and_fundamental_data(self, monkeypatch):
         # every field is computed on first read: H alone builds one spray
