@@ -35,6 +35,15 @@ class TestEvaluation:
         with pytest.raises(ZeroVector):
             finsler_eval(m, RandersPhi(), [0, 0], [0.0, 0.0])
 
+    def test_vectorized_agrees_with_scalar(self):
+        # fundamental's F over a stack of directions, one jet batch
+        e = get_metric("sphere_randers", eps=0.5)
+        x = [1.0, 0.5]
+        Y = np.array([[1.0, 0.2], [-0.3, 1.0], [0.5, -0.8]])
+        F = fundamental(e.metric, e.phi, x, Y).F
+        for i, y in enumerate(Y):
+            assert F[i] == pytest.approx(finsler_eval(e.metric, e.phi, x, y))
+
 
 class TestFundamental:
     def test_riemannian_case_reduces_to_a(self):

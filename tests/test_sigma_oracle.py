@@ -6,9 +6,9 @@ azimuth on the sphere.  It must give the closed-form densities at 1e-13, the
 same rule refined (GL 96 x 192 on the sphere, 4096 nodes on the circle) at
 1e-12, and the composite Simpson rule it replaced within that rule's own
 error.  The oracles integrate in the unturned frame of a(x) and b(x), where
-``sigma_bh`` turns beta onto the rule's first axis.  The cached nodes and the
-unit-ball memo must keep the bits of the uncached computations exactly: the
-``report`` stdout is byte-stable.
+``sigma_bh`` turns beta onto the rule's first axis.  The cached nodes, the
+einsum-free alpha^2 and the unit-ball memo must keep the bits of the uncached
+computations exactly: the ``report`` stdout is byte-stable.
 """
 
 import math
@@ -19,7 +19,7 @@ import pytest
 from finsler.catalog import catalog_names, get_metric
 from finsler.errors import SingularDirectionInQuadrature, SingularMetric
 from finsler.finsler_metric import _MAX_RADIUS_RATIO, _polar_nodes, _unit_ball, sigma_bh
-from finsler.geometry_core import ChartDomain, MetricSpec
+from finsler.geometry_core import ChartDomain, MetricSpec, _inverse_cholesky
 from finsler.phi_families import CustomExprPhi, RandersPhi, UnicornPhi
 
 _UNIT_BALL_VOLUME = {2: math.pi, 3: 4.0 * math.pi / 3.0}
@@ -260,6 +260,41 @@ def test_undefined_unit_ball_raises():
                  RandersPhi(), np.zeros(2))
 
 
+def ref_unit_ball(f, b, n):
+    """``_unit_ball``'s sweep with F from ``ref_finsler_eval_many`` at a = I, beta = b e_1.
+
+    None where F is not positive and finite at some node.
+    """
+    m = _constant_metric(np.eye(n), b * np.eye(n)[0])
+    for refine in (1, 4):
+        z, w = _polar_nodes(n, refine)
+        F, s = ref_finsler_eval_many(m, f, np.zeros(n), z)
+        if not np.all(np.isfinite(F) & (F > 0.0)):
+            return None
+        r = 1.0 / F
+        if r.max() <= _MAX_RADIUS_RATIO[n] * r.min():
+            break
+    wr = w * r ** n
+    vol = wr.sum()
+    return float(vol), float(n * ((wr * r) @ (f.taylor(s, 1)[1] * z[:, 0])) / vol)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_alpha_sum_bit_equal_to_einsum(name):
+    # the sweep sums alpha^2 = z_i z_i term by term; at every catalog point's
+    # b = |L^-1 b(x)| it keeps the bits of the same sweep with einsum's alpha
+    entry = get_metric(name)
+    m, f = entry.metric, entry.phi
+    for x in _points(entry):
+        b = float(np.linalg.norm(_inverse_cholesky(m.a_at(x)) @ m.b_at(x)))
+        want = ref_unit_ball(f, b, m.n)
+        if want is None:
+            with pytest.raises(SingularDirectionInQuadrature):
+                _unit_ball.__wrapped__(f, b, m.n)
+        else:
+            assert _unit_ball.__wrapped__(f, b, m.n) == want
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_cached_nodes_are_read_only(n):
     arrays = _polar_nodes(n)
@@ -274,7 +309,7 @@ def test_cached_nodes_are_read_only(n):
     (get_metric("bao_shen").phi, 0.4, 3),
     (UnicornPhi(1.0, 0.5, 1.0, 1.0), 0.6, 3),
 ])
-def test_unit_ball_memo_equals_uncached(f, b, n):
+def test_angular_density_memo_equals_uncached(f, b, n):
     # the memo of the unit-ball volume and d ln f / db, which sigma, the
     # gradient of ln sigma and the S formula read
     want = _unit_ball.__wrapped__(f, b, n)
