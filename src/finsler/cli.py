@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import math
+import numbers
 import sys
 from functools import lru_cache
 from itertools import product
@@ -21,7 +22,7 @@ import numpy as np
 from . import acceptance
 from .catalog import catalog_names, get_metric
 from .classify import classify_metric, default_directions, default_grid
-from .errors import ConfigError, DimensionError, FinslerError, UnknownQuantity
+from .errors import ConfigError, FinslerError, UnknownQuantity
 from .exprparse import parse
 from .exprparse import eval_expr
 from .finsler_metric import sigma_bh
@@ -52,24 +53,43 @@ def _reject_unknown(doc, allowed, where):
         raise ConfigError(f"unknown field(s) {sorted(extra)} in {where}")
 
 
+def _real(value, where):
+    """A finite real config value; a bool is refused, as ``get_metric`` does."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ConfigError(f"{where} must be a finite real number, got {value!r}")
+    return float(value)
+
+
+def _entries(value, where, n):
+    """A config list of n entries."""
+    if not isinstance(value, list) or len(value) != n:
+        raise ConfigError(f"{where} must be a list of n = {n} entries, got {value!r}")
+    return value
+
+
+#: each phi variant's family and its numeric fields, with their defaults
+_PHI_VARIANTS = {"randers": (RandersPhi, {}), "riemann_sqrt": (RiemannSqrtPhi, {"k": 1.0}),
+                 "unicorn": (UnicornPhi, {"b0": 1.0, "k": 0.0, "q": 1.0, "c": 1.0, "delta": 0.05}),
+                 "custom": (CustomExprPhi, {"b0": math.inf, "delta": 0.05})}
+
+
 def _phi_from_config(doc):
     _reject_unknown(doc, _PHI_KEYS, "metric.custom.phi")
     variant = doc.get("variant", "randers")
-    if variant == "randers":
-        return RandersPhi()
-    if variant == "riemann_sqrt":
-        return RiemannSqrtPhi(doc.get("k", 1.0))
-    if variant == "unicorn":
-        return UnicornPhi(doc.get("b0", 1.0), doc.get("k", 0.0),
-                          doc.get("q", 1.0), doc.get("c", 1.0),
-                          doc.get("delta", 0.05))
+    if not isinstance(variant, str) or variant not in _PHI_VARIANTS:
+        raise ConfigError(f"unknown phi variant {variant!r}")
+    family, kw = _PHI_VARIANTS[variant]
+    kw = {key: _real(doc[key], f"metric.custom.phi.{key}") if key in doc else v
+          for key, v in kw.items()}
     if variant == "custom":
-        if "expr" not in doc:
-            raise ConfigError("custom phi needs an 'expr' string")
-        return CustomExprPhi(doc["expr"], doc.get("params"),
-                             b0=doc.get("b0", math.inf),
-                             delta=doc.get("delta", 0.05))
-    raise ConfigError(f"unknown phi variant {variant!r}")
+        expr, params = doc.get("expr"), doc.get("params", {})
+        if not isinstance(expr, str):
+            raise ConfigError(f"metric.custom.phi.expr must be an expression string, got {expr!r}")
+        if not isinstance(params, dict):
+            raise ConfigError(f"metric.custom.phi.params must be an object, got {params!r}")
+        kw.update(text=expr, params={key: _real(v, f"metric.custom.phi.params.{key}")
+                                     for key, v in params.items()})
+    return family(**kw)
 
 
 def _custom_metric(doc):
@@ -77,13 +97,13 @@ def _custom_metric(doc):
     for key in ("n", "a", "b", "lo", "hi"):
         if key not in doc:
             raise ConfigError(f"metric.custom missing field {key!r}")
-    n = int(doc["n"])
+    n = _count(doc["n"], "metric.custom.n", 1)
+    rows = [_entries(row, "metric.custom.a", n) for row in _entries(doc["a"], "metric.custom.a", n)]
     var_names = [f"x{i + 1}" for i in range(n)]
     allowed = set(var_names)
     try:
-        a_ast = [[parse(str(doc["a"][i][j]), allowed) for j in range(n)]
-                 for i in range(n)]
-        b_ast = [parse(str(doc["b"][i]), allowed) for i in range(n)]
+        a_ast = [[parse(str(v), allowed) for v in row] for row in rows]
+        b_ast = [parse(str(v), allowed) for v in _entries(doc["b"], "metric.custom.b", n)]
     except FinslerError as exc:
         raise ConfigError(f"bad expression in metric.custom: {exc}") from exc
 
@@ -99,9 +119,9 @@ def _custom_metric(doc):
         env = bind(x)
         return np.array([eval_expr(b_ast[i], env) for i in range(n)], dtype=float)
 
-    dom = ChartDomain(tuple(float(v) for v in doc["lo"]),
-                      tuple(float(v) for v in doc["hi"]))
-    m = MetricSpec(n=n, a=a, b_form=b, chart_domain=dom, name="custom")
+    lo, hi = (tuple(_real(v, f"metric.custom.{key}")
+                    for v in _entries(doc[key], f"metric.custom.{key}", n)) for key in ("lo", "hi"))
+    m = MetricSpec(n=n, a=a, b_form=b, chart_domain=ChartDomain(lo, hi), name="custom")
     phi = _phi_from_config(doc.get("phi", {}))
     return m, phi
 
@@ -198,7 +218,7 @@ def _records(m, f, x, Y, grad, bc):
 
     A stack goes through every layer as one batch and raises if any layer
     does; one direction gives its record, a partial one with the error text
-    if a layer raises.  A ``DimensionError`` depends on n alone: a stack records it in each.
+    if a layer raises.
     """
     cb = curvature_bundle(m, f, x, Y, grad, bc)
     recs = [{"x": [_fmt(v) for v in x], "y": [_fmt(v) for v in y]} for y in cb.dirs]
@@ -223,7 +243,7 @@ def _records(m, f, x, Y, grad, bc):
         if grad is not None:
             fill("S_def", cb.S_def)
     except FinslerError as exc:
-        if Y.ndim == 2 and not isinstance(exc, DimensionError):
+        if Y.ndim == 2:
             raise
         for rec in recs:
             rec["error"] = f"{type(exc).__name__}: {exc}"

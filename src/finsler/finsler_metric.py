@@ -3,8 +3,10 @@
 Fundamental tensor, Cartan torsion and friends come from exact fiber jets of
 F^2.  The Busemann-Hausdorff density is sigma_F = f(b) sqrt(det a), and its
 factor f(b) and the slope d ln f / db, which the gradient of ln sigma_F and
-the S formula read, come from one memoised sweep of a polar rule of the unit
-ball in one frame: a = I with beta = b on the first axis (``_unit_ball``).
+the S formula read, come from one memoised sweep of the unit ball in one
+frame, a = I with beta = b on the first axis, where F on the unit sphere
+depends on the polar angle alone: a 1-D tanh-sinh rule in that angle serves
+every dimension n (``_unit_ball``).
 Fiber derivatives are never finite-differenced: g and C feed the
 noise-critical Landsberg and flag computations.
 """
@@ -15,12 +17,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionError, SingularDirectionInQuadrature, SingularG, ZeroVector
+from .errors import SingularDirectionInQuadrature, SingularG, ZeroVector
 from .geometry_core import MetricSpec, _inverse_cholesky, _inverse_spd
 from .jets import jet_form, jet_variable
 from .phi_families import PhiFamily
-
-_UNIT_BALL_VOLUME = {2: math.pi, 3: 4.0 * math.pi / 3.0}
 
 
 def finsler_eval(m: MetricSpec, f: PhiFamily, x, y):
@@ -119,88 +119,67 @@ def fundamental(m: MetricSpec, f: PhiFamily, x, y, owner=None) -> FundamentalDat
                            ell=y / F_col, h=h)
 
 
-#: the largest max(r) / min(r) on the nodes of ``_polar_nodes(n)`` with a
-#: relative error near 1e-14 (Randers with |b|_alpha = 0.987 for n = 2, 0.846
-#: for n = 3); past it the sweep is redone on the 4x finer rule
-_MAX_RADIUS_RATIO = {2: 150.0, 3: 12.0}
-
-
 @lru_cache(maxsize=None)
-def _polar_nodes(n, refine=1):
-    """The unit-ball rule's nodes for n = 2 or 3, as read-only arrays.
+def _polar_nodes(n):
+    """The unit-ball rule for dimension n: nodes u = cos(theta) and weights, read-only.
 
-    The unit directions z and the weights of vol = int r^n / n: the
-    trapezoid rule on 256 azimuths (n = 2), or 32 Gauss-Legendre nodes in
-    u = cos(theta) times the trapezoid rule on 64 azimuths (n = 3), each count
-    times ``refine``, with 1/n folded into one product weight per node.  The
-    first axis lies in the equator plane, away from the poles u = +-1.  Built
-    once per (n, refine), on first use; another n is a DimensionError.
+    At a = I with beta = b e_1, F on the unit sphere is phi(b u), a function of
+    the polar angle theta, whose area element is sin^(n-2)(theta) dtheta up to
+    a constant that f(b) cancels.  Tanh-sinh (Takahasi-Mori) in theta on
+    [0, pi], t = k/30 for |k| <= 96, crowds the nodes doubly exponentially to
+    the poles, where an elongated unit ball's radii peak.  Nodes whose u rounds
+    to one float are merged, weights summed, and ordered from theta = 0: the
+    poles u = +-1 are nodes.  S^0 (n = 1) is u = +-1, of weight 1.
     """
-    if n not in _UNIT_BALL_VOLUME:
-        raise DimensionError("sigma_bh supports n = 2 or 3 only")
-    n_az = (256 if n == 2 else 64) * refine
-    h = 2.0 * math.pi / n_az
-    phi = h * np.arange(n_az)
-    if n == 2:
-        dirs = np.column_stack([np.cos(phi), np.sin(phi)])
-        w = np.full(n_az, 0.5 * h)
+    if n == 1:
+        u, w = np.array([1.0, -1.0]), np.ones(2)
     else:
-        u, wu = np.polynomial.legendre.leggauss(32 * refine)
-        rho = np.sqrt(1.0 - u * u)[:, None]
-        dirs = np.column_stack([(rho * np.cos(phi)).ravel(),
-                                (rho * np.sin(phi)).ravel(), np.repeat(u, n_az)])
-        w = np.repeat(wu * (h / 3.0), n_az)
-    for arr in (dirs, w):
+        t = np.arange(-96, 97) / 30.0
+        v = 0.5 * math.pi * np.sinh(t)
+        theta = math.pi / (1.0 + np.exp(-2.0 * v))  # pi (1 + tanh v) / 2
+        u, merged = np.unique(-np.cos(theta), return_inverse=True)  # -u ascends
+        u, w = -u, np.bincount(merged, np.cosh(t) / np.cosh(v) ** 2 * np.sin(theta) ** (n - 2))
+    for arr in (u, w):
         arr.flags.writeable = False
-    return dirs, w
+    return u, w
 
 
 @lru_cache(maxsize=256)
 def _unit_ball(f: PhiFamily, b, n):
-    """``(vol, d ln f / db)`` of the unit ball {z : |z| phi(b z_1 / |z|) < 1}.
+    """``(f(b), d ln f / db)`` of the unit ball {y : |y| phi(b y_1 / |y|) < 1}.
 
-    sigma_F = f(b) sqrt(det a) with f(b) = vol(B^n) / vol (Cheng-Shen): in
-    z = L^T y, a = L L^T, turned so that beta lies on the first axis,
-    F = |z| phi(b z_1 / |z|).  One sweep of the rule (``_polar_nodes``) gives
-    r = 1/F, vol = sum w r^n and, differentiated under the integral sign,
-    d ln f / db = n sum w r^(n+1) phi'(s) z_1 / sum w r^n.  The rule is redone
-    4x finer when the radii vary by more than ``_MAX_RADIUS_RATIO`` (b near
-    1).  A node raises ``SingularDirectionInQuadrature`` where |s| passes the
-    admissible b0 (1 - delta) of an almost-regular family, or F <= 0 or is
-    not finite (an unbounded unit ball, as for Randers with b = 1).
-    Memoised on (f, b, n), the 256 most recent keys; a ``PhiFamily`` hashes
-    by identity and is frozen, and the cache's strong reference keeps its id
-    from reuse.
+    sigma_F = f(b) sqrt(det a) with f(b) = vol(B^n) / vol{F < 1} (Cheng-Shen),
+    in the frame a = I, beta = b e_1.  One sweep of the rule (``_polar_nodes``)
+    gives r = 1/F, f(b) = sum w / sum w r^n (so f(0) = 1 exactly) and,
+    differentiated under the integral sign,
+    d ln f / db = n sum w r^(n+1) phi'(b u) u / sum w r^n.  A node raises
+    ``SingularDirectionInQuadrature`` where |s| passes the admissible
+    b0 (1 - delta) of an almost-regular family, or F <= 0 or is not finite (an
+    unbounded unit ball, as for Randers with b = 1).  Memoised on (f, b, n),
+    the 256 most recent keys; a ``PhiFamily`` hashes by identity and is
+    frozen, and the cache's strong reference keeps its id from reuse.
     """
+    u, w = _polar_nodes(n)
+    s = b * u
+    F = f.value_many(s)
     half = f.b0 * (1.0 - f.delta)
-    for refine in (1, 4):
-        z, w = _polar_nodes(n, refine)
-        # |z| is 1 only to roundoff; dividing by it keeps the bits of d ln f / db
-        alpha = np.sqrt(sum(z[:, i] * z[:, i] for i in range(n)))
-        s = z[:, 0] * b / alpha
-        F = alpha * f.value_many(s)
-        for fault, cause in ((np.abs(s) > half, f"|s| > b0 (1 - delta) = {half}"),
-                             (~np.isfinite(F), "F is not finite"), (F <= 0.0, "F <= 0")):
-            if np.any(fault):
-                raise SingularDirectionInQuadrature(
-                    f"{cause} at {int(np.sum(fault))} quadrature node(s)")
-        r = 1.0 / F
-        if r.max() <= _MAX_RADIUS_RATIO[n] * r.min():
-            break
+    for fault, cause in ((np.abs(s) > half, f"|s| > b0 (1 - delta) = {half}"),
+                         (~np.isfinite(F), "F is not finite"), (F <= 0.0, "F <= 0")):
+        if np.any(fault):
+            raise SingularDirectionInQuadrature(
+                f"{cause} at {int(np.sum(fault))} quadrature node(s)")
+    r = 1.0 / F
     wr = w * r ** n
-    dF = f.taylor(s, 1)[1] * z[:, 0]  # dF/db
     vol = wr.sum()
-    return float(vol), float(n * ((wr * r) @ dF) / vol)
+    return float(w.sum() / vol), float(n * ((wr * r) @ (f.taylor(s, 1)[1] * u)) / vol)
 
 
 def sigma_bh(m: MetricSpec, f: PhiFamily, x):
     """Busemann-Hausdorff volume density sigma_F(x) = vol(B^n) / vol{F(x, y) < 1}.
 
-    = vol(B^n) / (vol(b) det L^-1) for a(x) = L L^T, with vol(b) the
-    ``_unit_ball`` of b = |beta|_alpha = |L^-1 b(x)|; the rule converges
-    exponentially for this smooth periodic integrand.
+    = f(b) sqrt(det a) = f(b) / det L^-1 for a(x) = L L^T, with f(b) from the
+    ``_unit_ball`` of b = |beta|_alpha = |L^-1 b(x)|.
     """
-    a, b_i = m.a_at(x), m.b_at(x)
-    to_y = _inverse_cholesky(a)
-    vol = _unit_ball(f, float(np.linalg.norm(to_y @ b_i)), m.n)[0]
-    return _UNIT_BALL_VOLUME[m.n] / (vol * float(np.prod(np.diag(to_y))))
+    to_y = _inverse_cholesky(m.a_at(x))
+    fb = _unit_ball(f, float(np.linalg.norm(to_y @ m.b_at(x))), m.n)[0]
+    return fb / float(np.prod(np.diag(to_y)))

@@ -135,6 +135,31 @@ def test_bad_counts_exit_2(source, command, tmp_path, capsys):
     assert err.startswith("error: ") and "must be" in err
 
 
+#: a valid inline metric, which each case below breaks in one field
+CUSTOM = {"n": 2, "a": [["1", "0"], ["0", "1"]], "b": ["0.1", "0"], "lo": [-1, -1], "hi": [1, 1]}
+
+
+@pytest.mark.parametrize("fields, name", [
+    ({"a": [["1"]]}, "metric.custom.a"),
+    ({"b": ["0.1"]}, "metric.custom.b"),
+    ({"lo": [-1]}, "metric.custom.lo"),
+    ({"lo": ["a", -1]}, "metric.custom.lo"),
+    ({"hi": [1, True]}, "metric.custom.hi"),
+    ({"n": "two"}, "metric.custom.n"),
+    ({"phi": {"variant": "unicorn", "b0": "1"}}, "metric.custom.phi.b0"),
+    ({"phi": {"variant": "unicorn", "k": None}}, "metric.custom.phi.k"),
+    ({"phi": {"variant": "riemann_sqrt", "k": "x"}}, "metric.custom.phi.k"),
+    ({"phi": {"variant": "custom", "expr": 5}}, "metric.custom.phi.expr"),
+])
+def test_malformed_custom_metric_exits_2(fields, name, tmp_path, capsys):
+    # a typed ConfigError naming the field, not a Python exception's traceback
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"schema": 1, "metric": {"custom": {**CUSTOM, **fields}}}))
+    assert main(["table", "--config", str(path), "--quantity", "a"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err
+
+
 #: |b| = 2 > 1: the generalized-Berwald threshold is a numpy float
 LONG_FORM_CONFIG = {"schema": 1, "grid": {"per_axis": 2}, "directions": 4,
                     "metric": {"custom": {
@@ -254,8 +279,8 @@ def test_table_reports_the_first_failing_point(name, capsys, monkeypatch):
 def test_config_bytes(config, command, capsys, monkeypatch):
     # stdout, stderr and exit code as recorded: the report of a singular
     # metric keeps one error record per failing sample, its classification
-    # fails with the first failing point's error, and the 4-D metric records
-    # sigma's dimension limit
+    # fails with the first failing point's error, and the 4-D metric carries
+    # S from the 4-D unit ball
     _replay(FIXTURES / f"{config}.{command}.json", capsys, monkeypatch)
 
 
@@ -501,7 +526,6 @@ class TestMain:
 
 #: a 4-dimensional custom metric whose one-form reads the fourth coordinate
 FOUR_D = str(FIXTURES / "four_d.json")
-SIGMA_DIMENSION = "DimensionError: sigma_bh supports n = 2 or 3 only"
 
 
 class TestFourDimensionalConfig:
@@ -512,25 +536,31 @@ class TestFourDimensionalConfig:
         assert len(rows) == 1 + 2**4
 
     def test_sigma_names_its_dimension_limit(self, capsys):
-        # the dimension is the cause, not a stencil point: the error comes
-        # before the stencil, as a DimensionError
-        assert main(["table", "--config", FOUR_D, "--quantity", "S"]) == 1
-        assert capsys.readouterr().err == f"error: {SIGMA_DIMENSION}\n"
+        # sigma has no dimension limit left: at a = I it is the Randers
+        # (1 - |b|^2)^(5/2), and S and the s_zero verdict compute
+        assert main(["table", "--config", FOUR_D, "--quantity", "sigma"]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        for row in rows:
+            b2 = (0.1 * float(row["x4"])) ** 2 + 0.04
+            assert float(row["sigma"]) == pytest.approx((1.0 - b2) ** 2.5, rel=1e-11)
+        assert main(["table", "--config", FOUR_D, "--quantity", "S"]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert len(rows) == 64 and all(row["S_formula"] == row["S_def"] for row in rows)
         assert main(["classify", "--config", FOUR_D]) == 0
         s_zero = json.loads(capsys.readouterr().out)["predicates"]["s_zero"]
-        assert s_zero["error"] == SIGMA_DIMENSION
+        assert "error" not in s_zero and s_zero["verdict"] is False
 
     def test_report_records_the_dimension_limit(self, capsys):
-        # the S formula's f(b) has the same rules as sigma: each record
-        # keeps its other fields and names the limit
+        # no record names a dimension limit: each carries the S formula with
+        # the f(b) slope of the 4-D unit ball, and S_def to its printed digits
         assert main(["report", "--config", FOUR_D]) == 0
         records = json.loads(capsys.readouterr().out)["records"]
-        assert {r["error"] for r in records} == {SIGMA_DIMENSION}
-        assert all("F" in r and "S_formula" not in r for r in records)
+        assert len(records) == 64
+        assert all("error" not in r and r["S_formula"] == r["S_def"] for r in records)
 
     def test_report_computes_each_point_once(self, capsys, monkeypatch):
-        # the dimension limit depends on n alone: a point's stack records it
-        # in every record instead of redoing the point one direction at a time
+        # no layer raises: a point's stack of directions is one batch, never
+        # redone one direction at a time
         import finsler.spray_curvature as spray_curvature
         calls = []
         spray_data = spray_curvature.spray_data

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from finsler.catalog import get_metric
-from finsler.errors import DimensionError, SingularG, ZeroVector
+from finsler.errors import SingularG, ZeroVector
 from finsler.finsler_metric import finsler_eval, fsq_jet, fundamental, sigma_bh
 from finsler.geometry_core import ChartDomain, MetricSpec
 from finsler.phi_families import RandersPhi, RiemannSqrtPhi
@@ -124,8 +124,13 @@ class TestSigma:
             (1 - eps * eps) ** 2, abs=1e-6)
 
     def test_unsupported_dimension(self):
-        m = MetricSpec(n=4, a=lambda x: np.eye(4),
-                       b_form=lambda x: np.zeros(4),
-                       chart_domain=ChartDomain((-1,) * 4, (1,) * 4))
-        with pytest.raises(DimensionError, match="sigma_bh supports n = 2 or 3 only"):
-            sigma_bh(m, RandersPhi(), [0, 0, 0, 0])
+        # no dimension is unsupported: sigma = sqrt(det a) (1 - |b|_alpha^2)^((n+1)/2)
+        # for Randers in n = 1, 4 and 5 too, and b = 0 leaves sqrt(det a)
+        for n in (1, 4, 5):
+            scale = np.arange(1.0, n + 1.0)  # a = diag(scale^2): sqrt(det a) = n!
+            a = np.diag(scale ** 2)
+            for b_i, want in ((np.zeros(n), math.factorial(n)),
+                              (0.3 * scale, math.factorial(n) * (1 - 0.09 * n) ** ((n + 1) / 2))):
+                m = MetricSpec(n=n, a=lambda x, a=a: a, b_form=lambda x, b_i=b_i: b_i,
+                               chart_domain=ChartDomain((-1,) * n, (1,) * n))
+                assert sigma_bh(m, RandersPhi(), np.zeros(n)) == pytest.approx(want, rel=1e-14)

@@ -81,15 +81,16 @@ def _randers_closed_form(x, b1):
 
 
 def test_refined_rule_point(monkeypatch):
-    # |b|_alpha = 0.9902: the radii vary by about 200x, past the base rule's
-    # ratio, so the sweep takes the 4x finer rule.  Against the closed form
-    # (by complex step) the new route is off by 7.9e-13, the stencil by 4.3e-9
+    # |b|_alpha = 0.9902: the radii vary by about 200x, past the ratio where
+    # the 2-D product rule took its 4x finer rule; the tanh-sinh rule makes
+    # one sweep of its nodes.  Against the closed form (by complex step) the
+    # new route is off by 8.2e-13, the stencil by 4.3e-9
     b1, x = 0.99, np.array([0.1, 0.0])
     m, f = _randers_near_one(b1), RandersPhi()
     _unit_ball.cache_clear()
     sweeps = _count(monkeypatch, RandersPhi, "value_many")
     got = ln_sigma_gradient(m, f, x)
-    assert [len(s) for _, s in sweeps] == [k * len(_polar_nodes(2)[1]) for k in (1, 4)]
+    assert [len(s) for _, s in sweeps] == [len(_polar_nodes(2)[1])]
     step = 1e-20
     exact = np.array([_randers_closed_form(x + 1j * step * e, b1).imag / step
                       for e in np.eye(2)])
@@ -99,14 +100,12 @@ def test_refined_rule_point(monkeypatch):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_nodes_past_the_admissible_cone_raise(n):
-    # sqrt(alpha^2 - beta^2) with |b|_alpha just past the admissible
-    # half-width 0.95 at the nodes nearest to +-b: no node is moved back
-    # inside, and the gradient refuses the sweep
+    # sqrt(alpha^2 - beta^2) with |b|_alpha past the admissible half-width
+    # 0.95 by 1e-6 of it, at the nodes within 1.4e-3 of the poles +-b: no
+    # node is moved back inside, and the gradient refuses the sweep
     f = RiemannSqrtPhi(-1.0)
-    dirs = _polar_nodes(n)[0]
-    half = f.b0 * (1.0 - f.delta)
-    b = half * (1.0 + 1e-6) / np.hypot(dirs[:, 0], dirs[:, 1]).max()
-    bad = {2: 2, 3: 4}[n]
+    b = f.b0 * (1.0 - f.delta) * (1.0 + 1e-6)
+    bad = 56
     m = MetricSpec(n=n, a=lambda x: np.diag([1.0 + 0.02 * x[0], 1.0 + 0.01 * x[1]]
                                             + [1.0] * (n - 2)),
                    b_form=lambda x: np.array([b] + [0.0] * (n - 1)),
@@ -149,21 +148,23 @@ def _count(monkeypatch, module, name):
 
 @pytest.mark.parametrize("case", ["regular", "refined"])
 def test_one_sweep_per_refine_level_and_no_stencil(case, monkeypatch):
+    # one sweep at every b: "refined" is the point where the 2-D product
+    # rule swept twice, once more on its 4x finer rule
     if case == "regular":
         e = get_metric("bao_shen")
-        m, f, x, levels = e.metric, e.phi, np.array([0.2, -0.1, 0.3]), 1
+        m, f, x = e.metric, e.phi, np.array([0.2, -0.1, 0.3])
     else:
-        m, f, x, levels = _randers_near_one(0.99), RandersPhi(), np.array([0.1, 0.0]), 2
+        m, f, x = _randers_near_one(0.99), RandersPhi(), np.array([0.1, 0.0])
     bc = beta_derivatives(m, x)
     _unit_ball.cache_clear()
     sweeps = _count(monkeypatch, type(f), "value_many")
     stencils = _count(monkeypatch, finsler.jets, "base_derivative")
     ln_sigma_gradient(m, f, x, bc)
-    assert (_unit_ball.cache_info().misses, len(sweeps), len(stencils)) == (1, levels, 0)
+    assert (_unit_ball.cache_info().misses, len(sweeps), len(stencils)) == (1, 1, 0)
     # a memo hit makes no sweep; without a calculus at hand, the only
     # stencils are those of a and b
     ln_sigma_gradient(m, f, x)
-    assert (_unit_ball.cache_info().misses, len(sweeps)) == (1, levels)
+    assert (_unit_ball.cache_info().misses, len(sweeps)) == (1, 1)
     assert [field for field, _ in stencils] == [m.a_at, m.b_at]
 
 

@@ -1,14 +1,18 @@
-"""sigma_bh's spectral rule against closed forms, a refined rule and Simpson.
+"""sigma_bh's 1-D tanh-sinh rule against closed forms, 2-D product rules and Simpson.
 
-``sigma_bh`` integrates the unit-ball volume with the trapezoid rule on the
-circle, and with Gauss-Legendre in cos(theta) x the trapezoid rule in the
-azimuth on the sphere.  It must give the closed-form densities at 1e-13, the
-same rule refined (GL 96 x 192 on the sphere, 4096 nodes on the circle) at
-1e-12, and the composite Simpson rule it replaced within that rule's own
-error.  The oracles integrate in the unturned frame of a(x) and b(x), where
-``sigma_bh`` turns beta onto the rule's first axis.  The cached nodes, the
-einsum-free alpha^2 and the unit-ball memo must keep the bits of the uncached
-computations exactly: the ``report`` stdout is byte-stable.
+``sigma_bh`` integrates the unit-ball volume in the frame a = I, beta = b e_1,
+where F on the unit sphere depends on the polar angle alone, with one
+tanh-sinh rule in that angle per dimension.  f(b) and d ln f / db must give
+the closed forms in every dimension n = 1..5 (Randers, and the Riemannian
+sqrt(1 + k s^2)) and a 30-digit mpmath quadrature of the unicorn family.
+sigma must give the closed-form densities at 1e-13, the 2-D product rules it
+replaced (Gauss-Legendre in cos(theta) x the trapezoid rule in the azimuth on
+the sphere, the trapezoid rule on the circle) at their base size with the 4x
+refine switch, and refined (GL 96 x 192, 4096 nodes) at 1e-12, and the
+composite Simpson rule within that rule's own error.  The 2-D oracles
+integrate in the unturned frame of a(x) and b(x).  The cached nodes and the
+unit-ball memo must keep the bits of the uncached computations exactly: the
+``report`` stdout is byte-stable.
 """
 
 import math
@@ -18,11 +22,14 @@ import pytest
 
 from finsler.catalog import catalog_names, get_metric
 from finsler.errors import SingularDirectionInQuadrature, SingularMetric
-from finsler.finsler_metric import _MAX_RADIUS_RATIO, _polar_nodes, _unit_ball, sigma_bh
+from finsler.finsler_metric import _polar_nodes, _unit_ball, sigma_bh
 from finsler.geometry_core import ChartDomain, MetricSpec, _inverse_cholesky
-from finsler.phi_families import CustomExprPhi, RandersPhi, UnicornPhi
+from finsler.phi_families import CustomExprPhi, RandersPhi, RiemannSqrtPhi, UnicornPhi
 
 _UNIT_BALL_VOLUME = {2: math.pi, 3: 4.0 * math.pi / 3.0}
+#: the largest max(r) / min(r) on the nodes of ``product_rule(n)`` with a
+#: relative error near 1e-14; past it the product rule is redone 4x finer
+_MAX_RADIUS_RATIO = {2: 150.0, 3: 12.0}
 #: every catalog metric with a bounded unit ball (mw has |b| = 1)
 BOUNDED = [name for name in catalog_names() if name != "mw"]
 
@@ -49,6 +56,22 @@ def _sphere(n_u, n_az):
     dirs = np.column_stack([(rho * np.cos(phi)).ravel(),
                             (rho * np.sin(phi)).ravel(), np.repeat(u, n_az)])
     return dirs, np.repeat(wu * (2.0 * math.pi / n_az) / 3.0, n_az)
+
+
+def product_rule(n, refine=1):
+    """The 2-D product rule sigma_bh used before, for n = 2 or 3: unit directions
+    z and the weights of vol = int r^n / n.
+
+    The trapezoid rule on 256 azimuths (n = 2), or 32 Gauss-Legendre nodes in
+    u = cos(theta) times the trapezoid rule on 64 azimuths (n = 3), each count
+    times ``refine``; the first axis lies in the equator plane.
+    """
+    n_az = (256 if n == 2 else 64) * refine
+    h = 2.0 * math.pi / n_az
+    if n == 2:
+        phi = h * np.arange(n_az)
+        return np.column_stack([np.cos(phi), np.sin(phi)]), np.full(n_az, 0.5 * h)
+    return _sphere(32 * refine, n_az)
 
 
 def refined_sigma(m, f, x):
@@ -139,27 +162,96 @@ def test_sigma_closed_form_randers(a, b):
 
 def test_elongated_unit_ball_takes_the_finer_rule():
     # |b| = 0.95 stretches the unit ball: its radii vary by 39x, past the
-    # ratio the base sphere rule integrates to 1e-14, and the base rule alone
-    # is off by about 3e-8
+    # ratio the base product rule integrates to 1e-14, and that rule alone
+    # is off by about 3e-8; the tanh-sinh rule's nodes crowd to the poles,
+    # where the radii peak, and its one sweep of 153 nodes needs no finer rule
     m = _constant_metric(np.eye(3), [0.95, 0.0, 0.0])
     x, want = np.zeros(3), (1.0 - 0.95 ** 2) ** 2
-    dirs, w = _polar_nodes(3)
+    dirs, w = product_rule(3)
     r = 1.0 / _F(m, RandersPhi(), x, dirs)
     assert r.max() > _MAX_RADIUS_RATIO[3] * r.min()
     base = _UNIT_BALL_VOLUME[3] / float(w @ r ** 3)
     assert abs(base / want - 1.0) > 1e-9
-    assert sigma_bh(m, RandersPhi(), x) == pytest.approx(want, rel=1e-13)
+    assert len(_polar_nodes(3)[0]) == 153
+    assert sigma_bh(m, RandersPhi(), x) == pytest.approx(want, rel=1e-14)
 
 
-@pytest.mark.parametrize("b, rel", [(0.995, 2e-10), (0.999, 1e-5)])
+# the ids keep the bounds of the product rule, 2e-10 and 1e-5; the
+# tanh-sinh rule reads 5.2e-15 and 4.5e-14
+@pytest.mark.parametrize("b, rel", [pytest.param(0.995, 1e-14, id="0.995-2e-10"),
+                                    pytest.param(0.999, 1e-13, id="0.999-1e-05")])
 @pytest.mark.parametrize("axis", [0, 2])
 def test_sigma_near_the_unit_one_form_on_either_axis(b, rel, axis):
-    # the unit ball's radii vary by 400-2000x here; with beta on the rule's
-    # polar axis e_3 the unturned sweep read 6.9e-9 and 2.2e-3, and sigma
-    # now integrates with beta turned onto e_1, in the equator plane
+    # the unit ball's radii vary by 400-2000x here; with beta on the product
+    # rule's polar axis e_3 its unturned sweep read 6.9e-9 and 2.2e-3, and
+    # sigma integrates with beta turned onto e_1, the tanh-sinh rule's pole
     m = _constant_metric(np.eye(3), b * np.eye(3)[axis])
-    want = (1.0 - b * b) ** 2
+    want = ((1.0 - b) * (1.0 + b)) ** 2  # 1 - b is exact
     assert sigma_bh(m, RandersPhi(), np.zeros(3)) == pytest.approx(want, rel=rel)
+
+
+#: |b| up to 0.99999, where a Randers unit ball's radii vary by 2e5, with the
+#: relative bound at each: 1e-13 to b = 0.999, 1e-11 at 0.99999
+NEAR_ONE = [*((b, 1e-13) for b in (0.0, 0.3, 0.7, 0.9, 0.99, 0.999)),
+            (0.9999, 1e-12), (0.99999, 1e-11)]
+
+
+def _closed_form_cases():
+    """(phi, b, rel, f(b), d ln f / db) in closed form: Randers, with
+    f(b) = (1 - b^2)^((n+1)/2), and phi = sqrt(1 + k s^2), Riemannian with
+    f(b) = sqrt(det(I + k b b^T)) = sqrt(1 + k b^2), for k = 2 and -0.5."""
+    for b, rel in NEAR_ONE:
+        one_minus_b2 = (1.0 - b) * (1.0 + b)  # 1 - b is exact
+        yield RandersPhi(), b, rel, one_minus_b2, -b / one_minus_b2
+        for k in (2.0, -0.5):
+            yield RiemannSqrtPhi(k), b, rel, math.sqrt(1.0 + k * b * b), k * b / (1.0 + k * b * b)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_unit_ball_closed_forms_in_every_dimension(n):
+    # f(b) and d ln f / db checked on their own: the S routes agree through
+    # the same slope, so that check cannot see an error in it
+    for phi, b, rel, f_b, slope in _closed_form_cases():
+        if isinstance(phi, RandersPhi):  # (1 - b^2)^((n+1)/2) and its log-slope
+            f_b, slope = f_b ** ((n + 1) / 2), (n + 1) * slope
+        got = _unit_ball.__wrapped__(phi, b, n)
+        assert got[0] == pytest.approx(f_b, rel=rel)
+        assert got[1] == pytest.approx(slope, rel=rel, abs=1e-15)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_unicorn_unit_ball_matches_mpmath(n):
+    # f(b) = int sin^(n-2) / int r^n sin^(n-2) over the polar angle, and the
+    # slope differentiated under the integral sign, with phi in closed form
+    # and phi' = g phi, all in 30 digits; S^0 is the two points u = +-1
+    mp = pytest.importorskip("mpmath")
+    f = UnicornPhi(1.0, 0.5, 1.0, 1.0)
+    with mp.workdps(30):
+        b0, k, q, c = map(mp.mpf, (f.b0, f.k, f.q, f.c))
+        a, Q = 1 + k * b0 ** 2, q * b0 ** 2 / 2
+        r = mp.sqrt(a - Q * Q)
+
+        def phi_and_slope(t):
+            w = mp.sqrt(b0 ** 2 - t * t)
+            D = 1 + k * t * t + q * t * w
+            phi = c * mp.sqrt(D) * mp.exp(Q / r * (mp.atan((a * t / w + Q) / r) - mp.atan(Q / r)))
+            return phi, (k * t + q * w) / D * phi
+
+        def integral(g, b):
+            if n == 1:
+                return sum(g(mp.mpf(u), b * u) for u in (1, -1))
+            return mp.quad(lambda th: mp.sin(th) ** (n - 2) * g(mp.cos(th), b * mp.cos(th)),
+                           [0, mp.pi / 2, mp.pi])
+
+        for b in (0.3, 0.6, 0.9):
+            bm = mp.mpf(b)
+            vol = integral(lambda u, s: phi_and_slope(s)[0] ** -n, bm)
+            f_b = integral(lambda u, s: 1, bm) / vol
+            slope = n * integral(lambda u, s: phi_and_slope(s)[1] * u
+                                 / phi_and_slope(s)[0] ** (n + 1), bm) / vol
+            got = _unit_ball.__wrapped__(f, b, n)
+            assert got[0] == pytest.approx(float(f_b), rel=1e-13)
+            assert got[1] == pytest.approx(float(slope), rel=1e-13)
 
 
 @pytest.mark.parametrize("name", BOUNDED)
@@ -182,7 +274,7 @@ def test_sigma_within_simpson_error(name):
 @pytest.mark.parametrize("name", catalog_names())
 def test_sigma_bit_equal_on_catalog(name):
     # the cached read-only nodes give the bits of freshly built ones, also
-    # after sweeps that refined or failed; the unit-ball memo is cleared too,
+    # after sweeps that failed; the unit-ball memo is cleared too,
     # as a hit would make no sweep
     entry = get_metric(name)
     m, f = entry.metric, entry.phi
@@ -200,27 +292,21 @@ def test_sigma_bit_equal_on_catalog(name):
         assert sweep(x) == cached
 
 
-#: the azimuthal step of the base rule of ``_polar_nodes(n)``
-STEP = {2: 2.0 * math.pi / 256, 3: 2.0 * math.pi / 64}
-
-
 def _edge_metric(n):
-    """|beta| just past the admissible half-width at the nodes of azimuth 0
-    and pi nearest to +-b: two on the circle, four on the sphere, at u = +-u_min."""
+    """|beta| past the admissible half-width by 1e-6 of it, at the nodes within
+    1.4e-3 of the poles u = +-1, where the rule's nodes crowd."""
     f = CustomExprPhi("1 + 0.2*s", b0=1.0, delta=0.05)
-    half = f.b0 * (1.0 - f.delta)
-    dirs = _polar_nodes(n)[0]
-    rho = np.hypot(dirs[:, 0], dirs[:, 1]).max()  # 1 on the circle
-    b = half / (rho * math.cos(0.25 * STEP[n]))
+    b = f.b0 * (1.0 - f.delta) * (1.0 + 1e-6)
     return _constant_metric(np.eye(n), [b] + [0.0] * (n - 1)), f, b
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_nodes_past_the_admissible_cone_raise(n):
     # no node is moved back inside: sigma and the S formula's f(b) slope both
-    # refuse a unit ball whose nodes leave |s| <= b0 (1 - delta)
+    # refuse a unit ball whose nodes leave |s| <= b0 (1 - delta); the nodes
+    # are those of every n >= 2
     m, f, b = _edge_metric(n)
-    bad = {2: 2, 3: 4}[n]
+    bad = 56
     message = rf"\|s\| > b0 \(1 - delta\) = 0.95 at {bad} quadrature node\(s\)"
     with pytest.raises(SingularDirectionInQuadrature, match=message):
         sigma_bh(m, f, np.zeros(n))
@@ -229,13 +315,13 @@ def test_nodes_past_the_admissible_cone_raise(n):
 
 
 @pytest.mark.parametrize("n, b", [
-    (2, lambda half, h: [half / math.cos(2.0 * h), 0.0]),  # arcs of 3 nodes about +-b
-    (3, lambda half, h: [0.0, 0.0, 1.0]),  # turned onto the first axis: 68 nodes about +-e_1
+    (2, lambda half: [half / math.cos(0.05), 0.0]),  # 44 nodes about each pole
+    (3, lambda half: [0.0, 0.0, 1.0]),  # turned onto the first axis: 57 about each pole
 ])
 def test_persistently_singular_nodes_raise(n, b):
     f = CustomExprPhi("1 + 0.2*s", b0=1.0, delta=0.05)
-    m = _constant_metric(np.eye(n), b(0.95, STEP[n]))
-    bad = {2: 6, 3: 68}[n]
+    m = _constant_metric(np.eye(n), b(0.95))
+    bad = {2: 88, 3: 114}[n]
     with pytest.raises(SingularDirectionInQuadrature,
                        match=rf"\|s\| > b0 \(1 - delta\) = 0.95 at {bad} quadrature node\(s\)"):
         sigma_bh(m, f, np.zeros(n))
@@ -253,7 +339,7 @@ def test_unbounded_unit_ball_raises():
 def test_undefined_unit_ball_raises():
     m = _constant_metric(np.eye(2), [math.nan, 0.0])
     with pytest.raises(SingularDirectionInQuadrature,
-                       match=r"F is not finite at 256 quadrature node\(s\)"):
+                       match=r"F is not finite at 153 quadrature node\(s\)"):
         sigma_bh(m, RandersPhi(), np.zeros(2))
     with pytest.raises(SingularMetric, match="a_ij is not positive definite"):
         sigma_bh(_constant_metric(np.diag([1.0, -1.0]), [0.0, 0.0]),
@@ -261,13 +347,14 @@ def test_undefined_unit_ball_raises():
 
 
 def ref_unit_ball(f, b, n):
-    """``_unit_ball``'s sweep with F from ``ref_finsler_eval_many`` at a = I, beta = b e_1.
+    """``(f(b), d ln f / db)`` from the product rule with its 4x refine switch,
+    F from ``ref_finsler_eval_many`` at a = I, beta = b e_1.
 
     None where F is not positive and finite at some node.
     """
     m = _constant_metric(np.eye(n), b * np.eye(n)[0])
     for refine in (1, 4):
-        z, w = _polar_nodes(n, refine)
+        z, w = product_rule(n, refine)
         F, s = ref_finsler_eval_many(m, f, np.zeros(n), z)
         if not np.all(np.isfinite(F) & (F > 0.0)):
             return None
@@ -276,13 +363,16 @@ def ref_unit_ball(f, b, n):
             break
     wr = w * r ** n
     vol = wr.sum()
-    return float(vol), float(n * ((wr * r) @ (f.taylor(s, 1)[1] * z[:, 0])) / vol)
+    return (_UNIT_BALL_VOLUME[n] / float(vol),
+            float(n * ((wr * r) @ (f.taylor(s, 1)[1] * z[:, 0])) / vol))
 
 
 @pytest.mark.parametrize("name", catalog_names())
 def test_alpha_sum_bit_equal_to_einsum(name):
-    # the sweep sums alpha^2 = z_i z_i term by term; at every catalog point's
-    # b = |L^-1 b(x)| it keeps the bits of the same sweep with einsum's alpha
+    # the 1-D rule sweeps u = cos(theta) with |z| = 1, so no alpha is summed;
+    # at every catalog point's b = |L^-1 b(x)| (all <= 0.82, or mw's 1) it
+    # agrees with the 2-D product rule it replaced, and fails where that
+    # rule's F does
     entry = get_metric(name)
     m, f = entry.metric, entry.phi
     for x in _points(entry):
@@ -292,7 +382,9 @@ def test_alpha_sum_bit_equal_to_einsum(name):
             with pytest.raises(SingularDirectionInQuadrature):
                 _unit_ball.__wrapped__(f, b, m.n)
         else:
-            assert _unit_ball.__wrapped__(f, b, m.n) == want
+            assert b <= 0.99
+            assert _unit_ball.__wrapped__(f, b, m.n) == pytest.approx(want, rel=1e-14,
+                                                                      abs=1e-15)
 
 
 @pytest.mark.parametrize("n", [2, 3])
