@@ -54,10 +54,18 @@ def _reject_unknown(doc, allowed, where):
 
 
 def _real(value, where):
-    """A finite real config value; a bool is refused, as ``get_metric`` does."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+    """A finite real config value (no bool, as in ``get_metric``; no int past the floats)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not abs(value) <= sys.float_info.max:
         raise ConfigError(f"{where} must be a finite real number, got {value!r}")
     return float(value)
+
+
+def _integer(value, where, minimum):
+    """A finite real config value that is a whole number >= ``minimum``."""
+    if _real(value, where) % 1 or value < minimum:
+        raise ConfigError(f"{where} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
 
 
 def _entries(value, where, n):
@@ -89,7 +97,10 @@ def _phi_from_config(doc):
             raise ConfigError(f"metric.custom.phi.params must be an object, got {params!r}")
         kw.update(text=expr, params={key: _real(v, f"metric.custom.phi.params.{key}")
                                      for key, v in params.items()})
-    return family(**kw)
+    try:  # a phi its family refuses is a config mistake, as a bad a or b is
+        return family(**kw)
+    except FinslerError as exc:
+        raise ConfigError(f"bad metric.custom.phi: {type(exc).__name__}: {exc}") from exc
 
 
 def _custom_metric(doc):
@@ -97,7 +108,7 @@ def _custom_metric(doc):
     for key in ("n", "a", "b", "lo", "hi"):
         if key not in doc:
             raise ConfigError(f"metric.custom missing field {key!r}")
-    n = _count(doc["n"], "metric.custom.n", 1)
+    n = _integer(doc["n"], "metric.custom.n", 1)
     rows = [_entries(row, "metric.custom.a", n) for row in _entries(doc["a"], "metric.custom.a", n)]
     var_names = [f"x{i + 1}" for i in range(n)]
     allowed = set(var_names)
@@ -124,16 +135,6 @@ def _custom_metric(doc):
     m = MetricSpec(n=n, a=a, b_form=b, chart_domain=ChartDomain(lo, hi), name="custom")
     phi = _phi_from_config(doc.get("phi", {}))
     return m, phi
-
-
-def _count(value, what, minimum):
-    try:
-        count = int(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{what} must be an integer, got {value!r}") from exc
-    if count < minimum:
-        raise ConfigError(f"{what} must be >= {minimum}")
-    return count
 
 
 class RunConfig:
@@ -164,10 +165,12 @@ class RunConfig:
             raise ConfigError("metric needs either 'name' or 'custom'")
         grid = doc.get("grid", {})
         _reject_unknown(grid, _GRID_KEYS, "grid")
-        self.per_axis = _count(grid.get("per_axis", 5), "grid.per_axis", 1)
-        self.n_directions = _count(doc.get("directions", 16), "direction count", 4)
-        self.seed = _count(doc.get("seed", 42), "seed", 0)
+        self.per_axis = _integer(grid.get("per_axis", 5), "grid.per_axis", 1)
+        self.n_directions = _integer(doc.get("directions", 16), "directions", 4)
+        self.seed = _integer(doc.get("seed", 42), "seed", 0)
         self.out = doc.get("out")
+        if self.out is not None and not (isinstance(self.out, str) and self.out):
+            raise ConfigError(f"out must be a non-empty file name, got {self.out!r}")
 
 
 def _config_from_args(args):

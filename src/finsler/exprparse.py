@@ -1,7 +1,10 @@
 """Parser and evaluator for coordinate expressions in metric configs.
 
-A tiny precedence-climbing parser; no grammar tooling so that every error can
-carry an exact byte offset.  Precedence, tightest first::
+Python's ``ast`` reads the text, with ``^`` as ``**``: its ``**`` has the
+grammar's precedence and right associativity, and binds tighter than unary
+minus on its left.  One walk of the tree admits only the grammar's forms and
+builds this module's nodes; every error carries the offset of its character
+in the original text.  Precedence, tightest first::
 
     ^ (right-assoc)  >  unary -  >  * /  >  + -
 
@@ -10,12 +13,18 @@ univariate series alike): every operation goes through ``jet_apply``, so
 user-supplied metrics plug straight into the differentiation machinery.
 """
 
+import ast
+import warnings
 from dataclasses import dataclass
 
 from .errors import ExprSyntaxError, UnboundVariable, UnknownIdentifier
 from .jets import jet_apply
 
 FUNCTIONS = ("exp", "log", "sin", "cos", "sqrt", "atan", "abs")
+
+#: deepest tree ``parse`` admits, Python's own limit on nested parentheses:
+#: ``eval_expr`` and ``to_string`` recurse once per level
+MAX_DEPTH = 200
 
 
 @dataclass(frozen=True)
@@ -47,138 +56,72 @@ class Call:
     arg: object
 
 
-# -- tokenizer ---------------------------------------------------------------
+# -- parsing -----------------------------------------------------------------
 
-_OPS = set("+-*/^()")
-
-
-def _tokenize(text):
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in _OPS:
-            tokens.append((ch, ch, i))
-            i += 1
-        elif ch.isdigit() or ch == ".":
-            j = i
-            while j < n and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            try:
-                value = float(text[i:j])
-            except ValueError:
-                raise ExprSyntaxError(f"bad number {text[i:j]!r}", i) from None
-            tokens.append(("num", value, i))
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("ident", text[i:j], i))
-            i = j
-        else:
-            raise ExprSyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append(("eof", None, n))
-    return tokens
-
-
-# -- parser ------------------------------------------------------------------
-
-_BINOPS = {"+": ("add", 10), "-": ("sub", 10), "*": ("mul", 20), "/": ("div", 20)}
-_UNARY_PREC = 30
-_POW_PREC = 40
-
-
-class _Parser:
-    def __init__(self, tokens, allowed_vars):
-        self.tokens = tokens
-        self.pos = 0
-        self.allowed = frozenset(allowed_vars)
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind):
-        tok = self.advance()
-        if tok[0] != kind:
-            raise ExprSyntaxError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
-        return tok
-
-    def parse_expr(self, min_prec=0):
-        node = self.parse_prefix(min_prec)
-        while True:
-            kind, _, _ = self.peek()
-            if kind not in _BINOPS:
-                return node
-            op, prec = _BINOPS[kind]
-            if prec < min_prec:
-                return node
-            self.advance()
-            node = Binary(op, node, self.parse_expr(prec + 1))
-
-    def parse_prefix(self, min_prec):
-        kind, value, off = self.peek()
-        if kind == "-":
-            self.advance()
-            return Unary("neg", self.parse_prefix(_UNARY_PREC))
-        return self.parse_power()
-
-    def parse_power(self):
-        base = self.parse_atom()
-        kind, _, _ = self.peek()
-        if kind == "^":
-            self.advance()
-            # right-associative; exponent may itself carry a unary minus
-            return Binary("pow", base, self.parse_prefix(_POW_PREC))
-        return base
-
-    def parse_atom(self):
-        kind, value, off = self.advance()
-        if kind == "num":
-            return Const(value)
-        if kind == "(":
-            node = self.parse_expr()
-            self.expect(")")
-            return node
-        if kind == "ident":
-            if self.peek()[0] == "(":
-                if value not in FUNCTIONS:
-                    raise UnknownIdentifier(value, off)
-                self.advance()
-                arg = self.parse_expr()
-                self.expect(")")
-                return Call(value, arg)
-            if value not in self.allowed:
-                raise UnknownIdentifier(value, off)
-            return Var(value)
-        raise ExprSyntaxError(f"unexpected token {value!r}", off)
+_BINARY = {ast.Add: "add", ast.Sub: "sub", ast.Mult: "mul", ast.Div: "div", ast.Pow: "pow"}
 
 
 def parse(text, allowed_vars):
     """Parse expression ``text``; identifiers must come from ``allowed_vars``."""
     if not text or not text.strip():
         raise ExprSyntaxError("empty expression", 0)
-    parser = _Parser(_tokenize(text), allowed_vars)
-    node = parser.parse_expr()
-    kind, value, off = parser.peek()
-    if kind != "eof":
-        raise ExprSyntaxError(f"trailing input {value!r}", off)
-    return node
+    # Python reads these, leaving no trace in its tree, or refuses them untyped
+    for bad in ("#", "**", "\0"):
+        if bad in text:
+            raise ExprSyntaxError(f"unexpected {bad!r}", text.index(bad))
+    # eval mode refuses leading indentation and bare newlines, so the text is
+    # left-stripped and each whitespace character becomes one space
+    lead = len(text) - len(text.lstrip())
+    src = "".join(" " if ch.isspace() else ch for ch in text[lead:]).replace("^", "**")
+    # where[k]: the offset in text of src's k-th character
+    where = [i for i in range(lead, len(text)) for _ in range(1 + (text[i] == "^"))]
+    where.append(len(text))
+    try:
+        with warnings.catch_warnings():  # a literal Python warns about (1in x) is refused
+            warnings.simplefilter("error")
+            tree = ast.parse(src, mode="eval").body
+    except SyntaxError as exc:  # offset is 1-based; 0 or None is the end, where[-1]
+        raise ExprSyntaxError(exc.msg, where[min(exc.offset or 0, len(src) + 1) - 1]) from None
+    except ValueError as exc:  # a lone surrogate
+        raise ExprSyntaxError(str(exc), 0) from None
+    except (RecursionError, MemoryError):  # Python's own limits lie past MAX_DEPTH
+        raise ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH}", 0) from None
+    # Python's col_offset counts UTF-8 bytes: chars[col] is src's character at byte col
+    chars = [k for k, ch in enumerate(src) for _ in ch.encode()] + [len(src)]
+    allowed = frozenset(allowed_vars)
+
+    def at(col):  # offset in text of the src character at byte col
+        return where[chars[col]]
+
+    def walk(node, depth):
+        start, end = at(node.col_offset), at(node.end_col_offset)
+        if depth > MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH}", start)
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float) \
+                and set(text[start:end]) <= set("0123456789.eE+-"):
+            return Const(float(text[start:end]))
+        if isinstance(node, ast.Name):  # the text's own name, before Python's NFKC
+            if text[start:end] not in allowed:
+                raise UnknownIdentifier(text[start:end], start)
+            return Var(text[start:end])
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            return Unary("neg", walk(node.operand, depth + 1))
+        if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+            return Binary(_BINARY[type(node.op)], walk(node.left, depth + 1),
+                          walk(node.right, depth + 1))
+        fn = node.func if isinstance(node, ast.Call) else None
+        if isinstance(fn, ast.Name) and fn.col_offset == node.col_offset \
+                and len(node.args) == 1 and not node.keywords:
+            name = text[start:at(fn.end_col_offset)]
+            if name not in FUNCTIONS:
+                raise UnknownIdentifier(name, start)
+            comma = text.find(",", at(node.args[0].end_col_offset), end)
+            if comma >= 0:
+                raise ExprSyntaxError("unexpected ','", comma)
+            return Call(name, walk(node.args[0], depth + 1))
+        raise ExprSyntaxError(f"not in the grammar: {text[start:end]!r}", start)
+
+    return walk(tree, 0)
 
 
 # -- printing ----------------------------------------------------------------

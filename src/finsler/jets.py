@@ -73,7 +73,7 @@ def _tensor_index(n_vars, max_order, k):
             np.array([math.prod(map(math.factorial, m)) for m in multis], dtype=float))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)  # `check`, the widest command, builds 38
 def _batch_bins(n_vars, max_order, width):
     """Bin of each (table entry, column) pair of a ``width``-column product."""
     kk = _tables(n_vars, max_order)[2][2]

@@ -150,6 +150,10 @@ CUSTOM = {"n": 2, "a": [["1", "0"], ["0", "1"]], "b": ["0.1", "0"], "lo": [-1, -
     ({"phi": {"variant": "unicorn", "k": None}}, "metric.custom.phi.k"),
     ({"phi": {"variant": "riemann_sqrt", "k": "x"}}, "metric.custom.phi.k"),
     ({"phi": {"variant": "custom", "expr": 5}}, "metric.custom.phi.expr"),
+    ({"phi": {"variant": "riemann_sqrt", "k": 10**400}}, "metric.custom.phi.k"),
+    # the family refuses the phi: exit 2 as for a bad a or b, not 1
+    ({"phi": {"variant": "custom", "expr": "1 + "}}, "metric.custom.phi: ExprSyntaxError"),
+    ({"phi": {"variant": "unicorn", "q": -1}}, "metric.custom.phi: ParamOutOfRange"),
 ])
 def test_malformed_custom_metric_exits_2(fields, name, tmp_path, capsys):
     # a typed ConfigError naming the field, not a Python exception's traceback
@@ -158,6 +162,52 @@ def test_malformed_custom_metric_exits_2(fields, name, tmp_path, capsys):
     assert main(["table", "--config", str(path), "--quantity", "a"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and name in err
+
+
+@pytest.mark.parametrize("fields, name", [
+    ({"metric": {"custom": {**CUSTOM, "n": 2.7}}}, "metric.custom.n"),
+    ({"metric": {"custom": {**CUSTOM, "n": True}}}, "metric.custom.n"),
+    ({"grid": {"per_axis": 2.9}}, "grid.per_axis"),
+    ({"directions": 4.5}, "directions"),
+    ({"directions": "16"}, "directions"),
+    ({"seed": 0.5}, "seed"),
+    ({"seed": 10**400}, "seed"),  # past the floats: math.isfinite raised OverflowError
+])
+def test_counts_are_whole_numbers(fields, name, tmp_path, capsys):
+    # once truncated by int(): n = 2.7 ran as n = 2, and "16" or true passed
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"schema": 1, "metric": {"name": "euclid"}, **fields}))
+    assert main(["table", "--config", str(path), "--quantity", "a"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {name} must be ") and captured.out == ""
+
+
+@pytest.mark.parametrize("out", [1, True, "", {"path": "x"}, ["x"]])
+def test_out_must_be_a_file_name(out, tmp_path, capsys):
+    # "out": 1 once wrote the table to file descriptor 1 and closed it
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"schema": 1, "metric": {"name": "euclid"}, "out": out}))
+    assert main(["classify", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: out must be a non-empty file name, got {out!r}\n"
+    assert captured.out == ""
+
+
+#: past the parser's depth bound, or Python's own limits: each once ended in a
+#: RecursionError traceback with exit 1
+DEEP = ["(" * 1500 + "0.1" + ")" * 1500, "-" * 250 + "0.1", "+".join(["0.001"] * 3000)]
+
+
+@pytest.mark.parametrize("text", DEEP, ids=["parens", "minus", "sum"])
+@pytest.mark.parametrize("where", ["b", "phi"])
+def test_expressions_nested_too_deeply_exit_2(where, text, tmp_path, capsys):
+    custom = ({**CUSTOM, "b": [text, "0"]} if where == "b" else
+              {**CUSTOM, "phi": {"variant": "custom", "expr": f"1 + s * ({text})"}})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"schema": 1, "metric": {"custom": custom}}))
+    assert main(["table", "--config", str(path), "--quantity", "a"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad ") and "nested" in err and err.count("\n") == 1
 
 
 #: |b| = 2 > 1: the generalized-Berwald threshold is a numpy float
@@ -394,9 +444,10 @@ class TestMain:
             "n": 2, "a": [["1", "0"], ["0", "1"]], "b": ["0.6", "0"],
             "lo": [-1, -1], "hi": [1, 1],
             "phi": {"variant": "unicorn", "b0": 1, "k": 0, "q": 3, "c": 1}}}}))
-        assert main([command, "--config", str(path)]) == 1
+        assert main([command, "--config", str(path)]) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: ParamOutOfRange: unicorn family requires")
+        assert captured.err.startswith(
+            "error: bad metric.custom.phi: ParamOutOfRange: unicorn family requires")
         assert captured.out == ""
 
     @pytest.mark.parametrize("metric,param,named", [

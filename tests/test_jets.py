@@ -1,5 +1,7 @@
 """Truncated jets (multivariate and univariate) and base-point derivatives."""
 
+import contextlib
+import io
 import math
 from functools import partial
 
@@ -8,7 +10,8 @@ import pytest
 
 from finsler.errors import DomainError, EvaluationError
 from finsler.geometry_core import _at
-from finsler.jets import (MAX_ORDER, JetScalar, _tables, base_derivative,
+from finsler.cli import main
+from finsler.jets import (MAX_ORDER, JetScalar, _batch_bins, _tables, base_derivative,
                           jet_apply, jet_variable)
 
 
@@ -225,3 +228,20 @@ class TestBaseDerivative:
         stack = base_derivative(fn, np.array([[0.3, -0.2], [0.1, 0.4], [0.0, 1.0]]))
         assert type(one) is np.ndarray and one.shape == (2,)
         assert stack.shape == (3, 2) and np.array_equal(stack[0], one)
+
+
+def test_batch_bins_cache_is_bounded_and_holds_one_command():
+    # one (table entries x width) index array per key: a caller that varies
+    # the width must not grow the cache without bound
+    _batch_bins.cache_clear()
+    for width in range(1, 200):
+        _batch_bins(2, 2, width)
+    info = _batch_bins.cache_info()
+    assert info.currsize == info.maxsize == 64
+    # `check` builds the most keys of any command (38), and none is evicted
+    # and rebuilt
+    _batch_bins.cache_clear()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["check"]) == 0
+    info = _batch_bins.cache_info()
+    assert info.misses == info.currsize < info.maxsize
