@@ -17,13 +17,13 @@ import numpy as np
 from .errors import (AllSamplesSingular, DegenerateFlag, DomainError,
                      EmptyGrid, EvaluationError, FinslerError, MissingReports,
                      RankDeficient, WrongPhiVariant)
-from .finsler_metric import fsq_jet
+from .finsler_metric import fsq_jet, fundamental
 from .geometry_core import BetaCalculus, MetricSpec, beta_derivatives
 from .phi_families import PhiFamily, _q_series
 from .series import batched
 # curvature_bundle calls riemann_flag; perfbench/tests/test_tracer.py requires it bound here
-from .spray_curvature import (curvature_bundle, ln_sigma_gradient,  # noqa: F401
-                              per_direction, riemann_flag)
+from .spray_curvature import (curvature_bundle, landsberg, ln_sigma_gradient,  # noqa: F401
+                              per_direction, riemann_flag, s_curvature_def, spray_data)
 
 #: default thresholds per predicate family
 TOL_TENSOR = 1e-6
@@ -169,12 +169,12 @@ def _sample_norms(m, f, bc, Y, grad, owner=None):
     sigma, is None: sigma failed.
     """
     Y = Y / np.sqrt(fsq_jet(m, f, bc.x, Y, 0, owner).value)[..., None]
-    cb = curvature_bundle(m, f, bc.x, Y, grad, bc, owner)
-    C = cb.fd.C  # before the spray: a failing sample raises what `fundamental` does
-    return np.column_stack([np.abs(np.reshape(T, (len(cb.dirs), -1))).max(axis=1)
-                            for T in (cb.B, cb.L, cb.D,
-                                      cb.S_def if grad is not None else np.zeros(len(cb.dirs)),
-                                      C)])
+    fd = fundamental(m, f, bc.x, Y, owner)  # first: a failing sample raises what it does
+    sd = spray_data(m, f, bc.x, Y, bc, owner)
+    lead = np.shape(Y)[:-1]  # () for one direction: one row
+    S = s_curvature_def(m, f, bc.x, Y, grad, sd, bc) if grad is not None else np.zeros(lead)
+    return np.column_stack([np.abs(np.reshape(T, lead + (-1,))).max(axis=-1)
+                            for T in (sd.B, landsberg(fd, sd.B), sd.D, S, fd.C)])
 
 
 #: (point, direction) pairs per jet batch of ``curvature_flags``

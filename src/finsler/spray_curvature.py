@@ -14,23 +14,23 @@ redone one point at a time if that batch raises.
 ``riemann``, ``riemann_flag``, ``s_curvature_def``, ``s_curvature_formula`` and
 ``h_curvature`` take one direction ``y`` or a ``(B, n)`` stack at one x, which
 goes through as one jet batch and gives every field a leading B axis, each row
-with the bits of its direction alone.  The fiber-level ones (``spray_ab``,
-``spray_data`` and a bundle's fiber fields, as ``fsq_jet`` and
-``fundamental``) also take a ``(S, n)`` stack of x with an
+with the bits of its direction alone.  ``spray_ab`` and ``spray_data``, as
+``fsq_jet`` and ``fundamental``, also take a ``(S, n)`` stack of x with an
 ``owner`` array: pair j is direction ``y[j]`` at point ``x[owner[j]]``, one
 jet column per pair, so a whole grid's samples, with directions that differ
-from point to point, go through as one batch (``pair_columns``).
+from point to point, go through as one batch (``pair_columns``); ``landsberg``
+and ``s_curvature_def``, handed the pairs' fiber data, give one row per pair.
 :func:`per_direction` runs a caller's batch and, if it raises, redoes it one
 direction at a time.
 
 A sample's G, N and d^2 G come from one order-4 spray jet (``spray_data``),
 which ``riemann`` and ``s_curvature_def`` compute unless handed it; a jet of
 lower order gives the same bits, so the stencils and ``berwald`` run their own.
-:func:`curvature_bundle` evaluates the fiber tensors at a point for
-``report``, ``table``, the classification and ``check``, each on first read,
-from one copy of the fundamental data and of the order-4 spray jet.  A ``bc``
-argument is the beta calculus of x, if at hand (a row of the caller's stacked
-pass).
+:func:`curvature_bundle` evaluates the fiber tensors at one point for
+``report``, ``table``, ``check`` and the classification's flag curvature, each
+on first read, from one copy of the fundamental data and of the order-4 spray
+jet.  A ``bc`` argument is the beta calculus of x, if at hand (a row of the
+caller's stacked pass).
 
 Both S-curvature routes read the slope d ln f / db of the Busemann-Hausdorff
 f(b) of sigma_F = f(b) sqrt(det a), from one memoised unit-ball sweep per b
@@ -360,20 +360,15 @@ class CurvatureBundle:
     jet).  A field raises when read, so the caller's reading order fixes which
     error a sample reports.  ``grad_ln_sigma`` feeds ``S_def`` if at hand, and
     ``bc`` feeds ``spray``, ``S_formula`` and a gradient ``S_def`` computes
-    itself, else is computed on first read;
-    ``bc`` may also be the exception x's calculus raised (``grid_calculus``),
-    raised again wherever the calculus is read.
+    itself, else is computed on first read; ``bc`` may also be the exception
+    x's calculus raised (``grid_calculus``), raised again wherever it is read.
 
-    With ``owner``, x is a ``(S, n)`` stack and pair j is ``y[j]`` at
-    ``x[owner[j]]`` (``pair_columns``); ``bc`` then holds one row per point,
-    and ``grad_ln_sigma`` one per pair.  Only the fiber fields take pairs: ``fd``,
-    ``spray`` and its tensors, ``L`` and ``S_def``; R, H, K and ``S_formula``
-    raise ``DomainError`` on such a bundle.
+    A grid's (point, direction) pairs go through the fiber functions
+    themselves, with ``owner`` (``pair_columns``), not through a bundle.
     """
 
-    def __init__(self, m: MetricSpec, f: PhiFamily, x, y, grad_ln_sigma=None, bc=None,
-                 owner=None):
-        self.m, self.f, self.grad_ln_sigma, self.owner = m, f, grad_ln_sigma, owner
+    def __init__(self, m: MetricSpec, f: PhiFamily, x, y, grad_ln_sigma=None, bc=None):
+        self.m, self.f, self.grad_ln_sigma = m, f, grad_ln_sigma
         self.x, self.y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         self.dirs = np.reshape(self.y, (-1, m.n))  # y as a stack
         if not len(self.dirs):
@@ -387,35 +382,24 @@ class CurvatureBundle:
             raise self._bc
         return beta_derivatives(self.m, self.x) if self._bc is None else self._bc
 
-    def _one_x(self, field):
-        """x, for a field computed at one point; a bundle with ``owner`` raises."""
-        if self.owner is not None:
-            raise DomainError(f"{field} is computed at one x: a bundle with owner pairs "
-                              "supports only fd, the spray tensors, L and S_def")
-        return self.x
-
-    fd = cached_property(lambda self: fundamental(self.m, self.f, self.x, self.y, self.owner))
-    spray = cached_property(lambda self: spray_data(self.m, self.f, self.x, self.y, self.bc,
-                                                    self.owner))
+    fd = cached_property(lambda self: fundamental(self.m, self.f, self.x, self.y))
+    spray = cached_property(lambda self: spray_data(self.m, self.f, self.x, self.y, self.bc))
     G = property(lambda self: self.spray.G)
     B = property(lambda self: self.spray.B)
     E = property(lambda self: self.spray.E)
     D = property(lambda self: self.spray.D)
     L = cached_property(lambda self: landsberg(self.fd, self.B))
-    R = cached_property(lambda self: riemann(self.m, self.f, self._one_x("R"), self.y,
-                                             self.spray))
+    R = cached_property(lambda self: riemann(self.m, self.f, self.x, self.y, self.spray))
     S_def = cached_property(lambda self: s_curvature_def(
         self.m, self.f, self.x, self.y, self.grad_ln_sigma, self.spray, self.bc))
-    S_formula = cached_property(lambda self: s_curvature_formula(
-        self.m, self.f, self._one_x("S_formula"), self.y, self.bc))
-    H = cached_property(lambda self: h_curvature(self.m, self.f, self._one_x("H"), self.y,
-                                                 self.spray))
+    S_formula = cached_property(lambda self: s_curvature_formula(self.m, self.f, self.x,
+                                                                 self.y, self.bc))
+    H = cached_property(lambda self: h_curvature(self.m, self.f, self.x, self.y, self.spray))
 
     @cached_property
     def K(self):
         """Flag curvature where n = 2, else ``None``; one ``riemann_flag`` call
         per direction, as perfbench/tests/test_tracer.py counts them."""
-        self._one_x("K")
         if self.m.n != 2:
             return None
         R, g = self.R, self.fd.g
@@ -424,6 +408,6 @@ class CurvatureBundle:
         return K[0] if self.y.ndim == 1 else np.array(K)
 
 
-#: ``curvature_bundle(m, f, x, y, grad_ln_sigma=None, bc=None, owner=None)``:
+#: ``curvature_bundle(m, f, x, y, grad_ln_sigma=None, bc=None)``:
 #: every curvature tensor at x, for one direction or a ``(B, n)`` stack
 curvature_bundle = CurvatureBundle

@@ -6,6 +6,7 @@ import importlib.util
 import io
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -611,12 +612,15 @@ class TestFourDimensionalConfig:
 
     def test_report_computes_each_point_once(self, capsys, monkeypatch):
         # no layer raises: a point's stack of directions is one batch, never
-        # redone one direction at a time
-        import finsler.spray_curvature as spray_curvature
+        # redone one direction at a time; counted through every module that
+        # binds spray_data
+        from finsler.spray_curvature import spray_data
         calls = []
-        spray_data = spray_curvature.spray_data
-        monkeypatch.setattr(spray_curvature, "spray_data",
-                            lambda *args, **kw: calls.append(1) or spray_data(*args, **kw))
+        for mod in list(sys.modules.values()):
+            if (getattr(mod, "__name__", "").startswith("finsler")
+                    and getattr(mod, "spray_data", None) is spray_data):
+                monkeypatch.setattr(mod, "spray_data", lambda *args, **kw:
+                                    calls.append(1) or spray_data(*args, **kw))
         assert main(["report", "--config", FOUR_D]) == 0
         capsys.readouterr()
         # one per point of the records' 2-per-axis grid, and one jet batch

@@ -277,19 +277,22 @@ class TestBundle:
         assert cb.K is not None
         assert cb.H is not None
         assert cb.B.shape == (2, 2, 2, 2)
-        # with owner, the fiber fields pair each direction with its point, and
-        # the fields computed at one x raise typed, not with every point
-        # against every direction (R, H), zipped pairs (K) or a numpy error
+        # a bundle holds one x; the fiber functions pair each direction with
+        # its point through owner, with the bits of a one-point bundle
+        m, f = e.metric, e.phi
         x, y = np.array([[0.3, 1.2], [0.5, 2.0]]), default_directions(2, 4)
         owner = np.array([0, 0, 1, 1])
-        pairs = curvature_bundle(e.metric, e.phi, x, y, bc=beta_derivatives(e.metric, x),
-                                 owner=owner)
+        bc = beta_derivatives(m, x)
+        grads = [ln_sigma_gradient(m, f, xk) for xk in x]
+        fd = fundamental(m, f, x, y, owner)
+        sd = spray_data(m, f, x, y, bc, owner)
+        L = landsberg(fd, sd.B)
+        S = s_curvature_def(m, f, x, y, np.array(grads)[owner], sd, bc)
         for j, k in enumerate(owner):
-            alone = curvature_bundle(e.metric, e.phi, x[k], y[j])
-            assert np.array_equal(pairs.L[j], alone.L)
-        for field in ("R", "H", "K", "S_formula"):
-            with pytest.raises(DomainError, match=rf"^{field} is computed at one x: .* owner"):
-                getattr(pairs, field)
+            alone = curvature_bundle(m, f, x[k], y[j], grads[k])
+            for pair, one in ((sd.B, alone.B), (sd.D, alone.D), (L, alone.L),
+                              (fd.C, alone.fd.C), (S, alone.S_def)):
+                assert np.array_equal(pair[j], one)
 
     def test_tensors_share_one_spray_jet_and_fundamental_data(self, monkeypatch):
         # every field is computed on first read: H alone builds one spray
