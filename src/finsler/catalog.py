@@ -3,6 +3,7 @@
 import inspect
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -232,20 +233,24 @@ def catalog_names():
     return sorted(_FACTORIES)
 
 
+def finite_real(value):
+    """Whether ``value`` is a real number, no bool, within the float range (an
+    int past it too: ``math.isfinite`` would overflow on it)."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
 def get_metric(name, **params) -> CatalogEntry:
     """Construct a catalog entry by name with its documented parameters, each a finite real."""
-    try:
-        factory = _FACTORIES[name]
-    except KeyError:
-        raise UnknownName(
-            f"no catalog metric {name!r}; known: {', '.join(catalog_names())}") from None
+    factory = _FACTORIES.get(name) if isinstance(name, str) else None
+    if factory is None:
+        raise UnknownName(f"no catalog metric {name!r}; known: {', '.join(catalog_names())}")
     known = inspect.signature(factory).parameters
     for key, value in params.items():
         if key not in known:
             raise UnknownName(f"{name} has no parameter {key!r}; known: "
                               f"{', '.join(known) or 'none'}")
-        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-        if not (real and math.isfinite(value)):
+        if not finite_real(value):
             raise ParamOutOfRange(f"{name} parameter {key!r} must be a finite real number, "
                                   f"got {value!r}")
     return factory(**params)

@@ -12,7 +12,6 @@ import csv
 import io
 import json
 import math
-import numbers
 import sys
 from functools import lru_cache
 from itertools import product
@@ -20,9 +19,9 @@ from itertools import product
 import numpy as np
 
 from . import acceptance
-from .catalog import catalog_names, get_metric
+from .catalog import catalog_names, finite_real, get_metric
 from .classify import classify_metric, default_directions, default_grid
-from .errors import ConfigError, FinslerError, UnknownQuantity
+from .errors import ConfigError, DomainError, FinslerError, UnknownQuantity
 from .exprparse import parse
 from .exprparse import eval_expr
 from .finsler_metric import sigma_bh
@@ -48,15 +47,16 @@ _GRID_KEYS = {"per_axis"}
 
 
 def _reject_unknown(doc, allowed, where):
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be an object, got {doc!r}")
     extra = set(doc) - allowed
     if extra:
         raise ConfigError(f"unknown field(s) {sorted(extra)} in {where}")
 
 
 def _real(value, where):
-    """A finite real config value (no bool, as in ``get_metric``; no int past the floats)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-            or not abs(value) <= sys.float_info.max:
+    """A finite real config value, by ``get_metric``'s rule."""
+    if not finite_real(value):
         raise ConfigError(f"{where} must be a finite real number, got {value!r}")
     return float(value)
 
@@ -181,11 +181,14 @@ def _config_from_args(args):
         if ignored:
             raise ConfigError(f"{', '.join(ignored)} cannot be combined with --config; "
                               "set them in the config file")
-        with open(args.config) as fh:
-            try:
+        try:
+            with open(args.config, encoding="utf-8") as fh:
                 doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {args.config!r}: "
+                              f"{getattr(exc, 'strerror', None) or exc}") from exc
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError, too many digits, too deep
+            raise ConfigError(f"config is not valid JSON: {exc}") from exc
         return RunConfig(doc)
     if not getattr(args, "metric", None):
         raise ConfigError("provide --metric NAME or --config FILE")
@@ -196,7 +199,7 @@ def _config_from_args(args):
         key, _, val = item.partition("=")
         try:
             params[key] = json.loads(val)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ConfigError(f"--param {key}: {val!r} is not a JSON value ({exc})") from exc
     doc = {"schema": 1, "metric": {"name": args.metric, "params": params}}
     if getattr(args, "per_axis", None) is not None:
@@ -391,8 +394,11 @@ def cmd_check(seed=42, stream=None):
 def _emit(text, out):
     text += "" if text.endswith("\n") else "\n"
     if out:
-        with open(out, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output file {out!r}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -428,18 +434,28 @@ def build_parser():
     return p
 
 
+def _float_fault(kind, flag):
+    """numpy's floating-point error callback: a value on its way to a NaN or an
+    inf fails typed, where it arises, so a batch is redone one sample at a time."""
+    raise DomainError(f"{kind} encountered in a float operation")
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
-        if args.command == "check":
-            return 1 if cmd_check(seed=args.seed) else 0
-        cfg = _config_from_args(args)
-        if args.command == "report":
-            _emit(cmd_report(cfg), args.out or cfg.out)
-        elif args.command == "table":
-            _emit(cmd_table(cfg, args.quantity), args.out or cfg.out)
-        elif args.command == "classify":
-            _emit(cmd_classify(cfg), args.out or cfg.out)
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse printed its usage error (exit 2) or --help (0)
+        return exc.code
+    try:
+        with np.errstate(divide="call", over="call", invalid="call", call=_float_fault):
+            if args.command == "check":
+                return 1 if cmd_check(seed=args.seed) else 0
+            cfg = _config_from_args(args)
+            if args.command == "report":
+                _emit(cmd_report(cfg), args.out or cfg.out)
+            elif args.command == "table":
+                _emit(cmd_table(cfg, args.quantity), args.out or cfg.out)
+            elif args.command == "classify":
+                _emit(cmd_classify(cfg), args.out or cfg.out)
         return 0
     except (ConfigError, UnknownQuantity) as exc:
         sys.stderr.write(f"error: {exc}\n")

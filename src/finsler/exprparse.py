@@ -14,6 +14,7 @@ user-supplied metrics plug straight into the differentiation machinery.
 """
 
 import ast
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -99,6 +100,8 @@ def parse(text, allowed_vars):
             raise ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH}", start)
         if isinstance(node, ast.Constant) and type(node.value) in (int, float) \
                 and set(text[start:end]) <= set("0123456789.eE+-"):
+            if math.isinf(float(text[start:end])):
+                raise ExprSyntaxError("number past the float range", start)
             return Const(float(text[start:end]))
         if isinstance(node, ast.Name):  # the text's own name, before Python's NFKC
             if text[start:end] not in allowed:

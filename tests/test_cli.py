@@ -155,14 +155,15 @@ CUSTOM = {"n": 2, "a": [["1", "0"], ["0", "1"]], "b": ["0.1", "0"], "lo": [-1, -
     # the family refuses the phi: exit 2 as for a bad a or b, not 1
     ({"phi": {"variant": "custom", "expr": "1 + "}}, "metric.custom.phi: ExprSyntaxError"),
     ({"phi": {"variant": "unicorn", "q": -1}}, "metric.custom.phi: ParamOutOfRange"),
+    # once a TypeError traceback, and a literal read as inf
+    ({"phi": "randers"}, "metric.custom.phi must be an object"),
+    ({"b": [str(10**400), "0"]}, "metric.custom: number past the float range"),
 ])
 def test_malformed_custom_metric_exits_2(fields, name, tmp_path, capsys):
     # a typed ConfigError naming the field, not a Python exception's traceback
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"schema": 1, "metric": {"custom": {**CUSTOM, **fields}}}))
-    assert main(["table", "--config", str(path), "--quantity", "a"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and name in err
+    _refused(["table", "--config", str(path), "--quantity", "a"], name, capsys)
 
 
 @pytest.mark.parametrize("fields, name", [
@@ -192,6 +193,67 @@ def test_out_must_be_a_file_name(out, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == f"error: out must be a non-empty file name, got {out!r}\n"
     assert captured.out == ""
+
+
+def _refused(argv, named, capsys):
+    """``main(argv)`` exits 2 with nothing on stdout and one ``error:`` line naming ``named``."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert named in captured.err
+
+
+#: a config file that cannot be read: each once ended in a traceback with exit 1
+@pytest.mark.parametrize("case", ["missing", "directory", "not_utf8"])
+def test_unreadable_config_exits_2(case, tmp_path, capsys):
+    path = {"missing": tmp_path / "missing.json", "directory": tmp_path,
+            "not_utf8": tmp_path / "latin1.json"}[case]
+    (tmp_path / "latin1.json").write_bytes('{"schema": 1, "metric": {"name": "é"}}'.encode("latin-1"))
+    _refused(["report", "--config", str(path)], repr(str(path)), capsys)
+
+
+#: an output path that cannot be written, from the flag or the config: each
+#: once ended in a traceback with exit 1
+@pytest.mark.parametrize("where", ["missing_dir", "directory", "config_out"])
+def test_unwritable_out_exits_2(where, tmp_path, capsys):
+    out = tmp_path if where == "directory" else tmp_path / "missing" / "x.csv"
+    argv = ["table", "--quantity", "a"]
+    if where == "config_out":
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"schema": 1, "metric": {"name": "lie_group"},
+                                    "grid": {"per_axis": 2}, "out": str(out)}))
+        argv += ["--config", str(path)]
+    else:
+        argv += ["--metric", "lie_group", "--per-axis", "2", "--out", str(out)]
+    _refused(argv, repr(str(out)), capsys)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"] * (where == "config_out")
+
+
+@pytest.mark.parametrize("fields, name", [
+    ({"grid": [2]}, "grid must be an object"),
+    ({"metric": {"custom": None}}, "metric.custom must be an object"),
+    ({"metric": {"name": ["euclid"]}}, "no catalog metric ['euclid']"),
+])
+def test_config_sections_of_the_wrong_type_exit_2(fields, name, tmp_path, capsys):
+    # each once ended in a TypeError or AttributeError traceback
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"schema": 1, "metric": {"name": "euclid"}, **fields}))
+    _refused(["classify", "--config", str(path)], name, capsys)
+
+
+def test_float_faults_fail_typed(tmp_path, capsys):
+    # a_11 up to e^680 overflows a float in the jet products: a typed error,
+    # where numpy once warned and carried an inf or a NaN on
+    path = tmp_path / "cfg.json"
+    custom = {**CUSTOM, "a": [["exp(800*x1)", "0"], ["0", "1"]], "lo": [0.4, -1], "hi": [0.85, 1]}
+    path.write_text(json.dumps({"schema": 1, "grid": {"per_axis": 2}, "directions": 4,
+                                "metric": {"custom": custom}}))
+    assert main(["report", "--config", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["classification"] == {
+        "error": "DomainError: overflow encountered in a float operation"}
+    assert all("error" in record for record in doc["records"])
 
 
 #: past the parser's depth bound, or Python's own limits: each once ended in a
@@ -459,24 +521,27 @@ class TestMain:
         ("euclid_randers", "eps=true", "parameter 'eps' must be a finite real number, got True"),
         # once K > 1 held and every sample came out NaN
         ("bao_shen", "K=Infinity", "parameter 'K' must be a finite real number, got inf"),
+        # past the float range: math.isfinite once raised OverflowError
+        ("euclid_randers", f"eps={10**400}", "parameter 'eps' must be a finite real number"),
+        ("bao_shen", f"K={10**400}", "parameter 'K' must be a finite real number"),
+        # past int's digit limit (where it has one) and past the recursion limit
+        ("euclid_randers", "eps=1" + "0" * 5000, "eps"),
+        ("euclid_randers", "eps=" + "[" * 100_000, "--param eps: "),
     ])
     def test_bad_catalog_parameter_exit_2(self, metric, param, named, capsys):
-        assert main(["classify", "--metric", metric, "--param", param]) == 2
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error: ") and named in captured.err
-        assert captured.out == ""
+        _refused(["classify", "--metric", metric, "--param", param], named, capsys)
 
     @pytest.mark.parametrize("params,named", [
         ({"esp": 0.3}, "no parameter 'esp'"),
         ({"eps": "x"}, "parameter 'eps' must be a finite real number"),
         ([0.3], "metric.params must be an object"),
+        ({"eps": 10**400}, "parameter 'eps' must be a finite real number"),
     ])
     def test_bad_catalog_parameter_in_a_config_exit_2(self, params, named, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"schema": 1, "metric": {"name": "euclid_randers",
                                                             "params": params}}))
-        assert main(["classify", "--config", str(path)]) == 2
-        assert named in capsys.readouterr().err
+        _refused(["classify", "--config", str(path)], named, capsys)
 
     @pytest.mark.parametrize("flags", [
         ["--per-axis", "3", "--directions", "2"],

@@ -256,6 +256,11 @@ def _leading_zero_integer(text):
                for kind, _, off in _tokenize(text) if kind == "num")
 
 
+def _past_the_floats(text):
+    """Whether the oracle read a number literal past the float range, as inf."""
+    return any(kind == "num" and math.isinf(value) for kind, value, _ in _tokenize(text))
+
+
 def _grammar(st):
     """Strings of the documented grammar, with random spacing."""
     ws = st.sampled_from(["", " ", "  ", "\n", "\t", " \n "])
@@ -280,8 +285,9 @@ def _agree(text):
     new, old = _parse_or_error(parse, text), _parse_or_error(oracle_parse, text)
     if isinstance(old, Exception):
         assert isinstance(new, Exception), (text, new)
-    elif isinstance(new, Exception):  # the one input the grammar now refuses
-        assert isinstance(new, ExprSyntaxError) and _leading_zero_integer(text), (text, new)
+    elif isinstance(new, Exception):  # the two inputs the grammar now refuses
+        assert isinstance(new, ExprSyntaxError) and (
+            _leading_zero_integer(text) or _past_the_floats(text)), (text, new)
     else:
         assert new == old, text
 
@@ -400,3 +406,10 @@ def test_whitespace_and_names_keep_their_text():
     assert parse(" \n x1\n^\t2\u2003", {"x1"}) == Binary("pow", Var("x1"), Const(2.0))
     assert parse("ﬁ", {"ﬁ"}) == Var("ﬁ")
     assert parse("abs (-1.5e-3)", ()) == Call("abs", Unary("neg", Const(1.5e-3)))
+
+
+@pytest.mark.parametrize("text, offset", [("x1 + 1e400", 5), ("2*" + "9" * 310, 2)])
+def test_a_number_past_the_float_range_is_refused(text, offset):
+    # float() reads it as inf, which then reached every value of the expression
+    with pytest.raises(ExprSyntaxError, match=rf"past the float range \(at offset {offset}\)"):
+        parse(text, NAMES)
