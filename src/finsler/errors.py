@@ -18,7 +18,7 @@ class EvaluationError(FinslerError):
 
 
 class ExprSyntaxError(FinslerError):
-    """Malformed expression text; carries the character offset of the failure in the text."""
+    """Malformed expression text; carries the character offset of the failure."""
 
     def __init__(self, message, offset):
         super().__init__(f"{message} (at offset {offset})")

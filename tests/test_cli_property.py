@@ -49,7 +49,8 @@ VALUES = [None, True, False, 0, 1, 2, -1, 2.5, -0.0, 1e-300, 1e6 + 0.5, 10**400,
           "1/(x1-x1)", "log(x1)", "sqrt(-1)", "x1^-1", [], [1], [[["0.1"]]], {}, {"é": 1},
           json.loads("[" * 30 + "1" + "]" * 30), DEEP]
 
-#: keys that set the grid's size: changed, never dropped, so the grid stays tiny
+#: keys that set the grid's size: changed, never dropped, and the grid never
+#: becomes another object (its per_axis would default to 5), so it stays tiny
 SIZE_KEYS = {("grid",), ("grid", "per_axis"), ("directions",)}
 
 #: per flag, values that run and values that are refused (None: the value is missing)
@@ -61,8 +62,8 @@ FLAGS = {
     "--param": (["eps=0.1", "eps=-0.5", "K=2", "sign=-1", "kappa=0.5", "eps=1e-320"],
                 ["eps=1e400", "eps=NaN", "eps=-Infinity", f"eps={10**400}", "eps", "=1",
                  "nope=1", "eps=[[[1]]]", 'eps="0.1"', "eps=true", "eps=null", None]),
-    "--config": ([str(FIXTURES / "four_d.json"), str(FIXTURES / "unicorn_near_edge.json")],
-                 [str(FIXTURES / "missing.json"), str(FIXTURES), None]),
+    # the tiny configs, written to the test's directory, or no file there
+    "--config": (sorted(CONFIGS), ["missing", ".", None]),
 }
 
 
@@ -87,7 +88,7 @@ def _mutated(doc, path, how, value):
         del node[key]
     elif how == "add" and isinstance(node, dict):
         node["é"] = value
-    else:
+    elif path != ("grid",) or not isinstance(value, dict):
         node[key] = value
     deep = "[" * 100_000 + "]" * 100_000
     return json.dumps(doc).replace(json.dumps(DEEP), deep)
@@ -132,13 +133,19 @@ def _argv(draw, tmp):
         argv += ["--per-axis", draw(st.sampled_from(["1", "2"])), "--directions", "4"]
     for flag in flags:
         value = draw(st.sampled_from(draw(st.sampled_from(FLAGS[flag]))))
+        if flag == "--config" and value is not None:
+            value = str(Path(tmp) / (value if value == "." else f"{value}.json"))
         argv += [flag] if value is None else [flag, value]
-    return argv + draw(st.sampled_from([[], [], ["--out", str(Path(tmp) / "missing" / "x")],
+    return argv + draw(st.sampled_from([[], ["--out", str(Path(tmp) / "out")],
+                                        ["--out", str(Path(tmp) / "missing" / "x")],
                                         ["--out", tmp]]))
 
 
 def test_argv_property():
     with tempfile.TemporaryDirectory() as tmp:
+        for name, doc in CONFIGS.items():
+            (Path(tmp) / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
+
         @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
         @hypothesis.given(_argv(tmp))
         def check(argv):
