@@ -171,10 +171,11 @@ def _sample_norms(m, f, bc, Y, grad, owner=None):
     Y = Y / np.sqrt(fsq_jet(m, f, bc.x, Y, 0, owner).value)[..., None]
     fd = fundamental(m, f, bc.x, Y, owner)  # first: a failing sample raises what it does
     sd = spray_data(m, f, bc.x, Y, bc, owner)
+    L = landsberg(fd, sd.B)
     lead = np.shape(Y)[:-1]  # () for one direction: one row
     S = s_curvature_def(m, f, bc.x, Y, grad, sd, bc) if grad is not None else np.zeros(lead)
     return np.column_stack([np.abs(np.reshape(T, lead + (-1,))).max(axis=-1)
-                            for T in (sd.B, landsberg(fd, sd.B), sd.D, S, fd.C)])
+                            for T in (sd.B, L, sd.D, S, fd.C)])
 
 
 #: (point, direction) pairs per jet batch of ``curvature_flags``

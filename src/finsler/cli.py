@@ -21,7 +21,7 @@ import numpy as np
 from . import acceptance
 from .catalog import catalog_names, finite_real, get_metric
 from .classify import classify_metric, default_directions, default_grid
-from .errors import ConfigError, DomainError, FinslerError, UnknownQuantity
+from .errors import ConfigError, FinslerError, UnknownQuantity
 from .exprparse import parse
 from .exprparse import eval_expr
 from .finsler_metric import sigma_bh
@@ -434,28 +434,21 @@ def build_parser():
     return p
 
 
-def _float_fault(kind, flag):
-    """numpy's floating-point error callback: a value on its way to a NaN or an
-    inf fails typed, where it arises, so a batch is redone one sample at a time."""
-    raise DomainError(f"{kind} encountered in a float operation")
-
-
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse printed its usage error (exit 2) or --help (0)
         return exc.code
     try:
-        with np.errstate(divide="call", over="call", invalid="call", call=_float_fault):
-            if args.command == "check":
-                return 1 if cmd_check(seed=args.seed) else 0
-            cfg = _config_from_args(args)
-            if args.command == "report":
-                _emit(cmd_report(cfg), args.out or cfg.out)
-            elif args.command == "table":
-                _emit(cmd_table(cfg, args.quantity), args.out or cfg.out)
-            elif args.command == "classify":
-                _emit(cmd_classify(cfg), args.out or cfg.out)
+        if args.command == "check":
+            return 1 if cmd_check(seed=args.seed) else 0
+        cfg = _config_from_args(args)
+        if args.command == "report":
+            _emit(cmd_report(cfg), args.out or cfg.out)
+        elif args.command == "table":
+            _emit(cmd_table(cfg, args.quantity), args.out or cfg.out)
+        elif args.command == "classify":
+            _emit(cmd_classify(cfg), args.out or cfg.out)
         return 0
     except (ConfigError, UnknownQuantity) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -17,8 +17,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import SingularDirectionInQuadrature, SingularG, ZeroVector
-from .geometry_core import MetricSpec, _inverse_cholesky, _inverse_spd
+from .errors import NonPositivePhi, SingularDirectionInQuadrature, SingularG, ZeroVector
+from .geometry_core import MAX_ENTRY, MetricSpec, _inverse_cholesky, _inverse_spd
 from .jets import jet_form, jet_variable
 from .phi_families import PhiFamily
 
@@ -84,7 +84,10 @@ def fsq_jet(m: MetricSpec, f: PhiFamily, x, y, order, owner=None):
     y, col = pair_columns(x, y, owner)
     _, A, _, s = alpha_beta_jets(col(m.a_at(x)), col(m.b_at(x)), f, y, order)
     phi = s.compose_series(f.taylor(s.value, order))
-    return A * phi * phi
+    fsq = A * phi * phi
+    if np.any(fsq.value <= 0.0):  # phi <= 0, or F^2 under the float range
+        raise NonPositivePhi("F(x, y)^2 must be positive")
+    return fsq
 
 
 @dataclass
@@ -155,7 +158,8 @@ def _unit_ball(f: PhiFamily, b, n):
     d ln f / db = n sum w r^(n+1) phi'(b u) u / sum w r^n.  A node raises
     ``SingularDirectionInQuadrature`` where |s| passes the admissible
     b0 (1 - delta) of an almost-regular family, or F <= 0 or is not finite (an
-    unbounded unit ball, as for Randers with b = 1).  Memoised on (f, b, n),
+    unbounded unit ball, as for Randers with b = 1), or F is so small or large
+    that r^(n+1) would leave the float range.  Memoised on (f, b, n),
     the 256 most recent keys; a ``PhiFamily`` hashes by identity and is
     frozen, and the cache's strong reference keeps its id from reuse.
     """
@@ -163,8 +167,10 @@ def _unit_ball(f: PhiFamily, b, n):
     s = b * u
     F = f.value_many(s)
     half = f.b0 * (1.0 - f.delta)
+    span = MAX_ENTRY ** (1.0 / (n + 1))  # F within it keeps r^(n+1) a float
     for fault, cause in ((np.abs(s) > half, f"|s| > b0 (1 - delta) = {half}"),
-                         (~np.isfinite(F), "F is not finite"), (F <= 0.0, "F <= 0")):
+                         (~np.isfinite(F), "F is not finite"), (F <= 0.0, "F <= 0"),
+                         ((F < 1.0 / span) | (F > span), f"F outside [1/{span:g}, {span:g}]")):
         if np.any(fault):
             raise SingularDirectionInQuadrature(
                 f"{cause} at {int(np.sum(fault))} quadrature node(s)")

@@ -44,6 +44,12 @@ class ChartDomain:
         return [p for p in pts if self.predicate is None or self.predicate(p)]
 
 
+#: the largest |a_ij| or |b_i| a metric may take: the fiber jets multiply two
+#: entries by small factors, and past the float range's square root, 1.3e154,
+#: that product overflows to an inf or a NaN
+MAX_ENTRY = 1e150
+
+
 @dataclass(eq=False, frozen=True)
 class MetricSpec:
     """Riemannian metric a_ij(x) and one-form b_i(x) on an n-dimensional chart.
@@ -53,7 +59,10 @@ class MetricSpec:
     stack (coordinate k is ``x[..., k]``) and return ``(P, n, n)`` and
     ``(P, n)``, each row with the bytes of its point's one-point call.
     ``a_at`` and ``b_at`` call a stacked spec once per stack and any other
-    once per row: an output's shape cannot tell them apart.
+    once per row: an output's shape cannot tell them apart.  An entry past
+    ``MAX_ENTRY``, an inf among them, raises :class:`DomainError`, and an a(x)
+    that is not symmetric to the roundoff of its largest entry
+    :class:`SingularMetric`.
     """
 
     n: int
@@ -64,7 +73,12 @@ class MetricSpec:
     stacked: bool = False
 
     def a_at(self, x):
-        return self._evaluate(self.a, "a", x, (self.n, self.n))
+        a = self._evaluate(self.a, "a", x, (self.n, self.n))
+        tol = 1e-12 * max(a.max(initial=0.0), -a.min(initial=0.0))
+        if any(np.abs(a[..., i, j] - a[..., j, i]).max(initial=0.0) > tol
+               for i, j in zip(*_lower_triangle(self.n))):
+            raise SingularMetric("a(x) is not symmetric")
+        return a
 
     def b_at(self, x):
         return self._evaluate(self.b_form, "b", x, (self.n,))
@@ -77,16 +91,29 @@ class MetricSpec:
         if v.shape != x.shape[:-1] + shape:
             raise DimensionMismatch(f"{name}(x) has shape {v.shape}, "
                                     f"expected {x.shape[:-1] + shape}")
+        # fmax and fmin skip a NaN: it passes, for the readers' own finite checks
+        if np.fmax.reduce(v, axis=None, initial=0.0) > MAX_ENTRY \
+                or np.fmin.reduce(v, axis=None, initial=0.0) < -MAX_ENTRY:
+            raise DomainError(f"{name}(x) has the entry {float(v[np.abs(v) > MAX_ENTRY][0])!r}, "
+                              f"past the bound {MAX_ENTRY:g} of a metric's entries")
         return v
 
 
 def _inverse_cholesky(a, what="a_ij"):
-    """L^-1 for a = L L^T, L lower triangular; a stack of matrices gives a stack."""
+    """L^-1 for a = L L^T, L lower triangular; a stack of matrices gives a stack.
+
+    An entry of L^-1 past ``MAX_ENTRY ** 0.5``, so of a^-1 past ``MAX_ENTRY``
+    (an eigenvalue of ``a`` near 0 on the float range's scale), is a singular
+    ``a`` too.
+    """
     try:
         chol = np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
         raise SingularMetric(f"{what} is not positive definite") from exc
-    return np.linalg.inv(chol)
+    inv = np.linalg.inv(chol)
+    if np.any(np.abs(inv) > MAX_ENTRY ** 0.5):
+        raise SingularMetric(f"{what} is singular within the float range")
+    return inv
 
 
 def _inverse_spd(a, what="a_ij"):

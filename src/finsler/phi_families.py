@@ -93,8 +93,9 @@ class RiemannSqrtPhi(PhiFamily):
         t = jet_variable(0, s0, 1, order)
         return jet_apply("sqrt", (1.0 + self.k * t * t,)).coeffs
 
-    def value_many(self, s):
-        return np.sqrt(1.0 + self.k * np.asarray(s, dtype=float) ** 2)
+    def value_many(self, s):  # NaN past b0, where 1 + k s^2 < 0: the caller refuses it
+        q = 1.0 + self.k * np.asarray(s, dtype=float) ** 2
+        return np.sqrt(np.where(q < 0.0, np.nan, q))
 
 
 class UnicornPhi(PhiFamily):

@@ -7,10 +7,13 @@ import io
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from finsler import classify, spray_curvature
 from finsler.catalog import catalog_names
 from finsler.cli import (build_parser, cmd_check, cmd_classify, cmd_report,
                          cmd_table, main)
@@ -242,18 +245,62 @@ def test_config_sections_of_the_wrong_type_exit_2(fields, name, tmp_path, capsys
     _refused(["classify", "--config", str(path)], name, capsys)
 
 
-def test_float_faults_fail_typed(tmp_path, capsys):
-    # a_11 up to e^680 overflows a float in the jet products: a typed error,
-    # where numpy once warned and carried an inf or a NaN on
+#: custom metrics whose values leave the float range, each once a NaN or an inf
+#: with a RuntimeWarning on its way to the output: now a typed error where it arises
+FLOAT_RANGE = {
+    # a_11 up to e^680: past the bound of a metric's entries, whose products overflowed
+    "a_past_the_bound": ({**CUSTOM, "a": [["exp(800*x1)", "0"], ["0", "1"]],
+                          "lo": [0.4, -1], "hi": [0.85, 1]}, "classify",
+                         "DomainError: a(x) has the entry 1.4035922178528375e+217, "
+                         "past the bound 1e+150 of a metric's entries"),
+    # a^-1 up to 1e300: its products overflowed
+    "a_nearly_singular": ({**CUSTOM, "a": [["1e-300", "0"], ["0", "1"]]}, "classify",
+                          "SingularMetric: a_ij is singular within the float range"),
+    # Cholesky reads one triangle; y^T a y < 0 elsewhere, then sqrt of it
+    "a_not_symmetric": ({**CUSTOM, "a": [["1", "1.5"], ["0", "1"]]}, "classify",
+                        "SingularMetric: a(x) is not symmetric"),
+    # F^2 = 0 under the floats, then Y / F
+    "phi_under_the_floats": ({**CUSTOM, "phi": {"variant": "unicorn", "b0": 1, "k": 0.3,
+                                                "q": 0.7, "c": 1e-300}}, "classify",
+                             "NonPositivePhi: F(x, y)^2 must be positive"),
+    # r = 1/F at the unit ball's nodes, then r^n overflowed
+    "unit_ball_past_the_floats": ({**CUSTOM, "phi": {"variant": "unicorn", "b0": 1, "k": 0.3,
+                                                     "q": 0.7, "c": 1e-300}}, "sigma",
+                                  "SingularDirectionInQuadrature: F outside [1/1e+50, 1e+50] "
+                                  "at 153 quadrature node(s)"),
+    # phi = sqrt(1 - s^2) past b0 = 1 took a square root of a negative number
+    # before the unit ball refused those nodes
+    "riemann_sqrt_past_b0": ({**CUSTOM, "b": ["1.5", "0"],
+                              "phi": {"variant": "riemann_sqrt", "k": -1}}, "sigma",
+                             "SingularDirectionInQuadrature: |s| > b0 (1 - delta) = 0.95 "
+                             "at 136 quadrature node(s)"),
+}
+
+
+@pytest.mark.parametrize("custom, command, error", FLOAT_RANGE.values(), ids=FLOAT_RANGE)
+def test_float_faults_fail_typed(custom, command, error, tmp_path, capsys):
     path = tmp_path / "cfg.json"
-    custom = {**CUSTOM, "a": [["exp(800*x1)", "0"], ["0", "1"]], "lo": [0.4, -1], "hi": [0.85, 1]}
     path.write_text(json.dumps({"schema": 1, "grid": {"per_axis": 2}, "directions": 4,
                                 "metric": {"custom": custom}}))
-    assert main(["report", "--config", str(path)]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["classification"] == {
-        "error": "DomainError: overflow encountered in a float operation"}
-    assert all("error" in record for record in doc["records"])
+    argv = ["table", "--quantity", command] if command == "sigma" else [command]
+    assert main([*argv, "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {error}\n"
+
+
+def test_a_float_fault_in_a_catalog_report_is_not_swallowed(monkeypatch):
+    # numpy's RuntimeWarning is what `python -W error::RuntimeWarning` in CI and
+    # pytest's filterwarnings fail on: a NaN on its way into a catalog metric's
+    # records reaches the caller, not a record's "error"
+    def nan_landsberg(fd, B):
+        return np.sqrt(-np.ones(np.shape(B)))
+
+    for module in (spray_curvature, classify):
+        monkeypatch.setattr(module, "landsberg", nan_landsberg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(RuntimeWarning, match="invalid value"):
+            main(["report", "--metric", "lie_group", "--per-axis", "2", "--directions", "4"])
 
 
 #: past the parser's depth bound, or Python's own limits: each once ended in a
