@@ -203,10 +203,10 @@ def criterion_7():
         grid = default_grid(m, margin=_MARGIN)
         calc = beta_derivatives(m, np.array(grid))
         worst = 0.0
-        for k, x in enumerate(grid):
+        for k, (x, bc) in enumerate(zip(grid, calc.rows())):
             # one jet batch per route for the point's directions; the bundle's
             # spray also gives S_def, on the first four at the first three points
-            cb = curvature_bundle(m, f, x, dirs, bc=calc.row(k))
+            cb = curvature_bundle(m, f, x, dirs, bc=bc)
             for ga, gg in zip(cb.G, spray_generic(m, f, x, dirs)):
                 scale = max(1e-1, float(np.abs(ga).max()))
                 worst = max(worst, max(float(np.abs(ga - gg).max()) / scale, 0.0))
@@ -276,8 +276,9 @@ def criterion_11():
         m = get_metric(name, **kw).metric
         calc = beta_derivatives(m, np.array(default_grid(m, margin=_MARGIN)))
         worst = 0.0
-        for k in np.flatnonzero(calc.b > 0.1):
-            worst = max(worst, float(np.abs(beta_norm_gradient_check(m, calc.row(k))).max()))
+        for bc in calc.rows():
+            if bc.b > 0.1:
+                worst = max(worst, float(np.abs(beta_norm_gradient_check(m, bc)).max()))
         out.lt(f"gradient identity ({name})", worst, 1e-5)
     return out
 

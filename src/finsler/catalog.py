@@ -12,6 +12,7 @@ import numpy as np
 from .errors import FastWind, ParamOutOfRange, UnknownName
 from .geometry_core import ChartDomain, MetricSpec
 from .phi_families import PhiFamily, RandersPhi
+from .series import _each
 
 
 @dataclass(eq=False, frozen=True)
@@ -30,16 +31,11 @@ class CatalogEntry:
 # stack, so one point keeps the cost of float arithmetic.
 
 
-def _each(fn, v):
-    """``fn`` of every float of ``v``, one Python float at a time.
-
-    For libm's ``exp`` and ``pow``: numpy's array loops round some values
-    differently, and each row of a stack must keep the bits of its point.
-    A scalar ``v``, one point's coordinate, skips the array round trip.
-    """
-    if not np.ndim(v):
-        return np.float64(fn(float(v)))
-    return np.array([fn(t) for t in v.ravel().tolist()]).reshape(v.shape)
+def _entry(name, a, b, lo, hi, params, description, predicate=None):
+    """The entry ``name``: the stacked metric (a, b) on the box [lo, hi], with the Randers phi."""
+    m = MetricSpec(n=len(lo), a=a, b_form=b, chart_domain=ChartDomain(lo, hi, predicate),
+                   name=name, stacked=True)
+    return CatalogEntry(name, m, RandersPhi(), params, description)
 
 
 def _square(t):
@@ -54,30 +50,18 @@ def _diag(x, d0, d1):
 
 
 def _euclid():
-    m = MetricSpec(
-        n=2,
-        a=lambda x: np.tile(np.eye(2), x.shape[:-1] + (1, 1)),
-        b_form=lambda x: np.zeros(x.shape),
-        chart_domain=ChartDomain((-1.0, -1.0), (1.0, 1.0)),
-        name="euclid", stacked=True,
-    )
-    return CatalogEntry("euclid", m, RandersPhi(), {},
-                        "Euclidean plane, zero one-form")
+    return _entry("euclid", lambda x: np.tile(np.eye(2), x.shape[:-1] + (1, 1)),
+                  lambda x: np.zeros(x.shape), (-1.0, -1.0), (1.0, 1.0), {},
+                  "Euclidean plane, zero one-form")
 
 
 def _euclid_randers(eps=0.5):
     if not abs(eps) < 1.0:
         raise ParamOutOfRange(f"euclid_randers requires |eps| < 1, got {eps}")
     b = np.array([float(eps), 0.0])
-    m = MetricSpec(
-        n=2,
-        a=lambda x: np.tile(np.eye(2), x.shape[:-1] + (1, 1)),
-        b_form=lambda x: np.tile(b, x.shape[:-1] + (1,)),
-        chart_domain=ChartDomain((-1.0, -1.0), (1.0, 1.0)),
-        name="euclid_randers", stacked=True,
-    )
-    return CatalogEntry("euclid_randers", m, RandersPhi(), {"eps": eps},
-                        "flat Randers metric with a constant one-form")
+    return _entry("euclid_randers", lambda x: np.tile(np.eye(2), x.shape[:-1] + (1, 1)),
+                  lambda x: np.tile(b, x.shape[:-1] + (1,)), (-1.0, -1.0), (1.0, 1.0),
+                  {"eps": eps}, "flat Randers metric with a constant one-form")
 
 
 def _lie_group():
@@ -89,13 +73,8 @@ def _lie_group():
         inv = 1.0 / x.T[1]
         return np.array([inv, inv]).T
 
-    m = MetricSpec(
-        n=2, a=a, b_form=b,
-        chart_domain=ChartDomain((-3.0, 0.2), (3.0, 5.0)),
-        name="lie_group", stacked=True,
-    )
-    return CatalogEntry("lie_group", m, RandersPhi(), {},
-                        "left-invariant Randers metric on the affine group of the upper half-plane")
+    return _entry("lie_group", a, b, (-3.0, 0.2), (3.0, 5.0), {},
+                  "left-invariant Randers metric on the affine group of the upper half-plane")
 
 
 def _fish_tank():
@@ -111,26 +90,15 @@ def _fish_tank():
         sq0, sq1 = _each(_square, x).T
         return np.array([x1, -x0]).T / (1.0 - (sq0 + sq1))[..., None]
 
-    m = MetricSpec(
-        n=2, a=a, b_form=b,
-        chart_domain=ChartDomain((-0.63, -0.63), (0.63, 0.63),
-                                 predicate=lambda x: x[0] ** 2 + x[1] ** 2 < 0.95**2),
-        name="fish_tank", stacked=True,
-    )
-    return CatalogEntry("fish_tank", m, RandersPhi(), {},
-                        "rotational Randers metric on the unit disc with vanishing S- and flag curvature")
+    return _entry("fish_tank", a, b, (-0.63, -0.63), (0.63, 0.63), {},
+                  "rotational Randers metric on the unit disc with vanishing S- and flag curvature",
+                  predicate=lambda x: x[0] ** 2 + x[1] ** 2 < 0.95**2)
 
 
 def _mw():
-    m = MetricSpec(
-        n=2,
-        a=lambda x: _diag(x, 1.0, _each(math.exp, 2.0 * x.T[0])),
-        b_form=lambda x: np.tile([1.0, 0.0], x.shape[:-1] + (1,)),
-        chart_domain=ChartDomain((-1.0, -1.0), (1.0, 1.0)),
-        name="mw", stacked=True,
-    )
-    return CatalogEntry("mw", m, RandersPhi(), {},
-                        "warped-product surface with a closed unit one-form")
+    return _entry("mw", lambda x: _diag(x, 1.0, _each(math.exp, 2.0 * x.T[0])),
+                  lambda x: np.tile([1.0, 0.0], x.shape[:-1] + (1,)), (-1.0, -1.0), (1.0, 1.0),
+                  {}, "warped-product surface with a closed unit one-form")
 
 
 def _sphere_randers(eps=0.5):
@@ -147,13 +115,8 @@ def _sphere_randers(eps=0.5):
         r = x.T[0]
         return np.array([np.zeros_like(r), -eps * r * r / (1.0 + e2 * r * r)]).T
 
-    m = MetricSpec(
-        n=2, a=a, b_form=b,
-        chart_domain=ChartDomain((0.1, 0.0), (3.0, 2.0 * math.pi)),
-        name="sphere_randers", stacked=True,
-    )
-    return CatalogEntry("sphere_randers", m, RandersPhi(), {"eps": eps},
-                        "rotational Randers perturbation of the projective sphere metric, polar coordinates")
+    return _entry("sphere_randers", a, b, (0.1, 0.0), (3.0, 2.0 * math.pi), {"eps": eps},
+                  "rotational Randers perturbation of the projective sphere metric, polar coordinates")
 
 
 #: the invariant coframes of ``_bao_shen`` as indices into (x, y, z, 1, -x, -y, -z):
@@ -184,13 +147,8 @@ def _bao_shen(K=2.0, sign=+1):
         w, d = frames(x)
         return sign * rootK1 * w[..., 0, :] / d[..., None]
 
-    m = MetricSpec(
-        n=3, a=a, b_form=b,
-        chart_domain=ChartDomain((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0)),
-        name="bao_shen", stacked=True,
-    )
-    return CatalogEntry("bao_shen", m, RandersPhi(), {"K": K, "sign": sign},
-                        "invariant Randers metrics on the 3-sphere with constant one-form length")
+    return _entry("bao_shen", a, b, (-1.0, -1.0, -1.0), (1.0, 1.0, 1.0), {"K": K, "sign": sign},
+                  "invariant Randers metrics on the 3-sphere with constant one-form length")
 
 
 def _proj_sphere_killing(kappa=0.5):
@@ -208,13 +166,9 @@ def _proj_sphere_killing(kappa=0.5):
         x0, _, x2 = x.T
         return kappa * np.array([x2, np.ones_like(x0), -x0]).T / (1.0 + r2(x))[..., None]
 
-    m = MetricSpec(
-        n=3, a=a, b_form=b,
-        chart_domain=ChartDomain((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0)),
-        name="proj_sphere_killing", stacked=True,
-    )
-    return CatalogEntry("proj_sphere_killing", m, RandersPhi(), {"kappa": kappa},
-                        "projective sphere metric with a non-closed Killing one-form of constant length")
+    return _entry("proj_sphere_killing", a, b, (-1.0, -1.0, -1.0), (1.0, 1.0, 1.0),
+                  {"kappa": kappa},
+                  "projective sphere metric with a non-closed Killing one-form of constant length")
 
 
 _FACTORIES = {

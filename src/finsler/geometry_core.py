@@ -11,6 +11,7 @@ reader its point's row (``BetaCalculus.rows``, ``grid_calculus``).
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import islice
 from typing import Callable, Optional
 
 import numpy as np
@@ -186,10 +187,8 @@ class BetaCalculus:
     db: np.ndarray  # db[i, j] = d b_i / d x^j
 
     def row(self, k):
-        """Point ``k`` of a stack, as a one-point call gives it."""
-        fields = {key: value[k] for key, value in vars(self).items() if key != "n"}
-        fields.update(n=self.n, b2=float(fields["b2"]), b=float(fields["b"]))
-        return BetaCalculus(**fields)
+        """Point ``k`` of a stack, as a one-point call gives it: the ``k``-th of ``rows``."""
+        return next(islice(self.rows(), range(len(self.b))[k], None))
 
     def rows(self):
         """Every point of a stack in order, each as ``row`` gives it: the

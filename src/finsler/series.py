@@ -46,9 +46,12 @@ def _table(fn, fault, u0, *args):
 
 
 def _each(fn, u, args=None, divisor=False):
-    """``fn`` per value on Python floats, or one row ``fn(u, a)`` per shared or per-value arg."""
+    """``fn`` per value of ``u`` on Python floats, in ``u``'s shape (a numpy float at a
+    float), or one row ``fn(u, a)`` of a ``(B,)`` ``u`` per shared or per-value arg."""
     if args is None:
-        return np.array(list(map(fn, u.tolist())), dtype=float)
+        if not np.ndim(u):  # one point's coordinate skips the array round trip
+            return np.float64(fn(float(u)))
+        return np.array(list(map(fn, u.ravel().tolist())), dtype=float).reshape(u.shape)
     vals = u.tolist()
     rows = [list(map(fn, vals, a.tolist() if isinstance(a, np.ndarray) else [a] * len(vals)))
             for a in args]
