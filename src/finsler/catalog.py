@@ -9,7 +9,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import FastWind, ParamOutOfRange, UnknownName
+from .errors import FastWind, ParamOutOfRange, UnknownName, shown
 from .geometry_core import ChartDomain, MetricSpec
 from .phi_families import PhiFamily, RandersPhi
 from .series import _each
@@ -57,7 +57,7 @@ def _euclid():
 
 def _euclid_randers(eps=0.5):
     if not abs(eps) < 1.0:
-        raise ParamOutOfRange(f"euclid_randers requires |eps| < 1, got {eps}")
+        raise ParamOutOfRange(f"euclid_randers requires |eps| < 1, got {shown(eps)}")
     b = np.array([float(eps), 0.0])
     return _entry("euclid_randers", lambda x: np.tile(np.eye(2), x.shape[:-1] + (1, 1)),
                   lambda x: np.tile(b, x.shape[:-1] + (1,)), (-1.0, -1.0), (1.0, 1.0),
@@ -103,7 +103,7 @@ def _mw():
 
 def _sphere_randers(eps=0.5):
     if not abs(eps) < 1.0:
-        raise ParamOutOfRange(f"sphere_randers requires |eps| < 1, got {eps}")
+        raise ParamOutOfRange(f"sphere_randers requires |eps| < 1, got {shown(eps)}")
     e2 = 1.0 - eps * eps
 
     def a(x):
@@ -126,7 +126,7 @@ _COFRAME = np.array([[3, 6, 1], [2, 3, 4], [5, 0, 3]])
 
 def _bao_shen(K=2.0, sign=+1):
     if not K > 1.0:
-        raise ParamOutOfRange(f"bao_shen requires K > 1, got {K}")
+        raise ParamOutOfRange(f"bao_shen requires K > 1, got {shown(K)}")
     if sign not in (+1, -1):
         raise ParamOutOfRange("bao_shen sign must be +1 or -1")
     rootK1 = math.sqrt(K - 1.0)
@@ -153,7 +153,7 @@ def _bao_shen(K=2.0, sign=+1):
 
 def _proj_sphere_killing(kappa=0.5):
     if not 0.0 < kappa < 1.0:
-        raise ParamOutOfRange(f"proj_sphere_killing requires 0 < kappa < 1, got {kappa}")
+        raise ParamOutOfRange(f"proj_sphere_killing requires 0 < kappa < 1, got {shown(kappa)}")
 
     def r2(x):  # x @ x per point, with the bits of a one-point dot product
         return (x[..., None, :] @ x[..., :, None])[..., 0, 0]
@@ -198,15 +198,15 @@ def get_metric(name, **params) -> CatalogEntry:
     """Construct a catalog entry by name with its documented parameters, each a finite real."""
     factory = _FACTORIES.get(name) if isinstance(name, str) else None
     if factory is None:
-        raise UnknownName(f"no catalog metric {name!r}; known: {', '.join(catalog_names())}")
+        raise UnknownName(f"no catalog metric {shown(name)}; known: {', '.join(catalog_names())}")
     known = inspect.signature(factory).parameters
     for key, value in params.items():
         if key not in known:
-            raise UnknownName(f"{name} has no parameter {key!r}; known: "
+            raise UnknownName(f"{name} has no parameter {shown(key)}; known: "
                               f"{', '.join(known) or 'none'}")
         if not finite_real(value):
             raise ParamOutOfRange(f"{name} parameter {key!r} must be a finite real number, "
-                                  f"got {value!r}")
+                                  f"got {shown(value)}")
     return factory(**params)
 
 

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import acceptance
 from .catalog import catalog_names, finite_real, get_metric
-from .classify import classify_metric, default_directions, default_grid
-from .errors import ConfigError, FinslerError, UnknownQuantity
+from .classify import _admissible_dirs, classify_metric, default_directions, default_grid
+from .errors import AllSamplesSingular, ConfigError, FinslerError, UnknownQuantity, shown
 from .exprparse import parse
 from .exprparse import eval_expr
 from .finsler_metric import sigma_bh
@@ -48,30 +48,30 @@ _GRID_KEYS = {"per_axis"}
 
 def _reject_unknown(doc, allowed, where):
     if not isinstance(doc, dict):
-        raise ConfigError(f"{where} must be an object, got {doc!r}")
+        raise ConfigError(f"{where} must be an object, got {shown(doc)}")
     extra = set(doc) - allowed
     if extra:
-        raise ConfigError(f"unknown field(s) {sorted(extra)} in {where}")
+        raise ConfigError(f"unknown field(s) {shown(sorted(extra))} in {where}")
 
 
 def _real(value, where):
     """A finite real config value, by ``get_metric``'s rule."""
     if not finite_real(value):
-        raise ConfigError(f"{where} must be a finite real number, got {value!r}")
+        raise ConfigError(f"{where} must be a finite real number, got {shown(value)}")
     return float(value)
 
 
 def _integer(value, where, minimum):
     """A finite real config value that is a whole number >= ``minimum``."""
     if _real(value, where) % 1 or value < minimum:
-        raise ConfigError(f"{where} must be an integer >= {minimum}, got {value!r}")
+        raise ConfigError(f"{where} must be an integer >= {minimum}, got {shown(value)}")
     return int(value)
 
 
 def _entries(value, where, n):
     """A config list of n entries."""
     if not isinstance(value, list) or len(value) != n:
-        raise ConfigError(f"{where} must be a list of n = {n} entries, got {value!r}")
+        raise ConfigError(f"{where} must be a list of n = {n} entries, got {shown(value)}")
     return value
 
 
@@ -85,16 +85,16 @@ def _phi_from_config(doc):
     _reject_unknown(doc, _PHI_KEYS, "metric.custom.phi")
     variant = doc.get("variant", "randers")
     if not isinstance(variant, str) or variant not in _PHI_VARIANTS:
-        raise ConfigError(f"unknown phi variant {variant!r}")
+        raise ConfigError(f"unknown phi variant {shown(variant)}")
     family, kw = _PHI_VARIANTS[variant]
     kw = {key: _real(doc[key], f"metric.custom.phi.{key}") if key in doc else v
           for key, v in kw.items()}
     if variant == "custom":
         expr, params = doc.get("expr"), doc.get("params", {})
         if not isinstance(expr, str):
-            raise ConfigError(f"metric.custom.phi.expr must be an expression string, got {expr!r}")
+            raise ConfigError(f"metric.custom.phi.expr must be an expression string, got {shown(expr)}")
         if not isinstance(params, dict):
-            raise ConfigError(f"metric.custom.phi.params must be an object, got {params!r}")
+            raise ConfigError(f"metric.custom.phi.params must be an object, got {shown(params)}")
         kw.update(text=expr, params={key: _real(v, f"metric.custom.phi.params.{key}")
                                      for key, v in params.items()})
     try:  # a phi its family refuses is a config mistake, as a bad a or b is
@@ -154,7 +154,7 @@ class RunConfig:
         elif "name" in mdoc:
             params = mdoc.get("params", {})
             if not isinstance(params, dict):
-                raise ConfigError(f"metric.params must be an object, got {params!r}")
+                raise ConfigError(f"metric.params must be an object, got {shown(params)}")
             try:
                 entry = get_metric(mdoc["name"], **params)
             except FinslerError as exc:
@@ -170,7 +170,7 @@ class RunConfig:
         self.seed = _integer(doc.get("seed", 42), "seed", 0)
         self.out = doc.get("out")
         if self.out is not None and not (isinstance(self.out, str) and self.out):
-            raise ConfigError(f"out must be a non-empty file name, got {self.out!r}")
+            raise ConfigError(f"out must be a non-empty file name, got {shown(self.out)}")
 
 
 def _config_from_args(args):
@@ -195,12 +195,13 @@ def _config_from_args(args):
     params = {}
     for item in getattr(args, "param", None) or []:
         if "=" not in item:
-            raise ConfigError(f"--param expects key=value, got {item!r}")
+            raise ConfigError(f"--param expects key=value, got {shown(item)}")
         key, _, val = item.partition("=")
         try:
             params[key] = json.loads(val)
         except (ValueError, RecursionError) as exc:
-            raise ConfigError(f"--param {key}: {val!r} is not a JSON value ({exc})") from exc
+            raise ConfigError(f"--param {shown(key, str)}: {shown(val)} "
+                              f"is not a JSON value ({shown(exc, str)})") from exc
     doc = {"schema": 1, "metric": {"name": args.metric, "params": params}}
     if getattr(args, "per_axis", None) is not None:
         doc["grid"] = {"per_axis": args.per_axis}
@@ -336,13 +337,14 @@ def cmd_table(cfg, quantity):
     """CSV table of one quantity over the sample grid (and directions).
 
     Every quantity reads the grid's beta calculus (``grid_calculus``); a
-    fiber quantity hands each point's row to one curvature bundle per grid
-    point, its directions as one batch, redone one direction at a time if it
-    raises.
+    directional one keeps, at each point, the directions inside phi's cone, as
+    the classification does, and a point with none gives no row.  A fiber
+    quantity hands each point's row to one curvature bundle per grid point, its
+    directions as one batch, redone one direction at a time if it raises.
     """
     if quantity not in QUANTITIES:
         raise UnknownQuantity(
-            f"unknown quantity {quantity!r}; choose from {QUANTITIES}")
+            f"unknown quantity {shown(quantity)}; choose from {QUANTITIES}")
     m, f = cfg.metric, cfg.phi
     grid = _sample_grid(cfg)
     directional = quantity in _FIBER or quantity == "Q"
@@ -350,21 +352,28 @@ def cmd_table(cfg, quantity):
             if directional else [None])
     buf = io.StringIO()
     writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
-    for k, (x, bc) in enumerate(zip(grid, grid_calculus(m, grid))):
+    for x, bc in zip(grid, grid_calculus(m, grid)):
+        usable = dirs  # a point whose calculus raised raises it below
+        if directional and not isinstance(bc, Exception):
+            usable = _admissible_dirs(f, bc, dirs)
+            if not len(usable):
+                continue
         if quantity in _FIBER:
             grad = ln_sigma_gradient(m, f, x, bc) if quantity == "S" else None
             rows = per_direction(lambda Y: _fiber_cells(
-                quantity, curvature_bundle(m, f, x, Y, grad, bc)), dirs)
+                quantity, curvature_bundle(m, f, x, Y, grad, bc)), usable)
         else:
             if isinstance(bc, Exception):  # x's own calculus raised it
                 raise bc
-            rows = [_header_and_row(quantity, m, bc, x, y, f) for y in dirs]
-        if k == 0:
+            rows = [_header_and_row(quantity, m, bc, x, y, f) for y in usable]
+        if not buf.tell():
             axes = ("x", "y") if directional else ("x",)
             writer.writerow([*(f"{a}{i+1}" for a in axes for i in range(m.n)), *rows[0][0]])
-        for y, (_, vals) in zip(dirs, rows):
+        for y, (_, vals) in zip(usable, rows):
             writer.writerow([f"{v:.12g}" for v in ([*x, *y] if directional else x)]
                             + [v if isinstance(v, str) else f"{v:.12g}" for v in vals])
+    if not buf.tell():
+        raise AllSamplesSingular("every grid x direction sample was inadmissible")
     return buf.getvalue()
 
 
@@ -441,7 +450,7 @@ def main(argv=None):
         return exc.code
     try:
         if args.command == "check":
-            return 1 if cmd_check(seed=args.seed) else 0
+            return 1 if cmd_check(seed=_integer(args.seed, "seed", 0)) else 0
         cfg = _config_from_args(args)
         if args.command == "report":
             _emit(cmd_report(cfg), args.out or cfg.out)

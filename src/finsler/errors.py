@@ -1,6 +1,13 @@
 """Exception hierarchy shared across the package."""
 
 
+def shown(value, form=repr):
+    """``form(value)`` for a message: past 60 characters, its first 60 and its
+    length, so that a value from outside quotes in one short line at any size."""
+    text = form(value)
+    return text if len(text) <= 60 else f"{text[:60]}... ({len(text)} chars)"
+
+
 class FinslerError(Exception):
     """Base class for all errors raised by this package."""
 
@@ -29,7 +36,7 @@ class UnknownIdentifier(FinslerError):
     """Expression references a name that was not declared."""
 
     def __init__(self, name, offset=None):
-        super().__init__(f"unknown identifier {name!r}")
+        super().__init__(f"unknown identifier {shown(name)}")
         self.name = name
         self.offset = offset
 

@@ -18,7 +18,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .errors import ExprSyntaxError, UnboundVariable, UnknownIdentifier
+from .errors import ExprSyntaxError, UnboundVariable, UnknownIdentifier, shown
 from .jets import jet_apply
 
 FUNCTIONS = ("exp", "log", "sin", "cos", "sqrt", "atan", "abs")
@@ -122,7 +122,7 @@ def parse(text, allowed_vars):
             if comma >= 0:
                 raise ExprSyntaxError("unexpected ','", comma)
             return Call(name, walk(node.args[0], depth + 1))
-        raise ExprSyntaxError(f"not in the grammar: {text[start:end]!r}", start)
+        raise ExprSyntaxError(f"not in the grammar: {shown(text[start:end])}", start)
 
     return walk(tree, 0)
 

@@ -233,6 +233,45 @@ def test_unwritable_out_exits_2(where, tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"] * (where == "config_out")
 
 
+def _one_short_line(argv, capsys):
+    """``main(argv)`` exits 2 with nothing on stdout and one ``error:`` line of at
+    most 200 characters."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1 and len(captured.err) <= 200 + 1, captured.err
+
+
+#: values past any ordinary length, from the flag or a config file: each was
+#: once quoted in full, up to 100 128 characters on one line
+LONG_VALUES = {
+    "digits_5000_flag": ["--param", "eps=1" + "0" * 4999],
+    "digits_4000_flag": ["--param", "eps=1" + "0" * 3999],
+    "nested_100000_flag": ["--param", "eps=" + "[" * 100_000],
+    "key_5000_flag": ["--param", "k" * 5000 + "=["],
+    "digits_4000_config": {"metric": {"name": "euclid_randers", "params": {"eps": 10**3999}}},
+    "identifier_5000_config": {"metric": {"custom": {**CUSTOM, "b": ["x" * 5000, "0"]}}},
+    "expression_5000_config": {"metric": {"custom": {**CUSTOM, "b": ["'" + "x" * 5000 + "'", "0"]}}},
+    "field_5000_config": {"metric": {"name": "euclid"}, "g" * 5000: 1},
+}
+
+
+@pytest.mark.parametrize("case", LONG_VALUES.values(), ids=LONG_VALUES)
+def test_refusals_quote_long_values_in_bounded_form(case, tmp_path, capsys):
+    argv = ["classify", "--metric", "euclid_randers", *case]
+    if isinstance(case, dict):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"schema": 1, **case}))
+        argv = ["classify", "--config", str(path)]
+    _one_short_line(argv, capsys)
+
+
+@pytest.mark.parametrize("seed", ["-1", "-7", str(-10**400)], ids=["-1", "-7", "-10**400"])
+def test_check_refuses_a_negative_seed(seed, capsys):
+    # -1 once ran the suite, and four criteria printed a ValueError as BAD
+    _one_short_line(["check", "--seed", seed], capsys)
+
+
 @pytest.mark.parametrize("fields, name", [
     ({"grid": [2]}, "grid must be an object"),
     ({"metric": {"custom": None}}, "metric.custom must be an object"),
@@ -421,9 +460,36 @@ def _replay(path, capsys, monkeypatch):
 
 
 def test_table_reports_the_first_failing_direction(capsys, monkeypatch):
-    # a point's batch raises; redone one direction at a time, the error is
-    # the one the first failing direction raises alone
-    _replay(TABLES / "unicorn_near_edge.B.json", capsys, monkeypatch)
+    # a point's batch raises inside the cone (phi = 1 + s^(1+s) / 2 takes the
+    # log of s < 0); redone one direction at a time, the error is the one the
+    # first failing direction raises alone
+    _replay(TABLES / "log_phi.B.json", capsys, monkeypatch)
+
+
+@pytest.mark.parametrize("quantity", ["B", "Q"])
+def test_table_drops_directions_outside_the_cone(quantity, capsys, monkeypatch):
+    # 2 of the 8 directions leave the unicorn phi's cone, |s| < 0.95, and
+    # each once ended the whole table in a DomainError; the rows are those of
+    # the classification's admissible directions
+    if quantity == "B":
+        _replay(TABLES / "unicorn_near_edge.B.json", capsys, monkeypatch)
+    monkeypatch.chdir(FIXTURES.parents[1])
+    argv = ["table", "--config", "tests/fixtures/unicorn_near_edge.json", "--quantity", quantity]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and len(captured.out.splitlines()) == 1 + 6
+
+
+def test_table_with_no_admissible_direction_fails_as_classify(tmp_path, capsys):
+    # a cone |s| < 1e-9 (1 - 0.05) holds none of the 4 directions at any point
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"schema": 1, "grid": {"per_axis": 2}, "directions": 4,
+                                "metric": {"custom": {**CUSTOM, "b": ["0.5", "0"], "phi": {
+                                    "variant": "custom", "expr": "1 + s", "b0": 1e-9}}}}))
+    for argv in (["table", "--quantity", "B"], ["table", "--quantity", "Q"], ["classify"]):
+        assert main([*argv, "--config", str(path)]) == 1
+        assert capsys.readouterr() == ("", "error: AllSamplesSingular: every grid x direction "
+                                           "sample was inadmissible\n")
 
 
 @pytest.mark.parametrize("name", ["singular_a.r.json", "singular_a_b_first.r.json"])

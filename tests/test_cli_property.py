@@ -2,14 +2,15 @@
 
 ``hypothesis`` draws argv for ``report``, ``table`` and ``classify`` of every
 catalog metric, with flag values that are valid, out of range, past the float
-range, not finite, not numbers or missing, and config documents that change
-one key of a ``tests/fixtures`` config: drop it, add an unknown one next to it,
-or give it a value of another type, a huge or non-finite number, a deep
-nesting, a non-ASCII name or an expression that cannot be evaluated.  Grids
-stay tiny: at most 2 points per axis and 4 directions.  Each run must return
-0, 1 or 2 without raising, print exactly one ``error:`` line and nothing on
-stdout when it refuses (2), name a ``FinslerError`` when a computation fails
-(1), and emit no ``RuntimeWarning``.
+range, not finite, not numbers or missing, argv for ``check`` with seeds of any
+sign and size, or none, and config documents that change one key of a
+``tests/fixtures`` config: drop it, add an unknown one next to it, or give it a
+value of another type, a huge or non-finite number, a deep nesting, a non-ASCII
+name or an expression that cannot be evaluated.  Grids stay tiny: at most 2
+points per axis and 4 directions.  Each run must return 0, 1 or 2 without
+raising, print exactly one ``error:`` line and nothing on stdout when it
+refuses (2), name a ``FinslerError`` when a computation fails (1), and emit no
+``RuntimeWarning``; ``check`` passes every criterion when it runs.
 """
 
 import contextlib
@@ -139,6 +140,22 @@ def _argv(draw, tmp):
     return argv + draw(st.sampled_from([[], ["--out", str(Path(tmp) / "out")],
                                         ["--out", str(Path(tmp) / "missing" / "x")],
                                         ["--out", tmp]]))
+
+
+#: ``check --seed``'s values: integers of any sign and size, and text that is no integer
+SEEDS = st.one_of(st.integers().map(str), st.sampled_from(
+    [str(10**400), str(-10**400), "1.5", "1e3", "-0", "x", "", "nan"]))
+
+
+def test_check_argv_property():
+    # each run that computes takes about 0.3 s: 20 examples add at most 6 s
+    @hypothesis.settings(max_examples=20, deadline=None, derandomize=True)
+    @hypothesis.given(st.one_of(st.sampled_from([[], ["--seed"]]),
+                                SEEDS.map(lambda seed: ["--seed", seed])))
+    def check(flags):
+        _check_run(["check", *flags])
+
+    check()
 
 
 def test_argv_property():

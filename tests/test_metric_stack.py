@@ -16,6 +16,7 @@ from finsler.catalog import catalog_names, get_metric
 from finsler.classify import default_grid
 from finsler.errors import DimensionMismatch
 from finsler.geometry_core import ChartDomain, MetricSpec
+from finsler.phi_families import RandersPhi
 
 
 def _ref_euclid():
@@ -130,8 +131,13 @@ def _points(m, seed):
 
 @pytest.mark.parametrize("name, params", CASES, ids=lambda v: str(v))
 def test_stacked_rows_have_the_one_point_bytes(name, params):
-    m = get_metric(name, **params).metric
-    assert m.stacked
+    entry = get_metric(name, **params)
+    m = entry.metric
+    # every entry is built by one rule: a stacked spec named as the entry, on
+    # a chart box of its dimension, with the Randers phi
+    assert m.stacked and m.name == entry.name == name
+    assert m.n == len(m.chart_domain.lo) == len(m.chart_domain.hi)
+    assert isinstance(entry.phi, RandersPhi)
     X = _points(m, seed=len(name))
     for at, ref, shape in ((m.a_at, REFERENCES[name](**params)[0], (m.n, m.n)),
                            (m.b_at, REFERENCES[name](**params)[1], (m.n,))):
