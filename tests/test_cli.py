@@ -199,12 +199,13 @@ def test_out_must_be_a_file_name(out, tmp_path, capsys):
 
 
 def _refused(argv, named, capsys):
-    """``main(argv)`` exits 2 with nothing on stdout and one ``error:`` line naming ``named``."""
+    """``main(argv)`` exits 2 with nothing on stdout and one ``error:`` line of at
+    most 200 characters naming ``named``."""
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert named in captured.err
+    assert named in captured.err and len(captured.err) <= 200 + 1, captured.err
 
 
 #: a config file that cannot be read: each once ended in a traceback with exit 1
@@ -233,43 +234,25 @@ def test_unwritable_out_exits_2(where, tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"] * (where == "config_out")
 
 
-def _one_short_line(argv, capsys):
-    """``main(argv)`` exits 2 with nothing on stdout and one ``error:`` line of at
-    most 200 characters."""
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith("error: ")
-    assert captured.err.count("\n") == 1 and len(captured.err) <= 200 + 1, captured.err
-
-
-#: values past any ordinary length, from the flag or a config file: each was
-#: once quoted in full, up to 100 128 characters on one line
-LONG_VALUES = {
-    "digits_5000_flag": ["--param", "eps=1" + "0" * 4999],
-    "digits_4000_flag": ["--param", "eps=1" + "0" * 3999],
-    "nested_100000_flag": ["--param", "eps=" + "[" * 100_000],
-    "key_5000_flag": ["--param", "k" * 5000 + "=["],
-    "digits_4000_config": {"metric": {"name": "euclid_randers", "params": {"eps": 10**3999}}},
-    "identifier_5000_config": {"metric": {"custom": {**CUSTOM, "b": ["x" * 5000, "0"]}}},
-    "expression_5000_config": {"metric": {"custom": {**CUSTOM, "b": ["'" + "x" * 5000 + "'", "0"]}}},
-    "field_5000_config": {"metric": {"name": "euclid"}, "g" * 5000: 1},
+#: config text past any ordinary length: each was once quoted in full
+LONG_CONFIG_TEXT = {
+    "identifier": {"metric": {"custom": {**CUSTOM, "b": ["x" * 5000, "0"]}}},
+    "expression": {"metric": {"custom": {**CUSTOM, "b": ["'" + "x" * 5000 + "'", "0"]}}},
+    "field": {"metric": {"name": "euclid"}, "g" * 5000: 1},
 }
 
 
-@pytest.mark.parametrize("case", LONG_VALUES.values(), ids=LONG_VALUES)
-def test_refusals_quote_long_values_in_bounded_form(case, tmp_path, capsys):
-    argv = ["classify", "--metric", "euclid_randers", *case]
-    if isinstance(case, dict):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"schema": 1, **case}))
-        argv = ["classify", "--config", str(path)]
-    _one_short_line(argv, capsys)
+@pytest.mark.parametrize("fields", LONG_CONFIG_TEXT.values(), ids=LONG_CONFIG_TEXT)
+def test_long_config_text_is_quoted_in_bounded_form(fields, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"schema": 1, **fields}))
+    _refused(["classify", "--config", str(path)], " chars)", capsys)
 
 
 @pytest.mark.parametrize("seed", ["-1", "-7", str(-10**400)], ids=["-1", "-7", "-10**400"])
 def test_check_refuses_a_negative_seed(seed, capsys):
     # -1 once ran the suite, and four criteria printed a ValueError as BAD
-    _one_short_line(["check", "--seed", seed], capsys)
+    _refused(["check", "--seed", seed], "error: seed must be ", capsys)
 
 
 @pytest.mark.parametrize("fields, name", [
@@ -466,16 +449,13 @@ def test_table_reports_the_first_failing_direction(capsys, monkeypatch):
     _replay(TABLES / "log_phi.B.json", capsys, monkeypatch)
 
 
-@pytest.mark.parametrize("quantity", ["B", "Q"])
-def test_table_drops_directions_outside_the_cone(quantity, capsys, monkeypatch):
+def test_table_drops_directions_outside_the_cone(capsys, monkeypatch):
     # 2 of the 8 directions leave the unicorn phi's cone, |s| < 0.95, and
-    # each once ended the whole table in a DomainError; the rows are those of
-    # the classification's admissible directions
-    if quantity == "B":
-        _replay(TABLES / "unicorn_near_edge.B.json", capsys, monkeypatch)
-    monkeypatch.chdir(FIXTURES.parents[1])
-    argv = ["table", "--config", "tests/fixtures/unicorn_near_edge.json", "--quantity", quantity]
-    assert main(argv) == 0
+    # each once ended the whole table, B or Q, in a DomainError; the rows are
+    # those of the classification's admissible directions
+    _replay(TABLES / "unicorn_near_edge.B.json", capsys, monkeypatch)
+    assert main(["table", "--config", "tests/fixtures/unicorn_near_edge.json",
+                 "--quantity", "Q"]) == 0
     captured = capsys.readouterr()
     assert captured.err == "" and len(captured.out.splitlines()) == 1 + 6
 
@@ -640,6 +620,9 @@ class TestMain:
         # past int's digit limit (where it has one) and past the recursion limit
         ("euclid_randers", "eps=1" + "0" * 5000, "eps"),
         ("euclid_randers", "eps=" + "[" * 100_000, "--param eps: "),
+        # each of these and the two above once quoted the value in full
+        ("euclid_randers", "eps=1" + "0" * 3999, "(4000 chars)"),
+        ("euclid_randers", "k" * 5000 + "=[", "(5000 chars)"),
     ])
     def test_bad_catalog_parameter_exit_2(self, metric, param, named, capsys):
         _refused(["classify", "--metric", metric, "--param", param], named, capsys)
@@ -649,6 +632,7 @@ class TestMain:
         ({"eps": "x"}, "parameter 'eps' must be a finite real number"),
         ([0.3], "metric.params must be an object"),
         ({"eps": 10**400}, "parameter 'eps' must be a finite real number"),
+        ({"eps": 10**3999}, "(4000 chars)"),  # once quoted in full
     ])
     def test_bad_catalog_parameter_in_a_config_exit_2(self, params, named, tmp_path, capsys):
         path = tmp_path / "cfg.json"
