@@ -15,22 +15,25 @@ import math
 import sys
 from functools import lru_cache
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import acceptance
 from .catalog import catalog_names, finite_real, get_metric
-from .classify import _admissible_dirs, classify_metric, default_directions, default_grid
+from .classify import (_PAIR_CHUNK, _admissible_dirs, classify_metric, default_directions,
+                       default_grid)
 from .errors import AllSamplesSingular, ConfigError, FinslerError, UnknownQuantity, shown
 from .exprparse import parse
 from .exprparse import eval_expr
-from .finsler_metric import sigma_bh
-from .geometry_core import ChartDomain, MetricSpec, grid_calculus
+from .finsler_metric import fundamental, sigma_bh
+from .geometry_core import BetaCalculus, ChartDomain, MetricSpec, grid_calculus
 from .phi_families import (CustomExprPhi, RandersPhi, RiemannSqrtPhi,
                            UnicornPhi, _q_series)
 # curvature_bundle calls riemann_flag; perfbench/tests/test_tracer.py requires it bound here
-from .spray_curvature import (curvature_bundle, ln_sigma_gradient,  # noqa: F401
-                              per_direction, riemann_flag)
+from .spray_curvature import (curvature_bundle, flag_curvatures, landsberg,  # noqa: F401
+                              ln_sigma_gradient, pair_rows, per_direction, riemann,
+                              riemann_flag, s_curvature_def, s_curvature_formula, spray_data)
 
 QUANTITIES = ("a", "b_form", "gamma", "r", "s", "r_i", "s_i", "bnorm", "Q",
               "G", "B", "E", "L", "D", "R", "K", "S", "H", "sigma")
@@ -220,15 +223,16 @@ def _fmt(v):
     return float(f"{float(v):.12g}")
 
 
-def _records(m, f, x, Y, grad, bc):
-    """Curvature records at x for one direction or a ``(B, n)`` stack of them.
+def _records(m, x, Y, cb, with_s_def):
+    """Curvature records at x for one direction or a ``(B, n)`` stack of them,
+    each field read in turn off ``cb``: a curvature bundle, or x's rows of a
+    grid batch under the bundle's field names.
 
-    A stack goes through every layer as one batch and raises if any layer
-    does; one direction gives its record, a partial one with the error text
-    if a layer raises.
+    A stack raises if any field does; one direction gives its record, a
+    partial one with the error text if a field raises.
     """
-    cb = curvature_bundle(m, f, x, Y, grad, bc)
-    recs = [{"x": [_fmt(v) for v in x], "y": [_fmt(v) for v in y]} for y in cb.dirs]
+    recs = [{"x": [_fmt(v) for v in x], "y": [_fmt(v) for v in y]}
+            for y in np.reshape(Y, (-1, m.n))]
 
     def fill(key, T, fmt=lambda row: _fmt(row[0])):  # from one flat row per direction
         for rec, row in zip(recs, np.reshape(T, (len(recs), -1))):
@@ -247,28 +251,82 @@ def _records(m, f, x, Y, grad, bc):
         if m.n == 2:  # K exists for n = 2 only, and R is not kept
             fill("K", cb.K)
         fill("S_formula", cb.S_formula)
-        if grad is not None:
+        if with_s_def:
             fill("S_def", cb.S_def)
     except FinslerError as exc:
-        if Y.ndim == 2:
+        if np.ndim(Y) == 2:
             raise
         for rec in recs:
             rec["error"] = f"{type(exc).__name__}: {exc}"
     return recs
 
 
+def _point_records(m, f, x, Y, grad, bc):
+    """``_records`` at x off one curvature bundle, its directions as one batch."""
+    return _records(m, x, Y, curvature_bundle(m, f, x, Y, grad, bc), grad is not None)
+
+
+def _batch_records(m, f, bcs, grads, dirs):
+    """``_records`` of every direction at each point of ``bcs``, one list per point,
+    from one jet batch of all the (point, direction) pairs; raises if any layer does.
+
+    The fiber fields, L and S_def are the batch's, each pair with the gradient
+    of ln sigma at its point (zeros where sigma failed: no S_def is read
+    there); S_formula and, for n = 2, R and K are each point's, R from its
+    rows of the batch's spray.
+    """
+    calc, B = BetaCalculus.stack(bcs), len(dirs)
+    owner, Y = np.repeat(np.arange(len(bcs)), B), np.tile(dirs, (len(bcs), 1))
+    grad = np.array([np.zeros(m.n) if g is None else g for g in grads])[owner]
+    fd = fundamental(m, f, calc.x, Y, owner)
+    sd = spray_data(m, f, calc.x, Y, calc, owner)
+    L = landsberg(fd, sd.B)
+    S_def = s_curvature_def(m, f, calc.x, Y, grad, sd, calc)
+    out = []
+    for k, (bc, g) in enumerate(zip(bcs, grads)):
+        rows = slice(k * B, (k + 1) * B)
+        fd_k, sd_k = pair_rows(fd, rows), pair_rows(sd, rows)
+        K = (flag_curvatures(m, f, bc.x, dirs, fd_k.g, riemann(m, f, bc.x, dirs, sd_k))
+             if m.n == 2 else None)
+        cb = SimpleNamespace(**vars(sd_k), fd=fd_k, L=L[rows], K=K, S_def=S_def[rows],
+                             S_formula=s_curvature_formula(m, f, bc.x, dirs, bc))
+        out.append(_records(m, bc.x, dirs, cb, g is not None))
+    return out
+
+
 def cmd_report(cfg):
-    """Per-sample curvature records plus the aggregate classification."""
+    """Per-sample curvature records plus the aggregate classification.
+
+    The records read the grid's beta calculus (``grid_calculus``) and run
+    their (point, direction) pairs as one jet batch per ``_PAIR_CHUNK``
+    pairs, whole points each (``_batch_records``).  A point whose calculus
+    raised, and every point of a batch that raises, takes one curvature
+    bundle of its own, its directions as one batch, redone one direction at
+    a time if it raises (``per_direction``), so that every error record is
+    the one its direction gives alone.
+    """
     m, f = cfg.metric, cfg.phi
     grid = _sample_grid(cfg)
     dirs = default_directions(m.n, cfg.n_directions, seed=cfg.seed)
-    records = []
-    for x, bc in zip(grid, grid_calculus(m, grid)):
+    calcs = list(grid_calculus(m, grid))
+    grads = []
+    for x, bc in zip(grid, calcs):
         try:
-            grad = ln_sigma_gradient(m, f, x, bc)
+            grads.append(ln_sigma_gradient(m, f, x, bc))
         except FinslerError:
-            grad = None
-        records += per_direction(lambda Y: _records(m, f, x, Y, grad, bc), dirs)
+            grads.append(None)
+    records, step = [], max(1, _PAIR_CHUNK // len(dirs))
+    for start in range(0, len(grid), step):
+        points = range(start, min(start + step, len(grid)))
+        good = [k for k in points if not isinstance(calcs[k], Exception)]
+        try:
+            batch = dict(zip(good, _batch_records(m, f, [calcs[k] for k in good],
+                                                  [grads[k] for k in good], dirs) if good else []))
+        except FinslerError:
+            batch = {}
+        for k in points:
+            records += batch[k] if k in batch else per_direction(
+                lambda Y: _point_records(m, f, grid[k], Y, grads[k], calcs[k]), dirs)
     try:
         report = classify_metric(m, f, dirs)  # on its own grid, not the records'
         classification = json.loads(report.to_json())

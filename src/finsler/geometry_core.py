@@ -199,6 +199,12 @@ class BetaCalculus:
         for values in zip(*columns):
             yield BetaCalculus(n=self.n, **dict(zip(names, values)))
 
+    @classmethod
+    def stack(cls, rows):
+        """One-point calculi as one stack, each field's rows with their bits: ``rows`` undone."""
+        return cls(n=rows[0].n, **{key: np.array([vars(bc)[key] for bc in rows])
+                                   for key in vars(rows[0]) if key != "n"})
+
 
 def beta_derivatives(m: MetricSpec, x) -> BetaCalculus:
     """Covariant derivative of the one-form and its full index menagerie, at one

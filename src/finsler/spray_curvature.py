@@ -234,6 +234,13 @@ def riemann_flag(m: MetricSpec, f: PhiFamily, x, y, u=None, g=None, R=None):
     return R, K
 
 
+def flag_curvatures(m: MetricSpec, f: PhiFamily, x, Y, g, R):
+    """K of each direction of a ``(B, n)`` stack at x, n = 2, from its ``(B, 2, 2)``
+    fundamental tensors ``g`` and Riemann curvatures ``R``: one ``riemann_flag``
+    call per direction, as perfbench/tests/test_tracer.py counts them."""
+    return np.array([riemann_flag(m, f, x, y, g=g_b, R=R_b)[1] for y, g_b, R_b in zip(Y, g, R)])
+
+
 def ln_sigma_gradient(m: MetricSpec, f: PhiFamily, x, bc=None):
     """Gradient of ln sigma_F at ``x``, from one ``_unit_ball`` sweep; reusable across directions.
 
@@ -330,6 +337,11 @@ class SprayData:
     D: np.ndarray  # Douglas curvature, from the projective spray
 
 
+def pair_rows(data, part):
+    """A pair batch's ``SprayData`` or ``FundamentalData`` at the pairs ``part``: every field's rows."""
+    return type(data)(**{key: value[part] for key, value in vars(data).items()})
+
+
 def spray_data(m: MetricSpec, f: PhiFamily, x, y, bc=None, owner=None) -> SprayData:
     """Every fiber tensor of the spray at (x, y), read off one order-4 jet.
 
@@ -398,14 +410,12 @@ class CurvatureBundle:
 
     @cached_property
     def K(self):
-        """Flag curvature where n = 2, else ``None``; one ``riemann_flag`` call
-        per direction, as perfbench/tests/test_tracer.py counts them."""
+        """Flag curvature where n = 2 (``flag_curvatures``), else ``None``."""
         if self.m.n != 2:
             return None
-        R, g = self.R, self.fd.g
-        K = [riemann_flag(self.m, self.f, self.x, y, g=g_b, R=R_b)[1] for y, g_b, R_b
-             in zip(self.dirs, np.reshape(g, (-1, 2, 2)), np.reshape(R, (-1, 2, 2)))]
-        return K[0] if self.y.ndim == 1 else np.array(K)
+        K = flag_curvatures(self.m, self.f, self.x, self.dirs, np.reshape(self.fd.g, (-1, 2, 2)),
+                            np.reshape(self.R, (-1, 2, 2)))
+        return K[0] if self.y.ndim == 1 else K
 
 
 #: ``curvature_bundle(m, f, x, y, grad_ln_sigma=None, bc=None)``:

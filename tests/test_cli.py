@@ -773,9 +773,9 @@ class TestFourDimensionalConfig:
         assert all("error" not in r and r["S_formula"] == r["S_def"] for r in records)
 
     def test_report_computes_each_point_once(self, capsys, monkeypatch):
-        # no layer raises: a point's stack of directions is one batch, never
-        # redone one direction at a time; counted through every module that
-        # binds spray_data
+        # no layer raises: the records' (point, direction) pairs are one jet
+        # batch, never redone one point or one direction at a time; counted
+        # through every module that binds spray_data
         from finsler.spray_curvature import spray_data
         calls = []
         for mod in list(sys.modules.values()):
@@ -785,6 +785,6 @@ class TestFourDimensionalConfig:
                                     calls.append(1) or spray_data(*args, **kw))
         assert main(["report", "--config", FOUR_D]) == 0
         capsys.readouterr()
-        # one per point of the records' 2-per-axis grid, and one jet batch
-        # for the classification's 3-per-axis grid (324 pairs, one chunk)
-        assert len(calls) == 2**4 + 1
+        # one jet batch for the records' 2-per-axis grid (256 pairs) and one
+        # for the classification's 3-per-axis grid (324 pairs), one chunk each
+        assert len(calls) == 1 + 1
