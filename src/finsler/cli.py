@@ -30,7 +30,7 @@ from .finsler_metric import fundamental, sigma_bh
 from .geometry_core import BetaCalculus, ChartDomain, MetricSpec, grid_calculus
 from .phi_families import (CustomExprPhi, RandersPhi, RiemannSqrtPhi,
                            UnicornPhi, _q_series)
-# curvature_bundle calls riemann_flag; perfbench/tests/test_tracer.py requires it bound here
+# flag_curvatures calls riemann_flag; perfbench/tests/test_tracer.py requires it bound here
 from .spray_curvature import (curvature_bundle, flag_curvatures, landsberg,  # noqa: F401
                               ln_sigma_gradient, pair_rows, per_direction, riemann,
                               riemann_flag, s_curvature_def, s_curvature_formula, spray_data)
@@ -223,16 +223,15 @@ def _fmt(v):
     return float(f"{float(v):.12g}")
 
 
-def _records(m, x, Y, cb, with_s_def):
-    """Curvature records at x for one direction or a ``(B, n)`` stack of them,
-    each field read in turn off ``cb``: a curvature bundle, or x's rows of a
-    grid batch under the bundle's field names.
+def _records(cb):
+    """Curvature records of a curvature bundle, or of one point of a grid batch
+    under the bundle's field names, at its x and each of its directions.
 
-    A stack raises if any field does; one direction gives its record, a
-    partial one with the error text if a field raises.
+    A stack of directions raises if any field does; one direction gives its
+    record, a partial one with the error text if a field raises.
     """
-    recs = [{"x": [_fmt(v) for v in x], "y": [_fmt(v) for v in y]}
-            for y in np.reshape(Y, (-1, m.n))]
+    m = cb.m
+    recs = [{"x": [_fmt(v) for v in cb.x], "y": [_fmt(v) for v in y]} for y in cb.dirs]
 
     def fill(key, T, fmt=lambda row: _fmt(row[0])):  # from one flat row per direction
         for rec, row in zip(recs, np.reshape(T, (len(recs), -1))):
@@ -251,59 +250,45 @@ def _records(m, x, Y, cb, with_s_def):
         if m.n == 2:  # K exists for n = 2 only, and R is not kept
             fill("K", cb.K)
         fill("S_formula", cb.S_formula)
-        if with_s_def:
+        if cb.grad_ln_sigma is not None:
             fill("S_def", cb.S_def)
     except FinslerError as exc:
-        if np.ndim(Y) == 2:
+        if cb.y.ndim == 2:
             raise
         for rec in recs:
             rec["error"] = f"{type(exc).__name__}: {exc}"
     return recs
 
 
-def _point_records(m, f, x, Y, grad, bc):
-    """``_records`` at x off one curvature bundle, its directions as one batch."""
-    return _records(m, x, Y, curvature_bundle(m, f, x, Y, grad, bc), grad is not None)
-
-
 def _batch_records(m, f, bcs, grads, dirs):
-    """``_records`` of every direction at each point of ``bcs``, one list per point,
-    from one jet batch of all the (point, direction) pairs; raises if any layer does.
-
-    The fiber fields, L and S_def are the batch's, each pair with the gradient
-    of ln sigma at its point (zeros where sigma failed: no S_def is read
-    there); S_formula and, for n = 2, R and K are each point's, R from its
-    rows of the batch's spray.
-    """
+    """``_records`` of each point of ``bcs`` from one jet batch of its (point,
+    direction) pairs, which raises if any layer does: fd, spray, L and S_def
+    per pair, S_formula and (n = 2) R and K per point."""
     calc, B = BetaCalculus.stack(bcs), len(dirs)
     owner, Y = np.repeat(np.arange(len(bcs)), B), np.tile(dirs, (len(bcs), 1))
-    grad = np.array([np.zeros(m.n) if g is None else g for g in grads])[owner]
+    grad = np.array([np.zeros(m.n) if g is None else g for g in grads])[owner]  # 0: sigma failed
     fd = fundamental(m, f, calc.x, Y, owner)
     sd = spray_data(m, f, calc.x, Y, calc, owner)
-    L = landsberg(fd, sd.B)
-    S_def = s_curvature_def(m, f, calc.x, Y, grad, sd, calc)
+    L, S_def = landsberg(fd, sd.B), s_curvature_def(m, f, calc.x, Y, grad, sd, calc)
     out = []
     for k, (bc, g) in enumerate(zip(bcs, grads)):
         rows = slice(k * B, (k + 1) * B)
         fd_k, sd_k = pair_rows(fd, rows), pair_rows(sd, rows)
         K = (flag_curvatures(m, f, bc.x, dirs, fd_k.g, riemann(m, f, bc.x, dirs, sd_k))
              if m.n == 2 else None)
-        cb = SimpleNamespace(**vars(sd_k), fd=fd_k, L=L[rows], K=K, S_def=S_def[rows],
-                             S_formula=s_curvature_formula(m, f, bc.x, dirs, bc))
-        out.append(_records(m, bc.x, dirs, cb, g is not None))
+        out.append(_records(SimpleNamespace(
+            **vars(sd_k), m=m, x=bc.x, y=dirs, dirs=dirs, fd=fd_k, L=L[rows], K=K,
+            S_formula=s_curvature_formula(m, f, bc.x, dirs, bc), S_def=S_def[rows],
+            grad_ln_sigma=g)))
     return out
 
 
 def cmd_report(cfg):
     """Per-sample curvature records plus the aggregate classification.
 
-    The records read the grid's beta calculus (``grid_calculus``) and run
-    their (point, direction) pairs as one jet batch per ``_PAIR_CHUNK``
-    pairs, whole points each (``_batch_records``).  A point whose calculus
-    raised, and every point of a batch that raises, takes one curvature
-    bundle of its own, its directions as one batch, redone one direction at
-    a time if it raises (``per_direction``), so that every error record is
-    the one its direction gives alone.
+    The records run one jet batch per ``_PAIR_CHUNK`` (point, direction)
+    pairs, whole points each; a point whose calculus raised, and each point
+    of a batch that raised, takes its own bundle (``per_direction``).
     """
     m, f = cfg.metric, cfg.phi
     grid = _sample_grid(cfg)
@@ -325,8 +310,8 @@ def cmd_report(cfg):
         except FinslerError:
             batch = {}
         for k in points:
-            records += batch[k] if k in batch else per_direction(
-                lambda Y: _point_records(m, f, grid[k], Y, grads[k], calcs[k]), dirs)
+            records += batch[k] if k in batch else per_direction(lambda Y: _records(
+                curvature_bundle(m, f, grid[k], Y, grads[k], calcs[k])), dirs)
     try:
         report = classify_metric(m, f, dirs)  # on its own grid, not the records'
         classification = json.loads(report.to_json())
@@ -470,6 +455,22 @@ def _emit(text, out):
         sys.stdout.write(text)
 
 
+def _int(text):
+    """``int`` for argparse, the text of a refusal quoted in ``shown`` form."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {shown(text)}") from None
+
+
+def _metric_name(text):
+    """A ``--metric`` value; one that ``shown`` cuts names no metric, and is
+    refused here, before argparse's choice check quotes it whole."""
+    if shown(text) != repr(text):
+        raise argparse.ArgumentTypeError(f"invalid choice: {shown(text)}")
+    return text
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="finsler",
@@ -478,16 +479,16 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--metric", choices=catalog_names(),
+        sp.add_argument("--metric", type=_metric_name, choices=catalog_names(),
                         help="catalog metric name")
         sp.add_argument("--param", action="append", metavar="KEY=VALUE",
                         help="metric parameter (JSON value), repeatable")
         sp.add_argument("--config", help="JSON config file (schema 1)")
-        sp.add_argument("--per-axis", dest="per_axis", type=int,
+        sp.add_argument("--per-axis", dest="per_axis", type=_int,
                         help="grid points per axis (default 5)")
-        sp.add_argument("--directions", type=int,
+        sp.add_argument("--directions", type=_int,
                         help="direction count (default 16)")
-        sp.add_argument("--seed", type=int, help="direction seed (default 42)")
+        sp.add_argument("--seed", type=_int, help="direction seed (default 42)")
         sp.add_argument("--out", help="output file (default stdout)")
 
     common(sub.add_parser("report", help="JSON curvature report"))
@@ -497,7 +498,7 @@ def build_parser():
                     help=f"one of {', '.join(QUANTITIES)}")
     common(sub.add_parser("classify", help="predicate report as JSON"))
     cp = sub.add_parser("check", help="run the verification suite")
-    cp.add_argument("--seed", type=int, default=42)
+    cp.add_argument("--seed", type=_int, default=42)
     return p
 
 

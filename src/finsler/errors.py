@@ -3,8 +3,12 @@
 
 def shown(value, form=repr):
     """``form(value)`` for a message: past 60 characters, its first 60 and its
-    length, so that a value from outside quotes in one short line at any size."""
-    text = form(value)
+    length, so that a value from outside quotes in one short line at any size;
+    an int past Python's digit limit for ``str``, its approximate digit count."""
+    try:
+        text = form(value)
+    except ValueError:  # only an int past that limit: ``form`` is repr or str
+        return f"an int of about {int(value.bit_length() * 0.30103) + 1} digits"
     return text if len(text) <= 60 else f"{text[:60]}... ({len(text)} chars)"
 
 

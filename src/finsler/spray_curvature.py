@@ -20,17 +20,21 @@ with the bits of its direction alone.  ``spray_ab`` and ``spray_data``, as
 jet column per pair, so a whole grid's samples, with directions that differ
 from point to point, go through as one batch (``pair_columns``); ``landsberg``
 and ``s_curvature_def``, handed the pairs' fiber data, give one row per pair.
+The classification and ``report``'s records run their grid this way;
+:func:`pair_rows` cuts one point's rows out of such a batch's data.
 :func:`per_direction` runs a caller's batch and, if it raises, redoes it one
 direction at a time.
 
 A sample's G, N and d^2 G come from one order-4 spray jet (``spray_data``),
-which ``riemann`` and ``s_curvature_def`` compute unless handed it; a jet of
-lower order gives the same bits, so the stencils and ``berwald`` run their own.
-:func:`curvature_bundle` evaluates the fiber tensors at one point for
-``report``, ``table``, ``check`` and the classification's flag curvature, each
-on first read, from one copy of the fundamental data and of the order-4 spray
-jet.  A ``bc`` argument is the beta calculus of x, if at hand (a row of the
-caller's stacked pass).
+which ``riemann`` and ``s_curvature_def`` compute unless handed it (for
+``riemann``, at one x: a bundle's spray, or that point's rows of a pair
+batch's); a jet of lower order gives the same bits, so the stencils and
+``berwald`` run their own.  :func:`flag_curvatures` is K per direction from
+the caller's g and R.  :func:`curvature_bundle` evaluates the fiber tensors at
+one point for ``table``, ``check``, the classification's flag curvature and
+``report``'s fallback, each on first read, from one copy of the fundamental
+data and of the order-4 spray jet.  A ``bc`` argument is the beta calculus of
+x, if at hand (a row of the caller's stacked pass).
 
 Both S-curvature routes read the slope d ln f / db of the Busemann-Hausdorff
 f(b) of sigma_F = f(b) sqrt(det a), from one memoised unit-ball sweep per b

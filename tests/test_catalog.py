@@ -48,6 +48,11 @@ class TestEntries:
         with pytest.raises(ParamOutOfRange):
             get_metric("proj_sphere_killing", kappa=1.5)
 
+    def test_an_int_past_the_str_digit_limit_is_out_of_range(self):
+        # its repr raised a bare ValueError inside the ParamOutOfRange message
+        with pytest.raises(ParamOutOfRange, match="got an int of about 5001 digits$"):
+            get_metric("euclid_randers", eps=10**5000)
+
     def test_sphere_randers_eps_zero_is_riemannian(self):
         m = get_metric("sphere_randers", eps=0.0).metric
         assert np.abs(m.b_at([1.0, 0.5])).max() == 0.0

@@ -255,6 +255,35 @@ def test_check_refuses_a_negative_seed(seed, capsys):
     _refused(["check", "--seed", seed], "error: seed must be ", capsys)
 
 
+#: values argparse itself refuses, each once quoted in full on a 5000-character line
+LONG_ARGUMENTS = {
+    "check_seed": ["check", "--seed", "1" * 5000],
+    "metric": ["report", "--metric", "x" * 5000],
+    "per_axis": ["report", "--metric", "euclid", "--per-axis", "1" * 5000],
+}
+
+
+@pytest.mark.parametrize("argv", LONG_ARGUMENTS.values(), ids=LONG_ARGUMENTS)
+def test_argparse_refusals_quote_in_bounded_form(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    last = captured.err.splitlines()[-1]
+    assert captured.out == "" and last.startswith("finsler ")
+    assert "... (5002 chars)" in last and len(last) <= 200, last
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["check", "--seed", "x"], "finsler check: error: argument --seed: invalid int value: 'x'"),
+    (["report", "--metric", "euclid", "--directions", "1.5"],
+     "finsler report: error: argument --directions: invalid int value: '1.5'"),
+    (["report", "--metric", "eucld"],
+     "finsler report: error: argument --metric: invalid choice: 'eucld' (choose from "),
+])
+def test_argparse_refusals_of_ordinary_length_keep_their_text(argv, line, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith(line)
+
+
 @pytest.mark.parametrize("fields, name", [
     ({"grid": [2]}, "grid must be an object"),
     ({"metric": {"custom": None}}, "metric.custom must be an object"),

@@ -1,0 +1,154 @@
+"""``report``'s grid batch gives the bytes of one curvature bundle per point.
+
+The reference functions below are the per-point records loop that
+``cmd_report`` ran before its (point, direction) pairs went through one jet
+batch per ``_PAIR_CHUNK`` pairs: each grid point's directions as one bundle,
+redone one direction at a time if it raises.  The engine must reproduce its
+text exactly, not just closely: the ``report`` stdout is byte-stable, and a
+point or a batch that raises still takes this loop.
+"""
+
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from finsler import cli
+from finsler.catalog import catalog_names
+from finsler.classify import classify_metric, default_directions
+from finsler.errors import FinslerError
+from finsler.geometry_core import grid_calculus
+from finsler.spray_curvature import (curvature_bundle, ln_sigma_gradient,
+                                     per_direction, spray_data)
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+#: the run configs among the fixtures: ``<name>.json``, not ``<name>.<command>.json``
+CONFIGS = sorted(p for p in FIXTURES.glob("*.json") if p.name.count(".") == 1)
+
+
+def _fmt(v):
+    return float(f"{float(v):.12g}")
+
+
+def ref_records(m, f, x, Y, grad, bc):
+    cb = curvature_bundle(m, f, x, Y, grad, bc)
+    recs = [{"x": [_fmt(v) for v in x], "y": [_fmt(v) for v in y]} for y in cb.dirs]
+
+    def fill(key, T, fmt=lambda row: _fmt(row[0])):
+        for rec, row in zip(recs, np.reshape(T, (len(recs), -1))):
+            rec[key] = fmt(row)
+
+    def norm(row):
+        return _fmt(np.abs(row).max())
+
+    try:
+        fill("F", cb.fd.F)
+        fill("g", cb.fd.g, lambda row: [[_fmt(v) for v in r] for r in row.reshape(m.n, -1)])
+        fill("C_norm", cb.fd.C, norm)
+        fill("G", cb.G, lambda row: [_fmt(v) for v in row])
+        for key in ("B", "E", "L", "D"):
+            fill(f"{key}_norm", getattr(cb, key), norm)
+        if m.n == 2:
+            fill("K", cb.K)
+        fill("S_formula", cb.S_formula)
+        if grad is not None:
+            fill("S_def", cb.S_def)
+    except FinslerError as exc:
+        if Y.ndim == 2:
+            raise
+        for rec in recs:
+            rec["error"] = f"{type(exc).__name__}: {exc}"
+    return recs
+
+
+def ref_report(cfg):
+    m, f = cfg.metric, cfg.phi
+    grid = cli._sample_grid(cfg)
+    dirs = default_directions(m.n, cfg.n_directions, seed=cfg.seed)
+    records = []
+    for x, bc in zip(grid, grid_calculus(m, grid)):
+        try:
+            grad = ln_sigma_gradient(m, f, x, bc)
+        except FinslerError:
+            grad = None
+        records += per_direction(lambda Y: ref_records(m, f, x, Y, grad, bc), dirs)
+    try:
+        classification = json.loads(classify_metric(m, f, dirs).to_json())
+    except FinslerError as exc:
+        classification = {"error": f"{type(exc).__name__}: {exc}"}
+    doc = {"metric": cfg.metric_name, "n_points": len(grid),
+           "n_directions": len(dirs), "records": records,
+           "classification": classification}
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+def _fallbacks(monkeypatch):
+    """Count the points that take a curvature bundle of their own: a point
+    whose calculus raised, or one of a batch that raised."""
+    points = []
+    bundle = cli.curvature_bundle
+    monkeypatch.setattr(cli, "curvature_bundle", lambda m, f, x, y, *rest: (
+        points.append(1) if np.ndim(y) == 2 else None) or bundle(m, f, x, y, *rest))
+    return points
+
+
+#: a unicorn phi whose records fail where |b| = 0.99 (x1 = -0.9 and 0.9), not at x1 = 0
+NEAR_EDGE_ROWS = {"schema": 1, "metric": {"custom": {
+    "n": 2, "a": [["1", "0"], ["0", "1"]], "b": ["1.1*x1", "0"], "lo": [-1, -1], "hi": [1, 1],
+    "phi": {"variant": "unicorn", "b0": 1, "k": 0.3, "q": 0.7, "c": 1}}},
+    "grid": {"per_axis": 3}, "directions": 8}
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_catalog_report_has_the_per_point_bytes(name, monkeypatch):
+    cfg = cli.RunConfig({"schema": 1, "metric": {"name": name},
+                         "grid": {"per_axis": 2}, "directions": 4})
+    calls = _fallbacks(monkeypatch)
+    assert cli.cmd_report(cfg) == ref_report(cfg)
+    assert calls == []  # every point went through the grid batch
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
+def test_config_report_has_the_per_point_bytes(path):
+    # log_phi, singular_a, singular_a_b_first and unicorn_near_edge raise in a
+    # point's calculus or in a batch, and take the per-point loop there
+    cfg = cli.RunConfig(json.loads(path.read_text()))
+    assert cli.cmd_report(cfg) == ref_report(cfg)
+
+
+@pytest.mark.parametrize("doc, fallbacks", [
+    (NEAR_EDGE_ROWS, 6),  # the batches of x1 = -0.9 and 0.9 raise, that of x1 = 0 computes
+    (json.loads((FIXTURES / "singular_a.json").read_text()), 1),  # a = 0 at the origin
+], ids=["near_edge_rows", "singular_a"])
+def test_small_batches_beside_fallbacks_keep_the_bytes(doc, fallbacks, monkeypatch):
+    # one grid row of 3 points per batch
+    cfg = cli.RunConfig(doc)
+    want = ref_report(cfg)
+    monkeypatch.setattr(cli, "_PAIR_CHUNK", 3 * cfg.n_directions)
+    points = _fallbacks(monkeypatch)
+    assert cli.cmd_report(cfg) == want
+    assert len(points) == fallbacks
+
+
+def test_directions_that_do_not_divide_the_chunk():
+    # 1024 // 24 = 42 whole points per batch: two batches of 42 and 22 points
+    cfg = cli.RunConfig({"schema": 1, "metric": {"name": "bao_shen"},
+                         "grid": {"per_axis": 4}, "directions": 24, "seed": 7})
+    assert cli.cmd_report(cfg) == ref_report(cfg)
+
+
+def test_report_makes_one_spray_batch_per_chunk(monkeypatch, capsys):
+    # bao_shen's default 125 points x 16 directions = 2000 pairs: two record
+    # batches (64 and 61 points) and one for the classification's 27 x 16
+    # pairs; counted through every module that binds spray_data
+    calls = []
+    for mod in list(sys.modules.values()):
+        if (getattr(mod, "__name__", "").startswith("finsler")
+                and getattr(mod, "spray_data", None) is spray_data):
+            monkeypatch.setattr(mod, "spray_data", lambda *args, **kw:
+                                calls.append(1) or spray_data(*args, **kw))
+    assert cli.main(["report", "--metric", "bao_shen"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["records"]) == 2000
+    assert len(calls) == 2 + 1
