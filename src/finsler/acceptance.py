@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .catalog import ZermeloData, get_metric, zermelo_to_randers
+from .catalog import ZermeloData, get_metric, zermelo_metric_spec, zermelo_to_randers
 from .classify import (default_directions, default_grid,
                        is_generalized_berwald, randers_s0_shortcut,
                        unicorn_fit)
@@ -287,7 +287,7 @@ def criterion_12(seed=42):
     """Zermelo converter: length identity and the navigation equation."""
     out = CriterionResult(12, "zermelo: |beta|^2 = |W|^2 and navigation residual")
     rng = np.random.default_rng(seed)
-    from .geometry_core import ChartDomain, MetricSpec, _inverse_spd
+    from .geometry_core import ChartDomain, _inverse_spd
     from .phi_families import RandersPhi
     worst_len = worst_nav = 0.0
     for _ in range(10):
@@ -299,9 +299,7 @@ def criterion_12(seed=42):
         a, b = zermelo_to_randers(z, x)
         a_inv = _inverse_spd(a)
         worst_len = max(worst_len, abs(float(b @ a_inv @ b) - float(w @ w)))
-        dom = ChartDomain(tuple(-np.ones(n)), tuple(np.ones(n)))
-        m = MetricSpec(n=n, a=lambda p, a=a: a, b_form=lambda p, b=b: b,
-                       chart_domain=dom)
+        m = zermelo_metric_spec(z, ChartDomain(tuple(-np.ones(n)), tuple(np.ones(n))))
         for _ in range(3):
             y = rng.normal(size=n)
             F = finsler_eval(m, RandersPhi(), x, y)

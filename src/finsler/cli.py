@@ -15,7 +15,6 @@ import math
 import sys
 from functools import lru_cache
 from itertools import product
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -30,10 +29,10 @@ from .finsler_metric import fundamental, sigma_bh
 from .geometry_core import BetaCalculus, ChartDomain, MetricSpec, grid_calculus
 from .phi_families import (CustomExprPhi, RandersPhi, RiemannSqrtPhi,
                            UnicornPhi, _q_series)
-# flag_curvatures calls riemann_flag; perfbench/tests/test_tracer.py requires it bound here
-from .spray_curvature import (curvature_bundle, flag_curvatures, landsberg,  # noqa: F401
-                              ln_sigma_gradient, pair_rows, per_direction, riemann,
-                              riemann_flag, s_curvature_def, s_curvature_formula, spray_data)
+# the bundle's K calls riemann_flag; perfbench/tests/test_tracer.py requires it bound here
+from .spray_curvature import (curvature_bundle, landsberg, ln_sigma_gradient,  # noqa: F401
+                              pair_rows, per_direction, riemann_flag, s_curvature_def,
+                              spray_data)
 
 QUANTITIES = ("a", "b_form", "gamma", "r", "s", "r_i", "s_i", "bnorm", "Q",
               "G", "B", "E", "L", "D", "R", "K", "S", "H", "sigma")
@@ -188,7 +187,7 @@ def _config_from_args(args):
             with open(args.config, encoding="utf-8") as fh:
                 doc = json.load(fh)
         except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"cannot read config file {args.config!r}: "
+            raise ConfigError(f"cannot read config file {_path(args.config)}: "
                               f"{getattr(exc, 'strerror', None) or exc}") from exc
         except (ValueError, RecursionError) as exc:  # JSONDecodeError, too many digits, too deep
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
@@ -224,8 +223,7 @@ def _fmt(v):
 
 
 def _records(cb):
-    """Curvature records of a curvature bundle, or of one point of a grid batch
-    under the bundle's field names, at its x and each of its directions.
+    """Curvature records of a curvature bundle, at its x and each of its directions.
 
     A stack of directions raises if any field does; one direction gives its
     record, a partial one with the error text if a field raises.
@@ -260,35 +258,30 @@ def _records(cb):
     return recs
 
 
-def _batch_records(m, f, bcs, grads, dirs):
-    """``_records`` of each point of ``bcs`` from one jet batch of its (point,
-    direction) pairs, which raises if any layer does: fd, spray, L and S_def
-    per pair, S_formula and (n = 2) R and K per point."""
+def _filled_bundles(m, f, bcs, grads, dirs):
+    """A curvature bundle per point of ``bcs`` whose ``fd``, ``spray``, ``L`` and
+    (with a gradient) ``S_def`` are that point's rows of one jet batch of all
+    the (point, direction) pairs; raises if the batch does."""
     calc, B = BetaCalculus.stack(bcs), len(dirs)
     owner, Y = np.repeat(np.arange(len(bcs)), B), np.tile(dirs, (len(bcs), 1))
     grad = np.array([np.zeros(m.n) if g is None else g for g in grads])[owner]  # 0: sigma failed
     fd = fundamental(m, f, calc.x, Y, owner)
     sd = spray_data(m, f, calc.x, Y, calc, owner)
     L, S_def = landsberg(fd, sd.B), s_curvature_def(m, f, calc.x, Y, grad, sd, calc)
-    out = []
-    for k, (bc, g) in enumerate(zip(bcs, grads)):
+    bundles = [curvature_bundle(m, f, bc.x, dirs, g, bc) for bc, g in zip(bcs, grads)]
+    for k, cb in enumerate(bundles):
         rows = slice(k * B, (k + 1) * B)
-        fd_k, sd_k = pair_rows(fd, rows), pair_rows(sd, rows)
-        K = (flag_curvatures(m, f, bc.x, dirs, fd_k.g, riemann(m, f, bc.x, dirs, sd_k))
-             if m.n == 2 else None)
-        out.append(_records(SimpleNamespace(
-            **vars(sd_k), m=m, x=bc.x, y=dirs, dirs=dirs, fd=fd_k, L=L[rows], K=K,
-            S_formula=s_curvature_formula(m, f, bc.x, dirs, bc), S_def=S_def[rows],
-            grad_ln_sigma=g)))
-    return out
+        vars(cb).update(fd=pair_rows(fd, rows), spray=pair_rows(sd, rows), L=L[rows],
+                        **({} if cb.grad_ln_sigma is None else {"S_def": S_def[rows]}))
+    return bundles
 
 
 def cmd_report(cfg):
     """Per-sample curvature records plus the aggregate classification.
 
-    The records run one jet batch per ``_PAIR_CHUNK`` (point, direction)
-    pairs, whole points each; a point whose calculus raised, and each point
-    of a batch that raised, takes its own bundle (``per_direction``).
+    The records read one curvature bundle per point, filled from one jet batch
+    per ``_PAIR_CHUNK`` (point, direction) pairs, whole points each, else its
+    own; if that raises, one per direction (``per_direction``).
     """
     m, f = cfg.metric, cfg.phi
     grid = _sample_grid(cfg)
@@ -305,13 +298,13 @@ def cmd_report(cfg):
         points = range(start, min(start + step, len(grid)))
         good = [k for k in points if not isinstance(calcs[k], Exception)]
         try:
-            batch = dict(zip(good, _batch_records(m, f, [calcs[k] for k in good],
-                                                  [grads[k] for k in good], dirs) if good else []))
+            filled = dict(zip(good, _filled_bundles(m, f, [calcs[k] for k in good],
+                                                    [grads[k] for k in good], dirs) if good else []))
         except FinslerError:
-            batch = {}
-        for k in points:
-            records += batch[k] if k in batch else per_direction(lambda Y: _records(
-                curvature_bundle(m, f, grid[k], Y, grads[k], calcs[k])), dirs)
+            filled = {}
+        for k in points:  # a filled bundle on the first call only
+            records += per_direction(lambda Y: _records(filled.pop(k, None) or curvature_bundle(
+                m, f, grid[k], Y, grads[k], calcs[k])), dirs)
     try:
         report = classify_metric(m, f, dirs)  # on its own grid, not the records'
         classification = json.loads(report.to_json())
@@ -450,9 +443,15 @@ def _emit(text, out):
             with open(out, "w", newline="") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise ConfigError(f"cannot write output file {out!r}: {exc.strerror or exc}") from exc
+            raise ConfigError(f"cannot write output file {_path(out)}: "
+                              f"{exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
+
+
+def _path(path):
+    """A path for an error line: its repr, or past 120 characters its ``shown`` form."""
+    return repr(path) if len(repr(path)) <= 120 else shown(path)
 
 
 def _int(text):
@@ -471,8 +470,16 @@ def _metric_name(text):
     return text
 
 
+class _Parser(argparse.ArgumentParser):
+    """Also the subparsers' class: a usage error line past 200 characters is ``shown``."""
+
+    def error(self, message):
+        super().error(message if len(f"{self.prog}: error: {message}") <= 200
+                      else shown(message, str))
+
+
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="finsler",
         description="Curvature reports and classification for "
                     "(alpha, beta)-Finsler metrics.")

@@ -26,14 +26,12 @@ The classification and ``report``'s records run their grid this way;
 direction at a time.
 
 A sample's G, N and d^2 G come from one order-4 spray jet (``spray_data``),
-which ``riemann`` and ``s_curvature_def`` compute unless handed it (for
-``riemann``, at one x: a bundle's spray, or that point's rows of a pair
-batch's); a jet of lower order gives the same bits, so the stencils and
-``berwald`` run their own.  :func:`flag_curvatures` is K per direction from
-the caller's g and R.  :func:`curvature_bundle` evaluates the fiber tensors at
-one point for ``table``, ``check``, the classification's flag curvature and
-``report``'s fallback, each on first read, from one copy of the fundamental
-data and of the order-4 spray jet.  A ``bc`` argument is the beta calculus of
+which ``riemann`` and ``s_curvature_def`` compute unless handed it; a jet of
+lower order gives the same bits, so the stencils and ``berwald`` run their own.
+:func:`curvature_bundle` evaluates the fiber tensors at one point, each on
+first read, from one copy of the fundamental data and of the order-4 spray
+jet; ``report`` fills a bundle's ``fd``, ``spray``, ``L`` and ``S_def`` with
+one point's rows of a pair batch.  A ``bc`` argument is the beta calculus of
 x, if at hand (a row of the caller's stacked pass).
 
 Both S-curvature routes read the slope d ln f / db of the Busemann-Hausdorff
@@ -238,13 +236,6 @@ def riemann_flag(m: MetricSpec, f: PhiFamily, x, y, u=None, g=None, R=None):
     return R, K
 
 
-def flag_curvatures(m: MetricSpec, f: PhiFamily, x, Y, g, R):
-    """K of each direction of a ``(B, n)`` stack at x, n = 2, from its ``(B, 2, 2)``
-    fundamental tensors ``g`` and Riemann curvatures ``R``: one ``riemann_flag``
-    call per direction, as perfbench/tests/test_tracer.py counts them."""
-    return np.array([riemann_flag(m, f, x, y, g=g_b, R=R_b)[1] for y, g_b, R_b in zip(Y, g, R)])
-
-
 def ln_sigma_gradient(m: MetricSpec, f: PhiFamily, x, bc=None):
     """Gradient of ln sigma_F at ``x``, from one ``_unit_ball`` sweep; reusable across directions.
 
@@ -379,8 +370,8 @@ class CurvatureBundle:
     itself, else is computed on first read; ``bc`` may also be the exception
     x's calculus raised (``grid_calculus``), raised again wherever it is read.
 
-    A grid's (point, direction) pairs go through the fiber functions
-    themselves, with ``owner`` (``pair_columns``), not through a bundle.
+    A grid's (point, direction) pairs go through the fiber functions themselves,
+    with ``owner``; ``report`` sets its bundles' fields to their points' rows.
     """
 
     def __init__(self, m: MetricSpec, f: PhiFamily, x, y, grad_ln_sigma=None, bc=None):
@@ -414,11 +405,11 @@ class CurvatureBundle:
 
     @cached_property
     def K(self):
-        """Flag curvature where n = 2 (``flag_curvatures``), else ``None``."""
+        """Flag curvature where n = 2, one ``riemann_flag`` call per direction, else ``None``."""
         if self.m.n != 2:
             return None
-        K = flag_curvatures(self.m, self.f, self.x, self.dirs, np.reshape(self.fd.g, (-1, 2, 2)),
-                            np.reshape(self.R, (-1, 2, 2)))
+        K = np.array([riemann_flag(self.m, self.f, self.x, y, g=g, R=R)[1] for y, g, R in zip(
+            self.dirs, np.reshape(self.fd.g, (-1, 2, 2)), np.reshape(self.R, (-1, 2, 2)))])
         return K[0] if self.y.ndim == 1 else K
 
 

@@ -18,7 +18,7 @@ from finsler.catalog import catalog_names
 from finsler.cli import (build_parser, cmd_check, cmd_classify, cmd_report,
                          cmd_table, main)
 from finsler.cli import RunConfig
-from finsler.errors import ConfigError, EvaluationError, UnknownQuantity
+from finsler.errors import ConfigError, EvaluationError, UnknownQuantity, shown
 
 EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected"
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -208,20 +208,23 @@ def _refused(argv, named, capsys):
     assert named in captured.err and len(captured.err) <= 200 + 1, captured.err
 
 
-#: a config file that cannot be read: each once ended in a traceback with exit 1
-@pytest.mark.parametrize("case", ["missing", "directory", "not_utf8"])
+#: a config file that cannot be read: each once ended in a traceback with exit 1,
+#: and a name of 5000 characters was quoted in full; it is quoted in ``shown`` form
+@pytest.mark.parametrize("case", ["missing", "directory", "not_utf8", "long_name"])
 def test_unreadable_config_exits_2(case, tmp_path, capsys):
     path = {"missing": tmp_path / "missing.json", "directory": tmp_path,
-            "not_utf8": tmp_path / "latin1.json"}[case]
+            "not_utf8": tmp_path / "latin1.json", "long_name": tmp_path / ("c" * 5000)}[case]
     (tmp_path / "latin1.json").write_bytes('{"schema": 1, "metric": {"name": "é"}}'.encode("latin-1"))
-    _refused(["report", "--config", str(path)], repr(str(path)), capsys)
+    named = shown(str(path)) if case == "long_name" else repr(str(path))
+    _refused(["report", "--config", str(path)], named, capsys)
 
 
 #: an output path that cannot be written, from the flag or the config: each
-#: once ended in a traceback with exit 1
-@pytest.mark.parametrize("where", ["missing_dir", "directory", "config_out"])
+#: once ended in a traceback with exit 1, and a long one is quoted in ``shown`` form
+@pytest.mark.parametrize("where", ["missing_dir", "directory", "config_out", "long_name"])
 def test_unwritable_out_exits_2(where, tmp_path, capsys):
-    out = tmp_path if where == "directory" else tmp_path / "missing" / "x.csv"
+    out = {"directory": tmp_path, "long_name": tmp_path / ("o" * 5000)}.get(
+        where, tmp_path / "missing" / "x.csv")
     argv = ["table", "--quantity", "a"]
     if where == "config_out":
         path = tmp_path / "cfg.json"
@@ -230,7 +233,7 @@ def test_unwritable_out_exits_2(where, tmp_path, capsys):
         argv += ["--config", str(path)]
     else:
         argv += ["--metric", "lie_group", "--per-axis", "2", "--out", str(out)]
-    _refused(argv, repr(str(out)), capsys)
+    _refused(argv, shown(str(out)) if where == "long_name" else repr(str(out)), capsys)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"] * (where == "config_out")
 
 
@@ -255,21 +258,26 @@ def test_check_refuses_a_negative_seed(seed, capsys):
     _refused(["check", "--seed", seed], "error: seed must be ", capsys)
 
 
-#: values argparse itself refuses, each once quoted in full on a 5000-character line
+#: values argparse itself refuses, each once quoted in full on a 5000-character
+#: line, and the length ``shown`` gives: of the value, or of argparse's message
 LONG_ARGUMENTS = {
-    "check_seed": ["check", "--seed", "1" * 5000],
-    "metric": ["report", "--metric", "x" * 5000],
-    "per_axis": ["report", "--metric", "euclid", "--per-axis", "1" * 5000],
+    "check_seed": (["check", "--seed", "1" * 5000], 5002),
+    "metric": (["report", "--metric", "x" * 5000], 5002),
+    "per_axis": (["report", "--metric", "euclid", "--per-axis", "1" * 5000], 5002),
+    "command": (["x" * 5000], 5089),
+    "positional": (["report", "--metric", "euclid", "y" * 5000], 5024),
+    "unknown_option": (["report", "--metric", "euclid", "--bogus" + "z" * 5000], 5031),
 }
 
 
-@pytest.mark.parametrize("argv", LONG_ARGUMENTS.values(), ids=LONG_ARGUMENTS)
-def test_argparse_refusals_quote_in_bounded_form(argv, capsys):
+@pytest.mark.parametrize("argv, chars", LONG_ARGUMENTS.values(), ids=LONG_ARGUMENTS)
+def test_argparse_refusals_quote_in_bounded_form(argv, chars, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     last = captured.err.splitlines()[-1]
-    assert captured.out == "" and last.startswith("finsler ")
-    assert "... (5002 chars)" in last and len(last) <= 200, last
+    assert captured.out == "" and last.startswith(("finsler: ", "finsler check: ",
+                                                   "finsler report: "))
+    assert f"... ({chars} chars)" in last and len(last) <= 200, last
 
 
 @pytest.mark.parametrize("argv, line", [
@@ -278,6 +286,10 @@ def test_argparse_refusals_quote_in_bounded_form(argv, capsys):
      "finsler report: error: argument --directions: invalid int value: '1.5'"),
     (["report", "--metric", "eucld"],
      "finsler report: error: argument --metric: invalid choice: 'eucld' (choose from "),
+    (["bogus"], "finsler: error: argument command: invalid choice: 'bogus' (choose from "),
+    (["report", "--metric", "euclid", "yyy"], "finsler: error: unrecognized arguments: yyy"),
+    (["report", "--metric", "euclid", "--bogus"],
+     "finsler: error: unrecognized arguments: --bogus"),
 ])
 def test_argparse_refusals_of_ordinary_length_keep_their_text(argv, line, capsys):
     assert main(argv) == 2

@@ -10,17 +10,18 @@ point or a batch that raises still takes this loop.
 
 import json
 import sys
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from finsler import cli
+from finsler import cli, spray_curvature
 from finsler.catalog import catalog_names
 from finsler.classify import classify_metric, default_directions
-from finsler.errors import FinslerError
+from finsler.errors import DomainError, FinslerError
 from finsler.geometry_core import grid_calculus
-from finsler.spray_curvature import (curvature_bundle, ln_sigma_gradient,
+from finsler.spray_curvature import (CurvatureBundle, curvature_bundle, ln_sigma_gradient,
                                      per_direction, spray_data)
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -85,12 +86,18 @@ def ref_report(cfg):
 
 
 def _fallbacks(monkeypatch):
-    """Count the points that take a curvature bundle of their own: a point
-    whose calculus raised, or one of a batch that raised."""
-    points = []
-    bundle = cli.curvature_bundle
-    monkeypatch.setattr(cli, "curvature_bundle", lambda m, f, x, y, *rest: (
-        points.append(1) if np.ndim(y) == 2 else None) or bundle(m, f, x, y, *rest))
+    """The points of ``cmd_report``'s bundles that compute their own spray: a
+    point whose calculus raised, one of a batch that raised, or one whose
+    filled bundle raised; a bundle filled from the batch computes none."""
+    points = set()
+
+    class Counted(CurvatureBundle):
+        @cached_property
+        def spray(self):
+            points.add(tuple(self.x))
+            return CurvatureBundle.spray.func(self)
+
+    monkeypatch.setattr(cli, "curvature_bundle", Counted)
     return points
 
 
@@ -107,7 +114,7 @@ def test_catalog_report_has_the_per_point_bytes(name, monkeypatch):
                          "grid": {"per_axis": 2}, "directions": 4})
     calls = _fallbacks(monkeypatch)
     assert cli.cmd_report(cfg) == ref_report(cfg)
-    assert calls == []  # every point went through the grid batch
+    assert calls == set()  # every point went through the grid batch
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
@@ -152,3 +159,52 @@ def test_report_makes_one_spray_batch_per_chunk(monkeypatch, capsys):
     assert cli.main(["report", "--metric", "bao_shen"]) == 0
     assert len(json.loads(capsys.readouterr().out)["records"]) == 2000
     assert len(calls) == 2 + 1
+
+
+def test_a_point_whose_own_s_formula_raises_is_redone_alone(monkeypatch):
+    # the batch computes; the first point's filled bundle raises in _records,
+    # and that point alone takes one bundle per direction
+    cfg = cli.RunConfig({"schema": 1, "metric": {"name": "lie_group"},
+                         "grid": {"per_axis": 2}, "directions": 4})
+    x0 = cli._sample_grid(cfg)[0]
+    formula = spray_curvature.s_curvature_formula
+
+    def raising(m, f, x, y, bc=None):
+        if np.array_equal(x, x0):
+            raise DomainError("S formula refused at this x")
+        return formula(m, f, x, y, bc)
+
+    monkeypatch.setattr(spray_curvature, "s_curvature_formula", raising)
+    want = ref_report(cfg)
+    assert '"error": "DomainError: S formula refused at this x"' in want
+    points = _fallbacks(monkeypatch)
+    assert cli.cmd_report(cfg) == want
+    assert points == {tuple(x0)}
+
+
+#: a filled bundle's fields, as (name, reader); K exists for n = 2 only
+FIELDS = [("F", lambda cb: cb.fd.F), ("g", lambda cb: cb.fd.g), ("C", lambda cb: cb.fd.C),
+          *((key, lambda cb, key=key: getattr(cb, key))
+            for key in ("G", "B", "E", "D", "L", "S_formula", "R", "H"))]
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_a_filled_bundle_has_the_bits_of_one_computed_alone(name):
+    cfg = cli.RunConfig({"schema": 1, "metric": {"name": name},
+                         "grid": {"per_axis": 2}, "directions": 4})
+    m, f = cfg.metric, cfg.phi
+    grid = cli._sample_grid(cfg)
+    dirs = default_directions(m.n, cfg.n_directions, seed=cfg.seed)
+    calcs = list(grid_calculus(m, grid))
+    grads = []
+    for x, bc in zip(grid, calcs):
+        try:
+            grads.append(ln_sigma_gradient(m, f, x, bc))
+        except FinslerError:
+            grads.append(None)
+    fields = FIELDS + [("K", lambda cb: cb.K)] * (m.n == 2)
+    for x, bc, grad, filled in zip(grid, calcs, grads, cli._filled_bundles(m, f, calcs, grads, dirs)):
+        alone = curvature_bundle(m, f, x, dirs, grad, bc)
+        read = fields + [("S_def", lambda cb: cb.S_def)] * (grad is not None)
+        for key, field in read:
+            assert np.asarray(field(filled)).tobytes() == np.asarray(field(alone)).tobytes(), key
