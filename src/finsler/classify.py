@@ -178,7 +178,8 @@ def _sample_norms(m, f, bc, Y, grad, owner=None):
                             for T in (sd.B, L, sd.D, S, fd.C)])
 
 
-#: (point, direction) pairs per jet batch of ``curvature_flags``
+#: (point, direction) pairs per jet batch of ``curvature_flags`` and of
+#: ``report``'s records (``cli.cmd_report``)
 _PAIR_CHUNK = 1024
 
 
@@ -203,7 +204,7 @@ def _grid_norms(m, f, calc, samples):
 def _flag_curvatures(m, f, bc, Y):
     """K per direction of Y; a lone direction without a usable flag gives none."""
     try:
-        return np.reshape(curvature_bundle(m, f, bc.x, Y, bc=bc).K, -1).tolist() if len(Y) else []
+        return np.reshape(curvature_bundle(m, f, bc.x, Y, bc=bc).K, -1).tolist()
     except (DomainError, DegenerateFlag, EvaluationError):
         if Y.ndim == 2:
             raise
@@ -241,13 +242,9 @@ def curvature_flags(m: MetricSpec, f: PhiFamily, calc: BetaCalculus, dirs) -> di
     except FinslerError:
         rows = [row for k, usable, grad in samples for row in per_direction(
             lambda Y: _sample_norms(m, f, calc.row(k), Y, grad).tolist(), usable)]
-    res = {"berwald": 0.0, "landsberg": 0.0, "douglas": 0.0,
-           "s_zero": 0.0, "riemannian": 0.0}
-    for row in rows:
-        for name, r in zip(res, row):
-            res[name] = max(res[name], r)
-    out = {}
-    for name, r in res.items():
+    out = {}  # each column's maximum; fmax skips a NaN, as max() does
+    for name, r in zip(("berwald", "landsberg", "douglas", "s_zero", "riemannian"),
+                       np.fmax.reduce(np.array(rows), axis=0, initial=0.0)):
         t = TOL_S if name == "s_zero" else TOL_TENSOR
         out[name] = Verdict(r < t, r, t, len(rows))
     if sigma_error is not None:
@@ -294,7 +291,7 @@ def theorem11_verdict(reports: dict, unicorn: Optional[UnicornFit] = None,
             return failed, None
     if reports.get("riemannian"):
         return "RiemannianIsotropic", None
-    if reports.get("berwald") and flag_zero is not None and flag_zero:
+    if reports.get("berwald") and flag_zero:
         return "LocallyMinkowskiLike", None
     if (reports.get("killing_cl") and unicorn is not None
             and unicorn.rms < TOL_UNICORN):
@@ -325,7 +322,7 @@ def classify_metric(m: MetricSpec, f: PhiFamily, dirs=None) -> ClassificationRep
                 lambda Y: _flag_curvatures(m, f, bc, Y),
                 _admissible_dirs(f, bc, np.asarray(dirs))[:4])]
             if ks:
-                kmax = max([0.0] + ks)
+                kmax = max(ks)
                 flag_zero = Verdict(kmax < TOL_S * 10, kmax, TOL_S * 10, len(ks))
         if preds["killing_cl"]:
             b = float(calc.b[0])

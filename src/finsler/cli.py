@@ -47,6 +47,9 @@ _CUSTOM_KEYS = {"n", "a", "b", "phi", "lo", "hi"}
 _PHI_KEYS = {"variant", "k", "b0", "q", "c", "delta", "expr", "params"}
 _GRID_KEYS = {"per_axis"}
 
+#: the most grid points (per_axis ** n) or directions a run takes; more would take gigabytes
+MAX_SAMPLES = 10**6
+
 
 def _reject_unknown(doc, allowed, where):
     if not isinstance(doc, dict):
@@ -167,8 +170,14 @@ class RunConfig:
             raise ConfigError("metric needs either 'name' or 'custom'")
         grid = doc.get("grid", {})
         _reject_unknown(grid, _GRID_KEYS, "grid")
-        self.per_axis = _integer(grid.get("per_axis", 5), "grid.per_axis", 1)
-        self.n_directions = _integer(doc.get("directions", 16), "directions", 4)
+        per_axis, directions = grid.get("per_axis", 5), doc.get("directions", 16)
+        self.per_axis = _integer(per_axis, "grid.per_axis", 1)
+        self.n_directions = _integer(directions, "directions", 4)
+        if self.per_axis ** self.metric.n > MAX_SAMPLES:
+            raise ConfigError(f"grid.per_axis must give at most {MAX_SAMPLES} grid points "
+                              f"(per_axis ** n, n = {self.metric.n}), got {shown(per_axis)}")
+        if self.n_directions > MAX_SAMPLES:
+            raise ConfigError(f"directions must be at most {MAX_SAMPLES}, got {shown(directions)}")
         self.seed = _integer(doc.get("seed", 42), "seed", 0)
         self.out = doc.get("out")
         if self.out is not None and not (isinstance(self.out, str) and self.out):
@@ -454,22 +463,6 @@ def _path(path):
     return repr(path) if len(repr(path)) <= 120 else shown(path)
 
 
-def _int(text):
-    """``int`` for argparse, the text of a refusal quoted in ``shown`` form."""
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {shown(text)}") from None
-
-
-def _metric_name(text):
-    """A ``--metric`` value; one that ``shown`` cuts names no metric, and is
-    refused here, before argparse's choice check quotes it whole."""
-    if shown(text) != repr(text):
-        raise argparse.ArgumentTypeError(f"invalid choice: {shown(text)}")
-    return text
-
-
 class _Parser(argparse.ArgumentParser):
     """Also the subparsers' class: a usage error line past 200 characters is ``shown``."""
 
@@ -486,16 +479,15 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--metric", type=_metric_name, choices=catalog_names(),
-                        help="catalog metric name")
+        sp.add_argument("--metric", choices=catalog_names(), help="catalog metric name")
         sp.add_argument("--param", action="append", metavar="KEY=VALUE",
                         help="metric parameter (JSON value), repeatable")
         sp.add_argument("--config", help="JSON config file (schema 1)")
-        sp.add_argument("--per-axis", dest="per_axis", type=_int,
+        sp.add_argument("--per-axis", dest="per_axis", type=int,
                         help="grid points per axis (default 5)")
-        sp.add_argument("--directions", type=_int,
+        sp.add_argument("--directions", type=int,
                         help="direction count (default 16)")
-        sp.add_argument("--seed", type=_int, help="direction seed (default 42)")
+        sp.add_argument("--seed", type=int, help="direction seed (default 42)")
         sp.add_argument("--out", help="output file (default stdout)")
 
     common(sub.add_parser("report", help="JSON curvature report"))
@@ -505,7 +497,7 @@ def build_parser():
                     help=f"one of {', '.join(QUANTITIES)}")
     common(sub.add_parser("classify", help="predicate report as JSON"))
     cp = sub.add_parser("check", help="run the verification suite")
-    cp.add_argument("--seed", type=_int, default=42)
+    cp.add_argument("--seed", type=int, default=42)
     return p
 
 

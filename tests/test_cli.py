@@ -187,6 +187,27 @@ def test_counts_are_whole_numbers(fields, name, tmp_path, capsys):
     assert captured.err.startswith(f"error: {name} must be ") and captured.out == ""
 
 
+#: counts past MAX_SAMPLES: at 300 digits each once left main as numpy's
+#: ValueError "Maximum allowed size exceeded"; at 10**7 a run would take gigabytes
+@pytest.mark.parametrize("count", [10**300, 10**7], ids=["10**300", "10**7"])
+@pytest.mark.parametrize("source, name", [
+    (["table", "--metric", "lie_group", "--quantity", "r", "--per-axis"], "grid.per_axis"),
+    (["classify", "--metric", "bao_shen", "--directions"], "directions"),
+    ("config", "grid.per_axis"),
+    ("config", "directions"),
+], ids=["--per-axis", "--directions", "config_per_axis", "config_directions"])
+def test_counts_past_max_samples_exit_2(source, name, count, tmp_path, capsys):
+    if source != "config":
+        argv = [*source, str(count)]
+    else:  # the count as a JSON number: 1e+300 or 10000000.0
+        doc = ({"grid": {"per_axis": float(count)}} if name == "grid.per_axis"
+               else {"directions": float(count)})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"schema": 1, "metric": {"name": "euclid"}, **doc}))
+        argv = ["report", "--config", str(path)]
+    _refused(argv, f"{name} must ", capsys)
+
+
 @pytest.mark.parametrize("out", [1, True, "", {"path": "x"}, ["x"]])
 def test_out_must_be_a_file_name(out, tmp_path, capsys):
     # "out": 1 once wrote the table to file descriptor 1 and closed it
@@ -261,9 +282,9 @@ def test_check_refuses_a_negative_seed(seed, capsys):
 #: values argparse itself refuses, each once quoted in full on a 5000-character
 #: line, and the length ``shown`` gives: of the value, or of argparse's message
 LONG_ARGUMENTS = {
-    "check_seed": (["check", "--seed", "1" * 5000], 5002),
-    "metric": (["report", "--metric", "x" * 5000], 5002),
-    "per_axis": (["report", "--metric", "euclid", "--per-axis", "1" * 5000], 5002),
+    "check_seed": (["check", "--seed", "1" * 5000], 5038),
+    "metric": (["report", "--metric", "x" * 5000], 5163),
+    "per_axis": (["report", "--metric", "euclid", "--per-axis", "1" * 5000], 5042),
     "command": (["x" * 5000], 5089),
     "positional": (["report", "--metric", "euclid", "y" * 5000], 5024),
     "unknown_option": (["report", "--metric", "euclid", "--bogus" + "z" * 5000], 5031),
@@ -290,6 +311,9 @@ def test_argparse_refusals_quote_in_bounded_form(argv, chars, capsys):
     (["report", "--metric", "euclid", "yyy"], "finsler: error: unrecognized arguments: yyy"),
     (["report", "--metric", "euclid", "--bogus"],
      "finsler: error: unrecognized arguments: --bogus"),
+    # past shown's 60 characters, quoted whole while the line fits in 200
+    (["report", "--metric", "euclid", "--per-axis", "x" * 61],
+     f"finsler report: error: argument --per-axis: invalid int value: '{'x' * 61}'"),
 ])
 def test_argparse_refusals_of_ordinary_length_keep_their_text(argv, line, capsys):
     assert main(argv) == 2

@@ -57,8 +57,8 @@ SIZE_KEYS = {("grid",), ("grid", "per_axis"), ("directions",)}
 #: per flag, values that run and values that are refused (None: the value is missing)
 FLAGS = {
     "--metric": (catalog_names(), ["nope", None]),
-    "--per-axis": (["1", "2"], ["0", "-1", str(10**400), "nan", "2.5", "x", None]),
-    "--directions": (["4"], ["3", "0", "-4", "4.0", "inf", str(10**400), None]),
+    "--per-axis": (["1", "2"], ["0", "-1", str(10**300), str(10**400), "nan", "2.5", "x", None]),
+    "--directions": (["4"], ["3", "0", "-4", "4.0", "inf", str(10**300), str(10**400), None]),
     "--seed": (["0", "1", "7"], ["-1", "1.5", str(10**400), None]),
     "--param": (["eps=0.1", "eps=-0.5", "K=2", "sign=-1", "kappa=0.5", "eps=1e-320"],
                 ["eps=1e400", "eps=NaN", "eps=-Infinity", f"eps={10**400}", "eps", "=1",
