@@ -17,7 +17,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NonPositivePhi, SingularDirectionInQuadrature, SingularG, ZeroVector
+from .errors import (DomainError, NonPositivePhi, SingularDirectionInQuadrature, SingularG,
+                     ZeroVector)
 from .geometry_core import MAX_ENTRY, MetricSpec, _inverse_cholesky, _inverse_spd
 from .jets import jet_form, jet_variable
 from .phi_families import PhiFamily
@@ -84,7 +85,11 @@ def fsq_jet(m: MetricSpec, f: PhiFamily, x, y, order, owner=None):
     y, col = pair_columns(x, y, owner)
     _, A, _, s = alpha_beta_jets(col(m.a_at(x)), col(m.b_at(x)), f, y, order)
     phi = s.compose_series(f.taylor(s.value, order))
-    fsq = A * phi * phi
+    finite = np.isfinite(A.coeffs).all() and np.isfinite(phi.coeffs).all()
+    with np.errstate(**({"over": "ignore", "invalid": "ignore"} if finite else {})):
+        fsq = A * phi * phi
+    if finite and not np.isfinite(fsq.coeffs).all():
+        raise DomainError("F(x, y)^2 or one of its fiber derivatives overflows a float")
     if np.any(fsq.value <= 0.0):  # phi <= 0, or F^2 under the float range
         raise NonPositivePhi("F(x, y)^2 must be positive")
     return fsq

@@ -9,9 +9,12 @@ Two uses share the class.  Fiber jets in the direction variables (``n_vars``
 equal to the dimension) are capped at ``MAX_ORDER``, enough for the Douglas
 tensor.  Univariate jets (``n_vars = 1``) are the series in the ratio
 s = beta/alpha that the phi families expand in; they take any order, because
-a quotient like Q = phi'/(phi - s phi') eats orders.  Every product goes
-through one kernel over the truncated product table, and every elementary
-function, on floats and jets alike, goes through :func:`jet_apply`.
+a quotient like Q = phi'/(phi - s phi') eats orders.  Every product of two
+jets goes through one kernel over the truncated product table; a linear or
+quadratic form in the coordinate jets (alpha^2, beta, r_00, the Christoffel
+forms) is written in closed form instead, with the bits of those products
+(:func:`jet_form`).  Every elementary function, on floats and jets alike,
+goes through :func:`jet_apply`.
 
 A jet may carry a trailing batch axis: ``coeffs`` of shape ``(K, B)`` holds B
 jets, one per column, each with the bits it has alone, so one Python
@@ -230,13 +233,18 @@ class JetScalar:
             p = int(p)
             if p < 0:
                 return (self._compose("recip")) ** (-p)
-            out = self._coerce(1.0)
-            base = self
-            while p:
-                if p & 1:
-                    out = out * base
-                base = base * base
-                p >>= 1
+            out, base, q = self._coerce(1.0), self, p
+            finite = np.isfinite(self.coeffs).all()  # then an inf or NaN out is an overflow
+            with np.errstate(**({"over": "ignore", "invalid": "ignore"} if finite else {})):
+                while q:
+                    if q & 1:
+                        out = out * base
+                    q >>= 1
+                    base = base * base if q else base  # the last square goes unused
+            bad = ~np.isfinite(out.coeffs).all(axis=0)
+            if finite and bad.any():
+                u = float(np.ravel(self.value)[np.ravel(bad).argmax()])
+                raise DomainError(f"{u}^{p} overflows a float")
             return out
         return self.compose_series(pow_coeffs(self.value, p, self.max_order))
 
@@ -278,20 +286,40 @@ def jet_variable(index, point_value, n_vars, max_order):
 
 
 def jet_form(c, yj):
-    """Jet of the form c_i y^i or c_ij y^i y^j in the jets ``yj``, summed in index order.
+    """Jet of the form c_i y^i or c_ij y^i y^j in the coordinate jets ``yj``.
 
-    Batched jets take ``c`` with a trailing column axis: one coefficient per
-    column, or a length-1 axis for one coefficient shared by every column.
+    ``yj`` must be the ``jet_variable`` jets of every coordinate: the form
+    then has only a value, a gradient and a Hessian, written here with the
+    bits of the kernel's products ``y_i * c_ij * y_j`` summed in index order.
+    Each kernel bin holds the same products, summed from +0.0 in the same
+    order, plus signed zeros, which leave such a sum unchanged.  A NaN or inf
+    term takes the products, which spread it to every entry.  Batched jets
+    take ``c`` with a trailing column axis, per column or of length 1.
     """
-    out = yj[0]._coerce(0.0)
+    n, order, v = yj[0].n_vars, yj[0].max_order, [y.coeffs[0] for y in yj]
+    grad, hess = (_tensor_index(n, order, k)[0].reshape((n,) * k).tolist() if order >= k
+                  else None for k in (1, 2))
     linear = c.ndim == yj[0].coeffs.ndim
-    for i, y_i in enumerate(yj):  # jet first: a numpy scalar first is slow
-        if linear:
-            out = out + y_i * c[i]
-        else:
-            for j, y_j in enumerate(yj):
-                out = out + y_i * c[i, j] * y_j
-    return out
+    out = np.zeros(yj[0].coeffs.shape)
+    for i in range(n) if linear else ():
+        out[0] += v[i] * c[i]
+        if order:
+            out[grad[i]] += c[i]
+    for i, j in () if linear else product(range(n), repeat=2):
+        vc, cv = v[i] * c[i, j], c[i, j] * v[j]
+        out[0] += vc * v[j]
+        if order and i == j:  # the kernel sums this bin's two products first
+            out[grad[i]] += vc + cv
+        elif order:
+            out[grad[j]] += vc
+            out[grad[i]] += cv
+        if order > 1:
+            out[hess[i][j]] += c[i, j]
+    if not np.isfinite(out[0]).all():
+        return sum([y_i * c[i] for i, y_i in enumerate(yj)] if linear else
+                   [y_i * c[i, j] * y_j for (i, y_i), (j, y_j) in product(enumerate(yj), repeat=2)],
+                   yj[0]._coerce(0.0))
+    return JetScalar(out, n, order)
 
 
 def _elementary(tag, u):

@@ -113,7 +113,13 @@ class UnicornPhi(PhiFamily):
     def __init__(self, b0, k, q, c, delta=0.05):
         if not (b0 > 0 and q > 0 and c > 0 and 0 <= delta < 1):
             raise ParamOutOfRange("unicorn family requires b0 > 0, q > 0, c > 0, 0 <= delta < 1")
-        a, Q = 1.0 + k * b0**2, q * b0**2 / 2.0
+        try:
+            a, Q = 1.0 + k * b0**2, q * b0**2 / 2.0
+        except OverflowError:  # a float b0**2 past the float range raises
+            a = Q = math.inf
+        if math.isinf(a) or math.isinf(Q):
+            raise ParamOutOfRange("unicorn family requires 1 + k b0^2 and q b0^2 / 2 "
+                                  "within the float range")
         if not a > Q * Q:  # D then has a zero inside (-b0, b0), or k is NaN
             raise ParamOutOfRange("unicorn family requires 1 + k b0^2 > (q b0^2 / 2)^2, "
                                   f"got {a} <= {Q * Q}")

@@ -375,6 +375,61 @@ def test_float_faults_fail_typed(custom, command, error, tmp_path, capsys):
     assert captured.out == "" and captured.err == f"error: {error}\n"
 
 
+def _fixture_with(tmp_path, name, value, *keys):
+    """The fixture config ``name``, its value at ``keys`` replaced, written to ``tmp_path``."""
+    doc = json.loads((FIXTURES / f"{name}.json").read_text())
+    node = doc
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _strict_report(out):
+    """A report's JSON, refusing NaN and Infinity, which JSON does not have."""
+    def refuse(constant):
+        raise AssertionError(f"{constant} in the report")
+    return json.loads(out, parse_constant=refuse)
+
+
+def test_an_integer_power_past_the_floats_is_a_domain_error(tmp_path, capsys):
+    # log_phi's 1 + 0.5 s^(1+s) with b_1 = 2**64: s^(1+s) is an integer power of
+    # a jet, once 1525 RuntimeWarnings (pytest fails on one) behind exit 0, and a
+    # classification that blamed alpha (ZeroVector)
+    path = _fixture_with(tmp_path, "log_phi", str(2**64), "metric", "custom", "b", 0)
+    assert main(["report", "--config", path]) == 0
+    report = _strict_report(capsys.readouterr().out)
+    assert report["classification"] == {
+        "error": "DomainError: 1.8354587189158742e+19^18354587189158742016 overflows a float"}
+
+
+def test_f_squared_past_the_floats_is_refused_as_such(tmp_path, capsys):
+    # unicorn_near_edge with phi.c = 1e300: once "C_norm": NaN in the records and a
+    # classification that blamed alpha (ZeroVector) for the F = 1 scaling's division by inf
+    path = _fixture_with(tmp_path, "unicorn_near_edge", 1e300, "metric", "custom", "phi", "c")
+    assert main(["report", "--config", path]) == 0
+    report = _strict_report(capsys.readouterr().out)
+    error = "DomainError: F(x, y)^2 or one of its fiber derivatives overflows a float"
+    assert report["classification"] == {"error": error}
+    # the 2 others of the 8 records lie outside the admissible cone
+    assert sum(r.get("error") == error for r in report["records"]) == 6
+
+
+@pytest.mark.parametrize("phi", [{"b0": 1e300}, {"b0": 1e5, "k": 1e300}], ids=["b0", "k"])
+def test_unicorn_constants_past_the_floats_exit_2(phi, tmp_path, capsys):
+    # b0 = 1e300 once raised a bare OverflowError out of main (b0**2), and
+    # k b0^2 = inf built a family with r = inf
+    doc = json.loads((FIXTURES / "unicorn_near_edge.json").read_text())
+    doc["metric"]["custom"]["phi"].update(phi)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    _refused(["report", "--config", str(path)],
+             "ParamOutOfRange: unicorn family requires 1 + k b0^2 and q b0^2 / 2 "
+             "within the float range", capsys)
+
+
 def test_a_float_fault_in_a_catalog_report_is_not_swallowed(monkeypatch):
     # numpy's RuntimeWarning is what `python -W error::RuntimeWarning` in CI and
     # pytest's filterwarnings fail on: a NaN on its way into a catalog metric's

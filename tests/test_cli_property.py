@@ -6,8 +6,10 @@ range, not finite, not numbers or missing, argv for ``check`` with seeds of any
 sign and size, or none, and config documents that change one key of a
 ``tests/fixtures`` config: drop it, add an unknown one next to it, or give it a
 value of another type, a huge or non-finite number, a deep nesting, a non-ASCII
-name or an expression that cannot be evaluated.  Grids stay tiny: at most 2
-points per axis and 4 directions.  Each run must return 0, 1 or 2 without
+name or an expression that cannot be evaluated.  A third property draws
+argv whose only fault is a count past ``MAX_SAMPLES``, and a sweep sets every
+leaf of every fixture config to 2**64 and to 1e300 in turn.  Grids stay tiny:
+at most 2 points per axis and 4 directions.  Each run must return 0, 1 or 2 without
 raising, print exactly one ``error:`` line and nothing on stdout when it
 refuses (2), name a ``FinslerError`` when a computation fails (1), and emit no
 ``RuntimeWarning``; ``check`` passes every criterion when it runs.
@@ -26,7 +28,7 @@ import pytest
 
 from finsler import errors
 from finsler.catalog import catalog_names
-from finsler.cli import QUANTITIES, main
+from finsler.cli import MAX_SAMPLES, QUANTITIES, main
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -43,12 +45,13 @@ CONFIGS = {path.stem: {**doc, "grid": {"per_axis": min(2, doc["grid"]["per_axis"
 #: stands for a list nested past Python's recursion limit, spliced into the text
 DEEP = "deeply nested"
 
-#: replacement values: other types, huge, tiny and non-finite numbers,
-#: non-ASCII text and expressions that overflow or divide by zero
-VALUES = [None, True, False, 0, 1, 2, -1, 2.5, -0.0, 1e-300, 1e6 + 0.5, 10**400, -10**400,
-          math.nan, math.inf, -math.inf, "", "x", "é", "x1", "s^2", "(", "exp(800*x1)",
-          "1/(x1-x1)", "log(x1)", "sqrt(-1)", "x1^-1", [], [1], [[["0.1"]]], {}, {"é": 1},
-          json.loads("[" * 30 + "1" + "]" * 30), DEEP]
+#: replacement values: other types, huge (2**64 and 1e300 as well as past the
+#: float range), tiny and non-finite numbers, non-ASCII text and expressions
+#: that overflow or divide by zero
+VALUES = [None, True, False, 0, 1, 2, -1, 2.5, -0.0, 1e-300, 1e6 + 0.5, 2**64, 1e300,
+          10**400, -10**400, math.nan, math.inf, -math.inf, "", "x", "é", "x1", "s^2", "(",
+          "exp(800*x1)", "1/(x1-x1)", "log(x1)", "sqrt(-1)", "x1^-1", [], [1], [[["0.1"]]],
+          {}, {"é": 1}, json.loads("[" * 30 + "1" + "]" * 30), DEEP]
 
 #: keys that set the grid's size: changed, never dropped, and the grid never
 #: becomes another object (its per_axis would default to 5), so it stays tiny
@@ -93,6 +96,13 @@ def _mutated(doc, path, how, value):
         node[key] = value
     deep = "[" * 100_000 + "]" * 100_000
     return json.dumps(doc).replace(json.dumps(DEEP), deep)
+
+
+def _at_path(doc, path):
+    """The value at ``path`` of ``doc``."""
+    for key in path:
+        doc = doc[key]
+    return doc
 
 
 def _check_run(argv):
@@ -171,6 +181,39 @@ def test_argv_property():
         check()
 
 
+@st.composite
+def _count_past_max_argv(draw):
+    """Argv that runs but for one count past ``MAX_SAMPLES``: ``--per-axis`` or
+    ``--directions`` past it, never an admitted large count, and within the float
+    range (an int past it is no finite real number, a refusal of its own)."""
+    command = draw(st.sampled_from(["report", "table", "classify"]))
+    argv = [command, "--metric", draw(st.sampled_from(catalog_names()))]
+    if command == "table":
+        argv += ["--quantity", draw(st.sampled_from(QUANTITIES))]
+    flags = {"--per-axis": "2", "--directions": "4", "--seed": str(draw(st.integers(0, 99)))}
+    flag = draw(st.sampled_from(["--per-axis", "--directions"]))
+    flags[flag] = str(draw(st.integers(MAX_SAMPLES + 1, 10**308)))
+    order = draw(st.permutations(sorted(flags)))
+    return [*argv, *(part for key in order for part in (key, flags[key]))], flag
+
+
+def test_counts_past_max_samples_property():
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+    @hypothesis.given(_count_past_max_argv())
+    def check(drawn):
+        argv, flag = drawn
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert main(argv) == 2, argv
+        named = ("grid.per_axis must give at most" if flag == "--per-axis"
+                 else "directions must be at most")
+        assert out.getvalue() == "" and err.getvalue().startswith(
+            f"error: {named} {MAX_SAMPLES}"), (argv, err.getvalue())
+        assert err.getvalue().count("\n") == 1
+
+    check()
+
+
 def test_config_mutation_property():
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "config.json"
@@ -188,3 +231,20 @@ def test_config_mutation_property():
             _check_run([*command, "--config", str(config)])
 
         check()
+
+
+def test_float_range_edges_at_every_leaf():
+    # the derandomized draws above rarely pair a fixture's one sensitive leaf with
+    # a huge value: here every leaf of every config takes 2**64 and 1e300, and
+    # 1e300 as expression text (phi's expr must be text); they once found
+    # a jet power, an F^2 and a unicorn constant past the float range, seen only
+    # as RuntimeWarnings behind exit 0, a NaN in the report or a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        for name, doc in CONFIGS.items():
+            leaves = [path for path in _paths(doc)
+                      if not isinstance(_at_path(doc, path), (dict, list))]
+            for path in leaves:
+                for value in (2**64, 1e300, "1e300"):
+                    config.write_text(_mutated(doc, path, "replace", value), encoding="utf-8")
+                    _check_run(["report", "--config", str(config)])

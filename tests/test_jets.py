@@ -3,7 +3,9 @@
 import contextlib
 import io
 import math
+import warnings
 from functools import partial
+from itertools import product
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from finsler.errors import DomainError, EvaluationError
 from finsler.geometry_core import _at
 from finsler.cli import main
 from finsler.jets import (MAX_ORDER, JetScalar, _batch_bins, _tables, base_derivative,
-                          jet_apply, jet_variable)
+                          jet_apply, jet_form, jet_variable)
 
 
 def _num_partial(fn, point, multi, h=1e-4):
@@ -103,6 +105,110 @@ class TestJetArithmetic:
             jet_variable(0, 0.1, 2, MAX_ORDER + 1)
         t = jet_variable(0, 0.1, 1, MAX_ORDER + 3)
         assert (t * t).coeffs.shape == (MAX_ORDER + 4,)
+
+    def test_integer_power_squares_only_what_it_uses(self):
+        # 1e100 squared is 1e200, a float: no overflow warning from the fourth
+        # power that the product never reads
+        x = jet_variable(0, 1e100, 1, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert (x ** 2).coeffs.tobytes() == (x * x).coeffs.tobytes()
+        # the bits of square-and-multiply with its last, unused square
+        for base, p in product((jet_variable(0, 0.7, 1, 3), jet_variable(1, -1.3, 2, 4)),
+                               range(10)):
+            want, square, q = base._coerce(1.0), base, p
+            while q:
+                want = want * square if q & 1 else want
+                square, q = square * square, q >> 1
+            assert (base ** p).coeffs.tobytes() == want.coeffs.tobytes()
+
+    @pytest.mark.parametrize("point", [1e200, np.array([0.5, 1e200])])
+    def test_integer_power_overflow_is_a_domain_error(self, point):
+        # as the float route: 1e200**2 overflows a float, on one jet or in one column
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"1e\+200\^2 overflows a float"):
+                jet_variable(0, point, 1, 2) ** 2
+            with pytest.raises(DomainError, match="overflows a float"):
+                jet_apply("pow", (1e200, 2.0))
+
+
+def _form_by_products(c, yj):
+    """``jet_form`` as it was built before its closed form: n^2 kernel products."""
+    out = yj[0]._coerce(0.0)
+    linear = c.ndim == yj[0].coeffs.ndim
+    for i, y_i in enumerate(yj):
+        if linear:
+            out = out + y_i * c[i]
+        else:
+            for j, y_j in enumerate(yj):
+                out = out + y_i * c[i, j] * y_j
+    return out
+
+
+def _form_case(rng, n, order, columns, quadratic):
+    """Coordinate jets and coefficients with zero components of y and signed zeros in c.
+
+    ``columns`` is None (no batch axis), ``"each"`` (4 columns, a coefficient per
+    column) or ``"shared"`` (4 columns, one length-1 coefficient axis).
+    """
+    lead = () if columns is None else (4,)
+    y = rng.normal(size=(n,) + lead)
+    y[rng.random(y.shape) < 0.3] = 0.0
+    yj = [jet_variable(i, y[i] if lead else float(y[i]), n, order) for i in range(n)]
+    shape = (n,) * (2 if quadratic else 1) + {None: (), "each": (4,), "shared": (1,)}[columns]
+    c = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+    mask = rng.random(shape)
+    c[mask < 0.2], c[(mask >= 0.2) & (mask < 0.35)] = 0.0, -0.0
+    return c, yj
+
+
+class TestJetForm:
+    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("order", range(MAX_ORDER + 1))
+    @pytest.mark.parametrize("columns", [None, "each", "shared"])
+    @pytest.mark.parametrize("quadratic", [False, True])
+    def test_closed_form_has_the_bits_of_the_products(self, n, order, columns, quadratic):
+        rng = np.random.default_rng([n, order, [None, "each", "shared"].index(columns), quadratic])
+        for _ in range(5):
+            c, yj = _form_case(rng, n, order, columns, quadratic)
+            got, want = jet_form(c, yj), _form_by_products(c, yj)
+            assert got.coeffs.shape == want.coeffs.shape
+            assert got.coeffs.tobytes() == want.coeffs.tobytes()
+
+    def test_zero_components_and_signed_zeros(self):
+        # y = (1, 0), and c with +0.0 and -0.0 where a product of a zero could
+        # leave a -0.0 in a bin that starts at +0.0
+        for order in range(MAX_ORDER + 1):
+            yj = [jet_variable(i, v, 2, order) for i, v in enumerate((1.0, 0.0))]
+            for c in (np.array([[-0.0, 2.0], [-0.0, -0.0]]), np.array([[0.0, -0.0], [3.0, 0.0]]),
+                      np.array([-0.0, 0.0]), np.array([-0.0, -0.0])):
+                got, want = jet_form(c, yj), _form_by_products(c, yj)
+                assert got.coeffs.tobytes() == want.coeffs.tobytes()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_coefficient_takes_the_kernel(self, bad):
+        rng = np.random.default_rng(3)
+        with np.errstate(invalid="ignore"):
+            for quadratic, columns in product((False, True), (None, "each")):
+                c, yj = _form_case(rng, 3, 4, columns, quadratic)
+                c.flat[5 % c.size] = bad
+                got, want = jet_form(c, yj), _form_by_products(c, yj)
+                assert got.coeffs.tobytes() == want.coeffs.tobytes()
+
+    def test_closed_form_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+        @hypothesis.given(st.integers(1, 5), st.integers(0, MAX_ORDER),
+                          st.sampled_from([None, "each", "shared"]), st.booleans(),
+                          st.integers(0, 2**32 - 1))
+        def check(n, order, columns, quadratic, seed):
+            c, yj = _form_case(np.random.default_rng(seed), n, order, columns, quadratic)
+            assert jet_form(c, yj).coeffs.tobytes() == _form_by_products(c, yj).coeffs.tobytes()
+
+        check()
 
 
 class TestUnivariateJets:
