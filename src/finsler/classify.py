@@ -9,21 +9,20 @@ deterministic.
 import json
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from .errors import (AllSamplesSingular, DegenerateFlag, DomainError,
                      EmptyGrid, EvaluationError, FinslerError, MissingReports,
-                     RankDeficient, WrongPhiVariant)
+                     RankDeficient, WrongPhiVariant, by_columns)
 from .finsler_metric import fsq_jet, fundamental
 from .geometry_core import BetaCalculus, MetricSpec, beta_derivatives
 from .phi_families import PhiFamily, _q_series
-from .series import batched
+from .series import over_columns
 # curvature_bundle calls riemann_flag; perfbench/tests/test_tracer.py requires it bound here
 from .spray_curvature import (curvature_bundle, landsberg, ln_sigma_gradient,  # noqa: F401
-                              per_direction, riemann_flag, s_curvature_def, spray_data)
+                              riemann_flag, s_curvature_def, spray_data)
 
 #: default thresholds per predicate family
 TOL_TENSOR = 1e-6
@@ -160,22 +159,19 @@ def randers_s0_shortcut(calc: BetaCalculus, f: PhiFamily, tol=TOL_TENSOR) -> Ver
     return Verdict(residual < tol, residual, tol, len(calc.b))
 
 
-def _sample_norms(m, f, bc, Y, grad, owner=None):
-    """Max-norms of B, L, D, S and C per direction of Y, each scaled to F = 1.
+def _sample_norms(m, f, calc, Y, grad, owner):
+    """Max-norms of B, L, D, S and C per pair, each direction scaled to F = 1.
 
-    With ``owner``, ``bc`` is the calculus of a point stack, and direction
-    ``Y[j]`` sits at its point ``owner[j]`` (``pair_columns``) with the
-    gradient ``grad[j]``.  S reads 0 where ``grad``, the gradient of ln
-    sigma, is None: sigma failed.
+    ``calc`` is the calculus of a point stack, and direction ``Y[j]`` sits at
+    its point ``owner[j]`` (``pair_columns``) with the gradient ``grad[j]``
+    of ln sigma.
     """
-    Y = Y / np.sqrt(fsq_jet(m, f, bc.x, Y, 0, owner).value)[..., None]
-    fd = fundamental(m, f, bc.x, Y, owner)  # first: a failing sample raises what it does
-    sd = spray_data(m, f, bc.x, Y, bc, owner)
-    L = landsberg(fd, sd.B)
-    lead = np.shape(Y)[:-1]  # () for one direction: one row
-    S = s_curvature_def(m, f, bc.x, Y, grad, sd, bc) if grad is not None else np.zeros(lead)
-    return np.column_stack([np.abs(np.reshape(T, lead + (-1,))).max(axis=-1)
-                            for T in (sd.B, L, sd.D, S, fd.C)])
+    Y = Y / np.sqrt(fsq_jet(m, f, calc.x, Y, 0, owner).value)[..., None]
+    fd = fundamental(m, f, calc.x, Y, owner)  # first: a failing sample raises what it does
+    sd = spray_data(m, f, calc.x, Y, calc, owner)
+    S = s_curvature_def(m, f, calc.x, Y, grad, sd, calc)
+    return np.column_stack([np.abs(np.reshape(T, (len(Y), -1))).max(axis=-1)
+                            for T in (sd.B, landsberg(fd, sd.B), sd.D, S, fd.C)])
 
 
 #: (point, direction) pairs per jet batch of ``curvature_flags`` and of
@@ -185,30 +181,37 @@ _PAIR_CHUNK = 1024
 
 def _grid_norms(m, f, calc, samples):
     """``_sample_norms`` rows of every (point, direction) pair of ``samples``,
-    point-major, from one jet batch per ``_PAIR_CHUNK`` pairs."""
+    point-major, from one jet batch per ``_PAIR_CHUNK`` pairs (``by_columns``)."""
     owner = np.concatenate([np.full(len(usable), k) for k, usable, _ in samples])
     Y = np.concatenate([usable for _, usable, _ in samples])
     # each pair's gradient of ln sigma, zero where sigma failed at its point
     grad = np.concatenate([np.zeros_like(usable) if g is None else np.tile(g, (len(usable), 1))
                            for _, usable, g in samples])
     sigma_ok = np.concatenate([np.full(len(usable), g is not None) for _, usable, g in samples])
+
+    def norms(part):
+        out = _sample_norms(m, f, calc, Y[part], grad[part], owner[part])
+        out[~sigma_ok[part], 3] = 0.0  # S where sigma failed
+        return out.tolist()
+
     rows = []
     for start in range(0, len(Y), _PAIR_CHUNK):
-        part = slice(start, start + _PAIR_CHUNK)
-        norms = _sample_norms(m, f, calc, Y[part], grad[part], owner[part])
-        norms[~sigma_ok[part], 3] = 0.0  # S where sigma failed
-        rows += norms.tolist()
+        rows += by_columns(lambda k: norms(start + k), min(_PAIR_CHUNK, len(Y) - start))
     return rows
 
 
 def _flag_curvatures(m, f, bc, Y):
-    """K per direction of Y; a lone direction without a usable flag gives none."""
-    try:
-        return np.reshape(curvature_bundle(m, f, bc.x, Y, bc=bc).K, -1).tolist()
-    except (DomainError, DegenerateFlag, EvaluationError):
-        if Y.ndim == 2:
-            raise
-        return []
+    """|K| per direction of Y (through ``by_columns``); a direction without a usable
+    flag alone gives none."""
+    def alone(k):
+        try:
+            return [abs(curvature_bundle(m, f, bc.x, Y[k[0]], bc=bc).K)]
+        except (DomainError, DegenerateFlag, EvaluationError):
+            return [None]
+
+    ks = by_columns(lambda k: np.abs(curvature_bundle(m, f, bc.x, Y[k], bc=bc).K).tolist(),
+                    len(Y), alone) if len(Y) else []
+    return [K for K in ks if K is not None]
 
 
 def curvature_flags(m: MetricSpec, f: PhiFamily, calc: BetaCalculus, dirs) -> dict:
@@ -219,8 +222,8 @@ def curvature_flags(m: MetricSpec, f: PhiFamily, calc: BetaCalculus, dirs) -> di
     scale-invariant; directions outside the regular cone of almost-regular
     families are dropped, each point keeping its own admissible set.  Every
     (point, direction) pair of the grid goes through one jet batch per
-    ``_PAIR_CHUNK`` pairs; if one raises, each point is redone alone, and
-    then one direction at a time, so an error is the one raised alone.
+    ``_PAIR_CHUNK`` pairs; if one raises, ``by_columns`` redoes alone only
+    the pairs its fault names, so an error is the one raised alone.
     Where sigma fails, ``s_zero`` is an errored verdict carrying the first
     failure, and the other verdicts stand.
     """
@@ -237,11 +240,7 @@ def curvature_flags(m: MetricSpec, f: PhiFamily, calc: BetaCalculus, dirs) -> di
         samples.append((k, usable, grad))
     if not samples:
         raise AllSamplesSingular("every grid x direction sample was inadmissible")
-    try:
-        rows = _grid_norms(m, f, calc, samples)
-    except FinslerError:
-        rows = [row for k, usable, grad in samples for row in per_direction(
-            lambda Y: _sample_norms(m, f, calc.row(k), Y, grad).tolist(), usable)]
+    rows = _grid_norms(m, f, calc, samples)
     out = {}  # each column's maximum; fmax skips a NaN, as max() does
     for name, r in zip(("berwald", "landsberg", "douglas", "s_zero", "riemannian"),
                        np.fmax.reduce(np.array(rows), axis=0, initial=0.0)):
@@ -261,7 +260,7 @@ def unicorn_fit(f_or_samples, b) -> UnicornFit:
     if isinstance(f_or_samples, PhiFamily):
         half = 0.999 * min(b, f_or_samples.b0) * (1.0 - max(0.05, f_or_samples.delta))
         s = np.linspace(-half, half, 20)
-        q = batched(lambda v: _q_series(f_or_samples, v, 0).value, s)
+        q = over_columns(lambda v: _q_series(f_or_samples, v, 0).value, s)
     else:
         s, q = (np.asarray(v, dtype=float) for v in f_or_samples)
     if len(s) < 2:
@@ -302,13 +301,15 @@ def theorem11_verdict(reports: dict, unicorn: Optional[UnicornFit] = None,
 def classify_metric(m: MetricSpec, f: PhiFamily, dirs=None) -> ClassificationReport:
     """Run every predicate on a ``PER_AXIS`` grid and assemble the report.
 
-    The grid's beta calculus is one stacked pass, redone one point at a time
+    The grid's beta calculus is one stacked pass, redone through ``by_columns``
     if it raises, so the error is the one the first failing point raises alone.
     """
-    grid = default_grid(m, PER_AXIS)
+    grid = np.array(default_grid(m, PER_AXIS))
     if dirs is None:
         dirs = default_directions(m.n)
-    calc = batched(partial(beta_derivatives, m), np.array(grid))
+    calc = by_columns(lambda k: beta_derivatives(m, grid[k]), len(grid),
+                      lambda k: [beta_derivatives(m, grid[k[0]])])
+    calc = calc if isinstance(calc, BetaCalculus) else BetaCalculus.stack(calc)  # when redone
     preds = {
         "gb": is_generalized_berwald(calc),
         "killing_cl": killing_constant_length(calc),
@@ -318,9 +319,8 @@ def classify_metric(m: MetricSpec, f: PhiFamily, dirs=None) -> ClassificationRep
     flag_zero = None
     if preds["gb"] and preds["s_zero"]:
         if preds["berwald"] and m.n == 2:  # a flag curvature needs n = 2
-            ks = [abs(K) for bc in map(calc.row, range(min(3, len(grid)))) for K in per_direction(
-                lambda Y: _flag_curvatures(m, f, bc, Y),
-                _admissible_dirs(f, bc, np.asarray(dirs))[:4])]
+            ks = [K for bc in map(calc.row, range(min(3, len(grid)))) for K in
+                  _flag_curvatures(m, f, bc, _admissible_dirs(f, bc, np.asarray(dirs))[:4])]
             if ks:
                 kmax = max(ks)
                 flag_zero = Verdict(kmax < TOL_S * 10, kmax, TOL_S * 10, len(ks))

@@ -22,7 +22,8 @@ from . import acceptance
 from .catalog import catalog_names, finite_real, get_metric
 from .classify import (_PAIR_CHUNK, _admissible_dirs, classify_metric, default_directions,
                        default_grid)
-from .errors import AllSamplesSingular, ConfigError, FinslerError, UnknownQuantity, shown
+from .errors import (AllSamplesSingular, ConfigError, FinslerError, UnknownQuantity, by_columns,
+                     marked, shown)
 from .exprparse import parse
 from .exprparse import eval_expr
 from .finsler_metric import fundamental, sigma_bh
@@ -31,8 +32,7 @@ from .phi_families import (CustomExprPhi, RandersPhi, RiemannSqrtPhi,
                            UnicornPhi, _q_series)
 # the bundle's K calls riemann_flag; perfbench/tests/test_tracer.py requires it bound here
 from .spray_curvature import (curvature_bundle, landsberg, ln_sigma_gradient,  # noqa: F401
-                              pair_rows, per_direction, riemann_flag, s_curvature_def,
-                              spray_data)
+                              pair_rows, riemann_flag, s_curvature_def, spray_data)
 
 QUANTITIES = ("a", "b_form", "gamma", "r", "s", "r_i", "s_i", "bnorm", "Q",
               "G", "B", "E", "L", "D", "R", "K", "S", "H", "sigma")
@@ -267,30 +267,52 @@ def _records(cb):
     return recs
 
 
-def _filled_bundles(m, f, bcs, grads, dirs):
+def _filled_bundles(m, f, bcs, grads, owner, dirs):
     """A curvature bundle per point of ``bcs`` whose ``fd``, ``spray``, ``L`` and
-    (with a gradient) ``S_def`` are that point's rows of one jet batch of all
-    the (point, direction) pairs; raises if the batch does."""
-    calc, B = BetaCalculus.stack(bcs), len(dirs)
-    owner, Y = np.repeat(np.arange(len(bcs)), B), np.tile(dirs, (len(bcs), 1))
+    (with a gradient) ``S_def`` are that point's rows of one jet batch of the
+    (point, direction) pairs ``dirs[j]`` at ``bcs[owner[j]]``, point-major;
+    raises if the batch does."""
+    calc, bounds = BetaCalculus.stack(bcs), np.searchsorted(owner, np.arange(len(bcs) + 1))
     grad = np.array([np.zeros(m.n) if g is None else g for g in grads])[owner]  # 0: sigma failed
-    fd = fundamental(m, f, calc.x, Y, owner)
-    sd = spray_data(m, f, calc.x, Y, calc, owner)
-    L, S_def = landsberg(fd, sd.B), s_curvature_def(m, f, calc.x, Y, grad, sd, calc)
-    bundles = [curvature_bundle(m, f, bc.x, dirs, g, bc) for bc, g in zip(bcs, grads)]
-    for k, cb in enumerate(bundles):
-        rows = slice(k * B, (k + 1) * B)
+    fd = fundamental(m, f, calc.x, dirs, owner)
+    sd = spray_data(m, f, calc.x, dirs, calc, owner)
+    L, S_def = landsberg(fd, sd.B), s_curvature_def(m, f, calc.x, dirs, grad, sd, calc)
+    bundles = []
+    for bc, g, rows in zip(bcs, grads, map(slice, bounds, bounds[1:])):
+        cb = curvature_bundle(m, f, bc.x, dirs[rows], g, bc)
         vars(cb).update(fd=pair_rows(fd, rows), spray=pair_rows(sd, rows), L=L[rows],
-                        **({} if cb.grad_ln_sigma is None else {"S_def": S_def[rows]}))
+                        **({} if g is None else {"S_def": S_def[rows]}))
+        bundles.append(cb)
     return bundles
+
+
+def _pair_records(m, f, calcs, grads, owner, Y):
+    """The records of the pairs ``Y[j]`` at point ``owner[j]`` from filled bundles; a
+    point whose calculus or records raise raises naming its pairs (or those it names)."""
+    points, local = np.unique(owner, return_inverse=True)
+    failed = np.array([isinstance(calcs[k], Exception) for k in points])
+    if failed.any():
+        raise marked(calcs[points[failed.argmax()]], failed[local])
+    records = []
+    for k, cb in enumerate(_filled_bundles(m, f, [calcs[p] for p in points],
+                                           [grads[p] for p in points], local, Y)):
+        try:
+            records += _records(cb)
+        except FinslerError as exc:
+            rows = np.flatnonzero(local == k)
+            fits = np.shape(exc.columns) == rows.shape
+            raise marked(exc, np.isin(np.arange(len(Y)), rows[exc.columns] if fits else rows))
+    return records
 
 
 def cmd_report(cfg):
     """Per-sample curvature records plus the aggregate classification.
 
     The records read one curvature bundle per point, filled from one jet batch
-    per ``_PAIR_CHUNK`` (point, direction) pairs, whole points each, else its
-    own; if that raises, one per direction (``per_direction``).
+    per ``_PAIR_CHUNK`` (point, direction) pairs, whole points each
+    (``_pair_records``).  A batch that raises goes through ``by_columns``: the
+    pairs its fault names are redone alone, each as a one-direction bundle
+    that records its error, and the other pairs stay batched.
     """
     m, f = cfg.metric, cfg.phi
     grid = _sample_grid(cfg)
@@ -304,16 +326,12 @@ def cmd_report(cfg):
             grads.append(None)
     records, step = [], max(1, _PAIR_CHUNK // len(dirs))
     for start in range(0, len(grid), step):
-        points = range(start, min(start + step, len(grid)))
-        good = [k for k in points if not isinstance(calcs[k], Exception)]
-        try:
-            filled = dict(zip(good, _filled_bundles(m, f, [calcs[k] for k in good],
-                                                    [grads[k] for k in good], dirs) if good else []))
-        except FinslerError:
-            filled = {}
-        for k in points:  # a filled bundle on the first call only
-            records += per_direction(lambda Y: _records(filled.pop(k, None) or curvature_bundle(
-                m, f, grid[k], Y, grads[k], calcs[k])), dirs)
+        owner = np.repeat(np.arange(start, min(start + step, len(grid))), len(dirs))
+        Y = np.tile(dirs, (len(owner) // len(dirs), 1))
+        records += by_columns(lambda j: _pair_records(m, f, calcs, grads, owner[j], Y[j]), len(Y),
+                              lambda j: _records(curvature_bundle(
+                                  m, f, grid[owner[j[0]]], Y[j[0]], grads[owner[j[0]]],
+                                  calcs[owner[j[0]]])))
     try:
         report = classify_metric(m, f, dirs)  # on its own grid, not the records'
         classification = json.loads(report.to_json())
@@ -364,18 +382,12 @@ def _header_and_row(name, m, bc, x, y, f):
 
 
 def _fiber_cells(name, cb):
-    """Columns and cells of a fiber quantity, per direction of a bundle."""
-    def each(T):  # one item per direction
-        return [T] if cb.y.ndim == 1 else T
-
+    """Columns and cells of a fiber quantity, per direction of a bundle's ``(B, n)`` stack."""
     if name == "S":
-        return [(["S_formula", "S_def"], [a, b])
-                for a, b in zip(each(cb.S_formula), each(cb.S_def))]
+        return [(["S_formula", "S_def"], [a, b]) for a, b in zip(cb.S_formula, cb.S_def)]
     if name == "K":  # an empty cell where n != 2
-        return [(["K"], [k]) for k in
-                (each(cb.K) if cb.K is not None else [""] * len(cb.dirs))]
-    return [_cells(name, T, upper=name in ("G", "B", "D", "R"))
-            for T in each(getattr(cb, name))]
+        return [(["K"], [k]) for k in (cb.K if cb.K is not None else [""] * len(cb.dirs))]
+    return [_cells(name, T, upper=name in ("G", "B", "D", "R")) for T in getattr(cb, name)]
 
 
 def cmd_table(cfg, quantity):
@@ -385,7 +397,7 @@ def cmd_table(cfg, quantity):
     directional one keeps, at each point, the directions inside phi's cone, as
     the classification does, and a point with none gives no row.  A fiber
     quantity hands each point's row to one curvature bundle per grid point, its
-    directions as one batch, redone one direction at a time if it raises.
+    directions as one batch, redone through ``by_columns`` if it raises.
     """
     if quantity not in QUANTITIES:
         raise UnknownQuantity(
@@ -405,8 +417,8 @@ def cmd_table(cfg, quantity):
                 continue
         if quantity in _FIBER:
             grad = ln_sigma_gradient(m, f, x, bc) if quantity == "S" else None
-            rows = per_direction(lambda Y: _fiber_cells(
-                quantity, curvature_bundle(m, f, x, Y, grad, bc)), usable)
+            rows = by_columns(lambda k: _fiber_cells(
+                quantity, curvature_bundle(m, f, x, usable[k], grad, bc)), len(usable))
         else:
             if isinstance(bc, Exception):  # x's own calculus raised it
                 raise bc

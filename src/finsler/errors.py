@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the one runner of column batches."""
+
+import numpy as np
 
 
 def shown(value, form=repr):
@@ -13,7 +15,69 @@ def shown(value, form=repr):
 
 
 class FinslerError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package; ``columns``, if a check of a
+    batch set it, masks the batch's columns that failed it, each failing alone too."""
+
+    def __init__(self, *args, columns=None):
+        super().__init__(*args)
+        self.columns = columns
+
+
+def marked(exc, columns):
+    """``exc``, its ``columns`` set to the boolean mask ``columns``."""
+    exc.columns = np.asarray(columns, dtype=bool)
+    return exc
+
+
+def at_first(values, bad):
+    """For a message: ``values`` at the first column where ``bad`` holds, a float as it is,
+    so that a one-column batch names what its column names alone."""
+    return np.ravel(values)[np.argmax(bad)] if np.ndim(values) else values
+
+
+def outcome(fn, *args):
+    """``fn(*args)``, or the exception it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the caller raises or records it
+        return exc
+
+
+def by_columns(batch, cols, alone=None):
+    """``batch(cols)``, one result per column (a list, or an array with the columns
+    first) of the index array ``cols``, or ``arange(cols)`` for a count.
+
+    If it raises, the columns its fault names (``columns``), or else all, are
+    marked: the columns before the first marked one run as one batch, each
+    marked column alone (``alone``, default ``batch``; it may record its
+    error), and the other columns as one batch, each batch by the same rule.
+    An error raised is the first failing column's alone, naming the columns
+    known to fail."""
+    cols = cols if isinstance(cols, np.ndarray) else np.arange(cols)
+    try:
+        return batch(cols)
+    except Exception as exc:  # noqa: BLE001 - each column then raises what it raises alone
+        known = np.asarray(getattr(exc, "columns", None), dtype=bool)
+        if not len(cols):
+            raise
+    known = known if known.shape == cols.shape and known.any() else np.zeros(len(cols), bool)
+    todo = known if known.any() else ~known
+    first, pieces = todo.argmax(), []
+    for pos, one in [(np.arange(first), False), *(([p], True) for p in np.flatnonzero(todo)),
+                     (first + np.flatnonzero(~todo[first:]), False)]:
+        try:
+            if len(pos):
+                pieces.append((pos, (alone or batch)(cols[pos]) if one
+                               else by_columns(batch, cols[pos], alone)))
+        except Exception as err:  # noqa: BLE001 - raised naming this batch's failing columns
+            lifted = known.copy()
+            lifted[pos if one else np.asarray(pos)[err.columns]] = True
+            raise marked(err, lifted)
+    order = np.argsort(np.concatenate([pos for pos, _ in pieces]))
+    if isinstance(pieces[0][1], np.ndarray):
+        return np.concatenate([out for _, out in pieces])[order]
+    items = [item for _, out in pieces for item in out]
+    return [items[k] for k in order]
 
 
 class DomainError(FinslerError):

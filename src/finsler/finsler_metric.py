@@ -67,8 +67,8 @@ def alpha_beta_jets(a, b_i, f: PhiFamily, y, order):
     y = np.asarray(y, dtype=float)
     yj = [jet_variable(i, y[..., i], len(b_i), order) for i in range(len(b_i))]
     A = jet_form(a, yj)
-    if (A.coeffs[0] <= 0.0).any():
-        raise ZeroVector("alpha(x, y) must be positive")
+    if (bad := A.coeffs[0] <= 0.0).any():
+        raise ZeroVector("alpha(x, y) must be positive", columns=bad)
     alpha = A ** 0.5
     s = jet_form(b_i, yj) / alpha
     f.require_admissible(s.coeffs[0])
@@ -88,10 +88,11 @@ def fsq_jet(m: MetricSpec, f: PhiFamily, x, y, order, owner=None):
     finite = np.isfinite(A.coeffs).all() and np.isfinite(phi.coeffs).all()
     with np.errstate(**({"over": "ignore", "invalid": "ignore"} if finite else {})):
         fsq = A * phi * phi
-    if finite and not np.isfinite(fsq.coeffs).all():
-        raise DomainError("F(x, y)^2 or one of its fiber derivatives overflows a float")
-    if np.any(fsq.value <= 0.0):  # phi <= 0, or F^2 under the float range
-        raise NonPositivePhi("F(x, y)^2 must be positive")
+    if finite and not (ok := np.isfinite(fsq.coeffs).all(axis=0)).all():
+        raise DomainError("F(x, y)^2 or one of its fiber derivatives overflows a float",
+                          columns=~ok)
+    if np.any(bad := fsq.value <= 0.0):  # phi <= 0, or F^2 under the float range
+        raise NonPositivePhi("F(x, y)^2 must be positive", columns=bad)
     return fsq
 
 
@@ -119,7 +120,7 @@ def fundamental(m: MetricSpec, f: PhiFamily, x, y, owner=None) -> FundamentalDat
     try:
         g_inv = _inverse_spd(g, what="g_ij")
     except Exception as exc:
-        raise SingularG(str(exc)) from exc
+        raise SingularG(str(exc), columns=getattr(exc, "columns", None)) from exc
     y_low = (g @ y[..., None])[..., 0]
     F_col = F[..., None]
     h = g - y_low[..., :, None] * y_low[..., None, :] / (F_col * F_col)[..., None]

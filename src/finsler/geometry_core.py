@@ -16,7 +16,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, SingularMetric, ZeroNorm
+from .errors import (DimensionMismatch, DomainError, SingularMetric, ZeroNorm, by_columns,
+                     marked, outcome)
 from .jets import base_derivative
 
 
@@ -87,16 +88,23 @@ class MetricSpec:
     def _evaluate(self, field, name, x, shape):
         x = np.asarray(x, dtype=float)
         if x.ndim > 1 and not self.stacked:  # one call per row, each checked alone
-            return np.array([self._evaluate(field, name, p, shape) for p in x])
+            rows = [outcome(self._evaluate, field, name, p, shape) for p in x]
+            failed = [isinstance(row, Exception) for row in rows]
+            if any(failed):  # the first row's error, naming every failing row
+                raise marked(rows[failed.index(True)], failed)
+            return np.array(rows)
         v = np.asarray(field(x), dtype=float, order="C")
         if v.shape != x.shape[:-1] + shape:
             raise DimensionMismatch(f"{name}(x) has shape {v.shape}, "
                                     f"expected {x.shape[:-1] + shape}")
-        # fmax and fmin skip a NaN: it passes, for the readers' own finite checks
+        # fmax and fmin skip a NaN: it passes, refused where beta_derivatives
+        # differentiates it, or by the fiber jets' own checks
         if np.fmax.reduce(v, axis=None, initial=0.0) > MAX_ENTRY \
                 or np.fmin.reduce(v, axis=None, initial=0.0) < -MAX_ENTRY:
-            raise DomainError(f"{name}(x) has the entry {float(v[np.abs(v) > MAX_ENTRY][0])!r}, "
-                              f"past the bound {MAX_ENTRY:g} of a metric's entries")
+            bad = np.abs(v) > MAX_ENTRY
+            raise DomainError(f"{name}(x) has the entry {float(v[bad][0])!r}, past the bound "
+                              f"{MAX_ENTRY:g} of a metric's entries",
+                              columns=bad.reshape(len(v), -1).any(1) if x.ndim > 1 else None)
         return v
 
 
@@ -110,10 +118,13 @@ def _inverse_cholesky(a, what="a_ij"):
     try:
         chol = np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
-        raise SingularMetric(f"{what} is not positive definite") from exc
+        failed = [isinstance(outcome(np.linalg.cholesky, one), Exception) for one in a
+                  ] if a.ndim > 2 else None  # the matrices of a stack that fail alone
+        raise SingularMetric(f"{what} is not positive definite", columns=failed) from exc
     inv = np.linalg.inv(chol)
-    if np.any(np.abs(inv) > MAX_ENTRY ** 0.5):
-        raise SingularMetric(f"{what} is singular within the float range")
+    if np.any(bad := np.abs(inv) > MAX_ENTRY ** 0.5):
+        raise SingularMetric(f"{what} is singular within the float range",
+                             columns=bad.reshape(len(inv), -1).any(1) if inv.ndim > 2 else None)
     return inv
 
 
@@ -199,6 +210,8 @@ class BetaCalculus:
         for values in zip(*columns):
             yield BetaCalculus(n=self.n, **dict(zip(names, values)))
 
+    __iter__ = rows  # a stack's points, so that ``by_columns`` can join stacks
+
     @classmethod
     def stack(cls, rows):
         """One-point calculi as one stack, each field's rows with their bits: ``rows`` undone."""
@@ -208,7 +221,11 @@ class BetaCalculus:
 
 def beta_derivatives(m: MetricSpec, x) -> BetaCalculus:
     """Covariant derivative of the one-form and its full index menagerie, at one
-    point or at a ``(P, n)`` stack, each row with the bits of its point alone."""
+    point or at a ``(P, n)`` stack, each row with the bits of its point alone.
+
+    A non-finite d a, d b, gamma or b_{i;j} (a(x) or b(x) not finite on a
+    point's stencil) is a :class:`DomainError` naming it and its points.
+    """
     x = np.asarray(x, dtype=float)
     if not len(x):
         raise DomainError("beta_derivatives needs at least one point, got an empty stack")
@@ -219,6 +236,12 @@ def beta_derivatives(m: MetricSpec, x) -> BetaCalculus:
     b_i = m.b_at(x)
     db = base_derivative(m.b_at, x)  # db[..., i, j] = d b_i / d x^j, points first
     bij = db - np.einsum("...k,...kij->...ij", b_i, gamma)
+    if not np.isfinite(bij).all():  # as it is wherever d a, d b or gamma is not
+        for name, T in (("d a_ij / dx", da), ("d b_i / dx", db), ("gamma^i_jk", gamma),
+                        ("b_{i;j}", bij)):
+            if not (ok := np.isfinite(T).reshape(x.shape[:-1] + (-1,)).all(-1)).all():
+                raise DomainError(f"{name} is not finite at x: a(x) or b(x) is not finite "
+                                  "nearby", columns=~ok)
     bji = bij.swapaxes(-1, -2)
     r = 0.5 * (bij + bji)
     s = 0.5 * (bij - bji)
@@ -241,24 +264,16 @@ _GRID_CHUNK = 1024
 def grid_calculus(m: MetricSpec, points):
     """Each point's beta calculus, from one stacked pass per chunk of the points.
 
-    Where a chunk's pass raises, each of its points is computed alone, once,
-    as the reader reaches it, and a point that raises alone gives the
-    exception itself: its reader raises it where it needs the calculus
-    (``table``, or a bundle's ``bc``), as a one-point call would.
+    Where a chunk's pass raises, ``by_columns`` computes alone only the points
+    its fault names (or every point, if it names none), the others stacked,
+    and a point that raises alone gives the exception itself: its reader
+    raises it where it needs the calculus (``table``, or a bundle's ``bc``),
+    as a one-point call would.
     """
     for start in range(0, len(points), _GRID_CHUNK):
-        chunk = points[start:start + _GRID_CHUNK]
-        try:
-            stack = beta_derivatives(m, np.array(chunk))
-        except Exception:  # noqa: BLE001 - each point then raises what it raises alone
-            for x in chunk:
-                try:
-                    bc = beta_derivatives(m, x)
-                except Exception as exc:  # noqa: BLE001 - handed to the reader, which raises it
-                    bc = exc
-                yield bc
-        else:
-            yield from stack.rows()
+        chunk = np.array(points[start:start + _GRID_CHUNK])
+        yield from by_columns(lambda k: beta_derivatives(m, chunk[k]), len(chunk),
+                              lambda k: [outcome(beta_derivatives, m, chunk[k[0]])])
 
 
 def beta_norm_gradient_check(m: MetricSpec, bc: BetaCalculus):

@@ -19,6 +19,8 @@ goes through :func:`jet_apply`.
 A jet may carry a trailing batch axis: ``coeffs`` of shape ``(K, B)`` holds B
 jets, one per column, each with the bits it has alone, so one Python
 operation serves B samples; so does one univariate table (:mod:`.series`).
+A check on a batch that fails names its failing columns (``FinslerError.columns``),
+so a caller redoes only those alone (``errors.by_columns``).
 
 Base-point (x-)derivatives are a different regime: the metric callables a(x)
 and b(x) are plain functions that need not take jets, so every x-derivative of
@@ -27,9 +29,9 @@ or array field by Richardson-extrapolated central differences, with the
 derivative axis last.  No quadrature sits behind it: the gradient of ln sigma
 is a closed form in the stencils of a and b and the slope d ln f / db of one
 memoised unit-ball sweep (``spray_curvature.ln_sigma_gradient``).  A gradient
-is one field call on the whole stencil as a point stack, redone one point at
-a time if that call raises, so an error names the stencil point that raises
-alone.
+is one field call on the whole stencil as a point stack, redone through
+``errors.by_columns`` if that call raises, so an error names the stencil point
+that raises alone.
 """
 
 import math
@@ -39,7 +41,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import ArityError, DomainError, EvaluationError
+from .errors import ArityError, DomainError, EvaluationError, by_columns
 from .series import TINY, pow_coeffs, taylor_coeffs
 
 #: order cap of multivariate jets; univariate jets are uncapped
@@ -214,8 +216,8 @@ class JetScalar:
 
     def __truediv__(self, other):
         if isinstance(other, _NUMBER + (np.ndarray,)):  # a number, or one per column
-            if np.any(abs(other) < TINY):
-                raise DomainError("division by ~0")
+            if np.any(bad := abs(other) < TINY):
+                raise DomainError("division by ~0", columns=bad)
             return self._like(self.coeffs / other)
         o = self._coerce(other)
         if o is NotImplemented:
@@ -244,7 +246,7 @@ class JetScalar:
             bad = ~np.isfinite(out.coeffs).all(axis=0)
             if finite and bad.any():
                 u = float(np.ravel(self.value)[np.ravel(bad).argmax()])
-                raise DomainError(f"{u}^{p} overflows a float")
+                raise DomainError(f"{u}^{p} overflows a float", columns=bad)
             return out
         return self.compose_series(pow_coeffs(self.value, p, self.max_order))
 
@@ -416,8 +418,9 @@ def base_derivative(field, x):
     value, or the values stacked along a leading S axis.  It is called once,
     on the whole stencil as a ``(4 n P, n)`` stack: axis 0 first, each axis at
     +h, -h, +2h, -2h, the rows of ``x`` in order.  If that call raises, the
-    stencil is redone one point at a time in the same order, and the first
-    point that raises is named in an :class:`EvaluationError`.
+    stencil is redone through ``errors.by_columns``, and the first point that
+    raises alone is named in an :class:`EvaluationError`, which marks the
+    points of a stack whose stencils fail.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]
@@ -427,12 +430,14 @@ def base_derivative(field, x):
     for k in range(n):
         points[k] = x
         points[k, ..., k] += offsets[..., k]
-    try:
-        values = np.asarray(field(points.reshape(-1, n)), dtype=float)
-    except Exception:  # noqa: BLE001 - redone point by point, to name the point
-        values = np.array([_evaluate(field, p, offset, k) for k in range(n)
-                           for p, offset in zip(points[k].reshape(-1, n),
-                                                offsets[..., k].ravel())])
+    flat, per_axis = points.reshape(-1, n), points[0].size // n
+    try:  # a stencil point alone is named by its offset and axis
+        values = by_columns(lambda i: np.asarray(field(flat[i]), dtype=float), len(flat),
+                            lambda i: _evaluate(field, flat[i[0]], offsets[..., i[0] // per_axis]
+                                                .ravel()[i[0] % per_axis], i[0] // per_axis)[None])
+    except EvaluationError as exc:  # its failing stencil points, as the points of x they serve
+        exc.columns = exc.columns.reshape(n, len(_STENCIL), -1).any((0, 1)) if x.ndim > 1 else None
+        raise
     values = values.reshape(points.shape[:-1] + values.shape[1:])  # [k, j, ...]
     h = np.moveaxis(steps, -1, 0)
     h = h.reshape(h.shape + (1,) * (values.ndim - h.ndim - 1))  # over the field's axes

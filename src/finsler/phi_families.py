@@ -14,11 +14,11 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import (DegenerateDenominator, DomainError, NonPositivePhi,
-                     ParamOutOfRange)
+from .errors import (DegenerateDenominator, DomainError, FinslerError, NonPositivePhi,
+                     ParamOutOfRange, at_first)
 from .exprparse import eval_expr, parse
 from .jets import JetScalar, SplitBatch, jet_apply, jet_variable
-from .series import batched
+from .series import over_columns
 
 
 class PhiFamily:
@@ -53,7 +53,7 @@ class PhiFamily:
         ok = self.admissible(np.asarray(s))
         if not ok.all():
             raise DomainError(f"s={np.asarray(s)[~ok].ravel()[0]} outside admissible "
-                              f"interval |s| < {self.b0}*(1-{self.delta})")
+                              f"interval |s| < {self.b0}*(1-{self.delta})", columns=~ok)
 
     def check_positivity(self, b):
         """Positivity of phi and phi - s*phi' at 41 samples of the working interval."""
@@ -163,7 +163,7 @@ class CustomExprPhi(PhiFamily):
                              b0=float(b0), delta=float(delta))
 
     def taylor(self, s0, order):
-        return batched(lambda s: self._table(s, order), s0)
+        return over_columns(lambda s: self._table(s, order), s0)
 
     def _table(self, s, order):
         t = jet_variable(0, s, 1, order)
@@ -172,7 +172,12 @@ class CustomExprPhi(PhiFamily):
         except SplitBatch as split:  # columns on different routes, each group batched
             c = np.empty((order + 1, len(s)))
             for cols in (split.args[0], ~split.args[0]):
-                c[:, cols] = self._table(s[cols], order)
+                try:
+                    c[:, cols] = self._table(s[cols], order)
+                except FinslerError as exc:  # a fault of the group, naming the batch's columns
+                    if np.shape(exc.columns) == (np.count_nonzero(cols),):
+                        exc.columns = np.isin(np.arange(len(s)), np.flatnonzero(cols)[exc.columns])
+                    raise
             return c
         return (out if isinstance(out, JetScalar) else t._coerce(out)).coeffs  # free of s
 
@@ -210,28 +215,31 @@ def _q_series(f: PhiFamily, s, order, phi=None):
     phip = phi.derivative(0)
     sv = jet_variable(0, s, 1, order)
     den = phi.truncate(order) - sv * phip
-    if (den.coeffs[0] <= 1e-12).any():
-        raise DegenerateDenominator(f"phi - s*phi' = {den.value} at s={s}")
+    if (bad := den.coeffs[0] <= 1e-12).any():
+        raise DegenerateDenominator(f"phi - s*phi' = {at_first(den.value, bad)} "
+                                    f"at s={at_first(s, bad)}", columns=bad)
     return phip / den
 
 
 def ab_scalars(f: PhiFamily, b, s, n) -> AlphaBetaScalars:
     """The seven scalars Q, Q', Q'', Delta, Theta, Phi, Psi at (b, s), or at each s of an array."""
-    if (np.abs(s) > b + 1e-12).any():
-        raise DomainError(f"|s|={np.max(np.abs(s))} exceeds b={b}")
+    if (bad := np.abs(s) > b + 1e-12).any():
+        raise DomainError(f"|s|={np.max(np.abs(s))} exceeds b={b}", columns=bad)
     c = _q_series(f, s, 3).coeffs
     q, qp, qpp = c[0], c[1], 2.0 * c[2]
     delta = 1.0 + s * q + (b * b - s * s) * qp
-    if (delta <= 1e-12).any():
-        raise DegenerateDenominator(f"Delta = {delta} at (b={b}, s={s})")
+    if (bad := delta <= 1e-12).any():
+        raise DegenerateDenominator(f"Delta = {at_first(delta, bad)} "
+                                    f"at (b={b}, s={at_first(s, bad)})", columns=bad)
     theta = (q - s * qp) / (2.0 * delta)
     phi_big = -(q - s * qp) * (n * delta + 1.0 + s * q) \
         - (b * b - s * s) * (1.0 + s * q) * qpp
     c = _series(f, s, 2).coeffs
     phi, phip, phipp = c[0], c[1], 2.0 * c[2]
     psi_den = (phi - s * phip) + (b * b - s * s) * phipp
-    if (np.abs(psi_den) <= 1e-300).any():
-        raise DegenerateDenominator(f"Psi denominator ~0 at (b={b}, s={s})")
+    if (bad := np.abs(psi_den) <= 1e-300).any():
+        raise DegenerateDenominator(f"Psi denominator ~0 at (b={b}, s={at_first(s, bad)})",
+                                    columns=bad)
     psi = phipp / (2.0 * psi_den)
     return AlphaBetaScalars(Q=q, Qp=qp, Qpp=qpp, Delta=delta, Theta=theta,
                             Phi=phi_big, Psi=psi)
@@ -258,8 +266,9 @@ def spray_scalar_series(f: PhiFamily, b, s0, order):
     q = q_big.truncate(order)
     sv = jet_variable(0, s0, 1, order)
     delta = 1.0 + sv * q + (b * b - sv * sv) * qp
-    if (delta.coeffs[0] <= 1e-12).any():
-        raise DegenerateDenominator(f"Delta = {delta.value} at (b={b}, s={s0})")
+    if (bad := delta.coeffs[0] <= 1e-12).any():
+        raise DegenerateDenominator(f"Delta = {at_first(delta.value, bad)} at (b="
+                                    f"{at_first(b, bad)}, s={at_first(s0, bad)})", columns=bad)
     theta = (q - sv * qp) / (2.0 * delta)
     phip = phi.derivative(0)
     phipp = phip.derivative(0)

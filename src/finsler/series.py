@@ -5,7 +5,10 @@ of the elementary function ``tag`` at ``u0``: ``(L,)`` at a float, ``(L, B)`` at
 a ``(B,)`` array.  Every jet composes through these tables, and a float is
 evaluated as their order-0 entry, so the domain checks live here alone.  Each
 column has the bits it has alone: libm and Python's ``**`` give values and
-powers one float at a time (numpy's differ in the last bit).
+powers one float at a time (numpy's differ in the last bit).  A domain check
+names its failing columns, and a batch that raises is redone through
+``errors.by_columns``, so its error is the one its first failing column
+raises alone.
 """
 
 import math
@@ -13,35 +16,42 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, at_first, by_columns
 
 #: denominators smaller than this are treated as exact singularities
 TINY = 1e-300
 
 
-def batched(table, *args):
-    """``table(*args)`` at floats or ``(B,)`` arrays; a batch that raises is redone one
-    column at a time, to raise the error that its first failing column raises alone."""
+def over_columns(table, *args):
+    """``table(*args)`` at floats or at ``(B,)`` arrays (an arg shared or one per column,
+    the table's columns last); a batch that raises is redone through ``by_columns``.
+
+    The plain call comes first, so a batch that computes, as nearly every one
+    does, pays nothing for the runner's index arrays.
+    """
     try:
         return table(*args)
-    except Exception:
-        if max(map(np.ndim, args)):
-            for column in zip(*(a.tolist() for a in np.broadcast_arrays(*args))):
-                table(*column)
-        raise
+    except Exception:  # noqa: BLE001 - redone by columns: the error is its first failing one's
+        per_column = [isinstance(a, np.ndarray) and a.ndim > 0 for a in args]
+        if not any(per_column):
+            raise
+    return by_columns(lambda k: table(*(a[k] if c else a for a, c in zip(args, per_column))).T,
+                      len(args[per_column.index(True)])).T
 
 
 def _table(fn, fault, u0, *args):
     """``fn(u, *args)`` at the values ``u`` of ``u0``: ``(L, B)``, or ``(L,)`` at a float.
 
     A float overflow or zero divisor raises the :class:`DomainError`
-    ``fault.format(u0, *args, exc=exc)``.
+    ``fault.format(u0, *args, exc=exc)`` with a batch's first values, which
+    are the failing column's where ``over_columns`` redoes it alone.
     """
     u = np.array(u0, dtype=float, ndmin=1)
     try:
         c = fn(u, *args)
     except (OverflowError, ZeroDivisionError) as exc:
-        raise DomainError(fault.format(u0, *args, exc=exc)) from exc
+        raise DomainError(fault.format(*(at_first(v, True) for v in (u0, *args)),
+                                       exc=exc)) from exc
     return c if getattr(u0, "ndim", 0) else c[:, 0]
 
 
@@ -61,9 +71,10 @@ def _each(fn, u, args=None, divisor=False):
 
 
 def _refuse(bad, message, u):
-    """A :class:`DomainError` naming the first value of ``u`` where ``bad`` holds."""
+    """A :class:`DomainError` naming the first value of ``u`` where ``bad`` holds, and ``bad``
+    as its columns."""
     if np.count_nonzero(bad):
-        raise DomainError(message.format(u.tolist()[bad.argmax()]))
+        raise DomainError(message.format(u.tolist()[bad.argmax()]), columns=bad)
 
 
 @lru_cache(maxsize=None)
@@ -80,7 +91,7 @@ def taylor_coeffs(tag, u0, order):
     zero divisor, is a :class:`DomainError` like any other domain fault.
     """
     fault = "{1} at {0} leaves the float range: {exc}"
-    return batched(lambda u0: _table(_coeffs, fault, u0, tag, order), u0)
+    return over_columns(lambda u0: _table(_coeffs, fault, u0, tag, order), u0)
 
 
 def _coeffs(u, tag, order):
@@ -125,7 +136,7 @@ def _coeffs(u, tag, order):
 def pow_coeffs(u0, p, order):
     """Taylor coefficients of u^p at ``u0`` for a real exponent ``p``, or one per column."""
     fault = "{0}^{1} overflows a float"
-    return batched(lambda u0, p: _table(_pow_coeffs, fault, u0, p, order), u0, p)
+    return over_columns(lambda u0, p: _table(_pow_coeffs, fault, u0, p, order), u0, p)
 
 
 def _pow_coeffs(u, p, order):

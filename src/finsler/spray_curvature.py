@@ -8,7 +8,7 @@ oracle.  Base-point derivatives of spray-level fields are one
 ``base_derivative`` gradient per field, the derivative axis last: one field
 call on the whole stencil as a point stack, so ``spray_ab`` and ``fsq_jet``
 run every (stencil point, direction) pair as one jet batch, and the stencil is
-redone one point at a time if that batch raises.
+redone through ``errors.by_columns`` if that batch raises.
 
 ``spray_ab``, ``spray_generic``, ``spray_data``, ``berwald``, ``douglas``,
 ``riemann``, ``riemann_flag``, ``s_curvature_def``, ``s_curvature_formula`` and
@@ -21,9 +21,11 @@ jet column per pair, so a whole grid's samples, with directions that differ
 from point to point, go through as one batch (``pair_columns``); ``landsberg``
 and ``s_curvature_def``, handed the pairs' fiber data, give one row per pair.
 The classification and ``report``'s records run their grid this way;
-:func:`pair_rows` cuts one point's rows out of such a batch's data.
-:func:`per_direction` runs a caller's batch and, if it raises, redoes it one
-direction at a time.
+:func:`pair_rows` cuts one point's rows out of such a batch's data.  A
+caller whose batch raises redoes it through ``errors.by_columns``: a fault
+of a per-column check (admissibility, alpha > 0, F^2 > 0, Delta, a Taylor
+table's domain, a flag's denominator) names its columns, so only those are
+redone alone.
 
 A sample's G, N and d^2 G come from one order-4 spray jet (``spray_data``),
 which ``riemann`` and ``s_curvature_def`` compute unless handed it; a jet of
@@ -46,24 +48,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateFlag, DimensionError, DomainError, FinslerError
+from .errors import DegenerateFlag, DimensionError, DomainError
 from .finsler_metric import (FundamentalData, _unit_ball, alpha_beta_jets, fsq_jet,
                              fundamental, pair_columns, sigma_bh)
 from .geometry_core import MetricSpec, beta_derivatives
 from .jets import base_derivative, jet_form, jet_variable
 from .phi_families import PhiFamily, ab_scalars, spray_scalar_series
-
-
-def per_direction(fn, Y):
-    """``fn(Y)`` on a ``(B, n)`` stack, or, if it raises, ``fn(y)`` per direction.
-
-    ``fn`` returns one item per direction; the fallback concatenates them, so
-    every error, raised or recorded, is the one its direction raises alone.
-    """
-    try:
-        return fn(Y)
-    except FinslerError:
-        return [item for y in Y for item in fn(y)]
 
 
 def _spray_jets(bc, f: PhiFamily, y, order, owner=None):
@@ -230,8 +220,8 @@ def riemann_flag(m: MetricSpec, f: PhiFamily, x, y, u=None, g=None, R=None):
     # K is scale-invariant in y and u, so the denominator is judged against g(y,y) g(u,u)
     gyy, guu = _bilinear(y, g, y), _bilinear(u, g, u)
     denom = gyy * guu - _bilinear(y, g, u) ** 2
-    if (np.abs(denom) < 1e-12 * gyy * guu).any():
-        raise DegenerateFlag("flag denominator is numerically zero")
+    if (bad := np.abs(denom) < 1e-12 * gyy * guu).any():
+        raise DegenerateFlag("flag denominator is numerically zero", columns=bad)
     K = _bilinear(u, g, (R @ u[..., None])[..., 0]) / denom
     return R, K
 

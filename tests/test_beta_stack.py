@@ -18,13 +18,13 @@ import numpy as np
 import pytest
 
 from finsler.catalog import catalog_names, get_metric
-from finsler.classify import default_grid
+from finsler.classify import _flag_curvatures, default_grid
 from finsler.cli import RunConfig, cmd_check, cmd_table, main
-from finsler.errors import DomainError, EvaluationError, SingularMetric
+from finsler.errors import DomainError, EvaluationError, SingularMetric, by_columns
 from finsler.geometry_core import (BetaCalculus, ChartDomain, MetricSpec, _at,
                                    _inverse_spd, beta_derivatives)
 from finsler.jets import base_derivative
-from finsler.spray_curvature import curvature_bundle, per_direction
+from finsler.spray_curvature import curvature_bundle
 
 FIELDS = [name for name in BetaCalculus.__dataclass_fields__ if name != "n"]
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -157,8 +157,10 @@ def test_empty_stacks_fail_typed():
         beta_derivatives(entry.metric, empty)
     with pytest.raises(DomainError, match="empty stack"):
         curvature_bundle(entry.metric, entry.phi, [0.1, 0.2], empty)
-    assert per_direction(lambda Y: [curvature_bundle(entry.metric, entry.phi,
-                                                     [0.1, 0.2], Y).K], empty) == []
+    with pytest.raises(DomainError, match="empty stack"):  # a batch of no columns raises
+        by_columns(lambda k: [curvature_bundle(entry.metric, entry.phi, [0.1, 0.2], empty[k]).K], 0)
+    bc = beta_derivatives(entry.metric, np.array([0.1, 0.2]))
+    assert _flag_curvatures(entry.metric, entry.phi, bc, empty) == []  # no direction, no K
 
 
 def _draw_points(data, m, count):

@@ -417,6 +417,28 @@ def test_f_squared_past_the_floats_is_refused_as_such(tmp_path, capsys):
     assert sum(r.get("error") == error for r in report["records"]) == 6
 
 
+#: a_22 = NaN wherever x1 != -0.9 (inf - inf) and 1 at log_phi's one grid
+#: point, x1 = -0.9: a(x) is NaN at the x-stencil points only
+NAN_AT_STENCIL = "1 + (1e300*(x1+0.9)*1e300 - 1e300*(x1+0.9)*1e300)"
+
+
+def test_a_metric_nan_at_the_stencil_points_is_refused(tmp_path, capsys):
+    # once 24 NaN in the report's records (G, B_norm, D_norm, E_norm, L_norm)
+    # behind exit 0, and 6 nan cells from table gamma: the beta calculus
+    # differentiates a(x) on the stencil, and now refuses its non-finite d a
+    path = _fixture_with(tmp_path, "log_phi", NAN_AT_STENCIL, "metric", "custom", "a", 1, 1)
+    error = "DomainError: d a_ij / dx is not finite at x: a(x) or b(x) is not finite nearby"
+    assert main(["report", "--config", path]) == 0
+    report = _strict_report(capsys.readouterr().out)
+    assert report["classification"] == {"error": error}
+    # a direction whose F computes records the calculus error at G; the others fail at F
+    assert all(r["error"] == error for r in report["records"] if "F" in r)
+    assert all("G" not in r for r in report["records"])
+    assert sum("F" in r for r in report["records"]) == 4
+    assert main(["table", "--config", path, "--quantity", "gamma"]) == 1
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+
+
 @pytest.mark.parametrize("phi", [{"b0": 1e300}, {"b0": 1e5, "k": 1e300}], ids=["b0", "k"])
 def test_unicorn_constants_past_the_floats_exit_2(phi, tmp_path, capsys):
     # b0 = 1e300 once raised a bare OverflowError out of main (b0**2), and

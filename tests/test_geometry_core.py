@@ -9,7 +9,7 @@ import pytest
 
 from finsler.catalog import get_metric
 from finsler.classify import classify_metric
-from finsler.errors import DimensionMismatch, SingularMetric, ZeroNorm
+from finsler.errors import DimensionMismatch, DomainError, SingularMetric, ZeroNorm
 from finsler.geometry_core import (ChartDomain, MetricSpec,
                                    _inverse_spd, beta_derivatives,
                                    beta_norm_gradient_check, christoffels)
@@ -119,3 +119,21 @@ def test_spec_released_when_classify_returns():
     del entry
     gc.collect()
     assert ref() is None
+
+
+def test_a_non_finite_derivative_is_refused_per_point():
+    # b(x) is NaN for 0.55 < x1 < 0.65 but at x1 = 0.6 itself, so only the
+    # stencils of the points at x1 = 0.6 see it; each is refused, and named
+    def b_form(x):
+        near = (np.abs(x[..., 0] - 0.6) < 0.05) & (x[..., 0] != 0.6)
+        return np.stack([np.where(near, np.nan, 0.5), 0.0 * x[..., 1]], axis=-1)
+
+    m = MetricSpec(n=2, a=lambda x: np.broadcast_to(np.eye(2), x.shape[:-1] + (2, 2)),
+                   b_form=b_form, chart_domain=ChartDomain((-1, -1), (1, 1)), stacked=True)
+    X = np.array([[0.6, 0.0], [0.0, 0.0], [0.6, 0.5]])
+    with pytest.raises(DomainError, match=r"^d b_i / dx is not finite") as refused:
+        beta_derivatives(m, X)
+    assert refused.value.columns.tolist() == [True, False, True]
+    with pytest.raises(DomainError, match=r"^d b_i / dx is not finite"):
+        beta_derivatives(m, X[0])
+    assert beta_derivatives(m, X[1]).b == 0.5
