@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from finsler import classify, cli, finsler_metric, geometry_core, spray_curvature
-from finsler.errors import DomainError, FinslerError, by_columns
+from finsler.errors import DomainError, EvaluationError, FinslerError, by_columns
+from finsler.jets import base_derivative
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
@@ -164,3 +165,27 @@ def test_singular_points_alone_only(monkeypatch):
     out = json.loads(cli.cmd_report(cfg))
     assert len(alone) == 4 and all(x[1] == 0.0 for x in alone)
     assert out["classification"] == {"error": "DomainError: division by ~0"}
+
+
+@pytest.mark.parametrize("names_columns", [True, False], ids=["mask", "no-mask"])
+def test_a_stencil_fault_names_the_points_it_serves(names_columns):
+    # the field refuses x1 < -0.9, so only the -h stencil points of the rows
+    # at x1 = -0.9 fail; the error names the first of them, as a stencil redone
+    # one point at a time does, and marks the rows whose stencils fail
+    def field(xp):
+        bad = xp[..., 0] < -0.9
+        if bad.any():
+            if names_columns:
+                raise DomainError("below the edge", columns=bad if xp.ndim > 1 else None)
+            raise ValueError("below the edge")
+        return xp[..., 0] ** 2 + xp[..., 1]
+
+    X = np.array([[0.0, 0.0], [-0.9, 0.5], [0.3, 0.1], [-0.9, -0.2]])
+    with pytest.raises(EvaluationError) as refused:
+        base_derivative(field, X)
+    assert str(refused.value) == "field evaluation failed at offset -0.001 along axis 0: below the edge"
+    marked = [False, True, False, True] if names_columns else [False, True, False, False]
+    assert refused.value.columns.tolist() == marked
+    healthy = X[[0, 2]]
+    assert np.array_equal(base_derivative(field, healthy),
+                          np.array([base_derivative(field, x) for x in healthy]))
