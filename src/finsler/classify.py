@@ -9,6 +9,7 @@ deterministic.
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -91,7 +92,7 @@ class ClassificationReport:
     grid_meta: dict = field(default_factory=dict)
     reason: Optional[str] = None  # why the verdict is Inconclusive, if a predicate errored
 
-    def to_json(self):
+    def as_dict(self):
         doc = {
             "metric": self.metric_name,
             "verdict": self.verdict,
@@ -102,7 +103,10 @@ class ClassificationReport:
             doc["unicorn_fit"] = self.unicorn.as_dict()
         if self.reason is not None:
             doc["reason"] = self.reason
-        return json.dumps(doc, indent=2, sort_keys=True)
+        return doc
+
+    def to_json(self):
+        return json.dumps(self.as_dict(), indent=2, sort_keys=True)
 
 
 def default_grid(m: MetricSpec, per_axis=3, margin=0.05):
@@ -159,45 +163,53 @@ def randers_s0_shortcut(calc: BetaCalculus, f: PhiFamily, tol=TOL_TENSOR) -> Ver
     return Verdict(residual < tol, residual, tol, len(calc.b))
 
 
-def _sample_norms(m, f, calc, Y, grad, owner):
-    """Max-norms of B, L, D, S and C per pair, each direction scaled to F = 1.
-
-    ``calc`` is the calculus of a point stack, and direction ``Y[j]`` sits at
-    its point ``owner[j]`` (``pair_columns``) with the gradient ``grad[j]``
-    of ln sigma.
-    """
-    Y = Y / np.sqrt(fsq_jet(m, f, calc.x, Y, 0, owner).value)[..., None]
-    fd = fundamental(m, f, calc.x, Y, owner)  # first: a failing sample raises what it does
-    sd = spray_data(m, f, calc.x, Y, calc, owner)
-    S = s_curvature_def(m, f, calc.x, Y, grad, sd, calc)
-    return np.column_stack([np.abs(np.reshape(T, (len(Y), -1))).max(axis=-1)
-                            for T in (sd.B, landsberg(fd, sd.B), sd.D, S, fd.C)])
-
-
-#: (point, direction) pairs per jet batch of ``curvature_flags`` and of
-#: ``report``'s records (``cli.cmd_report``)
+#: (point, direction) pairs per jet batch of ``pair_pass``, for ``curvature_flags``
+#: and ``report``'s records alike (``cli.cmd_report``); a batch may split a point
 _PAIR_CHUNK = 1024
 
 
-def _grid_norms(m, f, calc, samples):
-    """``_sample_norms`` rows of every (point, direction) pair of ``samples``,
-    point-major, from one jet batch per ``_PAIR_CHUNK`` pairs (``by_columns``)."""
-    owner = np.concatenate([np.full(len(usable), k) for k, usable, _ in samples])
-    Y = np.concatenate([usable for _, usable, _ in samples])
-    # each pair's gradient of ln sigma, zero where sigma failed at its point
-    grad = np.concatenate([np.zeros_like(usable) if g is None else np.tile(g, (len(usable), 1))
-                           for _, usable, g in samples])
-    sigma_ok = np.concatenate([np.full(len(usable), g is not None) for _, usable, g in samples])
-
-    def norms(part):
-        out = _sample_norms(m, f, calc, Y[part], grad[part], owner[part])
-        out[~sigma_ok[part], 3] = 0.0  # S where sigma failed
-        return out.tolist()
-
-    rows = []
+def pair_pass(m, f, xs, calcs, dirs, batch, alone=None):
+    """The rows of a grid's (point, direction) pairs, point k owning the directions
+    ``dirs[k]``, point-major, and sigma's first error.  A point that owns a pair reads
+    its gradient of ln sigma at ``xs[k]`` from ``calcs[k]``, None where sigma raises.
+    ``batch(grads, owner, Y)`` gives the rows of the pairs ``Y[j]`` at ``owner[j]``, one
+    ``by_columns`` per ``_PAIR_CHUNK`` pairs, so a point's pairs may span two batches;
+    ``alone(grads, k, y)`` gives those of one pair."""
+    counts = [len(Y) for Y in dirs]
+    owner = np.repeat(np.arange(len(dirs)), counts)
+    grads, error = [None] * len(dirs), None
+    for k in np.flatnonzero(counts):  # not np.unique, whose first call imports numpy.ma
+        try:
+            grads[k] = ln_sigma_gradient(m, f, xs[k], calcs[k])
+        except FinslerError as exc:
+            error = error or exc
+    Y, rows = np.concatenate(dirs), []
     for start in range(0, len(Y), _PAIR_CHUNK):
-        rows += by_columns(lambda k: norms(start + k), min(_PAIR_CHUNK, len(Y) - start))
-    return rows
+        rows += by_columns(lambda j: batch(grads, owner[j], Y[j]),
+                           np.arange(start, min(start + _PAIR_CHUNK, len(Y))),
+                           alone and (lambda j: alone(grads, owner[j[0]], Y[j[0]])))
+    return rows, error
+
+
+def pair_fibers(m, f, calc, grads, owner, Y):
+    """The ``fundamental`` and ``spray_data`` of the pairs ``Y[j]`` at ``calc``'s
+    point ``owner[j]`` (``pair_columns``), as one jet batch, and their L and
+    S_def, point k's pairs reading the gradient ``grads[k]``, or 0 where it is None."""
+    grad = np.array([np.zeros(m.n) if g is None else g for g in grads])[owner]
+    fd = fundamental(m, f, calc.x, Y, owner)  # first: a failing sample raises what it does
+    sd = spray_data(m, f, calc.x, Y, calc, owner)
+    return fd, sd, landsberg(fd, sd.B), s_curvature_def(m, f, calc.x, Y, grad, sd, calc)
+
+
+def _sample_norms(m, f, calc, grads, owner, Y):
+    """Max-norms of B, L, D, S and C per pair (``pair_fibers``), each
+    direction scaled to F = 1; S is 0 where sigma failed."""
+    Y = Y / np.sqrt(fsq_jet(m, f, calc.x, Y, 0, owner).value)[..., None]
+    fd, sd, L, S = pair_fibers(m, f, calc, grads, owner, Y)
+    out = np.column_stack([np.abs(np.reshape(T, (len(Y), -1))).max(axis=-1)
+                           for T in (sd.B, L, sd.D, S, fd.C)])
+    out[np.array([g is None for g in grads])[owner], 3] = 0.0
+    return out.tolist()
 
 
 def _flag_curvatures(m, f, bc, Y):
@@ -221,26 +233,17 @@ def curvature_flags(m: MetricSpec, f: PhiFamily, calc: BetaCalculus, dirs) -> di
     Directions are normalized to F = 1 before evaluation so the max-norms are
     scale-invariant; directions outside the regular cone of almost-regular
     families are dropped, each point keeping its own admissible set.  Every
-    (point, direction) pair of the grid goes through one jet batch per
-    ``_PAIR_CHUNK`` pairs; if one raises, ``by_columns`` redoes alone only
-    the pairs its fault names, so an error is the one raised alone.
-    Where sigma fails, ``s_zero`` is an errored verdict carrying the first
-    failure, and the other verdicts stand.
+    (point, direction) pair of the grid goes through ``pair_pass``, as
+    ``report``'s records do: one jet batch per ``_PAIR_CHUNK`` pairs; if one
+    raises, ``by_columns`` redoes alone only the pairs its fault names, so an
+    error is the one raised alone.  Where sigma fails, ``s_zero`` is an
+    errored verdict carrying the first failure, and the other verdicts stand.
     """
-    samples = []  # (point index, admissible directions, ln sigma gradient or None)
-    sigma_error = None
-    for k, bc in enumerate(calc.rows()):
-        usable = _admissible_dirs(f, bc, np.asarray(dirs, dtype=float))
-        if not len(usable):
-            continue
-        try:
-            grad = ln_sigma_gradient(m, f, bc.x, bc)
-        except FinslerError as exc:
-            grad, sigma_error = None, sigma_error or exc
-        samples.append((k, usable, grad))
-    if not samples:
+    bcs, dirs = list(calc.rows()), np.asarray(dirs, dtype=float)
+    rows, sigma_error = pair_pass(m, f, calc.x, bcs, [_admissible_dirs(f, bc, dirs) for bc in bcs],
+                                  partial(_sample_norms, m, f, calc))
+    if not rows:
         raise AllSamplesSingular("every grid x direction sample was inadmissible")
-    rows = _grid_norms(m, f, calc, samples)
     out = {}  # each column's maximum; fmax skips a NaN, as max() does
     for name, r in zip(("berwald", "landsberg", "douglas", "s_zero", "riemannian"),
                        np.fmax.reduce(np.array(rows), axis=0, initial=0.0)):

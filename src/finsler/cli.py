@@ -13,26 +13,26 @@ import io
 import json
 import math
 import sys
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
 
 import numpy as np
 
 from . import acceptance
 from .catalog import catalog_names, finite_real, get_metric
-from .classify import (_PAIR_CHUNK, _admissible_dirs, classify_metric, default_directions,
-                       default_grid)
+from .classify import (_admissible_dirs, classify_metric, default_directions, default_grid,
+                       pair_fibers, pair_pass)
 from .errors import (AllSamplesSingular, ConfigError, FinslerError, UnknownQuantity, by_columns,
                      marked, shown)
 from .exprparse import parse
 from .exprparse import eval_expr
-from .finsler_metric import fundamental, sigma_bh
+from .finsler_metric import sigma_bh
 from .geometry_core import BetaCalculus, ChartDomain, MetricSpec, grid_calculus
 from .phi_families import (CustomExprPhi, RandersPhi, RiemannSqrtPhi,
                            UnicornPhi, _q_series)
 # the bundle's K calls riemann_flag; perfbench/tests/test_tracer.py requires it bound here
-from .spray_curvature import (curvature_bundle, landsberg, ln_sigma_gradient,  # noqa: F401
-                              pair_rows, riemann_flag, s_curvature_def, spray_data)
+from .spray_curvature import (curvature_bundle, ln_sigma_gradient, pair_rows,  # noqa: F401
+                              riemann_flag)
 
 QUANTITIES = ("a", "b_form", "gamma", "r", "s", "r_i", "s_i", "bnorm", "Q",
               "G", "B", "E", "L", "D", "R", "K", "S", "H", "sigma")
@@ -267,74 +267,49 @@ def _records(cb):
     return recs
 
 
-def _filled_bundles(m, f, bcs, grads, owner, dirs):
-    """A curvature bundle per point of ``bcs`` whose ``fd``, ``spray``, ``L`` and
-    (with a gradient) ``S_def`` are that point's rows of one jet batch of the
-    (point, direction) pairs ``dirs[j]`` at ``bcs[owner[j]]``, point-major;
-    raises if the batch does."""
-    calc, bounds = BetaCalculus.stack(bcs), np.searchsorted(owner, np.arange(len(bcs) + 1))
-    grad = np.array([np.zeros(m.n) if g is None else g for g in grads])[owner]  # 0: sigma failed
-    fd = fundamental(m, f, calc.x, dirs, owner)
-    sd = spray_data(m, f, calc.x, dirs, calc, owner)
-    L, S_def = landsberg(fd, sd.B), s_curvature_def(m, f, calc.x, dirs, grad, sd, calc)
-    bundles = []
-    for bc, g, rows in zip(bcs, grads, map(slice, bounds, bounds[1:])):
-        cb = curvature_bundle(m, f, bc.x, dirs[rows], g, bc)
-        vars(cb).update(fd=pair_rows(fd, rows), spray=pair_rows(sd, rows), L=L[rows],
-                        **({} if g is None else {"S_def": S_def[rows]}))
-        bundles.append(cb)
-    return bundles
-
-
 def _pair_records(m, f, calcs, grads, owner, Y):
-    """The records of the pairs ``Y[j]`` at point ``owner[j]`` from filled bundles; a
-    point whose calculus or records raise raises naming its pairs (or those it names)."""
+    """The records of the pairs ``Y[j]`` at point ``owner[j]``, point-major, from one
+    curvature bundle per point whose ``fd``, ``spray``, ``L`` and (with a gradient)
+    ``S_def`` are its rows of the pairs' ``pair_fibers``; a point whose calculus or
+    records raise raises naming its pairs (or those it names)."""
     points, local = np.unique(owner, return_inverse=True)
     failed = np.array([isinstance(calcs[k], Exception) for k in points])
     if failed.any():
         raise marked(calcs[points[failed.argmax()]], failed[local])
-    records = []
-    for k, cb in enumerate(_filled_bundles(m, f, [calcs[p] for p in points],
-                                           [grads[p] for p in points], local, Y)):
+    fd, sd, L, S_def = pair_fibers(m, f, BetaCalculus.stack([calcs[k] for k in points]),
+                                   [grads[k] for k in points], local, Y)
+    bounds, records = np.searchsorted(local, np.arange(len(points) + 1)), []
+    for k, rows in zip(points, map(slice, bounds, bounds[1:])):
+        cb = curvature_bundle(m, f, calcs[k].x, Y[rows], grads[k], calcs[k])
+        vars(cb).update(fd=pair_rows(fd, rows), spray=pair_rows(sd, rows), L=L[rows],
+                        **({} if grads[k] is None else {"S_def": S_def[rows]}))
         try:
             records += _records(cb)
         except FinslerError as exc:
-            rows = np.flatnonzero(local == k)
-            fits = np.shape(exc.columns) == rows.shape
-            raise marked(exc, np.isin(np.arange(len(Y)), rows[exc.columns] if fits else rows))
+            cols = np.arange(len(Y))[rows]
+            fits = np.shape(exc.columns) == cols.shape
+            raise marked(exc, np.isin(np.arange(len(Y)), cols[exc.columns] if fits else cols))
     return records
 
 
 def cmd_report(cfg):
     """Per-sample curvature records plus the aggregate classification.
 
-    The records read one curvature bundle per point, filled from one jet batch
-    per ``_PAIR_CHUNK`` (point, direction) pairs, whole points each
-    (``_pair_records``).  A batch that raises goes through ``by_columns``: the
-    pairs its fault names are redone alone, each as a one-direction bundle
-    that records its error, and the other pairs stay batched.
+    Every (point, direction) pair goes through the classification's pair pass
+    (``classify.pair_pass``), one jet batch per ``_PAIR_CHUNK`` pairs read by one
+    curvature bundle per point (``_pair_records``); where a batch raises, the pairs
+    its fault names are redone alone, each as a one-direction bundle that records
+    its error, and the other pairs stay batched.
     """
     m, f = cfg.metric, cfg.phi
     grid = _sample_grid(cfg)
     dirs = default_directions(m.n, cfg.n_directions, seed=cfg.seed)
     calcs = list(grid_calculus(m, grid))
-    grads = []
-    for x, bc in zip(grid, calcs):
-        try:
-            grads.append(ln_sigma_gradient(m, f, x, bc))
-        except FinslerError:
-            grads.append(None)
-    records, step = [], max(1, _PAIR_CHUNK // len(dirs))
-    for start in range(0, len(grid), step):
-        owner = np.repeat(np.arange(start, min(start + step, len(grid))), len(dirs))
-        Y = np.tile(dirs, (len(owner) // len(dirs), 1))
-        records += by_columns(lambda j: _pair_records(m, f, calcs, grads, owner[j], Y[j]), len(Y),
-                              lambda j: _records(curvature_bundle(
-                                  m, f, grid[owner[j[0]]], Y[j[0]], grads[owner[j[0]]],
-                                  calcs[owner[j[0]]])))
+    records, _ = pair_pass(m, f, grid, calcs, [dirs] * len(grid),
+                           partial(_pair_records, m, f, calcs), lambda grads, k, y: _records(
+                               curvature_bundle(m, f, grid[k], y, grads[k], calcs[k])))
     try:
-        report = classify_metric(m, f, dirs)  # on its own grid, not the records'
-        classification = json.loads(report.to_json())
+        classification = classify_metric(m, f, dirs).as_dict()  # on its own grid, not the records'
     except FinslerError as exc:
         classification = {"error": f"{type(exc).__name__}: {exc}"}
     doc = {"metric": cfg.metric_name, "n_points": len(grid),

@@ -17,8 +17,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (DomainError, NonPositivePhi, SingularDirectionInQuadrature, SingularG,
-                     ZeroVector)
+from .errors import (DomainError, FinslerError, NonPositivePhi, SingularDirectionInQuadrature,
+                     SingularG, ZeroVector)
 from .geometry_core import MAX_ENTRY, MetricSpec, _inverse_cholesky, _inverse_spd
 from .jets import jet_form, jet_variable
 from .phi_families import PhiFamily
@@ -153,7 +153,6 @@ def _polar_nodes(n):
     return u, w
 
 
-@lru_cache(maxsize=256)
 def _unit_ball(f: PhiFamily, b, n):
     """``(f(b), d ln f / db)`` of the unit ball {y : |y| phi(b y_1 / |y|) < 1}.
 
@@ -165,25 +164,38 @@ def _unit_ball(f: PhiFamily, b, n):
     ``SingularDirectionInQuadrature`` where |s| passes the admissible
     b0 (1 - delta) of an almost-regular family, or F <= 0 or is not finite (an
     unbounded unit ball, as for Randers with b = 1), or F is so small or large
-    that r^(n+1) would leave the float range.  Memoised on (f, b, n),
-    the 256 most recent keys; a ``PhiFamily`` hashes by identity and is
-    frozen, and the cache's strong reference keeps its id from reuse.
+    that r^(n+1) would leave the float range.  The sweep is memoised
+    (``_sweep``), a ``FinslerError`` too, which each read raises as a fresh
+    copy: one stored instance would grow its traceback and keep its frames.
     """
-    u, w = _polar_nodes(n)
-    s = b * u
-    F = f.value_many(s)
-    half = f.b0 * (1.0 - f.delta)
-    span = MAX_ENTRY ** (1.0 / (n + 1))  # F within it keeps r^(n+1) a float
-    for fault, cause in ((np.abs(s) > half, f"|s| > b0 (1 - delta) = {half}"),
-                         (~np.isfinite(F), "F is not finite"), (F <= 0.0, "F <= 0"),
-                         ((F < 1.0 / span) | (F > span), f"F outside [1/{span:g}, {span:g}]")):
-        if np.any(fault):
-            raise SingularDirectionInQuadrature(
-                f"{cause} at {int(np.sum(fault))} quadrature node(s)")
-    r = 1.0 / F
-    wr = w * r ** n
-    vol = wr.sum()
-    return float(w.sum() / vol), float(n * ((wr * r) @ (f.taylor(s, 1)[1] * u)) / vol)
+    if isinstance(got := _sweep(f, b, n), FinslerError):
+        raise type(got)(*got.args)
+    return got
+
+
+@lru_cache(maxsize=256)
+def _sweep(f: PhiFamily, b, n):
+    """``_unit_ball``'s values, or its ``FinslerError`` unraised, memoised on (f, b, n), the 256
+    most recent keys; a ``PhiFamily`` is frozen and hashes by identity, kept here from id reuse."""
+    try:
+        u, w = _polar_nodes(n)
+        s = b * u
+        F = f.value_many(s)
+        half = f.b0 * (1.0 - f.delta)
+        span = MAX_ENTRY ** (1.0 / (n + 1))  # F within it keeps r^(n+1) a float
+        for fault, cause in ((np.abs(s) > half, f"|s| > b0 (1 - delta) = {half}"),
+                             (~np.isfinite(F), "F is not finite"), (F <= 0.0, "F <= 0"),
+                             ((F < 1.0 / span) | (F > span),
+                              f"F outside [1/{span:g}, {span:g}]")):
+            if np.any(fault):
+                raise SingularDirectionInQuadrature(
+                    f"{cause} at {int(np.sum(fault))} quadrature node(s)")
+        r = 1.0 / F
+        wr = w * r ** n
+        vol = wr.sum()
+        return float(w.sum() / vol), float(n * ((wr * r) @ (f.taylor(s, 1)[1] * u)) / vol)
+    except FinslerError as exc:  # a copy, holding no frames; a sweep's errors take one text
+        return type(exc)(*exc.args)
 
 
 def sigma_bh(m: MetricSpec, f: PhiFamily, x):

@@ -15,7 +15,9 @@ import numpy as np
 import pytest
 
 from finsler import classify, cli, finsler_metric, geometry_core, spray_curvature
+from finsler.catalog import catalog_names
 from finsler.errors import DomainError, EvaluationError, FinslerError, by_columns
+from finsler.geometry_core import BetaCalculus
 from finsler.jets import base_derivative
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -165,6 +167,50 @@ def test_singular_points_alone_only(monkeypatch):
     out = json.loads(cli.cmd_report(cfg))
     assert len(alone) == 4 and all(x[1] == 0.0 for x in alone)
     assert out["classification"] == {"error": "DomainError: division by ~0"}
+
+
+#: the pair pass's property cases: every catalog metric, and the fixtures whose
+#: pairs (log_phi, unicorn_near_edge), sigma (both) or calculus (singular_a) fail;
+#: 5 directions, so that most chunks split a point's pairs
+PAIR_CASES = [*({"name": name} for name in catalog_names()), *(
+    json.loads((FIXTURES / f"{name}.json").read_text())["metric"]
+    for name in ("log_phi", "unicorn_near_edge", "singular_a"))]
+
+
+def _pair_pass_outputs(k):
+    """The report of case k on a 3-point-per-axis grid, and the verdicts of
+    ``curvature_flags`` at that grid's healthy points, an error as its text."""
+    cfg = cli.RunConfig({"schema": 1, "metric": PAIR_CASES[k], "grid": {"per_axis": 3},
+                         "directions": 5})
+    m, grid = cfg.metric, cli._sample_grid(cfg)
+    calc = BetaCalculus.stack([bc for bc in geometry_core.grid_calculus(m, grid)
+                               if not isinstance(bc, Exception)])
+    dirs = classify.default_directions(m.n, cfg.n_directions, seed=cfg.seed)
+    flags = _outcome(classify.curvature_flags, m, cfg.phi, calc, dirs)
+    if isinstance(flags, FinslerError):
+        return cli.cmd_report(cfg), f"{type(flags).__name__}: {flags}"
+    return cli.cmd_report(cfg), {name: (v.value, np.float64(v.residual).tobytes(), v.n_samples,
+                                        v.error) for name, v in flags.items()}
+
+
+def test_any_pair_chunk_keeps_report_and_verdicts_property():
+    # the pair pass's chunk rule is flat: a chunk of 1..40 pairs cuts the
+    # report's and the classification's points anywhere, and each part must
+    # give the bytes of the default chunk, where each grid here is one chunk
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    want = {}
+
+    @hypothesis.settings(max_examples=30, deadline=None, derandomize=True)
+    @hypothesis.given(st.integers(0, len(PAIR_CASES) - 1), st.integers(1, 40))
+    def check(k, chunk):
+        if k not in want:
+            want[k] = _pair_pass_outputs(k)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(classify, "_PAIR_CHUNK", chunk)
+            assert _pair_pass_outputs(k) == want[k]
+
+    check()
 
 
 @pytest.mark.parametrize("names_columns", [True, False], ids=["mask", "no-mask"])

@@ -96,9 +96,14 @@ def _grid(m):
 def _assert_same(m, f, dirs, monkeypatch):
     """Equal verdicts and equal rows: each pair's row with its reference bytes."""
     rows = []
-    grid_norms = classify._grid_norms
-    monkeypatch.setattr(classify, "_grid_norms",
-                        lambda *args: rows.extend(grid_norms(*args)) or rows)
+    pair_pass = classify.pair_pass
+
+    def kept(*args):
+        out = pair_pass(*args)
+        rows.extend(out[0])
+        return out
+
+    monkeypatch.setattr(classify, "pair_pass", kept)
     calc = _grid(m)
     want_rows = []
     want = ref_curvature_flags(m, f, calc, dirs, want_rows)

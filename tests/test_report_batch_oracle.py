@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from finsler import cli, spray_curvature
+from finsler import classify, cli, spray_curvature
 from finsler.catalog import catalog_names
 from finsler.classify import classify_metric, default_directions
 from finsler.errors import DomainError, FinslerError
@@ -140,17 +140,18 @@ def test_config_report_has_the_per_point_bytes(path):
     (json.loads((FIXTURES / "singular_a.json").read_text()), 1),  # a = 0 at the origin
 ], ids=["near_edge_rows", "singular_a"])
 def test_small_batches_beside_fallbacks_keep_the_bytes(doc, fallbacks, monkeypatch):
-    # one grid row of 3 points per batch
+    # one grid row of 3 points per batch (3 x 8 and 3 x 16 pairs)
     cfg = cli.RunConfig(doc)
     want = ref_report(cfg)
-    monkeypatch.setattr(cli, "_PAIR_CHUNK", 3 * cfg.n_directions)
+    monkeypatch.setattr(classify, "_PAIR_CHUNK", 3 * cfg.n_directions)
     points = _fallbacks(monkeypatch)
     assert cli.cmd_report(cfg) == want
     assert len(points) == fallbacks
 
 
 def test_directions_that_do_not_divide_the_chunk():
-    # 1024 // 24 = 42 whole points per batch: two batches of 42 and 22 points
+    # 64 points x 24 directions = 1536 pairs: two batches of 1024 and 512 pairs,
+    # which split the 43rd point (index 42) after its 16th direction
     cfg = cli.RunConfig({"schema": 1, "metric": {"name": "bao_shen"},
                          "grid": {"per_axis": 4}, "directions": 24, "seed": 7})
     assert cli.cmd_report(cfg) == ref_report(cfg)
@@ -158,7 +159,7 @@ def test_directions_that_do_not_divide_the_chunk():
 
 def test_report_makes_one_spray_batch_per_chunk(monkeypatch, capsys):
     # bao_shen's default 125 points x 16 directions = 2000 pairs: two record
-    # batches (64 and 61 points) and one for the classification's 27 x 16
+    # batches (1024 and 976 pairs) and one for the classification's 27 x 16
     # pairs; counted through every module that binds spray_data
     calls = []
     for mod in list(sys.modules.values()):
@@ -199,7 +200,7 @@ FIELDS = [("F", lambda cb: cb.fd.F), ("g", lambda cb: cb.fd.g), ("C", lambda cb:
 
 
 @pytest.mark.parametrize("name", catalog_names())
-def test_a_filled_bundle_has_the_bits_of_one_computed_alone(name):
+def test_a_filled_bundle_has_the_bits_of_one_computed_alone(name, monkeypatch):
     cfg = cli.RunConfig({"schema": 1, "metric": {"name": name},
                          "grid": {"per_axis": 2}, "directions": 4})
     m, f = cfg.metric, cfg.phi
@@ -214,8 +215,11 @@ def test_a_filled_bundle_has_the_bits_of_one_computed_alone(name):
             grads.append(None)
     fields = FIELDS + [("K", lambda cb: cb.K)] * (m.n == 2)
     owner, Y = np.repeat(np.arange(len(grid)), len(dirs)), np.tile(dirs, (len(grid), 1))
-    for x, bc, grad, filled in zip(grid, calcs, grads,
-                                   cli._filled_bundles(m, f, calcs, grads, owner, Y)):
+    bundles = []  # the filled bundles, one per point, as _pair_records reads them
+    monkeypatch.setattr(cli, "_records", lambda cb: bundles.append(cb) or [])
+    assert cli._pair_records(m, f, calcs, grads, owner, Y) == []
+    assert len(bundles) == len(grid)
+    for x, bc, grad, filled in zip(grid, calcs, grads, bundles):
         alone = curvature_bundle(m, f, x, dirs, grad, bc)
         read = fields + [("S_def", lambda cb: cb.S_def)] * (grad is not None)
         for key, field in read:

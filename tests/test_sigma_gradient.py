@@ -9,8 +9,10 @@ the d a and d b stencils on the new route, so each metric is held near its
 own gap, not to one loose bound.
 """
 
+import json
 import math
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,9 +20,9 @@ import pytest
 import finsler
 from finsler.catalog import catalog_names, get_metric
 from finsler.classify import default_directions, default_grid
-from finsler.cli import main
-from finsler.errors import SingularDirectionInQuadrature, ZeroNorm
-from finsler.finsler_metric import _polar_nodes, _unit_ball, sigma_bh
+from finsler.cli import RunConfig, cmd_report, main
+from finsler.errors import FinslerError, SingularDirectionInQuadrature, ZeroNorm
+from finsler.finsler_metric import _polar_nodes, _sweep, sigma_bh
 from finsler.geometry_core import ChartDomain, MetricSpec, _at, beta_derivatives
 from finsler.jets import base_derivative
 from finsler.phi_families import RandersPhi, RiemannSqrtPhi
@@ -87,7 +89,7 @@ def test_refined_rule_point(monkeypatch):
     # new route is off by 8.2e-13, the stencil by 4.3e-9
     b1, x = 0.99, np.array([0.1, 0.0])
     m, f = _randers_near_one(b1), RandersPhi()
-    _unit_ball.cache_clear()
+    _sweep.cache_clear()
     sweeps = _count(monkeypatch, RandersPhi, "value_many")
     got = ln_sigma_gradient(m, f, x)
     assert [len(s) for _, s in sweeps] == [len(_polar_nodes(2)[1])]
@@ -156,15 +158,15 @@ def test_one_sweep_per_refine_level_and_no_stencil(case, monkeypatch):
     else:
         m, f, x = _randers_near_one(0.99), RandersPhi(), np.array([0.1, 0.0])
     bc = beta_derivatives(m, x)
-    _unit_ball.cache_clear()
+    _sweep.cache_clear()
     sweeps = _count(monkeypatch, type(f), "value_many")
     stencils = _count(monkeypatch, finsler.jets, "base_derivative")
     ln_sigma_gradient(m, f, x, bc)
-    assert (_unit_ball.cache_info().misses, len(sweeps), len(stencils)) == (1, 1, 0)
+    assert (_sweep.cache_info().misses, len(sweeps), len(stencils)) == (1, 1, 0)
     # a memo hit makes no sweep; without a calculus at hand, the only
     # stencils are those of a and b
     ln_sigma_gradient(m, f, x)
-    assert (_unit_ball.cache_info().misses, len(sweeps)) == (1, 1)
+    assert (_sweep.cache_info().misses, len(sweeps)) == (1, 1)
     assert [field for field, _ in stencils] == [m.a_at, m.b_at]
 
 
@@ -177,15 +179,42 @@ def test_table_s_makes_one_sweep_per_point(monkeypatch):
     grid = default_grid(e.metric, 3)
     keys = {bc.b for bc in beta_derivatives(e.metric, np.array(grid)).rows()}
     assert 1 < len(keys) < len(grid)
-    _unit_ball.cache_clear()
+    _sweep.cache_clear()
     sweeps = _count(monkeypatch, type(e.phi), "value_many")
     reads = _count(monkeypatch, finsler.finsler_metric, "_unit_ball")
     argv = ["table", "--metric", "fish_tank", "--quantity", "S", "--per-axis", "3",
             "--out", "/dev/null"]
     assert main(argv) == 0
-    info = _unit_ball.cache_info()
+    info = _sweep.cache_info()
     assert (info.misses, len(sweeps)) == (len(keys), len(keys))
     assert info.misses + info.hits == len(reads) > len(grid)
+
+
+def test_a_refused_sweep_is_made_once_per_key(monkeypatch):
+    # log_phi's sigma refuses at every point, all of one b: the gradients of ln
+    # sigma on the report's 9 points and the classification's 9 read one
+    # memoised refusal, each read raising a fresh error with its text, and a
+    # run that only hits the memo prints the same bytes
+    doc = json.loads((Path(__file__).resolve().parent / "fixtures" / "log_phi.json").read_text())
+    cfg = RunConfig({**doc, "grid": {"per_axis": 3}})
+    _sweep.cache_clear()
+    sweeps = _count(monkeypatch, type(cfg.phi), "value_many")
+    unit_ball, raised = finsler.finsler_metric._unit_ball, []
+
+    def reading(*args):
+        try:
+            return unit_ball(*args)
+        except FinslerError as exc:
+            raised.append(exc)
+            raise
+
+    for mod in (finsler.finsler_metric, finsler.spray_curvature):
+        monkeypatch.setattr(mod, "_unit_ball", reading)
+    first = cmd_report(cfg)
+    assert (len(sweeps), _sweep.cache_info().misses) == (1, 1)
+    assert len(raised) == 18 and len({id(exc) for exc in raised}) == 18
+    assert len({f"{type(exc).__name__}: {exc}" for exc in raised}) == 1
+    assert cmd_report(cfg) == first and len(sweeps) == 1
 
 
 def test_mw_sigma_error_comes_from_x(capsys):
